@@ -7,6 +7,7 @@ backpropagation, and Lloyd's K-Means with elbow-based k selection.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -81,13 +82,20 @@ def _lgr_loss(Xs, y, w, b, l2):
     return bce + 0.5 * l2 * float(w @ w)
 
 
+def _lgr_grad(Xs, y, w, b, l2):
+    p = sigmoid(Xs @ w + b)
+    return Xs.T @ (p - y) / len(y) + l2 * w, float(np.mean(p - y))
+
+
 def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
             loss_history: Optional[list] = None) -> LgrModel:
     """Fit L2-regularized logistic regression by monotone gradient descent.
 
     Steps that would raise the loss are halved until they do not, so the
     recorded loss sequence never increases. Stops when the gradient
-    max-norm falls below cfg.tolerance or after cfg.max_epochs.
+    max-norm falls below cfg.tolerance or after cfg.max_epochs; in the
+    latter case, if the final gradient is still above the tolerance, a
+    RuntimeWarning names the cap and that gradient.
     """
     X = as_matrix(X)
     y = _check_binary_labels(y)
@@ -95,17 +103,14 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
         raise ContractViolation("X and y row counts differ")
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
-    n, d = Xs.shape
-    w = np.zeros(d)
+    w = np.zeros(Xs.shape[1])
     b = 0.0
     step = cfg.learning_rate
     loss = _lgr_loss(Xs, y, w, b, cfg.l2)
     if loss_history is not None:
         loss_history.append(loss)
     for _ in range(cfg.max_epochs):
-        p = sigmoid(Xs @ w + b)
-        gw = Xs.T @ (p - y) / n + cfg.l2 * w
-        gb = float(np.mean(p - y))
+        gw, gb = _lgr_grad(Xs, y, w, b, cfg.l2)
         if max(np.abs(gw).max(), abs(gb)) <= cfg.tolerance:
             break
         while True:
@@ -121,6 +126,13 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
         step = min(step * 2.0, cfg.learning_rate)
         if loss_history is not None:
             loss_history.append(loss)
+    else:  # every epoch ran: say so unless the last step happened to converge
+        gw, gb = _lgr_grad(Xs, y, w, b, cfg.l2)
+        grad_norm = max(np.abs(gw).max(), abs(gb))
+        if grad_norm > cfg.tolerance:
+            warnings.warn(f"lgr_fit hit its cap of {cfg.max_epochs} epochs with gradient "
+                          f"max-norm {grad_norm:.3e} above tolerance {cfg.tolerance:g}",
+                          RuntimeWarning, stacklevel=2)
     return LgrModel(weights=w, bias=b, scaler=scaler)
 
 

@@ -51,24 +51,35 @@ def frame_sigma(values: Sequence[int]) -> float:
     return float(np.sqrt(np.mean((v - v.mean()) ** 2)))
 
 
+def frame_arrays(series: IntervalSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every complete frame of the series as arrays: (counts, sigma, label).
+
+    counts is n_frames x 12 (the series' int64 counts), sigma the population
+    standard deviation of each row, label the largest interval label in it.
+    """
+    if series.interval_seconds != 10:
+        raise ConfigError("frames are defined over 10-second intervals "
+                          f"(got interval_seconds={series.interval_seconds})")
+    n = len(series) // FRAME_WIDTH * FRAME_WIDTH
+    C = series.counts[:n].reshape(-1, FRAME_WIDTH)
+    labels = series.labels[:n].reshape(-1, FRAME_WIDTH).max(axis=1)
+    V = C.astype(np.float64)
+    sigma = np.sqrt(np.mean((V - V.mean(axis=1, keepdims=True)) ** 2, axis=1))
+    return C, sigma, labels
+
+
 def make_frames(series: IntervalSeries, cfg: FramingConfig) -> list[Frame]:
     """Cut the series into frames of 12 intervals; drop the incomplete tail.
 
     The tail is dropped rather than padded: short frames are exactly the
     residual-error source the frame models should not see.
     """
-    if series.interval_seconds != 10:
-        raise ConfigError("frames are defined over 10-second intervals "
-                          f"(got interval_seconds={series.interval_seconds})")
-    n_frames = len(series) // FRAME_WIDTH
-    frames = []
-    for i in range(n_frames):
-        chunk = series.counts[i * FRAME_WIDTH:(i + 1) * FRAME_WIDTH]
-        labels = series.labels[i * FRAME_WIDTH:(i + 1) * FRAME_WIDTH]
-        values = tuple(int(c) for c in chunk)
-        sigma = frame_sigma(values) if cfg.with_sigma else None
-        frames.append(Frame(values, sigma, int(labels.max())))
-    return frames
+    C, sigma, labels = frame_arrays(series)
+    sigmas = sigma.tolist() if cfg.with_sigma else [None] * len(C)
+    # Row by row: converting all counts at once would briefly hold a second
+    # copy of every frame as Python lists.
+    return [Frame(tuple(row.tolist()), s, label)
+            for row, s, label in zip(C, sigmas, labels.tolist())]
 
 
 def threshold_flag(frame: Frame, cfg: FramingConfig) -> bool:

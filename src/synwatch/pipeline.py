@@ -45,6 +45,10 @@ _FAMILY_TRAIN_DEFAULTS = {
     "kmeans": TrainConfig(),
 }
 
+# smote_balance holds at most this many bytes of (row, minority row, feature)
+# differences at a time, which bounds its memory whatever the minority size.
+_SMOTE_BLOCK_BYTES = 32 * 2 ** 20
+
 
 def default_train_cfg(family: str, seed: int) -> TrainConfig:
     return replace(_FAMILY_TRAIN_DEFAULTS[family], seed=seed)
@@ -140,21 +144,15 @@ def build_detection_dataset(series: IntervalSeries, variant: str) -> DataSet:
         X = series.counts.astype(np.float64).reshape(-1, 1)
         return DataSet(X, series.labels.copy(), ["count"])
     if variant in ("frames", "frames_sigma"):
-        with_sigma = variant == "frames_sigma"
-        frames = framing.make_frames(series, framing.FramingConfig(with_sigma=with_sigma))
-        if not frames:
+        C, sigma, labels = framing.frame_arrays(series)
+        if len(C) == 0:
             raise EmptyDatasetError("series too short for a single 12-interval frame")
-        rows = []
-        for f in frames:
-            row = list(f.values)
-            if with_sigma:
-                row.append(f.sigma)
-            rows.append(row)
+        X = C.astype(np.float64)
         names = [f"c{i}" for i in range(framing.FRAME_WIDTH)]
-        if with_sigma:
+        if variant == "frames_sigma":
+            X = np.column_stack([X, sigma])
             names.append("sigma")
-        y = np.array([f.label for f in frames], dtype=np.int64)
-        return DataSet(np.array(rows, dtype=np.float64), y, names)
+        return DataSet(X, labels, names)
     raise ConfigError(f"unknown dataset variant {variant!r}")
 
 
@@ -189,6 +187,12 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     Each synthetic point sits on the segment between a random minority
     sample and one of its k nearest minority neighbours. Majority rows and
     the original minority rows pass through untouched.
+
+    Neighbours are found only for the minority rows actually sampled, a
+    bounded block of rows at a time, so memory does not grow with the
+    square of the minority size. The output is identical to computing the
+    full minority distance matrix: distances are the same sums of squares,
+    and ties still go to the lowest row index.
     """
     y = np.asarray(train.y)
     counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}
@@ -201,14 +205,22 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     k_eff = min(k, n_min - 1)
     min_idx = np.flatnonzero(y == minority)
     Xm = train.X[min_idx]
-    d2 = ((Xm[:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    neighbours = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    # The neighbour search draws no random numbers, so drawing everything
+    # first keeps the stream of the seed unchanged.
     rng = np.random.default_rng(seed)
     n_new = n_maj - n_min
     base = rng.integers(0, n_min, size=n_new)
-    picks = neighbours[base, rng.integers(0, k_eff, size=n_new)]
+    column = rng.integers(0, k_eff, size=n_new)
     u = rng.random(size=n_new)
+    rows = np.unique(base)
+    block = max(1, _SMOTE_BLOCK_BYTES // (n_min * Xm.shape[1] * Xm.itemsize))
+    neighbours = np.empty((len(rows), k_eff), dtype=np.intp)
+    for start in range(0, len(rows), block):
+        r = rows[start:start + block]
+        d2 = ((Xm[r][:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(len(r)), r] = np.inf
+        neighbours[start:start + len(r)] = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    picks = neighbours[np.searchsorted(rows, base), column]
     synth = Xm[base] + u[:, None] * (Xm[picks] - Xm[base])
     X_out = np.vstack([train.X, synth])
     y_out = np.concatenate([y, np.full(n_new, minority, dtype=y.dtype)])

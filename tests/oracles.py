@@ -8,6 +8,8 @@ code path with the implementations under test.
 import numpy as np
 
 from synwatch.classifiers import mlp_loss_grads
+from synwatch.errors import BalancingError
+from synwatch.pipeline import DataSet
 from synwatch.regressors import rbf_matrix
 
 
@@ -132,3 +134,30 @@ def svr_kkt_violations(model, X, y) -> float:
         else:
             worst = max(worst, ri + eps)
     return max(worst, 0.0)
+
+
+def smote_balance_dense(train: DataSet, k: int, seed: int) -> DataSet:
+    """SMOTE from the full n_min x n_min minority distance matrix."""
+    y = np.asarray(train.y)
+    counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}
+    if counts[0] == counts[1]:
+        return train
+    minority = 0 if counts[0] < counts[1] else 1
+    n_min, n_maj = counts[minority], counts[1 - minority]
+    if n_min < 2:
+        raise BalancingError(f"minority class has {n_min} sample(s); need at least 2")
+    k_eff = min(k, n_min - 1)
+    min_idx = np.flatnonzero(y == minority)
+    Xm = train.X[min_idx]
+    d2 = ((Xm[:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    neighbours = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    rng = np.random.default_rng(seed)
+    n_new = n_maj - n_min
+    base = rng.integers(0, n_min, size=n_new)
+    picks = neighbours[base, rng.integers(0, k_eff, size=n_new)]
+    u = rng.random(size=n_new)
+    synth = Xm[base] + u[:, None] * (Xm[picks] - Xm[base])
+    X_out = np.vstack([train.X, synth])
+    y_out = np.concatenate([y, np.full(n_new, minority, dtype=y.dtype)])
+    return DataSet(X_out, y_out, list(train.feature_names))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,30 @@ def test_lgr_loss_monotone():
     lgr_fit(X, y, TrainConfig(learning_rate=0.5, max_epochs=300), loss_history=history)
     diffs = np.diff(history)
     assert (diffs <= 1e-12).all()
+
+
+def test_lgr_warns_when_epoch_cap_is_hit():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
+    cfg = TrainConfig(learning_rate=0.5, max_epochs=3)
+    with pytest.warns(RuntimeWarning, match="cap of 3 epochs"):
+        capped = lgr_fit(X, y, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        again = lgr_fit(X, y, cfg)
+    assert capped.weights.tobytes() == again.weights.tobytes() and capped.bias == again.bias
+
+
+def test_lgr_converged_fit_does_not_warn():
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(80, 2))
+    y = (X[:, 0] + rng.normal(size=80) > 0).astype(int)
+    history = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lgr_fit(X, y, TrainConfig(learning_rate=1.0, max_epochs=5000), loss_history=history)
+    assert len(history) < 5000
 
 
 def test_lgr_rejects_single_class():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from synwatch.errors import ConfigError, ContractViolation
 from synwatch.framing import (FRAME_WIDTH, Frame, FramingConfig, calibrate_thresholds,
-                              frame_sigma, make_frames, read_frames, threshold_flag,
+                              frame_arrays, frame_sigma, make_frames, read_frames, threshold_flag,
                               write_frames)
 from synwatch.traffic import IntervalSeries
 
@@ -85,6 +85,21 @@ def test_any_attacked_interval_marks_frame():
 def test_sigma_computed_on_request():
     frames = make_frames(_series([2] * 11 + [14]), FramingConfig(with_sigma=True))
     assert frames[0].sigma == pytest.approx(math.sqrt(11.0), abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 9), st.integers(0, 1)),
+                min_size=0, max_size=60))
+def test_frame_arrays_match_per_frame_definition(rows):
+    series = _series([c for c, _ in rows], [l for _, l in rows])
+    C, sigma, labels = frame_arrays(series)
+    frames = make_frames(series, FramingConfig(with_sigma=True))
+    assert len(C) == len(frames) == len(rows) // FRAME_WIDTH
+    for i, f in enumerate(frames):
+        chunk = rows[i * FRAME_WIDTH:(i + 1) * FRAME_WIDTH]
+        assert f.values == tuple(C[i].tolist()) == tuple(c for c, _ in chunk)
+        assert f.sigma == sigma[i] == frame_sigma([c for c, _ in chunk])  # bit-exact
+        assert f.label == labels[i] == max(l for _, l in chunk)
 
 
 def test_rejects_non_ten_second_intervals():

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import synwatch.pipeline as pipeline
+from oracles import smote_balance_dense
 from synwatch.classifiers import TrainConfig, kmeans_assign, kmeans_fit, map_clusters_to_labels
 from synwatch.errors import (ConfigError, DegenerateClusteringError, EmptyDatasetError)
 from synwatch.framing import frame_sigma
@@ -125,6 +127,55 @@ def test_smote_caps_k_at_minority_size():
     y = np.array([0] * 20 + [1] * 3)
     out = smote_balance(DataSet(X, y, ["a", "b"]), 50, seed=0)  # k > minority - 1
     assert int((out.y == 1).sum()) == 20
+
+
+def _smote_case(name):
+    rng = np.random.default_rng(11)
+    if name == "counts_ties":  # d=1 packet counts: few distinct values, many ties
+        X = rng.poisson(5.0, size=(700, 1)).astype(np.float64)
+        y = (rng.random(700) < 0.3).astype(np.int64)
+    elif name == "frames":  # d=12, minority class 0
+        X = rng.poisson(50.0, size=(400, 12)).astype(np.float64)
+        y = (rng.random(400) < 0.8).astype(np.int64)
+    elif name == "frames_sigma":  # d=13
+        C = rng.poisson(50.0, size=(400, 12)).astype(np.float64)
+        X = np.column_stack([C, C.std(axis=1)])
+        y = (rng.random(400) < 0.15).astype(np.int64)
+    else:  # "k_above_minority": 4 minority rows, so k=5 exceeds n_min - 1
+        X = rng.integers(0, 3, size=(30, 2)).astype(np.float64)
+        y = np.array([1] * 4 + [0] * 26)
+    return DataSet(X, y, [f"f{i}" for i in range(X.shape[1])])
+
+
+@pytest.mark.parametrize("name", ["counts_ties", "frames", "frames_sigma", "k_above_minority"])
+@pytest.mark.parametrize("block_rows", [None, 1, 7])
+def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
+    data = _smote_case(name)
+    if block_rows is not None:  # force several row blocks, the last one partial
+        n_min = int(min(np.sum(data.y == 0), np.sum(data.y == 1)))
+        monkeypatch.setattr(pipeline, "_SMOTE_BLOCK_BYTES",
+                            block_rows * n_min * data.X.shape[1] * 8)
+    for seed in (0, 1, 2):
+        got = smote_balance(data, 5, seed)
+        want = smote_balance_dense(data, 5, seed)
+        assert got.X.tobytes() == want.X.tobytes()
+        assert got.y.tobytes() == want.y.tobytes() and got.y.dtype == want.y.dtype
+
+
+def test_smote_memory_is_bounded_in_minority_size():
+    # 2,000 x 13 minority rows: the dense distance array alone would be 416 MB
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(4040, 13))
+    y = np.array([1] * 2000 + [0] * 2040)
+    data = DataSet(X, y, [f"f{i}" for i in range(13)])
+    tracemalloc.start()
+    try:
+        out = smote_balance(data, 5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int((out.y == 1).sum()) == 2040
+    assert peak < 64 * 2 ** 20
 
 
 # --------------------------------------------------------------------------
