@@ -13,7 +13,8 @@ import time
 from pathlib import Path
 
 from synwatch.classifiers import TrainConfig, elbow_curve
-from synwatch.pipeline import (ExperimentConfig, run_prediction, run_semi_supervised,
+from synwatch.pipeline import (PREDICTION_KINDS, SEMI_KINDS, SUPERVISED_KINDS,
+                               ExperimentConfig, run_prediction, run_semi_supervised,
                                run_supervised, run_unsupervised, write_predictions,
                                write_report)
 from synwatch.regressors import GridSpec
@@ -51,7 +52,7 @@ def main(argv=None):
 
     print("\n== supervised detection ==")
     print(header)
-    for kind in ("lgr", "ann", "ann_frames", "ann_frames_sigma"):
+    for kind in SUPERVISED_KINDS:
         t0 = time.perf_counter()
         report = run_supervised(series, ExperimentConfig(model_kind=kind, seed=args.seed))
         wall = time.perf_counter() - t0
@@ -72,7 +73,7 @@ def main(argv=None):
 
     print("\n== semi-supervised detection ==")
     print(header)
-    for kind in ("kmeans+lgr", "kmeans+ann", "kmeans+ann_frames", "kmeans+ann_frames_sigma"):
+    for kind in SEMI_KINDS:
         t0 = time.perf_counter()
         report = run_semi_supervised(series, ExperimentConfig(model_kind=kind, seed=args.seed))
         wall = time.perf_counter() - t0
@@ -86,7 +87,7 @@ def main(argv=None):
 
     print("\n== attack prediction (status ~ time, count; chronological 80:20) ==")
     print(f"{'model':<12} {'acc%':>8} {'r2':>8} {'rmse':>8} {'wall':>8}")
-    for kind in ("lgr_reg", "krr", "svr"):
+    for kind in PREDICTION_KINDS:
         grid = None if (kind == "lgr_reg" or args.skip_grid) else GridSpec()
         t0 = time.perf_counter()
         report, pred = run_prediction(pseries, ExperimentConfig(model_kind=kind,

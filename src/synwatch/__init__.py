@@ -6,13 +6,14 @@ from .classifiers import (KMeansModel, LgrModel, MlpModel, TrainConfig, elbow_cu
 from .errors import (BalancingError, ConfigError, ContractViolation,
                      DegenerateClusteringError, EmptyDatasetError, NumericError,
                      ParseError, TrainingError)
-from .framing import Frame, FramingConfig, frame_sigma, make_frames, threshold_flag
+from .framing import Frame, FramingConfig, frame_sigma, make_frames
 from .metrics import Confusion, classification_scores, confusion, r_squared, rmse
 from .pipeline import (DataSet, EvalReport, ExperimentConfig, PredictionSeries,
-                       build_detection_dataset, run_prediction, run_semi_supervised,
-                       run_supervised, run_unsupervised, smote_balance, split_train_test)
+                       build_detection_dataset, fit_model, run_prediction, run_semi_supervised,
+                       run_supervised, run_unsupervised, score_model, smote_balance,
+                       split_train_test)
 from .regressors import (GridSpec, KrrModel, SvrModel, grid_search, krr_fit, krr_predict,
-                         rbf_kernel, svr_fit, svr_predict)
+                         rbf_matrix, svr_fit, svr_predict)
 from .traffic import (IntervalSeries, PacketRecord, SynthesisConfig, bucketize,
                       generate_baseline, inject_attacks, inject_periodic_attacks,
                       parse_packet_log, read_series, write_series)

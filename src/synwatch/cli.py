@@ -10,17 +10,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import Optional
 
 import numpy as np
 
-from . import classifiers, framing, metrics, model_io, pipeline, regressors, traffic
+from . import classifiers, framing, model_io, pipeline, regressors, traffic
 from .classifiers import TrainConfig
 from .errors import ConfigError, NumericError
 from .pipeline import ExperimentConfig
 from .regressors import GridSpec
-from .scaling import Scaler
 
 DEFAULT_SEED = 42
 
@@ -187,121 +185,17 @@ def _cmd_elbow(args) -> int:
     return 0
 
 
-def _prediction_features(series) -> np.ndarray:
-    return np.column_stack([series.times_s().astype(np.float64),
-                            series.counts.astype(np.float64)])
-
-
 def _cmd_train(args) -> int:
     seed = _resolve_seed(args.seed)
-    kind = args.model
-    if args.grid and kind not in ("krr", "svr"):
-        raise ConfigError(f"--grid only applies to krr and svr, not {kind!r}")
-    _echo_config("train", {"model": kind, "series": args.series, "grid": args.grid,
+    _echo_config("train", {"model": args.model, "series": args.series, "grid": args.grid,
                            "seed": seed, "out": args.out})
     series = traffic.read_series(args.series)
-    scaler = None
-    if kind in pipeline.SUPERVISED_KINDS or kind in pipeline.SEMI_KINDS:
-        sub_kind = kind.split("+", 1)[1] if "+" in kind else kind
-        labels = (pipeline.auto_label_series(series, pipeline.default_train_cfg("kmeans", seed))
-                  if "+" in kind else series.labels)
-        labeled = traffic.IntervalSeries(series.counts.copy(), labels,
-                                         interval_seconds=series.interval_seconds,
-                                         origin_s=series.origin_s)
-        data = pipeline.build_detection_dataset(labeled, pipeline._VARIANT_OF[sub_kind])
-        balanced = pipeline.smote_balance(data, 5, seed + 1)
-        family = "lgr" if sub_kind == "lgr" else "mlp"
-        model, _ = pipeline._fit_kind(sub_kind, balanced.X, balanced.y,
-                                      pipeline.default_train_cfg(family, seed))
-    elif kind == "kmeans":
-        data = pipeline.build_detection_dataset(series, "per_interval")
-        model = classifiers.map_clusters_to_labels(
-            classifiers.kmeans_fit(data.X, 2, pipeline.default_train_cfg("kmeans", seed)))
-    elif kind == "lgr_reg":
-        X = _prediction_features(series)
-        model = classifiers.lgr_fit(X, series.labels, pipeline.default_train_cfg("lgr", seed))
-    else:  # krr / svr on the full series
-        X_raw = _prediction_features(series)
-        scaler = Scaler.fit(X_raw)
-        X = scaler.transform(X_raw)
-        y = series.labels.astype(np.float64)
-        if args.grid:
-            best, table = regressors.grid_search(X, y, kind, GridSpec(), seed=seed)
-            print(regressors.format_cv_table(table))
-        elif kind == "krr":
-            best = {"lam": 1.0, "gamma": regressors.default_gamma(X)}
-        else:
-            best = {"C": 1.0, "epsilon": 0.1, "gamma": regressors.default_gamma(X)}
-        if kind == "krr":
-            model = regressors.krr_fit(X, y, best["lam"], best["gamma"])
-        else:
-            model = regressors.svr_fit(X, y, best["C"], best["epsilon"], best["gamma"])
-            if not model.converged:
-                raise NumericError(
-                    f"SVR failed to converge (KKT violation {model.violation:.3e})")
+    cfg = ExperimentConfig(model_kind=args.model, seed=seed,
+                           grid=GridSpec() if args.grid else None)
+    model, scaler, table = pipeline.fit_model(series, cfg)
+    if table is not None:
+        print(regressors.format_cv_table(table))
     model_io.save_model(model, args.out, scaler=scaler)
-    return 0
-
-
-_FILE_KIND_OF = {
-    "lgr": "lgr", "ann": "mlp", "ann_frames": "mlp", "ann_frames_sigma": "mlp",
-    "kmeans": "kmeans", "kmeans+lgr": "lgr", "kmeans+ann": "mlp",
-    "kmeans+ann_frames": "mlp", "kmeans+ann_frames_sigma": "mlp",
-    "krr": "krr", "svr": "svr", "lgr_reg": "lgr",
-}
-
-
-def _evaluate_model_file(args, seed: int) -> int:
-    """Score a saved model over every row a series provides."""
-    series = traffic.read_series(args.series)
-    model, bundled_scaler = model_io.load_model(args.model_file)
-    kind = args.model
-    expected = _FILE_KIND_OF[kind]
-    actual = {"LgrModel": "lgr", "MlpModel": "mlp", "KMeansModel": "kmeans",
-              "KrrModel": "krr", "SvrModel": "svr"}[type(model).__name__]
-    if actual != expected:
-        raise ConfigError(f"model file holds a {actual} model; {kind} needs {expected}")
-    r2 = err = None
-    if kind in pipeline.PREDICTION_KINDS:
-        X = _prediction_features(series)
-        y_true = series.labels
-        t0 = time.perf_counter()
-        if kind == "lgr_reg":
-            raw, y_pred = classifiers.lgr_predict(model, X)
-        else:
-            if bundled_scaler is not None:
-                X = bundled_scaler.transform(X)
-            predict = regressors.krr_predict if kind == "krr" else regressors.svr_predict
-            raw = predict(model, X)
-            y_pred = (raw >= 0.5).astype(np.int64)
-        infer_seconds = time.perf_counter() - t0
-        r2 = metrics.r_squared(y_true.astype(np.float64), raw)
-        err = metrics.rmse(y_true.astype(np.float64), raw)
-    elif kind == "kmeans":
-        data = pipeline.build_detection_dataset(series, "per_interval")
-        y_true = data.y
-        if model.label_map is None:
-            model = classifiers.map_clusters_to_labels(model)
-        t0 = time.perf_counter()
-        mapping = np.array([model.label_map[0], model.label_map[1]])
-        y_pred = mapping[classifiers.kmeans_assign(model, data.X)]
-        infer_seconds = time.perf_counter() - t0
-    else:
-        sub_kind = kind.split("+", 1)[1] if "+" in kind else kind
-        data = pipeline.build_detection_dataset(series, pipeline._VARIANT_OF[sub_kind])
-        y_true = data.y
-        predict = classifiers.lgr_predict if expected == "lgr" else classifiers.mlp_predict
-        t0 = time.perf_counter()
-        _, y_pred = predict(model, data.X)
-        infer_seconds = time.perf_counter() - t0
-    conf = metrics.confusion(y_true, y_pred)
-    acc, fp, fn, f1 = metrics.classification_scores(conf)
-    report = pipeline.EvalReport(kind, conf, acc, fp, fn, f1,
-                                 train_seconds=0.0, infer_seconds=infer_seconds,
-                                 r2=r2, rmse=err,
-                                 config={"model_kind": kind, "seed": seed,
-                                         "model_file": args.model_file, "grid": "no"})
-    pipeline.write_report(report, args.report)
     return 0
 
 
@@ -310,10 +204,15 @@ def _cmd_evaluate(args) -> int:
     _echo_config("evaluate", {"model": args.model, "series": args.series,
                               "model_file": args.model_file or "-", "seed": seed,
                               "report": args.report})
-    if args.model_file is not None:
-        return _evaluate_model_file(args, seed)
     series = traffic.read_series(args.series)
     cfg = ExperimentConfig(model_kind=args.model, seed=seed)
+    if args.model_file is not None:
+        model, scaler = model_io.load_model(args.model_file)
+        report = pipeline.score_model(model, series, cfg, scaler)
+        report.config = {"model_kind": args.model, "seed": seed,
+                         "model_file": args.model_file, "grid": "no"}
+        pipeline.write_report(report, args.report)
+        return 0
     report = pipeline.run_experiment(series, cfg)
     pipeline.write_report(report, args.report)
     print(f"accuracy_pct={report.accuracy_pct:.3f} f1={report.f1:.6f}")

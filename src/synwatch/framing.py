@@ -7,13 +7,12 @@ extra feature. A frame is an attack frame if any member interval is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, ParseError
+from .errors import ConfigError, ContractViolation
 from .traffic import IntervalSeries
 
 FRAME_WIDTH = 12
@@ -35,12 +34,6 @@ class Frame:
 @dataclass(frozen=True)
 class FramingConfig:
     with_sigma: bool = False
-    sigma_threshold: float = 0.0
-    mean_threshold: float = math.inf
-
-    def __post_init__(self):
-        if self.sigma_threshold < 0 or self.mean_threshold < 0:
-            raise ConfigError("thresholds must be >= 0")
 
 
 def frame_sigma(values: Sequence[int]) -> float:
@@ -82,30 +75,6 @@ def make_frames(series: IntervalSeries, cfg: FramingConfig) -> list[Frame]:
             for row, s, label in zip(C, sigmas, labels.tolist())]
 
 
-def threshold_flag(frame: Frame, cfg: FramingConfig) -> bool:
-    """Heuristic attack flag for one frame.
-
-    High sigma marks a partial flood; the mean clause catches the saturated
-    flood where every interval is high and sigma collapses.
-    """
-    if frame.sigma is None:
-        raise ContractViolation("threshold_flag needs a frame with sigma")
-    mean = sum(frame.values) / FRAME_WIDTH
-    return frame.sigma > cfg.sigma_threshold or mean > cfg.mean_threshold
-
-
-def calibrate_thresholds(legit_frames: Sequence[Frame], factor: float = 3.0,
-                         with_sigma: bool = True) -> FramingConfig:
-    """Set both thresholds to `factor` times the average over known-legitimate frames."""
-    if not legit_frames:
-        raise ConfigError("cannot calibrate thresholds from zero frames")
-    sigmas = [f.sigma if f.sigma is not None else frame_sigma(f.values) for f in legit_frames]
-    means = [sum(f.values) / FRAME_WIDTH for f in legit_frames]
-    return FramingConfig(with_sigma=with_sigma,
-                         sigma_threshold=factor * float(np.mean(sigmas)),
-                         mean_threshold=factor * float(np.mean(means)))
-
-
 def write_frames(frames: Sequence[Frame], path) -> None:
     """One `v1,...,v12[,sigma],label` line per frame."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -115,27 +84,3 @@ def write_frames(frames: Sequence[Frame], path) -> None:
                 cols.append(format(f.sigma, ".17g"))
             cols.append(str(f.label))
             fh.write(",".join(cols) + "\n")
-
-
-def read_frames(path) -> list[Frame]:
-    """Read a frames file written by write_frames."""
-    frames = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) == FRAME_WIDTH + 1:
-                sigma = None
-            elif len(parts) == FRAME_WIDTH + 2:
-                sigma = float(parts[FRAME_WIDTH])
-            else:
-                raise ParseError(line_no, f"expected {FRAME_WIDTH + 1} or {FRAME_WIDTH + 2} "
-                                          f"fields, got {len(parts)}")
-            try:
-                values = tuple(int(p) for p in parts[:FRAME_WIDTH])
-                label = int(parts[-1])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer frame field in {line!r}") from None
-            frames.append(Frame(values, sigma, label))
-    return frames

@@ -86,23 +86,32 @@ def save_model(model, path, scaler: Optional[Scaler] = None) -> None:
 
 
 def _parse_arrays(lines):
-    arrays = {}
+    """{name: values} and {name: line number} for the array lines."""
+    arrays, line_of = {}, {}
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         if "=" not in line:
             raise ParseError(line_no, f"expected name=values, got {line!r}")
         name, _, text = line.partition("=")
+        name = name.strip()
         try:
-            arrays[name.strip()] = np.array([float(t) for t in text.split()])
+            arrays[name] = np.array([float(t) for t in text.split()])
         except ValueError:
             raise ParseError(line_no, f"non-numeric value in array {name!r}") from None
-    return arrays
+        if not len(arrays[name]):
+            raise ParseError(line_no, f"array {name!r} has no values")
+        line_of[name] = line_no
+    return arrays, line_of
 
 
-def _shaped(arrays, name):
-    shape = arrays[f"{name}_shape"].astype(int)
-    return arrays[name].reshape(shape[0], shape[1])
+def _shaped(arrays, line_of, name):
+    shape, values = arrays[f"{name}_shape"], arrays[name]
+    if (len(shape) != 2 or shape.prod() != len(values) or (shape < 0).any()
+            or (shape % 1 != 0).any()):
+        raise ParseError(line_of[name], f"array {name!r} has {len(values)} values, "
+                                        f"which {name}_shape={_fmt(shape)} does not fit")
+    return values.reshape(int(shape[0]), int(shape[1]))
 
 
 def _scaler_of(arrays) -> Optional[Scaler]:
@@ -112,41 +121,50 @@ def _scaler_of(arrays) -> Optional[Scaler]:
 
 
 def load_model(path):
-    """Read a model file; returns (model, bundled_scaler_or_None)."""
+    """Read a model file; returns (model, bundled_scaler_or_None).
+
+    A malformed file raises ParseError with the line at fault (1 for the
+    header and for a missing array).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("model="):
         raise ParseError(1, "missing model header")
+    if any("=" not in part for part in lines[0].split()):
+        raise ParseError(1, f"expected key=value header fields, got {lines[0]!r}")
     header = dict(part.split("=", 1) for part in lines[0].split())
     kind = header.get("model")
     if header.get("version") != str(FORMAT_VERSION):
         raise ParseError(1, f"unsupported model version {header.get('version')!r}")
-    arrays = _parse_arrays(lines[1:])
+    arrays, line_of = _parse_arrays(lines[1:])
     try:
         if kind == "lgr":
             model = LgrModel(weights=arrays["weights"], bias=float(arrays["bias"][0]),
-                             scaler=_scaler_of(arrays))
+                             scaler=Scaler(mean=arrays["scaler_mean"],
+                                           std=arrays["scaler_std"]))
             return model, None
         if kind == "mlp":
-            model = MlpModel(W1=_shaped(arrays, "w1"), b1=arrays["b1"],
-                             W2=_shaped(arrays, "w2"), b2=float(arrays["b2"][0]),
-                             scaler=_scaler_of(arrays))
+            model = MlpModel(W1=_shaped(arrays, line_of, "w1"), b1=arrays["b1"],
+                             W2=_shaped(arrays, line_of, "w2"), b2=float(arrays["b2"][0]),
+                             scaler=Scaler(mean=arrays["scaler_mean"],
+                                           std=arrays["scaler_std"]))
             return model, None
         if kind == "kmeans":
             k = int(arrays["k"][0])
             label_map = None
             if "label_map" in arrays:
                 label_map = {c: int(v) for c, v in enumerate(arrays["label_map"])}
-            model = KMeansModel(centroids=_shaped(arrays, "centroids"), k=k,
+            model = KMeansModel(centroids=_shaped(arrays, line_of, "centroids"), k=k,
                                 wcss=float(arrays["wcss"][0]), label_map=label_map)
             return model, None
         if kind == "krr":
-            model = KrrModel(alphas=arrays["alphas"], train_inputs=_shaped(arrays, "train_inputs"),
+            model = KrrModel(alphas=arrays["alphas"],
+                             train_inputs=_shaped(arrays, line_of, "train_inputs"),
                              lam=float(arrays["lambda"][0]), gamma=float(arrays["gamma"][0]))
             return model, _scaler_of(arrays)
         if kind == "svr":
             model = SvrModel(dual_deltas=arrays["dual_deltas"], bias=float(arrays["bias"][0]),
-                             train_inputs=_shaped(arrays, "train_inputs"),
+                             train_inputs=_shaped(arrays, line_of, "train_inputs"),
                              C=float(arrays["C"][0]), epsilon=float(arrays["epsilon"][0]),
                              gamma=float(arrays["gamma"][0]),
                              converged=bool(arrays["converged"][0]),

@@ -4,6 +4,9 @@ Detection runs (supervised, unsupervised, semi-supervised) classify
 intervals or frames; the prediction run forecasts the 0/1 attack status
 over the chronological tail of the series. Every run is deterministic per
 (series, config seeds) except its two wall-clock timing fields.
+
+Each model kind is fitted and predicted in one place, which the runners,
+`fit_model` (every row, for saved models) and `score_model` all share.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ PREDICTION_KINDS = ("krr", "svr", "lgr_reg")
 MODEL_KINDS = SUPERVISED_KINDS + ("kmeans",) + SEMI_KINDS + PREDICTION_KINDS
 
 _VARIANT_OF = {
+    "kmeans": "per_interval",
     "lgr": "per_interval",
     "ann": "per_interval",
     "ann_frames": "frames",
@@ -231,88 +235,217 @@ def auto_label_series(series: IntervalSeries, train_cfg: TrainConfig) -> np.ndar
     """K-Means (k=2) pseudo-labels for every interval of the series."""
     if len(series) == 0:
         raise EmptyDatasetError("series has no intervals")
-    if np.all(series.counts == series.counts[0]):
-        raise DegenerateClusteringError("all counts identical; cluster mapping undefined")
     X = series.counts.astype(np.float64).reshape(-1, 1)
-    model = classifiers.map_clusters_to_labels(classifiers.kmeans_fit(X, 2, train_cfg))
-    mapping = np.array([model.label_map[0], model.label_map[1]])
-    return mapping[classifiers.kmeans_assign(model, X)]
+    return _predict("kmeans", _fit_kmeans(X, train_cfg), X)[1]
+
+
+# --------------------------------------------------------------------------
+# one fit and one predict per model kind
+
+
+def _family(kind: str) -> str:
+    """The model a kind fits: lgr, mlp, kmeans, krr or svr (kmeans+X fits X's)."""
+    base = kind.split("+", 1)[-1]
+    if base.startswith("ann"):
+        return "mlp"
+    return "lgr" if base.startswith("lgr") else base
+
+
+def _variant(kind: str) -> str:
+    return _VARIANT_OF[kind.split("+", 1)[-1]]
+
+
+_FAMILY_OF_MODEL = {classifiers.LgrModel: "lgr", classifiers.MlpModel: "mlp",
+                    classifiers.KMeansModel: "kmeans", regressors.KrrModel: "krr",
+                    regressors.SvrModel: "svr"}
+
+
+def _reject_grid(cfg: ExperimentConfig) -> None:
+    if cfg.grid is not None and cfg.model_kind not in ("krr", "svr"):
+        raise ConfigError(f"grid search does not apply to {cfg.model_kind}")
+
+
+def _training_dataset(series: IntervalSeries, cfg: ExperimentConfig) -> DataSet:
+    """The kind's detection dataset, labelled as it trains: ground truth, or
+    K-Means pseudo-labels of the whole series for the kmeans+* kinds."""
+    if cfg.model_kind in SEMI_KINDS:
+        labels = auto_label_series(series, cfg.resolve_train("kmeans"))
+        if labels.min() == labels.max():
+            raise DegenerateClusteringError("pseudo-labelling produced a single class")
+        series = IntervalSeries(series.counts, labels, interval_seconds=series.interval_seconds,
+                                origin_s=series.origin_s)
+    return build_detection_dataset(series, _variant(cfg.model_kind))
+
+
+def _fit_classifier(train: DataSet, cfg: ExperimentConfig):
+    """SMOTE-balance the training rows, then fit the kind's LGR or MLP."""
+    balanced = smote_balance(train, cfg.smote_k, cfg.seed + 1)
+    family = _family(cfg.model_kind)
+    train_cfg = cfg.resolve_train(family)
+    if family == "lgr":
+        return classifiers.lgr_fit(balanced.X, balanced.y, train_cfg)
+    with_sigma = {"frames": False, "frames_sigma": True}.get(_variant(cfg.model_kind))
+    return classifiers.mlp_fit(balanced.X, balanced.y, train_cfg, with_sigma=with_sigma)
+
+
+def _fit_kmeans(X: np.ndarray, train_cfg: TrainConfig):
+    """Two clusters, the higher-count one mapped to the attack label."""
+    if np.all(X == X[0]):
+        raise DegenerateClusteringError("all counts identical; cluster mapping undefined")
+    return classifiers.map_clusters_to_labels(classifiers.kmeans_fit(X, 2, train_cfg))
+
+
+def _forecast_features(series: IntervalSeries) -> np.ndarray:
+    """Interval start time and packet count, one row per interval."""
+    return np.column_stack([series.times_s().astype(np.float64),
+                            series.counts.astype(np.float64)])
+
+
+def _fit_forecaster(X_raw: np.ndarray, y: np.ndarray, cfg: ExperimentConfig):
+    """Fit a prediction kind on (time, count) rows and 0/1 targets.
+
+    Returns (model, scaler, chosen, cv_table). LGR standardizes inside its
+    model, so its scaler is None. KRR and SVR fit standardized rows with the
+    grid search's best cell, or the default parameters without a grid.
+    """
+    if cfg.model_kind == "lgr_reg":
+        model = classifiers.lgr_fit(X_raw, y.astype(np.int64), cfg.resolve_train("lgr"))
+        return model, None, {}, None
+    scaler = Scaler.fit(X_raw)
+    X = scaler.transform(X_raw)
+    table = None
+    if cfg.grid is not None:
+        best, table = regressors.grid_search(X, y, cfg.model_kind, cfg.grid, seed=cfg.seed)
+    elif cfg.model_kind == "krr":
+        best = {"lam": 1.0, "gamma": regressors.default_gamma(X)}
+    else:
+        best = {"C": 1.0, "epsilon": 0.1, "gamma": regressors.default_gamma(X)}
+    if cfg.model_kind == "krr":
+        return regressors.krr_fit(X, y, best["lam"], best["gamma"]), scaler, best, table
+    model = regressors.svr_fit(X, y, best["C"], best["epsilon"], best["gamma"])
+    if not model.converged:
+        raise NumericError(f"SVR failed to converge (KKT violation {model.violation:.3e})")
+    return model, scaler, best, table
+
+
+def _predict(kind: str, model, X) -> tuple[np.ndarray, np.ndarray]:
+    """(raw output, 0/1 label) for every row of X.
+
+    Raw outputs are probabilities (LGR, MLP), cluster ids (K-Means) or
+    regression values, which are thresholded at 0.5 (KRR, SVR).
+    """
+    family = _family(kind)
+    if family == "lgr":
+        return classifiers.lgr_predict(model, X)
+    if family == "mlp":
+        return classifiers.mlp_predict(model, X)
+    if family == "kmeans":
+        if model.label_map is None:
+            model = classifiers.map_clusters_to_labels(model)
+        clusters = classifiers.kmeans_assign(model, X)
+        return clusters, np.array([model.label_map[0], model.label_map[1]])[clusters]
+    predict = regressors.krr_predict if family == "krr" else regressors.svr_predict
+    raw = predict(model, X)
+    return raw, (raw >= 0.5).astype(np.int64)
+
+
+def _score(kind: str, model, X, truth, train_seconds: float, config: dict,
+           scaler: Optional[Scaler] = None) -> tuple[EvalReport, np.ndarray, np.ndarray]:
+    """Predict every row of X and score it against truth; forecasters also
+    get r2/rmse of the raw outputs. Returns the report, raw outputs and labels."""
+    if scaler is not None:
+        X = scaler.transform(X)
+    t0 = time.perf_counter()
+    raw, y_pred = _predict(kind, model, X)
+    infer_seconds = time.perf_counter() - t0
+    conf = metrics.confusion(truth, y_pred)
+    acc, fp, fn, f1 = metrics.classification_scores(conf)
+    r2 = err = None
+    if kind in PREDICTION_KINDS:
+        y = np.asarray(truth, dtype=np.float64)
+        r2, err = metrics.r_squared(y, raw), metrics.rmse(y, raw)
+    report = EvalReport(kind, conf, acc, fp, fn, f1, train_seconds, infer_seconds,
+                        r2=r2, rmse=err, config=config)
+    return report, raw, y_pred
+
+
+def fit_model(series: IntervalSeries, cfg: ExperimentConfig):
+    """Fit cfg.model_kind on every row of the series, as `train` saves it.
+
+    Returns (model, scaler, cv_table): KRR and SVR models come with the
+    scaler of their inputs, and cv_table is the grid search's table when
+    cfg.grid is set. Both are None otherwise.
+    """
+    _reject_grid(cfg)
+    kind = cfg.model_kind
+    if kind in PREDICTION_KINDS:
+        model, scaler, _, table = _fit_forecaster(
+            _forecast_features(series), series.labels.astype(np.float64), cfg)
+        return model, scaler, table
+    if kind == "kmeans":
+        X = build_detection_dataset(series, _variant(kind)).X
+        return _fit_kmeans(X, cfg.resolve_train("kmeans")), None, None
+    return _fit_classifier(_training_dataset(series, cfg), cfg), None, None
+
+
+def score_model(model, series: IntervalSeries, cfg: ExperimentConfig,
+                scaler: Optional[Scaler] = None) -> EvalReport:
+    """Score a fitted model over every row of the series, as
+    `evaluate --model-file` reports it. The report's config is left empty."""
+    kind = cfg.model_kind
+    held, needed = _FAMILY_OF_MODEL.get(type(model)), _family(kind)
+    if held != needed:
+        raise ConfigError(f"model file holds a {held} model; {kind} needs {needed}")
+    if kind in PREDICTION_KINDS:
+        X, truth = _forecast_features(series), series.labels
+    else:
+        data = build_detection_dataset(series, _variant(kind))
+        X, truth = data.X, data.y
+    return _score(kind, model, X, truth, 0.0, {}, scaler)[0]
 
 
 # --------------------------------------------------------------------------
 # experiment runners
 
 
-def _fit_kind(kind: str, X, y, train_cfg: TrainConfig):
-    if kind == "lgr":
-        return classifiers.lgr_fit(X, y, train_cfg), classifiers.lgr_predict
-    with_sigma = {"ann": None, "ann_frames": False, "ann_frames_sigma": True}[kind]
-    model = classifiers.mlp_fit(X, y, train_cfg, with_sigma=with_sigma)
-    return model, classifiers.mlp_predict
-
-
-def _detection_report(series: IntervalSeries, cfg: ExperimentConfig, kind: str,
-                      train_labels: np.ndarray) -> EvalReport:
-    """Shared supervised core: train on train_labels, score against ground truth."""
-    variant = _VARIANT_OF[kind]
-    train_cfg = cfg.resolve_train("lgr" if kind == "lgr" else "mlp")
-    labeled = IntervalSeries(series.counts.copy(), np.asarray(train_labels, dtype=np.int64),
-                             interval_seconds=series.interval_seconds, origin_s=series.origin_s)
-    working = build_detection_dataset(labeled, variant)
-    truth = build_detection_dataset(series, variant).y
+def _detection_report(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
+    """Shared supervised core: split, SMOTE, fit, score the test rows against ground truth."""
+    working = _training_dataset(series, cfg)
+    truth = build_detection_dataset(series, _variant(cfg.model_kind)).y
     tr_idx, te_idx = split_indices(working.y, cfg.split_ratio, cfg.seed)
     train = DataSet(working.X[tr_idx], working.y[tr_idx], list(working.feature_names))
     t0 = time.perf_counter()
-    balanced = smote_balance(train, cfg.smote_k, cfg.seed + 1)
-    model, predict = _fit_kind(kind, balanced.X, balanced.y, train_cfg)
+    model = _fit_classifier(train, cfg)
     train_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _, y_pred = predict(model, working.X[te_idx])
-    infer_seconds = time.perf_counter() - t0
-    conf = metrics.confusion(truth[te_idx], y_pred)
-    acc, fp, fn, f1 = metrics.classification_scores(conf)
-    return EvalReport(cfg.model_kind, conf, acc, fp, fn, f1,
-                      train_seconds, infer_seconds, config=cfg.echo(train_cfg))
+    echo = cfg.echo(cfg.resolve_train(_family(cfg.model_kind)))
+    return _score(cfg.model_kind, model, working.X[te_idx], truth[te_idx],
+                  train_seconds, echo)[0]
 
 
 def run_supervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """Detection from ground-truth labels: split, SMOTE, fit, score on the test split."""
     if cfg.model_kind not in SUPERVISED_KINDS:
         raise ConfigError(f"run_supervised cannot run {cfg.model_kind!r}")
-    return _detection_report(series, cfg, cfg.model_kind, series.labels)
+    return _detection_report(series, cfg)
 
 
 def run_unsupervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """K-Means over every interval; cluster labels scored against ground truth."""
     if cfg.model_kind != "kmeans":
         raise ConfigError(f"run_unsupervised cannot run {cfg.model_kind!r}")
-    data = build_detection_dataset(series, "per_interval")
-    if np.all(series.counts == series.counts[0]):
-        raise DegenerateClusteringError("all counts identical; cluster mapping undefined")
+    data = build_detection_dataset(series, _variant("kmeans"))
     train_cfg = cfg.resolve_train("kmeans")
     t0 = time.perf_counter()
-    model = classifiers.map_clusters_to_labels(
-        classifiers.kmeans_fit(data.X, 2, train_cfg))
+    model = _fit_kmeans(data.X, train_cfg)
     train_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    mapping = np.array([model.label_map[0], model.label_map[1]])
-    y_pred = mapping[classifiers.kmeans_assign(model, data.X)]
-    infer_seconds = time.perf_counter() - t0
-    conf = metrics.confusion(series.labels, y_pred)
-    acc, fp, fn, f1 = metrics.classification_scores(conf)
-    return EvalReport(cfg.model_kind, conf, acc, fp, fn, f1,
-                      train_seconds, infer_seconds, config=cfg.echo(train_cfg))
+    return _score("kmeans", model, data.X, data.y, train_seconds, cfg.echo(train_cfg))[0]
 
 
 def run_semi_supervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """K-Means pseudo-labels feed the supervised path; scoring stays on ground truth."""
     if cfg.model_kind not in SEMI_KINDS:
         raise ConfigError(f"run_semi_supervised cannot run {cfg.model_kind!r}")
-    auto = auto_label_series(series, cfg.resolve_train("kmeans"))
-    if auto.min() == auto.max():
-        raise DegenerateClusteringError("pseudo-labelling produced a single class")
-    sub_kind = cfg.model_kind.split("+", 1)[1]
-    return _detection_report(series, cfg, sub_kind, auto)
+    return _detection_report(series, cfg)
 
 
 def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
@@ -325,64 +458,24 @@ def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
     """
     if cfg.model_kind not in PREDICTION_KINDS:
         raise ConfigError(f"run_prediction cannot run {cfg.model_kind!r}")
+    _reject_grid(cfg)
     n = len(series)
     if n < 2:
         raise EmptyDatasetError("need at least 2 intervals to forecast")
-    times = series.times_s().astype(np.float64)
-    X_raw = np.column_stack([times, series.counts.astype(np.float64)])
-    y = series.labels.astype(np.float64)
     n_train = int(cfg.split_ratio * n)
     if n_train < 1 or n_train >= n:
         raise ConfigError(f"split_ratio={cfg.split_ratio} leaves an empty side for n={n}")
-    X_tr_raw, X_te_raw = X_raw[:n_train], X_raw[n_train:]
-    y_tr, y_te = y[:n_train], y[n_train:]
-
-    train_cfg = cfg.resolve_train("lgr")
-    echo = cfg.echo(train_cfg)
-    if cfg.model_kind == "lgr_reg":
-        if cfg.grid is not None:
-            raise ConfigError("grid search does not apply to lgr_reg")
-        t0 = time.perf_counter()
-        model = classifiers.lgr_fit(X_tr_raw, y_tr.astype(np.int64), train_cfg)
-        train_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        raw, y_pred = classifiers.lgr_predict(model, X_te_raw)
-        infer_seconds = time.perf_counter() - t0
-    else:
-        scaler = Scaler.fit(X_tr_raw)
-        X_tr, X_te = scaler.transform(X_tr_raw), scaler.transform(X_te_raw)
-        t0 = time.perf_counter()
-        if cfg.grid is not None:
-            best, _ = regressors.grid_search(X_tr, y_tr, cfg.model_kind, cfg.grid,
-                                             seed=cfg.seed)
-        elif cfg.model_kind == "krr":
-            best = {"lam": 1.0, "gamma": regressors.default_gamma(X_tr)}
-        else:
-            best = {"C": 1.0, "epsilon": 0.1, "gamma": regressors.default_gamma(X_tr)}
-        echo.update({f"chosen_{k}": v for k, v in sorted(best.items())})
-        if cfg.model_kind == "krr":
-            model = regressors.krr_fit(X_tr, y_tr, best["lam"], best["gamma"])
-            predict = regressors.krr_predict
-        else:
-            model = regressors.svr_fit(X_tr, y_tr, best["C"], best["epsilon"], best["gamma"])
-            if not model.converged:
-                raise NumericError(
-                    f"SVR failed to converge (KKT violation {model.violation:.3e})")
-            predict = regressors.svr_predict
-        train_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        raw = predict(model, X_te)
-        infer_seconds = time.perf_counter() - t0
-        y_pred = (raw >= 0.5).astype(np.int64)
-
-    conf = metrics.confusion(y_te.astype(np.int64), y_pred)
-    acc, fp, fn, f1 = metrics.classification_scores(conf)
-    r2 = metrics.r_squared(y_te, raw)
-    err = metrics.rmse(y_te, raw)
-    report = EvalReport(cfg.model_kind, conf, acc, fp, fn, f1,
-                        train_seconds, infer_seconds, r2=r2, rmse=err, config=echo)
-    pred_series = PredictionSeries(times_s=times[n_train:].astype(np.int64),
-                                   actual=y_te.astype(np.int64),
+    X_raw = _forecast_features(series)
+    echo = cfg.echo(cfg.resolve_train("lgr"))
+    t0 = time.perf_counter()
+    model, scaler, chosen, _ = _fit_forecaster(
+        X_raw[:n_train], series.labels[:n_train].astype(np.float64), cfg)
+    train_seconds = time.perf_counter() - t0
+    echo.update({f"chosen_{k}": v for k, v in sorted(chosen.items())})
+    report, raw, y_pred = _score(cfg.model_kind, model, X_raw[n_train:],
+                                 series.labels[n_train:], train_seconds, echo, scaler)
+    pred_series = PredictionSeries(times_s=X_raw[n_train:, 0].astype(np.int64),
+                                   actual=series.labels[n_train:].astype(np.int64),
                                    predicted_raw=np.asarray(raw, dtype=np.float64),
                                    predicted_label=np.asarray(y_pred, dtype=np.int64))
     return report, pred_series

@@ -57,18 +57,6 @@ class GridSpec:
             raise ConfigError("folds must be >= 2")
 
 
-def rbf_kernel(x, z, gamma: float) -> float:
-    """exp(-gamma * ||x - z||^2) for a single pair of points."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if x.shape != z.shape:
-        raise ContractViolation("rbf_kernel arity mismatch")
-    if gamma <= 0:
-        raise ConfigError("gamma must be > 0")
-    d = x - z
-    return float(np.exp(-gamma * (d @ d)))
-
-
 def rbf_matrix(A, B, gamma: float) -> np.ndarray:
     """Pairwise RBF kernel matrix between row sets A and B."""
     A = as_matrix(A)

@@ -1,5 +1,7 @@
+import pytest
+
 from synwatch.cli import main
-from synwatch.pipeline import read_report
+from synwatch.pipeline import MODEL_KINDS, PREDICTION_KINDS, read_report
 from synwatch.traffic import read_series, write_series
 
 
@@ -184,6 +186,45 @@ def test_train_grid_only_for_kernel_models(tmp_path):
     series = _gen(tmp_path)
     assert main(["train", "--model", "lgr", "--series", str(series), "--grid",
                  "--out", str(tmp_path / "m.txt")]) == 2
+
+
+# model file family and rows scored per kind, on the 240-interval series
+# (the 600-interval periodic series for prediction kinds)
+_FILE_OF_KIND = {
+    "lgr": ("lgr", 240), "ann": ("mlp", 240), "ann_frames": ("mlp", 20),
+    "ann_frames_sigma": ("mlp", 20), "kmeans": ("kmeans", 240), "kmeans+lgr": ("lgr", 240),
+    "kmeans+ann": ("mlp", 240), "kmeans+ann_frames": ("mlp", 20),
+    "kmeans+ann_frames_sigma": ("mlp", 20), "krr": ("krr", 600), "svr": ("svr", 600),
+    "lgr_reg": ("lgr", 600),
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_train_then_evaluate_every_kind(tmp_path, periodic_series, kind):
+    if kind in PREDICTION_KINDS:
+        series = tmp_path / "p.csv"
+        write_series(periodic_series, series)
+    else:
+        series = _gen(tmp_path)
+    family, rows = _FILE_OF_KIND[kind]
+    model_path, report_path = tmp_path / "model.txt", tmp_path / "r.txt"
+    assert main(["train", "--model", kind, "--series", str(series),
+                 "--out", str(model_path)]) == 0
+    assert model_path.read_text().splitlines()[0] == f"model={family} version=1"
+    assert main(["evaluate", "--model", kind, "--series", str(series),
+                 "--model-file", str(model_path), "--report", str(report_path)]) == 0
+    report = read_report(report_path)
+    assert sum(int(report[k]) for k in ("tp", "tn", "fp", "fn")) == rows
+
+
+def test_evaluate_model_file_of_another_family_exits_two(tmp_path, capsys):
+    series = _gen(tmp_path)
+    model_path = tmp_path / "ann.txt"
+    assert main(["train", "--model", "ann", "--series", str(series),
+                 "--out", str(model_path)]) == 0
+    assert main(["evaluate", "--model", "lgr", "--series", str(series),
+                 "--model-file", str(model_path), "--report", str(tmp_path / "r.txt")]) == 2
+    assert "holds a mlp model" in capsys.readouterr().err
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

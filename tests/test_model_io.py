@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from synwatch.classifiers import KMeansModel, LgrModel, MlpModel
+from synwatch.cli import main
 from synwatch.errors import ParseError
 from synwatch.model_io import load_model, save_model
 from synwatch.regressors import KrrModel, SvrModel
 from synwatch.scaling import Scaler
+from synwatch.traffic import write_series
 
 RNG = np.random.default_rng(99)
 
@@ -101,3 +103,51 @@ def test_load_rejects_unknown_version(tmp_path):
     path.write_text("model=lgr version=9\nweights=1\nbias=0\n")
     with pytest.raises(ParseError):
         load_model(path)
+
+
+# --------------------------------------------------------------------------
+# malformed files: ParseError with a line number, exit code 2 in the CLI
+
+_LGR = LgrModel(weights=np.array([0.5]), bias=-1.0,
+                scaler=Scaler(mean=np.array([50.0]), std=np.array([10.0])))
+_MLP = MlpModel(W1=np.linspace(-1.0, 1.0, 6).reshape(6, 1), b1=np.zeros(6),
+                W2=np.ones((1, 6)), b2=0.0,
+                scaler=Scaler(mean=np.array([50.0]), std=np.array([10.0])))
+
+# case: (model, evaluated as, edit of the saved lines, line number of the fault)
+MALFORMED = {
+    "empty_array": (_LGR, "lgr",
+                    lambda lines: ["bias=" if ln.startswith("bias=") else ln for ln in lines], 3),
+    "no_scaler": (_LGR, "lgr",
+                  lambda lines: [ln for ln in lines if not ln.startswith("scaler_")], 1),
+    "header_token": (_LGR, "lgr", lambda lines: [lines[0] + " stray"] + lines[1:], 1),
+    "shape_mismatch": (_MLP, "ann",
+                       lambda lines: ["w1_shape=6 2" if ln.startswith("w1_shape=") else ln
+                                      for ln in lines], 3),
+}
+
+
+def _write_malformed(tmp_path, case):
+    model, kind, edit, line_no = MALFORMED[case]
+    path = tmp_path / f"{case}.txt"
+    save_model(model, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return kind, path, line_no
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_rejects_malformed_file_with_line_number(tmp_path, case):
+    _, path, line_no = _write_malformed(tmp_path, case)
+    with pytest.raises(ParseError) as info:
+        load_model(path)
+    assert info.value.line_no == line_no
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_evaluate_malformed_model_file_exits_two(tmp_path, capsys, small_series, case):
+    kind, path, line_no = _write_malformed(tmp_path, case)
+    series = tmp_path / "s.csv"
+    write_series(small_series, series)
+    assert main(["evaluate", "--model", kind, "--series", str(series),
+                 "--model-file", str(path), "--report", str(tmp_path / "r.txt")]) == 2
+    assert f"line {line_no}:" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from oracles import svr_kkt_violations, svr_objective, svr_qp_oracle
 from synwatch.errors import ConfigError, ContractViolation, NumericError
 from synwatch.regressors import (GridSpec, KrrModel, SvrModel, default_gamma,
                                  format_cv_table, grid_search, krr_fit, krr_predict,
-                                 rbf_kernel, rbf_matrix, svr_fit, svr_predict)
+                                 rbf_matrix, svr_fit, svr_predict)
 
 TOY_X = np.array([[0.0], [1.0], [2.0], [3.0]])
 TOY_Y = np.array([0.0, 1.0, 1.0, 0.0])
@@ -19,24 +19,25 @@ TOY_C, TOY_EPS, TOY_GAMMA = 10.0, 0.01, 1.0
 
 
 def test_kernel_at_zero_distance():
-    x = np.array([1.5, -2.0])
-    assert rbf_kernel(x, x, gamma=3.0) == 1.0
+    x = np.array([[1.5, -2.0]])
+    assert rbf_matrix(x, x, gamma=3.0)[0, 0] == 1.0
 
 
 def test_kernel_hand_value():
-    assert rbf_kernel([0.0], [1.0], gamma=1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+    assert rbf_matrix([[0.0]], [[1.0]], gamma=1.0)[0, 0] == pytest.approx(math.exp(-1.0),
+                                                                          abs=1e-15)
 
 
 def test_kernel_symmetry():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        x, z = rng.normal(size=3), rng.normal(size=3)
-        assert rbf_kernel(x, z, 0.7) == rbf_kernel(z, x, 0.7)
+        X, Z = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        assert np.array_equal(rbf_matrix(X, Z, 0.7), rbf_matrix(Z, X, 0.7).T)
 
 
 def test_kernel_arity_mismatch():
     with pytest.raises(ContractViolation):
-        rbf_kernel([0.0], [0.0, 1.0], 1.0)
+        rbf_matrix([[0.0]], [[0.0, 1.0]], 1.0)
 
 
 def test_kernel_matrix_is_positive_definite():
