@@ -10,8 +10,7 @@ from .framing import Frame, FramingConfig, frame_sigma, make_frames
 from .metrics import Confusion, classification_scores, confusion, r_squared, rmse
 from .pipeline import (DataSet, EvalReport, ExperimentConfig, PredictionSeries,
                        build_detection_dataset, fit_model, run_prediction, run_semi_supervised,
-                       run_supervised, run_unsupervised, score_model, smote_balance,
-                       split_train_test)
+                       run_supervised, run_unsupervised, score_model, smote_balance)
 from .regressors import (GridSpec, KrrModel, SvrModel, grid_search, krr_fit, krr_predict,
                          rbf_matrix, svr_fit, svr_predict)
 from .traffic import (IntervalSeries, PacketRecord, SynthesisConfig, bucketize,

@@ -192,10 +192,10 @@ def _cmd_train(args) -> int:
     series = traffic.read_series(args.series)
     cfg = ExperimentConfig(model_kind=args.model, seed=seed,
                            grid=GridSpec() if args.grid else None)
-    model, scaler, table = pipeline.fit_model(series, cfg)
+    model, table = pipeline.fit_model(series, cfg)
     if table is not None:
         print(regressors.format_cv_table(table))
-    model_io.save_model(model, args.out, scaler=scaler)
+    model_io.save_model(model, args.out)
     return 0
 
 
@@ -207,10 +207,9 @@ def _cmd_evaluate(args) -> int:
     series = traffic.read_series(args.series)
     cfg = ExperimentConfig(model_kind=args.model, seed=seed)
     if args.model_file is not None:
-        model, scaler = model_io.load_model(args.model_file)
-        report = pipeline.score_model(model, series, cfg, scaler)
+        report = pipeline.score_model(model_io.load_model(args.model_file), series, cfg)
         report.config = {"model_kind": args.model, "seed": seed,
-                         "model_file": args.model_file, "grid": "no"}
+                         "model_file": args.model_file}
         pipeline.write_report(report, args.report)
         return 0
     report = pipeline.run_experiment(series, cfg)

@@ -1,13 +1,12 @@
 """Versioned plain-text model files.
 
 Layout: a `model=<kind> version=1` header, then one `name=v1 v2 ...` line
-per numeric array. Matrices store a companion `<name>_shape` line. Floats
+per numeric array. Matrices store a companion `<name>_shape` line, and a
+model with an input scaler ends with `scaler_mean`/`scaler_std`. Floats
 are written with 17 significant digits so a save/load round trip is exact.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -34,23 +33,19 @@ def _emit_matrix(fh, name, M):
     _emit(fh, name, M)
 
 
-def save_model(model, path, scaler: Optional[Scaler] = None) -> None:
-    """Write any trained model; kernel models may bundle the feature scaler."""
+def save_model(model, path) -> None:
+    """Write any trained model, with its input scaler when it has one."""
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(model, LgrModel):
             fh.write(f"model=lgr version={FORMAT_VERSION}\n")
             _emit(fh, "weights", model.weights)
             _emit(fh, "bias", [model.bias])
-            _emit(fh, "scaler_mean", model.scaler.mean)
-            _emit(fh, "scaler_std", model.scaler.std)
         elif isinstance(model, MlpModel):
             fh.write(f"model=mlp version={FORMAT_VERSION}\n")
             _emit_matrix(fh, "w1", model.W1)
             _emit(fh, "b1", model.b1)
             _emit_matrix(fh, "w2", model.W2)
             _emit(fh, "b2", [model.b2])
-            _emit(fh, "scaler_mean", model.scaler.mean)
-            _emit(fh, "scaler_std", model.scaler.std)
         elif isinstance(model, KMeansModel):
             fh.write(f"model=kmeans version={FORMAT_VERSION}\n")
             _emit(fh, "k", [model.k])
@@ -64,9 +59,6 @@ def save_model(model, path, scaler: Optional[Scaler] = None) -> None:
             _emit(fh, "gamma", [model.gamma])
             _emit(fh, "alphas", model.alphas)
             _emit_matrix(fh, "train_inputs", model.train_inputs)
-            if scaler is not None:
-                _emit(fh, "scaler_mean", scaler.mean)
-                _emit(fh, "scaler_std", scaler.std)
         elif isinstance(model, SvrModel):
             fh.write(f"model=svr version={FORMAT_VERSION}\n")
             _emit(fh, "C", [model.C])
@@ -78,11 +70,12 @@ def save_model(model, path, scaler: Optional[Scaler] = None) -> None:
             _emit(fh, "converged", [1.0 if model.converged else 0.0])
             _emit(fh, "violation", [model.violation])
             _emit(fh, "objective", [model.objective])
-            if scaler is not None:
-                _emit(fh, "scaler_mean", scaler.mean)
-                _emit(fh, "scaler_std", scaler.std)
         else:
             raise TypeError(f"cannot serialize {type(model).__name__}")
+        scaler = getattr(model, "scaler", None)
+        if scaler is not None:
+            _emit(fh, "scaler_mean", scaler.mean)
+            _emit(fh, "scaler_std", scaler.std)
 
 
 def _parse_arrays(lines):
@@ -114,14 +107,67 @@ def _shaped(arrays, line_of, name):
     return values.reshape(int(shape[0]), int(shape[1]))
 
 
-def _scaler_of(arrays) -> Optional[Scaler]:
-    if "scaler_mean" in arrays:
-        return Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"])
-    return None
+def _sized(arrays, line_of, name, n: int, what: str):
+    """arrays[name], which must hold exactly n values (one per `what`)."""
+    if len(arrays[name]) != n:
+        raise ParseError(line_of[name], f"array {name!r} has {len(arrays[name])} values; "
+                                        f"expected {n}, one per {what}")
+    return arrays[name]
+
+
+def _scaler(arrays, line_of, d: int) -> Scaler:
+    """The model's input scaler for d features (KeyError when the file has none)."""
+    return Scaler(mean=_sized(arrays, line_of, "scaler_mean", d, "feature"),
+                  std=_sized(arrays, line_of, "scaler_std", d, "feature"))
+
+
+def _load(kind, arrays, line_of):
+    if kind == "lgr":
+        return LgrModel(weights=arrays["weights"], bias=float(arrays["bias"][0]),
+                        scaler=_scaler(arrays, line_of, len(arrays["weights"])))
+    if kind == "mlp":
+        W1 = _shaped(arrays, line_of, "w1")
+        W2 = _shaped(arrays, line_of, "w2")
+        if W2.shape != (1, W1.shape[0]):
+            raise ParseError(line_of["w2"], f"w2 has shape {W2.shape[0]} {W2.shape[1]}; "
+                                            f"expected 1 {W1.shape[0]}, one per w1 row")
+        return MlpModel(W1=W1, b1=_sized(arrays, line_of, "b1", W1.shape[0], "w1 row"),
+                        W2=W2, b2=float(arrays["b2"][0]),
+                        scaler=_scaler(arrays, line_of, W1.shape[1]))
+    if kind == "kmeans":
+        centroids = _shaped(arrays, line_of, "centroids")
+        k = arrays["k"]
+        if len(k) != 1 or k[0] != len(centroids):
+            raise ParseError(line_of["k"], f"k={_fmt(k)} does not match the "
+                                           f"{len(centroids)} centroid row(s)")
+        label_map = None
+        if "label_map" in arrays:
+            values = _sized(arrays, line_of, "label_map", len(centroids), "cluster")
+            if not np.isin(values, (0, 1)).all():
+                raise ParseError(line_of["label_map"], "label_map values must be 0 or 1")
+            label_map = {c: int(v) for c, v in enumerate(values)}
+        return KMeansModel(centroids=centroids, k=len(centroids),
+                           wcss=float(arrays["wcss"][0]), label_map=label_map)
+    if kind in ("krr", "svr"):
+        X = _shaped(arrays, line_of, "train_inputs")
+        scaler = _scaler(arrays, line_of, X.shape[1]) if "scaler_mean" in arrays else None
+        gamma = float(arrays["gamma"][0])
+        if kind == "krr":
+            return KrrModel(alphas=_sized(arrays, line_of, "alphas", len(X), "training row"),
+                            train_inputs=X, lam=float(arrays["lambda"][0]), gamma=gamma,
+                            scaler=scaler)
+        return SvrModel(dual_deltas=_sized(arrays, line_of, "dual_deltas", len(X),
+                                           "training row"),
+                        bias=float(arrays["bias"][0]), train_inputs=X,
+                        C=float(arrays["C"][0]), epsilon=float(arrays["epsilon"][0]),
+                        gamma=gamma, converged=bool(arrays["converged"][0]),
+                        violation=float(arrays["violation"][0]),
+                        objective=float(arrays["objective"][0]), scaler=scaler)
+    raise ParseError(1, f"unknown model kind {kind!r}")
 
 
 def load_model(path):
-    """Read a model file; returns (model, bundled_scaler_or_None).
+    """Read a model file back into its model.
 
     A malformed file raises ParseError with the line at fault (1 for the
     header and for a missing array).
@@ -133,44 +179,10 @@ def load_model(path):
     if any("=" not in part for part in lines[0].split()):
         raise ParseError(1, f"expected key=value header fields, got {lines[0]!r}")
     header = dict(part.split("=", 1) for part in lines[0].split())
-    kind = header.get("model")
     if header.get("version") != str(FORMAT_VERSION):
         raise ParseError(1, f"unsupported model version {header.get('version')!r}")
     arrays, line_of = _parse_arrays(lines[1:])
     try:
-        if kind == "lgr":
-            model = LgrModel(weights=arrays["weights"], bias=float(arrays["bias"][0]),
-                             scaler=Scaler(mean=arrays["scaler_mean"],
-                                           std=arrays["scaler_std"]))
-            return model, None
-        if kind == "mlp":
-            model = MlpModel(W1=_shaped(arrays, line_of, "w1"), b1=arrays["b1"],
-                             W2=_shaped(arrays, line_of, "w2"), b2=float(arrays["b2"][0]),
-                             scaler=Scaler(mean=arrays["scaler_mean"],
-                                           std=arrays["scaler_std"]))
-            return model, None
-        if kind == "kmeans":
-            k = int(arrays["k"][0])
-            label_map = None
-            if "label_map" in arrays:
-                label_map = {c: int(v) for c, v in enumerate(arrays["label_map"])}
-            model = KMeansModel(centroids=_shaped(arrays, line_of, "centroids"), k=k,
-                                wcss=float(arrays["wcss"][0]), label_map=label_map)
-            return model, None
-        if kind == "krr":
-            model = KrrModel(alphas=arrays["alphas"],
-                             train_inputs=_shaped(arrays, line_of, "train_inputs"),
-                             lam=float(arrays["lambda"][0]), gamma=float(arrays["gamma"][0]))
-            return model, _scaler_of(arrays)
-        if kind == "svr":
-            model = SvrModel(dual_deltas=arrays["dual_deltas"], bias=float(arrays["bias"][0]),
-                             train_inputs=_shaped(arrays, line_of, "train_inputs"),
-                             C=float(arrays["C"][0]), epsilon=float(arrays["epsilon"][0]),
-                             gamma=float(arrays["gamma"][0]),
-                             converged=bool(arrays["converged"][0]),
-                             violation=float(arrays["violation"][0]),
-                             objective=float(arrays["objective"][0]))
-            return model, _scaler_of(arrays)
+        return _load(header.get("model"), arrays, line_of)
     except KeyError as exc:
         raise ParseError(1, f"model file missing array {exc}") from None
-    raise ParseError(1, f"unknown model kind {kind!r}")

@@ -49,6 +49,11 @@ _FAMILY_TRAIN_DEFAULTS = {
     "kmeans": TrainConfig(),
 }
 
+# Detection trains on this stratified share of each class, forecasting on this
+# chronological head; SMOTE picks among the SMOTE_K nearest minority neighbours.
+SPLIT_RATIO = 0.8
+SMOTE_K = 5
+
 # smote_balance holds at most this many bytes of (row, minority row, feature)
 # differences at a time, which bounds its memory whatever the minority size.
 _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
@@ -61,30 +66,18 @@ def default_train_cfg(family: str, seed: int) -> TrainConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     model_kind: str
-    split_ratio: float = 0.8
-    smote_k: int = 5
     seed: int = 42
-    train_cfg: Optional[TrainConfig] = None  # None -> per-family default, cfg.seed
     grid: Optional[GridSpec] = None
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError("split_ratio must be in (0, 1)")
-        if self.smote_k < 1:
-            raise ConfigError("smote_k must be >= 1")
-
-    def resolve_train(self, family: str) -> TrainConfig:
-        if self.train_cfg is not None:
-            return self.train_cfg
-        return default_train_cfg(family, self.seed)
 
     def echo(self, train_cfg: TrainConfig) -> dict:
         items = {
             "model_kind": self.model_kind,
-            "split_ratio": self.split_ratio,
-            "smote_k": self.smote_k,
+            "split_ratio": SPLIT_RATIO,
+            "smote_k": SMOTE_K,
             "seed": self.seed,
             "learning_rate": train_cfg.learning_rate,
             "max_epochs": train_cfg.max_epochs,
@@ -176,15 +169,6 @@ def split_indices(y, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-def split_train_test(data: DataSet, ratio: float, seed: int) -> tuple[DataSet, DataSet]:
-    """Stratified 2-way split of a labeled dataset."""
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError("ratio must be in (0, 1)")
-    tr, te = split_indices(data.y, ratio, seed)
-    return (DataSet(data.X[tr], data.y[tr], list(data.feature_names)),
-            DataSet(data.X[te], data.y[te], list(data.feature_names)))
-
-
 def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     """Oversample the minority class to parity with synthetic interpolants.
 
@@ -269,7 +253,7 @@ def _training_dataset(series: IntervalSeries, cfg: ExperimentConfig) -> DataSet:
     """The kind's detection dataset, labelled as it trains: ground truth, or
     K-Means pseudo-labels of the whole series for the kmeans+* kinds."""
     if cfg.model_kind in SEMI_KINDS:
-        labels = auto_label_series(series, cfg.resolve_train("kmeans"))
+        labels = auto_label_series(series, default_train_cfg("kmeans", cfg.seed))
         if labels.min() == labels.max():
             raise DegenerateClusteringError("pseudo-labelling produced a single class")
         series = IntervalSeries(series.counts, labels, interval_seconds=series.interval_seconds,
@@ -279,9 +263,9 @@ def _training_dataset(series: IntervalSeries, cfg: ExperimentConfig) -> DataSet:
 
 def _fit_classifier(train: DataSet, cfg: ExperimentConfig):
     """SMOTE-balance the training rows, then fit the kind's LGR or MLP."""
-    balanced = smote_balance(train, cfg.smote_k, cfg.seed + 1)
+    balanced = smote_balance(train, SMOTE_K, cfg.seed + 1)
     family = _family(cfg.model_kind)
-    train_cfg = cfg.resolve_train(family)
+    train_cfg = default_train_cfg(family, cfg.seed)
     if family == "lgr":
         return classifiers.lgr_fit(balanced.X, balanced.y, train_cfg)
     with_sigma = {"frames": False, "frames_sigma": True}.get(_variant(cfg.model_kind))
@@ -304,13 +288,13 @@ def _forecast_features(series: IntervalSeries) -> np.ndarray:
 def _fit_forecaster(X_raw: np.ndarray, y: np.ndarray, cfg: ExperimentConfig):
     """Fit a prediction kind on (time, count) rows and 0/1 targets.
 
-    Returns (model, scaler, chosen, cv_table). LGR standardizes inside its
-    model, so its scaler is None. KRR and SVR fit standardized rows with the
-    grid search's best cell, or the default parameters without a grid.
+    Returns (model, chosen, cv_table). KRR and SVR fit standardized rows
+    with the grid search's best cell, or the default parameters without a
+    grid, and carry the scaler in the model, as LGR does.
     """
     if cfg.model_kind == "lgr_reg":
-        model = classifiers.lgr_fit(X_raw, y.astype(np.int64), cfg.resolve_train("lgr"))
-        return model, None, {}, None
+        model = classifiers.lgr_fit(X_raw, y.astype(np.int64), default_train_cfg("lgr", cfg.seed))
+        return model, {}, None
     scaler = Scaler.fit(X_raw)
     X = scaler.transform(X_raw)
     table = None
@@ -321,11 +305,12 @@ def _fit_forecaster(X_raw: np.ndarray, y: np.ndarray, cfg: ExperimentConfig):
     else:
         best = {"C": 1.0, "epsilon": 0.1, "gamma": regressors.default_gamma(X)}
     if cfg.model_kind == "krr":
-        return regressors.krr_fit(X, y, best["lam"], best["gamma"]), scaler, best, table
-    model = regressors.svr_fit(X, y, best["C"], best["epsilon"], best["gamma"])
-    if not model.converged:
-        raise NumericError(f"SVR failed to converge (KKT violation {model.violation:.3e})")
-    return model, scaler, best, table
+        model = regressors.krr_fit(X, y, best["lam"], best["gamma"])
+    else:
+        model = regressors.svr_fit(X, y, best["C"], best["epsilon"], best["gamma"])
+        if not model.converged:
+            raise NumericError(f"SVR failed to converge (KKT violation {model.violation:.3e})")
+    return replace(model, scaler=scaler), best, table
 
 
 def _predict(kind: str, model, X) -> tuple[np.ndarray, np.ndarray]:
@@ -343,18 +328,16 @@ def _predict(kind: str, model, X) -> tuple[np.ndarray, np.ndarray]:
         if model.label_map is None:
             model = classifiers.map_clusters_to_labels(model)
         clusters = classifiers.kmeans_assign(model, X)
-        return clusters, np.array([model.label_map[0], model.label_map[1]])[clusters]
+        return clusters, np.array([model.label_map[c] for c in range(model.k)])[clusters]
     predict = regressors.krr_predict if family == "krr" else regressors.svr_predict
     raw = predict(model, X)
     return raw, (raw >= 0.5).astype(np.int64)
 
 
-def _score(kind: str, model, X, truth, train_seconds: float, config: dict,
-           scaler: Optional[Scaler] = None) -> tuple[EvalReport, np.ndarray, np.ndarray]:
+def _score(kind: str, model, X, truth, train_seconds: float, config: dict
+           ) -> tuple[EvalReport, np.ndarray, np.ndarray]:
     """Predict every row of X and score it against truth; forecasters also
     get r2/rmse of the raw outputs. Returns the report, raw outputs and labels."""
-    if scaler is not None:
-        X = scaler.transform(X)
     t0 = time.perf_counter()
     raw, y_pred = _predict(kind, model, X)
     infer_seconds = time.perf_counter() - t0
@@ -372,24 +355,22 @@ def _score(kind: str, model, X, truth, train_seconds: float, config: dict,
 def fit_model(series: IntervalSeries, cfg: ExperimentConfig):
     """Fit cfg.model_kind on every row of the series, as `train` saves it.
 
-    Returns (model, scaler, cv_table): KRR and SVR models come with the
-    scaler of their inputs, and cv_table is the grid search's table when
-    cfg.grid is set. Both are None otherwise.
+    Returns (model, cv_table): cv_table is the grid search's table when
+    cfg.grid is set, None otherwise.
     """
     _reject_grid(cfg)
     kind = cfg.model_kind
     if kind in PREDICTION_KINDS:
-        model, scaler, _, table = _fit_forecaster(
+        model, _, table = _fit_forecaster(
             _forecast_features(series), series.labels.astype(np.float64), cfg)
-        return model, scaler, table
+        return model, table
     if kind == "kmeans":
         X = build_detection_dataset(series, _variant(kind)).X
-        return _fit_kmeans(X, cfg.resolve_train("kmeans")), None, None
-    return _fit_classifier(_training_dataset(series, cfg), cfg), None, None
+        return _fit_kmeans(X, default_train_cfg("kmeans", cfg.seed)), None
+    return _fit_classifier(_training_dataset(series, cfg), cfg), None
 
 
-def score_model(model, series: IntervalSeries, cfg: ExperimentConfig,
-                scaler: Optional[Scaler] = None) -> EvalReport:
+def score_model(model, series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """Score a fitted model over every row of the series, as
     `evaluate --model-file` reports it. The report's config is left empty."""
     kind = cfg.model_kind
@@ -401,7 +382,7 @@ def score_model(model, series: IntervalSeries, cfg: ExperimentConfig,
     else:
         data = build_detection_dataset(series, _variant(kind))
         X, truth = data.X, data.y
-    return _score(kind, model, X, truth, 0.0, {}, scaler)[0]
+    return _score(kind, model, X, truth, 0.0, {})[0]
 
 
 # --------------------------------------------------------------------------
@@ -412,12 +393,12 @@ def _detection_report(series: IntervalSeries, cfg: ExperimentConfig) -> EvalRepo
     """Shared supervised core: split, SMOTE, fit, score the test rows against ground truth."""
     working = _training_dataset(series, cfg)
     truth = build_detection_dataset(series, _variant(cfg.model_kind)).y
-    tr_idx, te_idx = split_indices(working.y, cfg.split_ratio, cfg.seed)
+    tr_idx, te_idx = split_indices(working.y, SPLIT_RATIO, cfg.seed)
     train = DataSet(working.X[tr_idx], working.y[tr_idx], list(working.feature_names))
     t0 = time.perf_counter()
     model = _fit_classifier(train, cfg)
     train_seconds = time.perf_counter() - t0
-    echo = cfg.echo(cfg.resolve_train(_family(cfg.model_kind)))
+    echo = cfg.echo(default_train_cfg(_family(cfg.model_kind), cfg.seed))
     return _score(cfg.model_kind, model, working.X[te_idx], truth[te_idx],
                   train_seconds, echo)[0]
 
@@ -434,7 +415,7 @@ def run_unsupervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalRepor
     if cfg.model_kind != "kmeans":
         raise ConfigError(f"run_unsupervised cannot run {cfg.model_kind!r}")
     data = build_detection_dataset(series, _variant("kmeans"))
-    train_cfg = cfg.resolve_train("kmeans")
+    train_cfg = default_train_cfg("kmeans", cfg.seed)
     t0 = time.perf_counter()
     model = _fit_kmeans(data.X, train_cfg)
     train_seconds = time.perf_counter() - t0
@@ -462,18 +443,16 @@ def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
     n = len(series)
     if n < 2:
         raise EmptyDatasetError("need at least 2 intervals to forecast")
-    n_train = int(cfg.split_ratio * n)
-    if n_train < 1 or n_train >= n:
-        raise ConfigError(f"split_ratio={cfg.split_ratio} leaves an empty side for n={n}")
+    n_train = int(SPLIT_RATIO * n)  # in [1, n - 1] for n >= 2
     X_raw = _forecast_features(series)
-    echo = cfg.echo(cfg.resolve_train("lgr"))
+    echo = cfg.echo(default_train_cfg("lgr", cfg.seed))
     t0 = time.perf_counter()
-    model, scaler, chosen, _ = _fit_forecaster(
+    model, chosen, _ = _fit_forecaster(
         X_raw[:n_train], series.labels[:n_train].astype(np.float64), cfg)
     train_seconds = time.perf_counter() - t0
     echo.update({f"chosen_{k}": v for k, v in sorted(chosen.items())})
     report, raw, y_pred = _score(cfg.model_kind, model, X_raw[n_train:],
-                                 series.labels[n_train:], train_seconds, echo, scaler)
+                                 series.labels[n_train:], train_seconds, echo)
     pred_series = PredictionSeries(times_s=X_raw[n_train:, 0].astype(np.int64),
                                    actual=series.labels[n_train:].astype(np.int64),
                                    predicted_raw=np.asarray(raw, dtype=np.float64),

@@ -8,12 +8,13 @@ Grid search scores hyperparameter cells by k-fold validation RMSE.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError, ContractViolation, NumericError
-from .scaling import as_matrix
+from .scaling import Scaler, as_matrix
 
 SMO_TOL = 1e-3
 SMO_ITER_FACTOR = 100
@@ -25,6 +26,7 @@ class KrrModel:
     train_inputs: np.ndarray
     lam: float
     gamma: float
+    scaler: Optional[Scaler] = None  # applied to predict inputs when set
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,7 @@ class SvrModel:
     converged: bool = True
     violation: float = 0.0
     objective: float = 0.0
+    scaler: Optional[Scaler] = None  # applied to predict inputs when set
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,18 @@ def krr_fit(X, y, lam: float, gamma: float) -> KrrModel:
     return KrrModel(alphas=alphas, train_inputs=X.copy(), lam=lam, gamma=gamma)
 
 
-def krr_predict(model: KrrModel, X) -> np.ndarray:
+def _kernel_inputs(model, X, caller: str) -> np.ndarray:
+    """X as the kernel sees it: standardized by the model's scaler, if it has one."""
     X = as_matrix(X)
+    if model.scaler is not None:
+        X = model.scaler.transform(X)
     if X.shape[1] != model.train_inputs.shape[1]:
-        raise ContractViolation("krr_predict arity mismatch")
+        raise ContractViolation(f"{caller} arity mismatch")
+    return X
+
+
+def krr_predict(model: KrrModel, X) -> np.ndarray:
+    X = _kernel_inputs(model, X, "krr_predict")
     return rbf_matrix(X, model.train_inputs, model.gamma) @ model.alphas
 
 
@@ -202,9 +213,7 @@ def _svr_bias(theta, y, u, epsilon, C, n):
 
 
 def svr_predict(model: SvrModel, X) -> np.ndarray:
-    X = as_matrix(X)
-    if X.shape[1] != model.train_inputs.shape[1]:
-        raise ContractViolation("svr_predict arity mismatch")
+    X = _kernel_inputs(model, X, "svr_predict")
     return rbf_matrix(X, model.train_inputs, model.gamma) @ model.dual_deltas + model.bias
 
 

@@ -166,12 +166,15 @@ def test_train_then_evaluate_model_file(tmp_path):
     assert main(["train", "--model", "lgr", "--series", str(series), "--seed", "5",
                  "--out", str(model_path)]) == 0
     report_path = tmp_path / "r.txt"
-    assert main(["evaluate", "--model", "lgr", "--series", str(series),
+    assert main(["evaluate", "--model", "lgr", "--series", str(series), "--seed", "5",
                  "--model-file", str(model_path), "--report", str(report_path)]) == 0
     report = read_report(report_path)
     assert float(report["accuracy_pct"]) >= 99.0
     total = sum(int(report[k]) for k in ("tp", "tn", "fp", "fn"))
     assert total == 240  # model files evaluate over every row
+    # the file cannot say whether a grid chose its parameters, so no grid= line
+    assert {k: v for k, v in report.items() if k.startswith("config.")} == {
+        "config.model_kind": "lgr", "config.seed": "5", "config.model_file": str(model_path)}
 
 
 def test_train_kmeans_model_file(tmp_path):

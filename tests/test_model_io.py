@@ -5,7 +5,7 @@ from synwatch.classifiers import KMeansModel, LgrModel, MlpModel
 from synwatch.cli import main
 from synwatch.errors import ParseError
 from synwatch.model_io import load_model, save_model
-from synwatch.regressors import KrrModel, SvrModel
+from synwatch.regressors import KrrModel, SvrModel, krr_predict, rbf_matrix
 from synwatch.scaling import Scaler
 from synwatch.traffic import write_series
 
@@ -21,8 +21,7 @@ def test_lgr_round_trip_exact(tmp_path):
                      scaler=_scaler(4))
     path = tmp_path / "m.txt"
     save_model(model, path)
-    back, scaler = load_model(path)
-    assert scaler is None
+    back = load_model(path)
     assert np.array_equal(back.weights, model.weights)
     assert back.bias == model.bias
     assert np.array_equal(back.scaler.mean, model.scaler.mean)
@@ -35,7 +34,7 @@ def test_mlp_round_trip_exact(tmp_path):
                      scaler=_scaler(13))
     path = tmp_path / "m.txt"
     save_model(model, path)
-    back, _ = load_model(path)
+    back = load_model(path)
     assert np.array_equal(back.W1, model.W1)
     assert np.array_equal(back.b1, model.b1)
     assert np.array_equal(back.W2, model.W2)
@@ -49,7 +48,7 @@ def test_kmeans_round_trip_with_and_without_map(tmp_path):
     for i, model in enumerate((bare, mapped)):
         path = tmp_path / f"m{i}.txt"
         save_model(model, path)
-        back, _ = load_model(path)
+        back = load_model(path)
         assert np.array_equal(back.centroids, model.centroids)
         assert back.k == 2
         assert back.wcss == model.wcss
@@ -58,16 +57,15 @@ def test_kmeans_round_trip_with_and_without_map(tmp_path):
 
 def test_krr_round_trip_with_scaler_bundle(tmp_path):
     model = KrrModel(alphas=RNG.normal(size=5), train_inputs=RNG.normal(size=(5, 2)),
-                     lam=0.25, gamma=1.5)
-    bundle = _scaler(2)
+                     lam=0.25, gamma=1.5, scaler=_scaler(2))
     path = tmp_path / "m.txt"
-    save_model(model, path, scaler=bundle)
-    back, scaler = load_model(path)
+    save_model(model, path)
+    back = load_model(path)
     assert np.array_equal(back.alphas, model.alphas)
     assert np.array_equal(back.train_inputs, model.train_inputs)
     assert back.lam == 0.25 and back.gamma == 1.5
-    assert np.array_equal(scaler.mean, bundle.mean)
-    assert np.array_equal(scaler.std, bundle.std)
+    assert np.array_equal(back.scaler.mean, model.scaler.mean)
+    assert np.array_equal(back.scaler.std, model.scaler.std)
 
 
 def test_svr_round_trip_exact(tmp_path):
@@ -76,12 +74,77 @@ def test_svr_round_trip_exact(tmp_path):
                      gamma=0.3, converged=True, violation=4.5e-4, objective=-1.25)
     path = tmp_path / "m.txt"
     save_model(model, path)
-    back, _ = load_model(path)
+    back = load_model(path)
     assert np.array_equal(back.dual_deltas, model.dual_deltas)
     assert back.bias == model.bias
     assert back.converged is True
     assert back.violation == model.violation
     assert back.objective == model.objective
+
+
+def test_krr_file_without_scaler_predicts_on_inputs_as_given(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("model=krr version=1\nlambda=0.5\ngamma=2\nalphas=1 -0.5\n"
+                    "train_inputs_shape=2 2\ntrain_inputs=0 1 1 0\n")
+    back = load_model(path)
+    assert back.scaler is None
+    X = np.array([[0.25, 0.5], [3.0, -1.0]])
+    expected = rbf_matrix(X, np.array([[0.0, 1.0], [1.0, 0.0]]), 2.0) @ np.array([1.0, -0.5])
+    assert np.array_equal(krr_predict(back, X), expected)
+
+
+# --------------------------------------------------------------------------
+# exact file text: the bytes train writes and evaluate --model-file reads
+
+
+def test_lgr_file_text(tmp_path):
+    model = LgrModel(weights=np.array([0.5, -1.25]), bias=0.25,
+                     scaler=Scaler(mean=np.array([50.0, 2.5]), std=np.array([10.0, 0.5])))
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    assert path.read_text() == ("model=lgr version=1\n"
+                                "weights=0.5 -1.25\n"
+                                "bias=0.25\n"
+                                "scaler_mean=50 2.5\n"
+                                "scaler_std=10 0.5\n")
+
+
+def test_krr_file_text_with_scaler(tmp_path):
+    model = KrrModel(alphas=np.array([0.5, -0.25]),
+                     train_inputs=np.array([[1.0, 2.0], [-1.0, 0.5]]), lam=0.125, gamma=2.0,
+                     scaler=Scaler(mean=np.array([100.0, 20.0]), std=np.array([4.0, 8.0])))
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    assert path.read_text() == ("model=krr version=1\n"
+                                "lambda=0.125\n"
+                                "gamma=2\n"
+                                "alphas=0.5 -0.25\n"
+                                "train_inputs_shape=2 2\n"
+                                "train_inputs=1 2 -1 0.5\n"
+                                "scaler_mean=100 20\n"
+                                "scaler_std=4 8\n")
+
+
+def test_svr_file_text_with_scaler(tmp_path):
+    model = SvrModel(dual_deltas=np.array([1.0, -1.0]), bias=0.5,
+                     train_inputs=np.array([[0.0, 1.0], [1.0, 0.0]]), C=10.0, epsilon=0.125,
+                     gamma=0.5, converged=True, violation=2.0 ** -10, objective=-1.5,
+                     scaler=Scaler(mean=np.array([3.0, 4.0]), std=np.array([1.0, 2.0])))
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    assert path.read_text() == ("model=svr version=1\n"
+                                "C=10\n"
+                                "epsilon=0.125\n"
+                                "gamma=0.5\n"
+                                "dual_deltas=1 -1\n"
+                                "bias=0.5\n"
+                                "train_inputs_shape=2 2\n"
+                                "train_inputs=0 1 1 0\n"
+                                "converged=1\n"
+                                "violation=0.0009765625\n"
+                                "objective=-1.5\n"
+                                "scaler_mean=3 4\n"
+                                "scaler_std=1 2\n")
 
 
 def test_header_line_is_versioned(tmp_path):
@@ -113,17 +176,44 @@ _LGR = LgrModel(weights=np.array([0.5]), bias=-1.0,
 _MLP = MlpModel(W1=np.linspace(-1.0, 1.0, 6).reshape(6, 1), b1=np.zeros(6),
                 W2=np.ones((1, 6)), b2=0.0,
                 scaler=Scaler(mean=np.array([50.0]), std=np.array([10.0])))
+_KMEANS = KMeansModel(centroids=np.array([[50.0], [500.0]]), k=2, wcss=1.0,
+                      label_map={0: 0, 1: 1})
+_FORECAST_SCALER = Scaler(mean=np.array([1200.0, 100.0]), std=np.array([700.0, 150.0]))
+_KRR = KrrModel(alphas=np.array([0.5, -0.5, 1.0]), train_inputs=np.eye(3)[:, :2],
+                lam=1.0, gamma=0.5, scaler=_FORECAST_SCALER)
+_SVR = SvrModel(dual_deltas=np.array([0.5, -0.5, 0.0]), bias=0.25,
+                train_inputs=np.eye(3)[:, :2], C=1.0, epsilon=0.1, gamma=0.5,
+                scaler=_FORECAST_SCALER)
+
+
+def _set(name, text):
+    """Edit that replaces the values of array `name` by text."""
+    return lambda lines: [f"{name}={text}" if ln.startswith(f"{name}=") else ln
+                          for ln in lines]
+
+
+def _drop_last(name):
+    """Edit that removes the last value of array `name`."""
+    return lambda lines: [ln.rsplit(" ", 1)[0] if ln.startswith(f"{name}=") else ln
+                          for ln in lines]
+
 
 # case: (model, evaluated as, edit of the saved lines, line number of the fault)
 MALFORMED = {
-    "empty_array": (_LGR, "lgr",
-                    lambda lines: ["bias=" if ln.startswith("bias=") else ln for ln in lines], 3),
+    "empty_array": (_LGR, "lgr", _set("bias", ""), 3),
     "no_scaler": (_LGR, "lgr",
                   lambda lines: [ln for ln in lines if not ln.startswith("scaler_")], 1),
     "header_token": (_LGR, "lgr", lambda lines: [lines[0] + " stray"] + lines[1:], 1),
-    "shape_mismatch": (_MLP, "ann",
-                       lambda lines: ["w1_shape=6 2" if ln.startswith("w1_shape=") else ln
-                                      for ln in lines], 3),
+    "shape_mismatch": (_MLP, "ann", _set("w1_shape", "6 2"), 3),
+    "k_not_centroid_rows": (_KMEANS, "kmeans", _set("k", "3"), 2),
+    "label_map_count": (_KMEANS, "kmeans", _set("label_map", "1"), 6),
+    "label_map_value": (_KMEANS, "kmeans", _set("label_map", "1 7"), 6),
+    "krr_alphas_count": (_KRR, "krr", _drop_last("alphas"), 4),
+    "svr_deltas_count": (_SVR, "svr", _drop_last("dual_deltas"), 5),
+    "mlp_b1_count": (_MLP, "ann", _drop_last("b1"), 4),
+    "mlp_w2_shape": (_MLP, "ann", _set("w2_shape", "6 1"), 6),
+    "lgr_weights_width": (_LGR, "lgr", _set("weights", "0.5 0.5"), 4),
+    "krr_scaler_width": (_KRR, "krr", _drop_last("scaler_std"), 8),
 }
 
 
@@ -151,3 +241,19 @@ def test_evaluate_malformed_model_file_exits_two(tmp_path, capsys, small_series,
     assert main(["evaluate", "--model", kind, "--series", str(series),
                  "--model-file", str(path), "--report", str(tmp_path / "r.txt")]) == 2
     assert f"line {line_no}:" in capsys.readouterr().err
+
+
+def test_evaluate_three_cluster_model_file_maps_every_cluster(tmp_path, small_series):
+    model = KMeansModel(centroids=np.array([[50.0], [300.0], [600.0]]), k=3, wcss=1.0,
+                        label_map={0: 0, 1: 1, 2: 1})
+    path, series, report = tmp_path / "km3.txt", tmp_path / "s.csv", tmp_path / "r.txt"
+    save_model(model, path)
+    write_series(small_series, series)
+    assert main(["evaluate", "--model", "kmeans", "--series", str(series),
+                 "--model-file", str(path), "--report", str(report)]) == 0
+    counts = small_series.counts
+    nearest = np.abs(counts[:, None] - np.array([50, 300, 600])[None, :]).argmin(axis=1)
+    attack = nearest > 0
+    text = report.read_text()
+    assert f"tp={int((attack & (small_series.labels == 1)).sum())}\n" in text
+    assert f"fn={int((attack & (small_series.labels == 0)).sum())}\n" in text  # inverted fn

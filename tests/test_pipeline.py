@@ -13,7 +13,7 @@ from synwatch.metrics import r_squared, rmse
 from synwatch.pipeline import (DataSet, ExperimentConfig, auto_label_series,
                                build_detection_dataset, read_report, run_prediction,
                                run_semi_supervised, run_supervised, run_unsupervised,
-                               smote_balance, split_train_test, write_predictions,
+                               smote_balance, split_indices, write_predictions,
                                write_report)
 from synwatch.regressors import GridSpec
 from synwatch.traffic import IntervalSeries
@@ -36,42 +36,37 @@ def _report_key(report):
 
 
 def test_split_balanced_ten():
-    data = DataSet(np.arange(10.0).reshape(-1, 1), np.array([0] * 5 + [1] * 5), ["x"])
-    train, test = split_train_test(data, 0.8, seed=0)
-    assert len(train.y) == 8 and len(test.y) == 2
-    assert sorted(test.y.tolist()) == [0, 1]
+    y = np.array([0] * 5 + [1] * 5)
+    train, test = split_indices(y, 0.8, seed=0)
+    assert len(train) == 8 and len(test) == 2
+    assert sorted(y[test].tolist()) == [0, 1]
 
 
 def test_split_minority_arithmetic():
     y = np.array([0] * 90 + [1] * 10)
-    data = DataSet(np.arange(100.0).reshape(-1, 1), y, ["x"])
-    train, test = split_train_test(data, 0.8, seed=1)
-    assert int((test.y == 1).sum()) == 2
-    assert int((train.y == 1).sum()) == 8
+    train, test = split_indices(y, 0.8, seed=1)
+    assert int((y[test] == 1).sum()) == 2
+    assert int((y[train] == 1).sum()) == 8
 
 
 def test_split_deterministic():
-    data = DataSet(np.arange(40.0).reshape(-1, 1), np.array([0, 1] * 20), ["x"])
-    a = split_train_test(data, 0.8, seed=7)
-    b = split_train_test(data, 0.8, seed=7)
-    assert np.array_equal(a[0].X, b[0].X) and np.array_equal(a[1].X, b[1].X)
+    y = np.array([0, 1] * 20)
+    a = split_indices(y, 0.8, seed=7)
+    b = split_indices(y, 0.8, seed=7)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_split_rejects_tiny_class():
-    data = DataSet(np.arange(5.0).reshape(-1, 1), np.array([0, 0, 0, 0, 1]), ["x"])
     with pytest.raises(ConfigError):
-        split_train_test(data, 0.8, seed=0)
+        split_indices(np.array([0, 0, 0, 0, 1]), 0.8, seed=0)
 
 
 def test_split_partitions_rows():
     rng = np.random.default_rng(0)
     y = rng.integers(0, 2, size=37)
     y[:2] = [0, 1]  # both classes present
-    data = DataSet(rng.normal(size=(37, 2)), y, ["a", "b"])
-    train, test = split_train_test(data, 0.7, seed=3)
-    joined = np.vstack([train.X, test.X])
-    assert joined.shape == data.X.shape
-    assert len(np.unique(joined, axis=0)) == len(np.unique(data.X, axis=0))
+    train, test = split_indices(y, 0.7, seed=3)
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(37))
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +231,7 @@ def test_run_unsupervised_matches_manual_recompute(small_series):
     cfg = ExperimentConfig(model_kind="kmeans")
     report = run_unsupervised(small_series, cfg)
     X = small_series.counts.astype(float).reshape(-1, 1)
-    model = map_clusters_to_labels(kmeans_fit(X, 2, cfg.resolve_train("kmeans")))
+    model = map_clusters_to_labels(kmeans_fit(X, 2, pipeline.default_train_cfg("kmeans", cfg.seed)))
     mapping = np.array([model.label_map[0], model.label_map[1]])
     manual = mapping[kmeans_assign(model, X)]
     conf = report.confusion

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from synwatch.errors import ConfigError, ContractViolation, NumericError
 from synwatch.regressors import (GridSpec, KrrModel, SvrModel, default_gamma,
                                  format_cv_table, grid_search, krr_fit, krr_predict,
                                  rbf_matrix, svr_fit, svr_predict)
+from synwatch.scaling import Scaler
 
 TOY_X = np.array([[0.0], [1.0], [2.0], [3.0]])
 TOY_Y = np.array([0.0, 1.0, 1.0, 0.0])
@@ -113,6 +115,20 @@ def test_krr_predict_arity_mismatch():
     model = krr_fit(np.array([[0.0]]), np.array([1.0]), 1.0, 1.0)
     with pytest.raises(ContractViolation):
         krr_predict(model, np.zeros((1, 2)))
+
+
+def test_kernel_models_standardize_inputs_with_their_scaler():
+    rng = np.random.default_rng(5)
+    X = rng.normal(50.0, 10.0, size=(8, 2))
+    scaler = Scaler.fit(X)
+    Xs = scaler.transform(X)
+    krr = krr_fit(Xs, TOY_Y.repeat(2), 0.1, 0.5)
+    svr = svr_fit(Xs, TOY_Y.repeat(2), TOY_C, TOY_EPS, 0.5)
+    assert krr.scaler is None and svr.scaler is None
+    assert np.array_equal(krr_predict(dataclasses.replace(krr, scaler=scaler), X),
+                          krr_predict(krr, Xs))
+    assert np.array_equal(svr_predict(dataclasses.replace(svr, scaler=scaler), X),
+                          svr_predict(svr, Xs))
 
 
 # --------------------------------------------------------------------------
