@@ -115,6 +115,14 @@ def _sized(arrays, line_of, name, n: int, what: str):
     return arrays[name]
 
 
+def _scalar(arrays, line_of, name) -> float:
+    """arrays[name] as a float; its line must hold exactly one value."""
+    if len(arrays[name]) != 1:
+        raise ParseError(line_of[name], f"array {name!r} has {len(arrays[name])} values; "
+                                        f"expected 1")
+    return float(arrays[name][0])
+
+
 def _scaler(arrays, line_of, d: int) -> Scaler:
     """The model's input scaler for d features (KeyError when the file has none)."""
     return Scaler(mean=_sized(arrays, line_of, "scaler_mean", d, "feature"),
@@ -123,7 +131,7 @@ def _scaler(arrays, line_of, d: int) -> Scaler:
 
 def _load(kind, arrays, line_of):
     if kind == "lgr":
-        return LgrModel(weights=arrays["weights"], bias=float(arrays["bias"][0]),
+        return LgrModel(weights=arrays["weights"], bias=_scalar(arrays, line_of, "bias"),
                         scaler=_scaler(arrays, line_of, len(arrays["weights"])))
     if kind == "mlp":
         W1 = _shaped(arrays, line_of, "w1")
@@ -132,7 +140,7 @@ def _load(kind, arrays, line_of):
             raise ParseError(line_of["w2"], f"w2 has shape {W2.shape[0]} {W2.shape[1]}; "
                                             f"expected 1 {W1.shape[0]}, one per w1 row")
         return MlpModel(W1=W1, b1=_sized(arrays, line_of, "b1", W1.shape[0], "w1 row"),
-                        W2=W2, b2=float(arrays["b2"][0]),
+                        W2=W2, b2=_scalar(arrays, line_of, "b2"),
                         scaler=_scaler(arrays, line_of, W1.shape[1]))
     if kind == "kmeans":
         centroids = _shaped(arrays, line_of, "centroids")
@@ -147,22 +155,26 @@ def _load(kind, arrays, line_of):
                 raise ParseError(line_of["label_map"], "label_map values must be 0 or 1")
             label_map = {c: int(v) for c, v in enumerate(values)}
         return KMeansModel(centroids=centroids, k=len(centroids),
-                           wcss=float(arrays["wcss"][0]), label_map=label_map)
+                           wcss=_scalar(arrays, line_of, "wcss"), label_map=label_map)
     if kind in ("krr", "svr"):
         X = _shaped(arrays, line_of, "train_inputs")
         scaler = _scaler(arrays, line_of, X.shape[1]) if "scaler_mean" in arrays else None
-        gamma = float(arrays["gamma"][0])
+        gamma = _scalar(arrays, line_of, "gamma")
         if kind == "krr":
             return KrrModel(alphas=_sized(arrays, line_of, "alphas", len(X), "training row"),
-                            train_inputs=X, lam=float(arrays["lambda"][0]), gamma=gamma,
+                            train_inputs=X, lam=_scalar(arrays, line_of, "lambda"), gamma=gamma,
                             scaler=scaler)
+        converged = _scalar(arrays, line_of, "converged")
+        if converged not in (0.0, 1.0):
+            raise ParseError(line_of["converged"], "converged must be 0 or 1")
         return SvrModel(dual_deltas=_sized(arrays, line_of, "dual_deltas", len(X),
                                            "training row"),
-                        bias=float(arrays["bias"][0]), train_inputs=X,
-                        C=float(arrays["C"][0]), epsilon=float(arrays["epsilon"][0]),
-                        gamma=gamma, converged=bool(arrays["converged"][0]),
-                        violation=float(arrays["violation"][0]),
-                        objective=float(arrays["objective"][0]), scaler=scaler)
+                        bias=_scalar(arrays, line_of, "bias"), train_inputs=X,
+                        C=_scalar(arrays, line_of, "C"),
+                        epsilon=_scalar(arrays, line_of, "epsilon"), gamma=gamma,
+                        converged=converged == 1.0,
+                        violation=_scalar(arrays, line_of, "violation"),
+                        objective=_scalar(arrays, line_of, "objective"), scaler=scaler)
     raise ParseError(1, f"unknown model kind {kind!r}")
 
 

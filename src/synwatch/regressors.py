@@ -131,7 +131,7 @@ def krr_predict(model: KrrModel, X) -> np.ndarray:
 # epsilon support vector regression
 
 
-def svr_fit(X, y, C: float, epsilon: float, gamma: float, cfg=None) -> SvrModel:
+def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
     """Solve the epsilon-insensitive dual by maximal-violating-pair updates.
 
     The dual is kept in split (alpha, alpha*) form, 2n box variables tied
@@ -139,6 +139,12 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, cfg=None) -> SvrModel:
     solves the two-variable subproblem exactly and clips to the box;
     convergence is a KKT violation below 1e-3, capped at 100*n steps.
     A model that hits the cap is returned flagged, not raised.
+
+    A step allocates no array of length n or 2n. The candidate values are
+    (y - u) plus one offset per variable and direction: -epsilon for alpha
+    and +epsilon for alpha* where the variable may move that way, -inf (up)
+    or +inf (low) where it may not. A step changes only the offsets of the
+    two variables it moved.
     """
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.float64)
@@ -149,18 +155,25 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, cfg=None) -> SvrModel:
         raise ContractViolation("svr_fit needs at least two samples")
     if C <= 0 or epsilon < 0 or gamma <= 0:
         raise ConfigError("require C > 0, epsilon >= 0, gamma > 0")
-    K = rbf_matrix(X, X, gamma)
+    # the kernel matrix transposed, so that Kt[c], column c of K, is contiguous
+    Kt = np.ascontiguousarray(rbf_matrix(X, X, gamma).T)
     theta = np.zeros(2 * n)  # [alpha | alpha*]
     beta = np.zeros(n)
     u = np.zeros(n)  # K @ beta
+    g = np.empty(n)  # y - u
+    kd = np.empty(n)  # t * (column ii - column jj) of K
+    off = np.empty((2, 2, n))  # [up | low] offsets, each [alpha | alpha*]
+    up_off, low_off = off[0].reshape(2 * n), off[1].reshape(2 * n)  # views
+    eps = float(epsilon)  # so g + (-eps) is g - epsilon bit for bit, -0.0 included
+    up_off[:n], up_off[n:] = -eps, -np.inf  # theta = 0: alpha may rise, alpha* not fall
+    low_off[:n], low_off[n:] = np.inf, eps
+    vals = np.empty((2, 2, n))
+    up_vals, low_vals = vals[0].reshape(2 * n), vals[1].reshape(2 * n)  # views
     max_iter = SMO_ITER_FACTOR * n
     violation = np.inf
     for _ in range(max_iter):
-        val = np.concatenate((y - u - epsilon, y - u + epsilon))
-        up = np.concatenate((theta[:n] < C, theta[n:] > 0.0))
-        low = np.concatenate((theta[:n] > 0.0, theta[n:] < C))
-        up_vals = np.where(up, val, -np.inf)
-        low_vals = np.where(low, val, np.inf)
+        np.subtract(y, u, out=g)
+        np.add(g, off, out=vals)
         i = int(up_vals.argmax())
         j = int(low_vals.argmin())
         m, M = up_vals[i], low_vals[j]
@@ -168,7 +181,7 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, cfg=None) -> SvrModel:
         if violation <= SMO_TOL:
             break
         ii, jj = i % n, j % n
-        q = K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj]
+        q = Kt[ii, ii] + Kt[jj, jj] - 2.0 * Kt[jj, ii]  # K[ii, ii] + K[jj, jj] - 2 K[ii, jj]
         t = violation / max(q, 1e-12)
         t = min(t, C - theta[i] if i < n else theta[i])
         t = min(t, theta[j] if j < n else C - theta[j])
@@ -176,9 +189,19 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, cfg=None) -> SvrModel:
             break
         theta[i] += t if i < n else -t
         theta[j] += -t if j < n else t
+        for k in (i, j):
+            tk = theta[k]
+            if k < n:  # alpha rises while below C and falls while above 0
+                up_off[k] = -eps if tk < C else -np.inf
+                low_off[k] = -eps if tk > 0.0 else np.inf
+            else:  # alpha* the other way round
+                up_off[k] = eps if tk > 0.0 else -np.inf
+                low_off[k] = eps if tk < C else np.inf
         beta[ii] += t
         beta[jj] -= t
-        u += t * (K[:, ii] - K[:, jj])
+        np.subtract(Kt[ii], Kt[jj], out=kd)
+        kd *= t
+        u += kd
     else:
         violation = _svr_violation(theta, y, u, epsilon, C, n)
     converged = violation <= SMO_TOL

@@ -1,16 +1,20 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here is deliberately brute force: exhaustive enumeration,
-central finite differences and projected-gradient optimization, sharing no
-code path with the implementations under test.
+Most of it is deliberately brute force: exhaustive enumeration, central
+finite differences and projected-gradient optimization, sharing no code
+path with the implementations under test. The rest are the plain versions
+of optimized functions (dense SMOTE, the SVR step loop that rebuilds its
+arrays), which the optimized ones must match bit for bit.
 """
 
 import numpy as np
 
 from synwatch.classifiers import mlp_loss_grads
-from synwatch.errors import BalancingError
+from synwatch.errors import BalancingError, ConfigError, ContractViolation
 from synwatch.pipeline import DataSet
-from synwatch.regressors import rbf_matrix
+from synwatch.regressors import (SMO_ITER_FACTOR, SMO_TOL, SvrModel, _svr_bias,
+                                 _svr_violation, rbf_matrix)
+from synwatch.scaling import as_matrix
 
 
 def mlp_gradcheck_worst(seed: int, step: float = 1e-4) -> float:
@@ -161,3 +165,64 @@ def smote_balance_dense(train: DataSet, k: int, seed: int) -> DataSet:
     X_out = np.vstack([train.X, synth])
     y_out = np.concatenate([y, np.full(n_new, minority, dtype=y.dtype)])
     return DataSet(X_out, y_out, list(train.feature_names))
+
+
+def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
+    """svr_fit as it was before its step loop kept its buffers in place.
+
+    It solves the epsilon-insensitive dual by maximal-violating-pair updates,
+    building its candidate arrays afresh at every step.
+
+    The dual is kept in split (alpha, alpha*) form, 2n box variables tied
+    by one equality constraint. Each step picks the most violating pair,
+    solves the two-variable subproblem exactly and clips to the box;
+    convergence is a KKT violation below 1e-3, capped at 100*n steps.
+    A model that hits the cap is returned flagged, not raised.
+    """
+    X = as_matrix(X)
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    if len(y) != n:
+        raise ContractViolation("X and y row counts differ")
+    if n < 2:
+        raise ContractViolation("svr_fit needs at least two samples")
+    if C <= 0 or epsilon < 0 or gamma <= 0:
+        raise ConfigError("require C > 0, epsilon >= 0, gamma > 0")
+    K = rbf_matrix(X, X, gamma)
+    theta = np.zeros(2 * n)  # [alpha | alpha*]
+    beta = np.zeros(n)
+    u = np.zeros(n)  # K @ beta
+    max_iter = SMO_ITER_FACTOR * n
+    violation = np.inf
+    for _ in range(max_iter):
+        val = np.concatenate((y - u - epsilon, y - u + epsilon))
+        up = np.concatenate((theta[:n] < C, theta[n:] > 0.0))
+        low = np.concatenate((theta[:n] > 0.0, theta[n:] < C))
+        up_vals = np.where(up, val, -np.inf)
+        low_vals = np.where(low, val, np.inf)
+        i = int(up_vals.argmax())
+        j = int(low_vals.argmin())
+        m, M = up_vals[i], low_vals[j]
+        violation = m - M
+        if violation <= SMO_TOL:
+            break
+        ii, jj = i % n, j % n
+        q = K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj]
+        t = violation / max(q, 1e-12)
+        t = min(t, C - theta[i] if i < n else theta[i])
+        t = min(t, theta[j] if j < n else C - theta[j])
+        if t <= 0.0:
+            break
+        theta[i] += t if i < n else -t
+        theta[j] += -t if j < n else t
+        beta[ii] += t
+        beta[jj] -= t
+        u += t * (K[:, ii] - K[:, jj])
+    else:
+        violation = _svr_violation(theta, y, u, epsilon, C, n)
+    converged = violation <= SMO_TOL
+    bias = _svr_bias(theta, y, u, epsilon, C, n)
+    objective = 0.5 * float(beta @ u) + epsilon * float(theta.sum()) - float(y @ beta)
+    return SvrModel(dual_deltas=theta[:n] - theta[n:], bias=bias, train_inputs=X.copy(),
+                    C=C, epsilon=epsilon, gamma=gamma, converged=converged,
+                    violation=float(max(violation, 0.0)), objective=objective)

@@ -214,6 +214,12 @@ MALFORMED = {
     "mlp_w2_shape": (_MLP, "ann", _set("w2_shape", "6 1"), 6),
     "lgr_weights_width": (_LGR, "lgr", _set("weights", "0.5 0.5"), 4),
     "krr_scaler_width": (_KRR, "krr", _drop_last("scaler_std"), 8),
+    "lgr_bias_two_values": (_LGR, "lgr", _set("bias", "-1 99"), 3),
+    "mlp_b2_two_values": (_MLP, "ann", _set("b2", "0 1"), 7),
+    "kmeans_wcss_two_values": (_KMEANS, "kmeans", _set("wcss", "1 2"), 5),
+    "krr_lambda_two_values": (_KRR, "krr", _set("lambda", "1 1"), 2),
+    "svr_gamma_two_values": (_SVR, "svr", _set("gamma", "0.5 0.5"), 4),
+    "svr_converged_value": (_SVR, "svr", _set("converged", "0.5"), 9),
 }
 
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import svr_kkt_violations, svr_objective, svr_qp_oracle
+from oracles import svr_fit_reference, svr_kkt_violations, svr_objective, svr_qp_oracle
+from synwatch import regressors
 from synwatch.errors import ConfigError, ContractViolation, NumericError
 from synwatch.regressors import (GridSpec, KrrModel, SvrModel, default_gamma,
                                  format_cv_table, grid_search, krr_fit, krr_predict,
@@ -201,6 +202,45 @@ def test_svr_input_validation():
         svr_predict(model, np.zeros((1, 2)))
 
 
+def _svr_parity_case(name):
+    """(X, y, C, epsilon, gamma) for one svr_fit vs svr_fit_reference case."""
+    rng = np.random.default_rng(0)
+    if name == "toy":
+        return TOY_X, TOY_Y, TOY_C, TOY_EPS, TOY_GAMMA
+    if name == "capped":  # 320 rows that hit the 100*n step cap
+        return rng.normal(size=(320, 2)), rng.normal(size=320), 100.0, 0.01, 1.0
+    if name == "at_box_bound":
+        X = rng.uniform(-2.0, 2.0, size=(40, 1))
+        return X, 3.0 * np.sin(2.0 * X[:, 0]), 0.1, 0.05, 1.0
+    if name == "zero_epsilon":
+        return np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), 1.0, 0.0, 1.0
+    if name == "constant_in_tube":
+        return TOY_X, np.full(4, 3.3), 10.0, 0.5, 1.0
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("case", ["toy", "capped", "at_box_bound", "zero_epsilon",
+                                  "constant_in_tube"])
+def test_svr_fit_matches_reference_bit_for_bit(case):
+    X, y, C, eps, gamma = _svr_parity_case(case)
+    got = svr_fit(X, y, C, eps, gamma)
+    want = svr_fit_reference(X, y, C, eps, gamma)
+    assert got.dual_deltas.tobytes() == want.dual_deltas.tobytes()
+    for name in ("bias", "objective", "violation"):
+        assert np.float64(getattr(got, name)).tobytes() == \
+            np.float64(getattr(want, name)).tobytes(), name
+    assert got.converged is want.converged
+    # each case reaches the regime it is named for
+    if case == "capped":
+        assert not got.converged and got.violation == pytest.approx(0.040, abs=1e-3)
+    elif case == "at_box_bound":
+        assert (np.abs(got.dual_deltas) == C).any()
+    elif case == "constant_in_tube":
+        assert np.all(got.dual_deltas == 0.0)
+    else:
+        assert got.converged
+
+
 # --------------------------------------------------------------------------
 # grid search
 
@@ -261,6 +301,26 @@ def test_grid_svr_runs_and_formats():
     text = format_cv_table(table)
     assert len(text.splitlines()) == 6
     assert text.splitlines()[0].split(",")[0] == "1"
+
+
+def test_grid_search_reaches_fits_through_module_globals(monkeypatch):
+    """Wrappers installed on the module, as the benchmark's tracing does, see every fit."""
+    calls = {"svr": 0, "krr": 0}
+
+    def counting(kind, fit):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fit(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(regressors, "svr_fit", counting("svr", regressors.svr_fit))
+    monkeypatch.setattr(regressors, "krr_fit", counting("krr", regressors.krr_fit))
+    X, y = _wavey(n=30)
+    grid = GridSpec(C_values=(1.0,), gamma_values=(0.5,), epsilon_values=(0.1,),
+                    lambda_values=(0.1,), folds=3)
+    for kind in ("svr", "krr"):
+        grid_search(X, y, kind, grid, seed=0)
+    assert calls == {"svr": 3, "krr": 3}
 
 
 def test_grid_needs_enough_samples():
