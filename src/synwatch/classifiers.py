@@ -179,23 +179,13 @@ def mlp_loss_grads(W1, b1, W2, b2, X, y, l2=0.0):
     return loss, (dW1, db1, dW2, db2)
 
 
-def mlp_fit(X, y, cfg: TrainConfig = TrainConfig(),
-            with_sigma: Optional[bool] = None) -> MlpModel:
-    """Train the d-6-1 network with seeded mini-batch gradient descent.
-
-    with_sigma pins the expected arity: True demands the 13-feature frame
-    layout, False the plain 12-feature one. None accepts any width, which
-    is what the unframed per-interval run uses.
-    """
+def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
+    """Train the d-6-1 network with seeded mini-batch gradient descent."""
     X = as_matrix(X)
     y = _check_binary_labels(y)
     if len(y) != X.shape[0]:
         raise ContractViolation("X and y row counts differ")
     d = X.shape[1]
-    if with_sigma is True and d != 13:
-        raise ConfigError(f"sigma frames have 13 features, got {d}")
-    if with_sigma is False and d != 12:
-        raise ConfigError(f"frames have 12 features, got {d}")
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
     n = Xs.shape[0]
@@ -252,6 +242,13 @@ def _distinct_row_init(X, k, rng):
     return X[np.array(chosen[:k])].copy()
 
 
+def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid id per row, ties to the lowest id, and its squared distance."""
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)
+    return assign, d2[np.arange(len(X)), assign]
+
+
 def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
                wcss_history: Optional[list] = None) -> KMeansModel:
     """Lloyd's iterations from k seeded-random distinct data points.
@@ -269,14 +266,10 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     rng = np.random.default_rng(cfg.seed)
     centroids = _distinct_row_init(X, k, rng)
     prev_assign = None
-    assign = None
     for _ in range(cfg.max_epochs):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
-        own = d2[np.arange(n), assign]
+        assign, own = _nearest(X, centroids)
         empty = [c for c in range(k) if not (assign == c).any()]
         if empty:
-            own = own.copy()
             for c in empty:
                 far = int(own.argmax())
                 centroids[c] = X[far]
@@ -289,9 +282,7 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
         prev_assign = assign
         for c in range(k):
             centroids[c] = X[assign == c].mean(axis=0)
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    wcss = float(d2[np.arange(n), assign].sum())
+    wcss = float(_nearest(X, centroids)[1].sum())
     return KMeansModel(centroids=centroids, k=k, wcss=wcss)
 
 
@@ -311,8 +302,7 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
     if X.shape[1] != model.centroids.shape[1]:
         raise ContractViolation(
             f"model has {model.centroids.shape[1]} features, input has {X.shape[1]}")
-    d2 = ((X[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return _nearest(X, model.centroids)[0]
 
 
 def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()

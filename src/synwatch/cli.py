@@ -44,9 +44,13 @@ def _resolve_seed(value: Optional[int]) -> int:
         raise ConfigError(f"SYN_SEED must be an integer, got {env!r}") from None
 
 
-def _echo_config(subcommand: str, pairs: dict) -> None:
-    text = " ".join(f"{k}={v}" for k, v in pairs.items())
-    print(f"config: subcommand={subcommand} {text}")
+def _echo_config(args, **derived) -> None:
+    """Print every parsed argument in flag order, None as -; derived values
+    go before the last argument."""
+    pairs = [(k, v) for k, v in vars(args).items() if k != "subcommand"]
+    pairs[-1:-1] = derived.items()
+    text = " ".join(f"{k}={'-' if v is None else v}" for k, v in pairs)
+    print(f"config: subcommand={args.subcommand} {text}")
 
 
 def _build_parser() -> _Parser:
@@ -120,23 +124,18 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    seed = _resolve_seed(args.seed)
     cfg = traffic.SynthesisConfig(n_intervals=args.intervals, baseline_rate=args.rate,
                                   attack_fraction=args.attack_fraction,
                                   attack_multiplier=args.multiplier,
-                                  burst_length=args.burst, seed=seed)
-    _echo_config("generate", {"intervals": args.intervals, "rate": args.rate,
-                              "attack_fraction": args.attack_fraction,
-                              "multiplier": args.multiplier, "burst": args.burst,
-                              "seed": seed, "out": args.out})
+                                  burst_length=args.burst, seed=args.seed)
+    _echo_config(args)
     series = traffic.inject_attacks(traffic.generate_baseline(cfg), cfg)
     traffic.write_series(series, args.out)
     return 0
 
 
 def _cmd_ingest(args) -> int:
-    _echo_config("ingest", {"log": args.log, "interval": args.interval,
-                            "dst": args.dst or "-", "out": args.out})
+    _echo_config(args)
     with open(args.log, "r", encoding="utf-8") as fh:
         records = traffic.parse_packet_log(fh)
     series = traffic.bucketize(records, args.interval, dst_filter=args.dst)
@@ -145,7 +144,6 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    seed = _resolve_seed(args.seed)
     series = traffic.read_series(args.series)
     if len(series) == 0 or series.counts.mean() <= 0:
         raise ConfigError("cannot infer a baseline rate from an empty or all-zero series")
@@ -153,17 +151,14 @@ def _cmd_inject(args) -> int:
                                   baseline_rate=float(series.counts.mean()),
                                   attack_fraction=args.attack_fraction,
                                   attack_multiplier=args.multiplier,
-                                  burst_length=args.burst, seed=seed)
-    _echo_config("inject", {"series": args.series, "attack_fraction": args.attack_fraction,
-                            "multiplier": args.multiplier, "burst": args.burst,
-                            "seed": seed, "baseline_rate": round(cfg.baseline_rate, 6),
-                            "out": args.out})
+                                  burst_length=args.burst, seed=args.seed)
+    _echo_config(args, baseline_rate=round(cfg.baseline_rate, 6))
     traffic.write_series(traffic.inject_attacks(series, cfg), args.out)
     return 0
 
 
 def _cmd_frame(args) -> int:
-    _echo_config("frame", {"series": args.series, "sigma": args.sigma, "out": args.out})
+    _echo_config(args)
     series = traffic.read_series(args.series)
     frames = framing.make_frames(series, framing.FramingConfig(with_sigma=args.sigma))
     framing.write_frames(frames, args.out)
@@ -171,12 +166,10 @@ def _cmd_frame(args) -> int:
 
 
 def _cmd_elbow(args) -> int:
-    seed = _resolve_seed(args.seed)
-    _echo_config("elbow", {"series": args.series, "kmax": args.kmax,
-                           "seed": seed, "out": args.out})
+    _echo_config(args)
     series = traffic.read_series(args.series)
     X = series.counts.astype(np.float64).reshape(-1, 1)
-    curve, chosen = classifiers.elbow_curve(X, args.kmax, TrainConfig(seed=seed))
+    curve, chosen = classifiers.elbow_curve(X, args.kmax, TrainConfig(seed=args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         for k, wcss in curve:
             fh.write(f"{k},{format(wcss, '.17g')}\n")
@@ -186,11 +179,9 @@ def _cmd_elbow(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
-    _echo_config("train", {"model": args.model, "series": args.series, "grid": args.grid,
-                           "seed": seed, "out": args.out})
+    _echo_config(args)
     series = traffic.read_series(args.series)
-    cfg = ExperimentConfig(model_kind=args.model, seed=seed,
+    cfg = ExperimentConfig(model_kind=args.model, seed=args.seed,
                            grid=GridSpec() if args.grid else None)
     model, table = pipeline.fit_model(series, cfg)
     if table is not None:
@@ -200,15 +191,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    seed = _resolve_seed(args.seed)
-    _echo_config("evaluate", {"model": args.model, "series": args.series,
-                              "model_file": args.model_file or "-", "seed": seed,
-                              "report": args.report})
+    _echo_config(args)
     series = traffic.read_series(args.series)
-    cfg = ExperimentConfig(model_kind=args.model, seed=seed)
+    cfg = ExperimentConfig(model_kind=args.model, seed=args.seed)
     if args.model_file is not None:
         report = pipeline.score_model(model_io.load_model(args.model_file), series, cfg)
-        report.config = {"model_kind": args.model, "seed": seed,
+        report.config = {"model_kind": args.model, "seed": args.seed,
                          "model_file": args.model_file}
         pipeline.write_report(report, args.report)
         return 0
@@ -219,12 +207,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    seed = _resolve_seed(args.seed)
-    _echo_config("predict", {"model": args.model, "series": args.series,
-                             "grid": args.grid, "seed": seed,
-                             "report": args.report, "out": args.out})
+    _echo_config(args)
     series = traffic.read_series(args.series)
-    cfg = ExperimentConfig(model_kind=args.model, seed=seed,
+    cfg = ExperimentConfig(model_kind=args.model, seed=args.seed,
                            grid=GridSpec() if args.grid else None)
     report, pred = pipeline.run_prediction(series, cfg)
     pipeline.write_report(report, args.report)
@@ -270,6 +255,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args.seed)
         return _COMMANDS[args.subcommand](args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

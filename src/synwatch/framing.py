@@ -36,14 +36,6 @@ class FramingConfig:
     with_sigma: bool = False
 
 
-def frame_sigma(values: Sequence[int]) -> float:
-    """Population standard deviation of one frame's twelve counts."""
-    if len(values) != FRAME_WIDTH:
-        raise ContractViolation(f"frame_sigma expects {FRAME_WIDTH} values, got {len(values)}")
-    v = np.asarray(values, dtype=np.float64)
-    return float(np.sqrt(np.mean((v - v.mean()) ** 2)))
-
-
 def frame_arrays(series: IntervalSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every complete frame of the series as arrays: (counts, sigma, label).
 

@@ -72,6 +72,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
+        if self.grid is not None and self.model_kind not in ("krr", "svr"):
+            raise ConfigError(f"grid search does not apply to {self.model_kind}")
 
     def echo(self, train_cfg: TrainConfig) -> dict:
         items = {
@@ -93,15 +95,12 @@ class ExperimentConfig:
 class DataSet:
     X: np.ndarray
     y: np.ndarray
-    feature_names: list[str]
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
         self.y = np.asarray(self.y)
         if self.X.ndim != 2 or len(self.y) != self.X.shape[0]:
             raise ContractViolation("DataSet X must be 2-D with one label per row")
-        if len(self.feature_names) != self.X.shape[1]:
-            raise ContractViolation("feature_names must match the column count")
         if not np.isfinite(self.X).all():
             raise ContractViolation("DataSet contains non-finite values")
 
@@ -139,17 +138,15 @@ def build_detection_dataset(series: IntervalSeries, variant: str) -> DataSet:
         if len(series) == 0:
             raise EmptyDatasetError("series has no intervals")
         X = series.counts.astype(np.float64).reshape(-1, 1)
-        return DataSet(X, series.labels.copy(), ["count"])
+        return DataSet(X, series.labels.copy())
     if variant in ("frames", "frames_sigma"):
         C, sigma, labels = framing.frame_arrays(series)
         if len(C) == 0:
             raise EmptyDatasetError("series too short for a single 12-interval frame")
         X = C.astype(np.float64)
-        names = [f"c{i}" for i in range(framing.FRAME_WIDTH)]
         if variant == "frames_sigma":
             X = np.column_stack([X, sigma])
-            names.append("sigma")
-        return DataSet(X, labels, names)
+        return DataSet(X, labels)
     raise ConfigError(f"unknown dataset variant {variant!r}")
 
 
@@ -212,7 +209,7 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     synth = Xm[base] + u[:, None] * (Xm[picks] - Xm[base])
     X_out = np.vstack([train.X, synth])
     y_out = np.concatenate([y, np.full(n_new, minority, dtype=y.dtype)])
-    return DataSet(X_out, y_out, list(train.feature_names))
+    return DataSet(X_out, y_out)
 
 
 def auto_label_series(series: IntervalSeries, train_cfg: TrainConfig) -> np.ndarray:
@@ -244,11 +241,6 @@ _FAMILY_OF_MODEL = {classifiers.LgrModel: "lgr", classifiers.MlpModel: "mlp",
                     regressors.SvrModel: "svr"}
 
 
-def _reject_grid(cfg: ExperimentConfig) -> None:
-    if cfg.grid is not None and cfg.model_kind not in ("krr", "svr"):
-        raise ConfigError(f"grid search does not apply to {cfg.model_kind}")
-
-
 def _training_dataset(series: IntervalSeries, cfg: ExperimentConfig) -> DataSet:
     """The kind's detection dataset, labelled as it trains: ground truth, or
     K-Means pseudo-labels of the whole series for the kmeans+* kinds."""
@@ -268,8 +260,7 @@ def _fit_classifier(train: DataSet, cfg: ExperimentConfig):
     train_cfg = default_train_cfg(family, cfg.seed)
     if family == "lgr":
         return classifiers.lgr_fit(balanced.X, balanced.y, train_cfg)
-    with_sigma = {"frames": False, "frames_sigma": True}.get(_variant(cfg.model_kind))
-    return classifiers.mlp_fit(balanced.X, balanced.y, train_cfg, with_sigma=with_sigma)
+    return classifiers.mlp_fit(balanced.X, balanced.y, train_cfg)
 
 
 def _fit_kmeans(X: np.ndarray, train_cfg: TrainConfig):
@@ -358,7 +349,6 @@ def fit_model(series: IntervalSeries, cfg: ExperimentConfig):
     Returns (model, cv_table): cv_table is the grid search's table when
     cfg.grid is set, None otherwise.
     """
-    _reject_grid(cfg)
     kind = cfg.model_kind
     if kind in PREDICTION_KINDS:
         model, _, table = _fit_forecaster(
@@ -394,7 +384,7 @@ def _detection_report(series: IntervalSeries, cfg: ExperimentConfig) -> EvalRepo
     working = _training_dataset(series, cfg)
     truth = build_detection_dataset(series, _variant(cfg.model_kind)).y
     tr_idx, te_idx = split_indices(working.y, SPLIT_RATIO, cfg.seed)
-    train = DataSet(working.X[tr_idx], working.y[tr_idx], list(working.feature_names))
+    train = DataSet(working.X[tr_idx], working.y[tr_idx])
     t0 = time.perf_counter()
     model = _fit_classifier(train, cfg)
     train_seconds = time.perf_counter() - t0
@@ -439,7 +429,6 @@ def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
     """
     if cfg.model_kind not in PREDICTION_KINDS:
         raise ConfigError(f"run_prediction cannot run {cfg.model_kind!r}")
-    _reject_grid(cfg)
     n = len(series)
     if n < 2:
         raise EmptyDatasetError("need at least 2 intervals to forecast")

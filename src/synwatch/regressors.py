@@ -170,7 +170,6 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
     vals = np.empty((2, 2, n))
     up_vals, low_vals = vals[0].reshape(2 * n), vals[1].reshape(2 * n)  # views
     max_iter = SMO_ITER_FACTOR * n
-    violation = np.inf
     for _ in range(max_iter):
         np.subtract(y, u, out=g)
         np.add(g, off, out=vals)
@@ -202,37 +201,21 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
         np.subtract(Kt[ii], Kt[jj], out=kd)
         kd *= t
         u += kd
-    else:
-        violation = _svr_violation(theta, y, u, epsilon, C, n)
-    converged = violation <= SMO_TOL
-    bias = _svr_bias(theta, y, u, epsilon, C, n)
-    objective = 0.5 * float(beta @ u) + epsilon * float(theta.sum()) - float(y @ beta)
-    return SvrModel(dual_deltas=theta[:n] - theta[n:], bias=bias, train_inputs=X.copy(),
-                    C=C, epsilon=epsilon, gamma=gamma, converged=converged,
-                    violation=float(max(violation, 0.0)), objective=objective)
-
-
-def _svr_violation(theta, y, u, epsilon, C, n):
-    val = np.concatenate((y - u - epsilon, y - u + epsilon))
-    up = np.concatenate((theta[:n] < C, theta[n:] > 0.0))
-    low = np.concatenate((theta[:n] > 0.0, theta[n:] < C))
-    if not up.any() or not low.any():
-        return 0.0
-    return float(np.where(up, val, -np.inf).max() - np.where(low, val, np.inf).min())
-
-
-def _svr_bias(theta, y, u, epsilon, C, n):
-    """KKT bias: average of the tube condition over free dual variables."""
-    val = np.concatenate((y - u - epsilon, y - u + epsilon))
+    # the KKT values at the final theta: the violation, and the bias averaged
+    # over the free variables (the midpoint of the extremes if none is free)
+    np.subtract(y, u, out=g)
+    np.add(g, off, out=vals)
+    hi, lo = up_vals.max(), low_vals.min()
     slack = 1e-10 * max(1.0, C)
     free = (theta > slack) & (theta < C - slack)
     if free.any():
-        return float(val[free].mean())
-    up = np.concatenate((theta[:n] < C, theta[n:] > 0.0))
-    low = np.concatenate((theta[:n] > 0.0, theta[n:] < C))
-    hi = np.where(up, val, -np.inf).max() if up.any() else 0.0
-    lo = np.where(low, val, np.inf).min() if low.any() else 0.0
-    return float((hi + lo) / 2.0)
+        bias = float(up_vals[free].mean())
+    else:  # a side with no variable counts as 0
+        bias = float(((hi if hi > -np.inf else 0.0) + (lo if lo < np.inf else 0.0)) / 2.0)
+    objective = 0.5 * float(beta @ u) + epsilon * float(theta.sum()) - float(y @ beta)
+    return SvrModel(dual_deltas=theta[:n] - theta[n:], bias=bias, train_inputs=X.copy(),
+                    C=C, epsilon=epsilon, gamma=gamma, converged=bool(hi - lo <= SMO_TOL),
+                    violation=float(max(hi - lo, 0.0)), objective=objective)
 
 
 def svr_predict(model: SvrModel, X) -> np.ndarray:

@@ -143,12 +143,12 @@ def bucketize(
                           interval_seconds=interval_seconds, origin_s=origin_s)
 
 
-def generate_baseline(cfg: SynthesisConfig, interval_seconds: int = 10) -> IntervalSeries:
-    """Draw legitimate traffic: i.i.d. Poisson(baseline_rate) counts, labels 0."""
+def generate_baseline(cfg: SynthesisConfig) -> IntervalSeries:
+    """Draw legitimate traffic: i.i.d. Poisson(baseline_rate) 10-second counts, labels 0."""
     rng = np.random.default_rng([cfg.seed, 0])
     counts = rng.poisson(cfg.baseline_rate, size=cfg.n_intervals).astype(np.int64)
     return IntervalSeries(counts, np.zeros(cfg.n_intervals, dtype=np.int64),
-                          interval_seconds=interval_seconds, origin_s=0)
+                          interval_seconds=10, origin_s=0)
 
 
 def _burst_lengths(n_attacked: int, burst_length: int) -> list[int]:

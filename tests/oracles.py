@@ -3,18 +3,27 @@
 Most of it is deliberately brute force: exhaustive enumeration, central
 finite differences and projected-gradient optimization, sharing no code
 path with the implementations under test. The rest are the plain versions
-of optimized functions (dense SMOTE, the SVR step loop that rebuilds its
-arrays), which the optimized ones must match bit for bit.
+of optimized functions (dense SMOTE, the sigma of one frame, the SVR step
+loop that rebuilds its arrays and the KKT values it reads from them), which
+the optimized ones must match bit for bit.
 """
 
 import numpy as np
 
 from synwatch.classifiers import mlp_loss_grads
 from synwatch.errors import BalancingError, ConfigError, ContractViolation
+from synwatch.framing import FRAME_WIDTH
 from synwatch.pipeline import DataSet
-from synwatch.regressors import (SMO_ITER_FACTOR, SMO_TOL, SvrModel, _svr_bias,
-                                 _svr_violation, rbf_matrix)
+from synwatch.regressors import SMO_ITER_FACTOR, SMO_TOL, SvrModel, rbf_matrix
 from synwatch.scaling import as_matrix
+
+
+def frame_sigma(values) -> float:
+    """Population standard deviation of one frame's twelve counts."""
+    if len(values) != FRAME_WIDTH:
+        raise ContractViolation(f"frame_sigma expects {FRAME_WIDTH} values, got {len(values)}")
+    v = np.asarray(values, dtype=np.float64)
+    return float(np.sqrt(np.mean((v - v.mean()) ** 2)))
 
 
 def mlp_gradcheck_worst(seed: int, step: float = 1e-4) -> float:
@@ -164,7 +173,7 @@ def smote_balance_dense(train: DataSet, k: int, seed: int) -> DataSet:
     synth = Xm[base] + u[:, None] * (Xm[picks] - Xm[base])
     X_out = np.vstack([train.X, synth])
     y_out = np.concatenate([y, np.full(n_new, minority, dtype=y.dtype)])
-    return DataSet(X_out, y_out, list(train.feature_names))
+    return DataSet(X_out, y_out)
 
 
 def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
@@ -226,3 +235,26 @@ def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
     return SvrModel(dual_deltas=theta[:n] - theta[n:], bias=bias, train_inputs=X.copy(),
                     C=C, epsilon=epsilon, gamma=gamma, converged=converged,
                     violation=float(max(violation, 0.0)), objective=objective)
+
+
+def _svr_violation(theta, y, u, epsilon, C, n):
+    val = np.concatenate((y - u - epsilon, y - u + epsilon))
+    up = np.concatenate((theta[:n] < C, theta[n:] > 0.0))
+    low = np.concatenate((theta[:n] > 0.0, theta[n:] < C))
+    if not up.any() or not low.any():
+        return 0.0
+    return float(np.where(up, val, -np.inf).max() - np.where(low, val, np.inf).min())
+
+
+def _svr_bias(theta, y, u, epsilon, C, n):
+    """KKT bias: average of the tube condition over free dual variables."""
+    val = np.concatenate((y - u - epsilon, y - u + epsilon))
+    slack = 1e-10 * max(1.0, C)
+    free = (theta > slack) & (theta < C - slack)
+    if free.any():
+        return float(val[free].mean())
+    up = np.concatenate((theta[:n] < C, theta[n:] > 0.0))
+    low = np.concatenate((theta[:n] > 0.0, theta[n:] < C))
+    hi = np.where(up, val, -np.inf).max() if up.any() else 0.0
+    lo = np.where(low, val, np.inf).min() if low.any() else 0.0
+    return float((hi + lo) / 2.0)

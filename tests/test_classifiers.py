@@ -143,17 +143,9 @@ def test_mlp_learns_separable_training_set():
     rng = np.random.default_rng(8)
     X = np.vstack([rng.poisson(50, size=(120, 12)), rng.poisson(500, size=(120, 12))])
     y = np.array([0] * 120 + [1] * 120)
-    model = mlp_fit(X, y, TrainConfig(seed=1), with_sigma=False)
+    model = mlp_fit(X, y, TrainConfig(seed=1))
     _, labels = mlp_predict(model, X)
     assert (labels == y).mean() >= 0.99
-
-
-def test_mlp_arity_enforced_with_sigma_flag():
-    X = np.random.default_rng(0).normal(size=(40, 12))
-    y = np.array([0, 1] * 20)
-    with pytest.raises(ConfigError):
-        mlp_fit(X, y, with_sigma=True)
-    mlp_fit(X, y, TrainConfig(max_epochs=1), with_sigma=False)  # 12 columns: fine
 
 
 def test_mlp_deterministic_per_seed():

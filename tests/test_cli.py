@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from synwatch.cli import main
 from synwatch.pipeline import MODEL_KINDS, PREDICTION_KINDS, read_report
-from synwatch.traffic import read_series, write_series
+from synwatch.traffic import IntervalSeries, read_series, write_series
 
 
 def _gen(tmp_path, name="s.csv", intervals=240, rate=50.0, fraction=0.2, seed=7):
@@ -228,6 +229,70 @@ def test_evaluate_model_file_of_another_family_exits_two(tmp_path, capsys):
     assert main(["evaluate", "--model", "lgr", "--series", str(series),
                  "--model-file", str(model_path), "--report", str(tmp_path / "r.txt")]) == 2
     assert "holds a mlp model" in capsys.readouterr().err
+
+
+def test_width_mismatch_between_frame_kinds_exits_two(tmp_path, capsys):
+    series = _gen(tmp_path)
+    model_path = tmp_path / "frames.txt"
+    assert main(["train", "--model", "ann_frames", "--series", str(series),
+                 "--out", str(model_path)]) == 0
+    assert main(["evaluate", "--model", "ann_frames_sigma", "--series", str(series),
+                 "--model-file", str(model_path), "--report", str(tmp_path / "r.txt")]) == 2
+    assert "model has 12 features, input has 13" in capsys.readouterr().err
+
+
+# argv and the expected config line after "subcommand=<name> ", with {d} for the
+# directory; SYN_SEED is 123 in these runs, so it shows wherever --seed is not given
+_CONFIG_LINES = [
+    (["generate", "--intervals", "60", "--rate", "20", "--out", "{d}/g.csv"],
+     "intervals=60 rate=20.0 attack_fraction=0.2 multiplier=10.0 burst=6 seed=123 "
+     "out={d}/g.csv"),
+    (["ingest", "--log", "{d}/packets.log", "--out", "{d}/i.csv"],
+     "log={d}/packets.log interval=10 dst=- out={d}/i.csv"),
+    (["inject", "--series", "{d}/c.csv", "--burst", "3", "--out", "{d}/a.csv"],
+     "series={d}/c.csv attack_fraction=0.2 multiplier=10.0 burst=3 seed=123 "
+     "baseline_rate=1.666667 out={d}/a.csv"),
+    (["frame", "--series", "{d}/s.csv", "--sigma", "--out", "{d}/f.csv"],
+     "series={d}/s.csv sigma=True out={d}/f.csv"),
+    (["elbow", "--series", "{d}/s.csv", "--kmax", "3", "--out", "{d}/e.csv"],
+     "series={d}/s.csv kmax=3 seed=123 out={d}/e.csv"),
+    (["train", "--model", "lgr", "--series", "{d}/s.csv", "--seed", "5", "--out", "{d}/m.txt"],
+     "model=lgr series={d}/s.csv grid=False seed=5 out={d}/m.txt"),
+    (["evaluate", "--model", "kmeans", "--series", "{d}/s.csv", "--report", "{d}/r.txt"],
+     "model=kmeans series={d}/s.csv model_file=- seed=123 report={d}/r.txt"),
+    (["predict", "--model", "lgr_reg", "--series", "{d}/s.csv", "--report", "{d}/r.txt",
+      "--out", "{d}/p.csv"],
+     "model=lgr_reg series={d}/s.csv grid=False seed=123 report={d}/r.txt out={d}/p.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _CONFIG_LINES, ids=[c[0][0] for c in _CONFIG_LINES])
+def test_config_line_echoes_every_argument(tmp_path, capsys, monkeypatch, argv, expected):
+    _gen(tmp_path)
+    (tmp_path / "packets.log").write_text("0,src,host\n12000,src,host\n")
+    write_series(IntervalSeries(np.array([1, 2, 2] * 10), np.zeros(30, dtype=np.int64)),
+                 tmp_path / "c.csv")  # mean 5/3
+    capsys.readouterr()
+    monkeypatch.setenv("SYN_SEED", "123")
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("config:")]
+    assert lines == [f"config: subcommand={argv[0]} " + expected.format(d=tmp_path)]
+
+
+def test_bad_seed_env_fails_only_commands_with_a_seed(tmp_path, monkeypatch, capsys):
+    series = _gen(tmp_path)
+    report = tmp_path / "r.txt"
+    main(["evaluate", "--model", "kmeans", "--series", str(series), "--report", str(report)])
+    (tmp_path / "packets.log").write_text("0,src,host\n")
+    monkeypatch.setenv("SYN_SEED", "abc")
+    capsys.readouterr()
+    assert main(["elbow", "--series", str(series), "--kmax", "2",
+                 "--out", str(tmp_path / "e.csv")]) == 2
+    assert "SYN_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert main(["ingest", "--log", str(tmp_path / "packets.log"),
+                 "--out", str(tmp_path / "i.csv")]) == 0
+    assert main(["frame", "--series", str(series), "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(["report", str(report)]) == 0
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

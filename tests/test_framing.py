@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import frame_sigma
 from synwatch.errors import ConfigError, ContractViolation
-from synwatch.framing import (FRAME_WIDTH, FramingConfig, frame_arrays, frame_sigma,
-                              make_frames, write_frames)
+from synwatch.framing import (FRAME_WIDTH, FramingConfig, frame_arrays, make_frames,
+                              write_frames)
 from synwatch.traffic import IntervalSeries
 
 

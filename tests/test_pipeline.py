@@ -1,16 +1,16 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import synwatch.pipeline as pipeline
-from oracles import smote_balance_dense
+from oracles import frame_sigma, smote_balance_dense
 from synwatch.classifiers import TrainConfig, kmeans_assign, kmeans_fit, map_clusters_to_labels
 from synwatch.errors import (ConfigError, DegenerateClusteringError, EmptyDatasetError)
-from synwatch.framing import frame_sigma
 from synwatch.metrics import r_squared, rmse
-from synwatch.pipeline import (DataSet, ExperimentConfig, auto_label_series,
+from synwatch.pipeline import (MODEL_KINDS, DataSet, ExperimentConfig, auto_label_series,
                                build_detection_dataset, read_report, run_prediction,
                                run_semi_supervised, run_supervised, run_unsupervised,
                                smote_balance, split_indices, write_predictions,
@@ -74,7 +74,7 @@ def test_split_partitions_rows():
 
 
 def test_smote_balanced_input_unchanged():
-    data = DataSet(np.arange(8.0).reshape(-1, 1), np.array([0, 1] * 4), ["x"])
+    data = DataSet(np.arange(8.0).reshape(-1, 1), np.array([0, 1] * 4))
     assert smote_balance(data, 5, seed=0) is data
 
 
@@ -82,7 +82,7 @@ def test_smote_parity_and_untouched_majority():
     rng = np.random.default_rng(2)
     X = np.vstack([rng.normal(0.0, 1.0, size=(90, 2)), rng.normal(9.0, 1.0, size=(10, 2))])
     y = np.array([0] * 90 + [1] * 10)
-    out = smote_balance(DataSet(X, y, ["a", "b"]), 5, seed=1)
+    out = smote_balance(DataSet(X, y), 5, seed=1)
     assert int((out.y == 0).sum()) == 90 and int((out.y == 1).sum()) == 90
     assert np.array_equal(out.X[:100], X)
     assert np.array_equal(out.y[:100], y)
@@ -92,7 +92,7 @@ def test_smote_synthetics_are_convex_combinations():
     rng = np.random.default_rng(3)
     X = np.vstack([rng.normal(size=(40, 3)), rng.normal(5.0, 1.0, size=(6, 3))])
     y = np.array([0] * 40 + [1] * 6)
-    out = smote_balance(DataSet(X, y, ["a", "b", "c"]), 3, seed=4)
+    out = smote_balance(DataSet(X, y), 3, seed=4)
     minority = X[y == 1]
     for row in out.X[46:]:
         # must lie on a segment between two minority points
@@ -111,7 +111,7 @@ def test_smote_synthetics_are_convex_combinations():
 
 
 def test_smote_rejects_singleton_minority():
-    data = DataSet(np.arange(5.0).reshape(-1, 1), np.array([0, 0, 0, 0, 1]), ["x"])
+    data = DataSet(np.arange(5.0).reshape(-1, 1), np.array([0, 0, 0, 0, 1]))
     with pytest.raises(ConfigError):
         smote_balance(data, 5, seed=0)
 
@@ -120,7 +120,7 @@ def test_smote_caps_k_at_minority_size():
     rng = np.random.default_rng(8)
     X = np.vstack([rng.normal(size=(20, 2)), rng.normal(6.0, 1.0, size=(3, 2))])
     y = np.array([0] * 20 + [1] * 3)
-    out = smote_balance(DataSet(X, y, ["a", "b"]), 50, seed=0)  # k > minority - 1
+    out = smote_balance(DataSet(X, y), 50, seed=0)  # k > minority - 1
     assert int((out.y == 1).sum()) == 20
 
 
@@ -139,7 +139,7 @@ def _smote_case(name):
     else:  # "k_above_minority": 4 minority rows, so k=5 exceeds n_min - 1
         X = rng.integers(0, 3, size=(30, 2)).astype(np.float64)
         y = np.array([1] * 4 + [0] * 26)
-    return DataSet(X, y, [f"f{i}" for i in range(X.shape[1])])
+    return DataSet(X, y)
 
 
 @pytest.mark.parametrize("name", ["counts_ties", "frames", "frames_sigma", "k_above_minority"])
@@ -162,7 +162,7 @@ def test_smote_memory_is_bounded_in_minority_size():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(4040, 13))
     y = np.array([1] * 2000 + [0] * 2040)
-    data = DataSet(X, y, [f"f{i}" for i in range(13)])
+    data = DataSet(X, y)
     tracemalloc.start()
     try:
         out = smote_balance(data, 5, seed=0)
@@ -303,10 +303,16 @@ def test_run_prediction_report_matches_series(periodic_series):
     assert np.array_equal(pred.predicted_label, (pred.predicted_raw >= 0.5).astype(int))
 
 
-def test_run_prediction_rejects_grid_for_lgr_reg(periodic_series):
-    cfg = ExperimentConfig(model_kind="lgr_reg", grid=GridSpec())
-    with pytest.raises(ConfigError):
-        run_prediction(periodic_series, cfg)
+def test_run_prediction_rejects_grid_for_lgr_reg():
+    # refused when the config is built, before any run path sees it
+    with pytest.raises(ConfigError, match="grid search does not apply to lgr_reg"):
+        ExperimentConfig(model_kind="lgr_reg", grid=GridSpec())
+
+
+@pytest.mark.parametrize("kind", [k for k in MODEL_KINDS if k not in ("krr", "svr")])
+def test_grid_rejected_for_every_non_kernel_kind(kind):
+    with pytest.raises(ConfigError, match=f"grid search does not apply to {re.escape(kind)}$"):
+        ExperimentConfig(kind, grid=GridSpec())
 
 
 def test_run_prediction_rejects_detection_kind(periodic_series):

@@ -229,7 +229,8 @@ def test_svr_fit_matches_reference_bit_for_bit(case):
     for name in ("bias", "objective", "violation"):
         assert np.float64(getattr(got, name)).tobytes() == \
             np.float64(getattr(want, name)).tobytes(), name
-    assert got.converged is want.converged
+    # svr_fit's flag is always a Python bool; the reference's is numpy's when its loop broke
+    assert got.converged is bool(want.converged)
     # each case reaches the regime it is named for
     if case == "capped":
         assert not got.converged and got.violation == pytest.approx(0.040, abs=1e-3)
