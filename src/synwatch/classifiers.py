@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -38,6 +38,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LgrModel:
+    family: ClassVar[str] = "lgr"
     weights: np.ndarray
     bias: float
     scaler: Scaler
@@ -45,6 +46,7 @@ class LgrModel:
 
 @dataclass(frozen=True)
 class MlpModel:
+    family: ClassVar[str] = "mlp"
     W1: np.ndarray  # (6, d)
     b1: np.ndarray  # (6,)
     W2: np.ndarray  # (1, 6)
@@ -54,6 +56,7 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class KMeansModel:
+    family: ClassVar[str] = "kmeans"
     centroids: np.ndarray  # (k, d)
     k: int
     wcss: float

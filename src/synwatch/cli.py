@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -254,16 +255,19 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    try:
-        if hasattr(args, "seed"):
-            args.seed = _resolve_seed(args.seed)
-        return _COMMANDS[args.subcommand](args)
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one line per warning, without the source path and line Python adds
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            if hasattr(args, "seed"):
+                args.seed = _resolve_seed(args.seed)
+            return _COMMANDS[args.subcommand](args)
+        except NumericError as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return 3
+        except (ConfigError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entrypoint() -> None:

@@ -1,9 +1,11 @@
 """Versioned plain-text model files.
 
-Layout: a `model=<kind> version=1` header, then one `name=v1 v2 ...` line
-per numeric array. Matrices store a companion `<name>_shape` line, and a
-model with an input scaler ends with `scaler_mean`/`scaler_std`. Floats
-are written with 17 significant digits so a save/load round trip is exact.
+Layout: a `model=<family> version=1` header, then one `name=v1 v2 ...`
+line per numeric array, in the order `_LAYOUT` gives for the family. A
+matrix is preceded by its `<name>_shape=rows cols` line. A K-Means model
+may end with `label_map`, and a model with an input scaler ends with
+`scaler_mean`/`scaler_std`. Floats are written with 17 significant digits
+so a save/load round trip is exact.
 """
 
 from __future__ import annotations
@@ -17,6 +19,25 @@ from .scaling import Scaler
 
 FORMAT_VERSION = 1
 
+# Each model class's arrays in file order: (line name, attribute, form). A
+# "value" holds one number, a "vector" any count, and a "matrix" its values
+# row by row after its `<name>_shape` line.
+_LAYOUT = {
+    LgrModel: (("weights", "weights", "vector"), ("bias", "bias", "value")),
+    MlpModel: (("w1", "W1", "matrix"), ("b1", "b1", "vector"),
+               ("w2", "W2", "matrix"), ("b2", "b2", "value")),
+    KMeansModel: (("k", "k", "value"), ("centroids", "centroids", "matrix"),
+                  ("wcss", "wcss", "value")),
+    KrrModel: (("lambda", "lam", "value"), ("gamma", "gamma", "value"),
+               ("alphas", "alphas", "vector"), ("train_inputs", "train_inputs", "matrix")),
+    SvrModel: (("C", "C", "value"), ("epsilon", "epsilon", "value"),
+               ("gamma", "gamma", "value"), ("dual_deltas", "dual_deltas", "vector"),
+               ("bias", "bias", "value"), ("train_inputs", "train_inputs", "matrix"),
+               ("converged", "converged", "value"), ("violation", "violation", "value"),
+               ("objective", "objective", "value")),
+}
+_CLASS_OF_FAMILY = {cls.family: cls for cls in _LAYOUT}
+
 
 def _fmt(values) -> str:
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64)).ravel()
@@ -27,59 +48,30 @@ def _emit(fh, name, values):
     fh.write(f"{name}={_fmt(values)}\n")
 
 
-def _emit_matrix(fh, name, M):
-    M = np.asarray(M, dtype=np.float64)
-    fh.write(f"{name}_shape={M.shape[0]} {M.shape[1]}\n")
-    _emit(fh, name, M)
-
-
 def save_model(model, path) -> None:
     """Write any trained model, with its input scaler when it has one."""
+    if type(model) not in _LAYOUT:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(model, LgrModel):
-            fh.write(f"model=lgr version={FORMAT_VERSION}\n")
-            _emit(fh, "weights", model.weights)
-            _emit(fh, "bias", [model.bias])
-        elif isinstance(model, MlpModel):
-            fh.write(f"model=mlp version={FORMAT_VERSION}\n")
-            _emit_matrix(fh, "w1", model.W1)
-            _emit(fh, "b1", model.b1)
-            _emit_matrix(fh, "w2", model.W2)
-            _emit(fh, "b2", [model.b2])
-        elif isinstance(model, KMeansModel):
-            fh.write(f"model=kmeans version={FORMAT_VERSION}\n")
-            _emit(fh, "k", [model.k])
-            _emit_matrix(fh, "centroids", model.centroids)
-            _emit(fh, "wcss", [model.wcss])
-            if model.label_map is not None:
-                _emit(fh, "label_map", [model.label_map[c] for c in range(model.k)])
-        elif isinstance(model, KrrModel):
-            fh.write(f"model=krr version={FORMAT_VERSION}\n")
-            _emit(fh, "lambda", [model.lam])
-            _emit(fh, "gamma", [model.gamma])
-            _emit(fh, "alphas", model.alphas)
-            _emit_matrix(fh, "train_inputs", model.train_inputs)
-        elif isinstance(model, SvrModel):
-            fh.write(f"model=svr version={FORMAT_VERSION}\n")
-            _emit(fh, "C", [model.C])
-            _emit(fh, "epsilon", [model.epsilon])
-            _emit(fh, "gamma", [model.gamma])
-            _emit(fh, "dual_deltas", model.dual_deltas)
-            _emit(fh, "bias", [model.bias])
-            _emit_matrix(fh, "train_inputs", model.train_inputs)
-            _emit(fh, "converged", [1.0 if model.converged else 0.0])
-            _emit(fh, "violation", [model.violation])
-            _emit(fh, "objective", [model.objective])
-        else:
-            raise TypeError(f"cannot serialize {type(model).__name__}")
-        scaler = getattr(model, "scaler", None)
-        if scaler is not None:
-            _emit(fh, "scaler_mean", scaler.mean)
-            _emit(fh, "scaler_std", scaler.std)
+        fh.write(f"model={model.family} version={FORMAT_VERSION}\n")
+        for name, attr, form in _LAYOUT[type(model)]:
+            if form == "matrix":
+                _emit(fh, f"{name}_shape", np.shape(getattr(model, attr)))
+            _emit(fh, name, getattr(model, attr))
+        if getattr(model, "label_map", None) is not None:
+            _emit(fh, "label_map", [model.label_map[c] for c in range(model.k)])
+        if getattr(model, "scaler", None) is not None:
+            _emit(fh, "scaler_mean", model.scaler.mean)
+            _emit(fh, "scaler_std", model.scaler.std)
 
 
-def _parse_arrays(lines):
-    """{name: values} and {name: line number} for the array lines."""
+def _parse_arrays(lines, cls):
+    """{name: values} and {name: line number} for the array lines, each of
+    which must name an array of cls's file, once, with finite values."""
+    layout = _LAYOUT[cls]
+    names = {name for name, _, _ in layout}
+    names |= {f"{name}_shape" for name, _, form in layout if form == "matrix"}
+    names |= {"label_map"} if cls is KMeansModel else {"scaler_mean", "scaler_std"}
     arrays, line_of = {}, {}
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
@@ -88,18 +80,33 @@ def _parse_arrays(lines):
             raise ParseError(line_no, f"expected name=values, got {line!r}")
         name, _, text = line.partition("=")
         name = name.strip()
+        if name in arrays:
+            raise ParseError(line_no, f"array {name!r} repeats line {line_of[name]}")
+        if name not in names:
+            raise ParseError(line_no, f"array {name!r} is not part of a {cls.family} model")
         try:
             arrays[name] = np.array([float(t) for t in text.split()])
         except ValueError:
             raise ParseError(line_no, f"non-numeric value in array {name!r}") from None
         if not len(arrays[name]):
             raise ParseError(line_no, f"array {name!r} has no values")
+        if not np.isfinite(arrays[name]).all():
+            raise ParseError(line_no, f"non-finite value in array {name!r}")
         line_of[name] = line_no
     return arrays, line_of
 
 
-def _shaped(arrays, line_of, name):
-    shape, values = arrays[f"{name}_shape"], arrays[name]
+def _read(arrays, line_of, name, form):
+    """arrays[name] in its form: a float, a vector or a matrix."""
+    values = arrays[name]
+    if form == "value":
+        if len(values) != 1:
+            raise ParseError(line_of[name], f"array {name!r} has {len(values)} values; "
+                                            f"expected 1")
+        return float(values[0])
+    if form == "vector":
+        return values
+    shape = arrays[f"{name}_shape"]
     if (len(shape) != 2 or shape.prod() != len(values) or (shape < 0).any()
             or (shape % 1 != 0).any()):
         raise ParseError(line_of[name], f"array {name!r} has {len(values)} values, "
@@ -115,67 +122,40 @@ def _sized(arrays, line_of, name, n: int, what: str):
     return arrays[name]
 
 
-def _scalar(arrays, line_of, name) -> float:
-    """arrays[name] as a float; its line must hold exactly one value."""
-    if len(arrays[name]) != 1:
-        raise ParseError(line_of[name], f"array {name!r} has {len(arrays[name])} values; "
-                                        f"expected 1")
-    return float(arrays[name][0])
-
-
-def _scaler(arrays, line_of, d: int) -> Scaler:
-    """The model's input scaler for d features (KeyError when the file has none)."""
-    return Scaler(mean=_sized(arrays, line_of, "scaler_mean", d, "feature"),
-                  std=_sized(arrays, line_of, "scaler_std", d, "feature"))
-
-
-def _load(kind, arrays, line_of):
-    if kind == "lgr":
-        return LgrModel(weights=arrays["weights"], bias=_scalar(arrays, line_of, "bias"),
-                        scaler=_scaler(arrays, line_of, len(arrays["weights"])))
-    if kind == "mlp":
-        W1 = _shaped(arrays, line_of, "w1")
-        W2 = _shaped(arrays, line_of, "w2")
-        if W2.shape != (1, W1.shape[0]):
-            raise ParseError(line_of["w2"], f"w2 has shape {W2.shape[0]} {W2.shape[1]}; "
-                                            f"expected 1 {W1.shape[0]}, one per w1 row")
-        return MlpModel(W1=W1, b1=_sized(arrays, line_of, "b1", W1.shape[0], "w1 row"),
-                        W2=W2, b2=_scalar(arrays, line_of, "b2"),
-                        scaler=_scaler(arrays, line_of, W1.shape[1]))
-    if kind == "kmeans":
-        centroids = _shaped(arrays, line_of, "centroids")
-        k = arrays["k"]
-        if len(k) != 1 or k[0] != len(centroids):
-            raise ParseError(line_of["k"], f"k={_fmt(k)} does not match the "
-                                           f"{len(centroids)} centroid row(s)")
-        label_map = None
+def _load(cls, arrays, line_of):
+    """cls from its arrays; only the checks between arrays differ by family."""
+    f = {attr: _read(arrays, line_of, name, form) for name, attr, form in _LAYOUT[cls]}
+    if cls is KMeansModel:
+        rows = len(f["centroids"])
+        if f["k"] != rows:
+            raise ParseError(line_of["k"], f"k={_fmt(f['k'])} does not match the "
+                                           f"{rows} centroid row(s)")
+        f["k"] = rows
         if "label_map" in arrays:
-            values = _sized(arrays, line_of, "label_map", len(centroids), "cluster")
+            values = _sized(arrays, line_of, "label_map", rows, "cluster")
             if not np.isin(values, (0, 1)).all():
                 raise ParseError(line_of["label_map"], "label_map values must be 0 or 1")
-            label_map = {c: int(v) for c, v in enumerate(values)}
-        return KMeansModel(centroids=centroids, k=len(centroids),
-                           wcss=_scalar(arrays, line_of, "wcss"), label_map=label_map)
-    if kind in ("krr", "svr"):
-        X = _shaped(arrays, line_of, "train_inputs")
-        scaler = _scaler(arrays, line_of, X.shape[1]) if "scaler_mean" in arrays else None
-        gamma = _scalar(arrays, line_of, "gamma")
-        if kind == "krr":
-            return KrrModel(alphas=_sized(arrays, line_of, "alphas", len(X), "training row"),
-                            train_inputs=X, lam=_scalar(arrays, line_of, "lambda"), gamma=gamma,
-                            scaler=scaler)
-        converged = _scalar(arrays, line_of, "converged")
-        if converged not in (0.0, 1.0):
+            f["label_map"] = {c: int(v) for c, v in enumerate(values)}
+    elif cls is LgrModel:
+        width = len(f["weights"])
+    elif cls is MlpModel:
+        rows, width = f["W1"].shape
+        if f["W2"].shape != (1, rows):
+            raise ParseError(line_of["w2"], f"w2 has shape {_fmt(f['W2'].shape)}; "
+                                            f"expected 1 {rows}, one per w1 row")
+        _sized(arrays, line_of, "b1", rows, "w1 row")
+    else:
+        rows, width = f["train_inputs"].shape
+        _sized(arrays, line_of, "alphas" if cls is KrrModel else "dual_deltas", rows,
+               "training row")
+    if cls is SvrModel:
+        if f["converged"] not in (0.0, 1.0):
             raise ParseError(line_of["converged"], "converged must be 0 or 1")
-        return SvrModel(dual_deltas=_sized(arrays, line_of, "dual_deltas", len(X),
-                                           "training row"),
-                        bias=_scalar(arrays, line_of, "bias"), train_inputs=X,
-                        C=_scalar(arrays, line_of, "C"),
-                        epsilon=_scalar(arrays, line_of, "epsilon"), gamma=gamma,
-                        converged=converged == 1.0,
-                        violation=_scalar(arrays, line_of, "violation"),
-                        objective=_scalar(arrays, line_of, "objective"), scaler=scaler)
-    raise ParseError(1, f"unknown model kind {kind!r}")
+        f["converged"] = f["converged"] == 1.0
+    if {"scaler_mean", "scaler_std"} & arrays.keys() or cls in (LgrModel, MlpModel):
+        f["scaler"] = Scaler(mean=_sized(arrays, line_of, "scaler_mean", width, "feature"),
+                             std=_sized(arrays, line_of, "scaler_std", width, "feature"))
+    return cls(**f)
 
 
 def load_model(path):
@@ -190,11 +170,16 @@ def load_model(path):
         raise ParseError(1, "missing model header")
     if any("=" not in part for part in lines[0].split()):
         raise ParseError(1, f"expected key=value header fields, got {lines[0]!r}")
+    if sorted(part.partition("=")[0] for part in lines[0].split()) != ["model", "version"]:
+        raise ParseError(1, f"header must set model and version once each, got {lines[0]!r}")
     header = dict(part.split("=", 1) for part in lines[0].split())
-    if header.get("version") != str(FORMAT_VERSION):
-        raise ParseError(1, f"unsupported model version {header.get('version')!r}")
-    arrays, line_of = _parse_arrays(lines[1:])
+    if header["version"] != str(FORMAT_VERSION):
+        raise ParseError(1, f"unsupported model version {header['version']!r}")
+    cls = _CLASS_OF_FAMILY.get(header["model"])
+    if cls is None:
+        raise ParseError(1, f"unknown model kind {header['model']!r}")
+    arrays, line_of = _parse_arrays(lines[1:], cls)
     try:
-        return _load(header.get("model"), arrays, line_of)
+        return _load(cls, arrays, line_of)
     except KeyError as exc:
         raise ParseError(1, f"model file missing array {exc}") from None

@@ -75,19 +75,21 @@ class ExperimentConfig:
         if self.grid is not None and self.model_kind not in ("krr", "svr"):
             raise ConfigError(f"grid search does not apply to {self.model_kind}")
 
-    def echo(self, train_cfg: TrainConfig) -> dict:
+    def echo(self, train_cfg: Optional[TrainConfig]) -> dict:
+        """The report's [config] block; train_cfg is None for a kind that reads none."""
         items = {
             "model_kind": self.model_kind,
             "split_ratio": SPLIT_RATIO,
             "smote_k": SMOTE_K,
             "seed": self.seed,
-            "learning_rate": train_cfg.learning_rate,
-            "max_epochs": train_cfg.max_epochs,
-            "tolerance": train_cfg.tolerance,
-            "l2": train_cfg.l2,
-            "train_seed": train_cfg.seed,
-            "grid": "yes" if self.grid is not None else "no",
         }
+        if train_cfg is not None:
+            items["learning_rate"] = train_cfg.learning_rate
+            items["max_epochs"] = train_cfg.max_epochs
+            items["tolerance"] = train_cfg.tolerance
+            items["l2"] = train_cfg.l2
+            items["train_seed"] = train_cfg.seed
+        items["grid"] = "yes" if self.grid is not None else "no"
         return items
 
 
@@ -225,7 +227,7 @@ def auto_label_series(series: IntervalSeries, train_cfg: TrainConfig) -> np.ndar
 
 
 def _family(kind: str) -> str:
-    """The model a kind fits: lgr, mlp, kmeans, krr or svr (kmeans+X fits X's)."""
+    """The `family` of the model a kind fits (kmeans+X fits X's)."""
     base = kind.split("+", 1)[-1]
     if base.startswith("ann"):
         return "mlp"
@@ -234,11 +236,6 @@ def _family(kind: str) -> str:
 
 def _variant(kind: str) -> str:
     return _VARIANT_OF[kind.split("+", 1)[-1]]
-
-
-_FAMILY_OF_MODEL = {classifiers.LgrModel: "lgr", classifiers.MlpModel: "mlp",
-                    classifiers.KMeansModel: "kmeans", regressors.KrrModel: "krr",
-                    regressors.SvrModel: "svr"}
 
 
 def _training_dataset(series: IntervalSeries, cfg: ExperimentConfig) -> DataSet:
@@ -364,7 +361,7 @@ def score_model(model, series: IntervalSeries, cfg: ExperimentConfig) -> EvalRep
     """Score a fitted model over every row of the series, as
     `evaluate --model-file` reports it. The report's config is left empty."""
     kind = cfg.model_kind
-    held, needed = _FAMILY_OF_MODEL.get(type(model)), _family(kind)
+    held, needed = model.family, _family(kind)
     if held != needed:
         raise ConfigError(f"model file holds a {held} model; {kind} needs {needed}")
     if kind in PREDICTION_KINDS:
@@ -434,7 +431,7 @@ def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
         raise EmptyDatasetError("need at least 2 intervals to forecast")
     n_train = int(SPLIT_RATIO * n)  # in [1, n - 1] for n >= 2
     X_raw = _forecast_features(series)
-    echo = cfg.echo(default_train_cfg("lgr", cfg.seed))
+    echo = cfg.echo(default_train_cfg("lgr", cfg.seed) if cfg.model_kind == "lgr_reg" else None)
     t0 = time.perf_counter()
     model, chosen, _ = _fit_forecaster(
         X_raw[:n_train], series.labels[:n_train].astype(np.float64), cfg)

@@ -8,7 +8,7 @@ Grid search scores hyperparameter cells by k-fold validation RMSE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -22,6 +22,7 @@ SMO_ITER_FACTOR = 100
 
 @dataclass(frozen=True)
 class KrrModel:
+    family: ClassVar[str] = "krr"
     alphas: np.ndarray
     train_inputs: np.ndarray
     lam: float
@@ -31,6 +32,7 @@ class KrrModel:
 
 @dataclass(frozen=True)
 class SvrModel:
+    family: ClassVar[str] = "svr"
     dual_deltas: np.ndarray  # alpha_i - alpha*_i, in [-C, C]
     bias: float
     train_inputs: np.ndarray

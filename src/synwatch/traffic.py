@@ -252,12 +252,17 @@ def read_series(path) -> IntervalSeries:
     if not lines:
         raise ParseError(1, "missing series header")
     header = lines[0].split(",")
+    if sorted(part.partition("=")[0] for part in header) != ["interval_seconds", "origin_s"]:
+        raise ParseError(1, f"series header must set interval_seconds and origin_s once "
+                            f"each, got {lines[0]!r}")
     try:
         fields = dict(part.split("=", 1) for part in header)
         interval_seconds = int(fields["interval_seconds"])
         origin_s = int(fields["origin_s"])
-    except (ValueError, KeyError):
+    except ValueError:
         raise ParseError(1, f"bad series header {lines[0]!r}") from None
+    if interval_seconds < 1:
+        raise ParseError(1, "interval_seconds must be >= 1")
     counts, labels = [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():

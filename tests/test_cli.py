@@ -149,6 +149,16 @@ def test_predict_writes_report_and_series(tmp_path, periodic_series):
     assert all(len(line.split(",")) == 4 for line in lines)
 
 
+def test_krr_report_echoes_no_training_settings(tmp_path, periodic_series):
+    series, report = tmp_path / "p.csv", tmp_path / "r.txt"
+    write_series(periodic_series, series)
+    assert main(["predict", "--model", "krr", "--series", str(series),
+                 "--report", str(report), "--out", str(tmp_path / "p.out")]) == 0
+    assert [k for k in read_report(report) if k.startswith("config.")] == [
+        "config.model_kind", "config.split_ratio", "config.smote_k", "config.seed",
+        "config.grid", "config.chosen_gamma", "config.chosen_lam"]
+
+
 def test_predict_deterministic_bytes(tmp_path, periodic_series):
     series_path = tmp_path / "p.csv"
     write_series(periodic_series, series_path)
@@ -176,6 +186,17 @@ def test_train_then_evaluate_model_file(tmp_path):
     # the file cannot say whether a grid chose its parameters, so no grid= line
     assert {k: v for k, v in report.items() if k.startswith("config.")} == {
         "config.model_kind": "lgr", "config.seed": "5", "config.model_file": str(model_path)}
+
+
+def test_train_prints_each_warning_on_one_line(tmp_path, capsys):
+    series = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--model", "lgr", "--series", str(series),
+                 "--out", str(tmp_path / "m.txt")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: lgr_fit hit its cap of 5000 epochs ")
+    assert ".py:" not in lines[0]
 
 
 def test_train_kmeans_model_file(tmp_path):

@@ -109,6 +109,38 @@ def test_lgr_file_text(tmp_path):
                                 "scaler_std=10 0.5\n")
 
 
+def test_mlp_file_text(tmp_path):
+    model = MlpModel(W1=np.array([[0.5, -1.0], [2.0, 0.25]]), b1=np.array([0.125, -0.5]),
+                     W2=np.array([[1.5, -2.0]]), b2=0.75,
+                     scaler=Scaler(mean=np.array([50.0, 2.5]), std=np.array([10.0, 0.5])))
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    assert path.read_text() == ("model=mlp version=1\n"
+                                "w1_shape=2 2\n"
+                                "w1=0.5 -1 2 0.25\n"
+                                "b1=0.125 -0.5\n"
+                                "w2_shape=1 2\n"
+                                "w2=1.5 -2\n"
+                                "b2=0.75\n"
+                                "scaler_mean=50 2.5\n"
+                                "scaler_std=10 0.5\n")
+
+
+def test_kmeans_file_text_with_and_without_label_map(tmp_path):
+    bare = KMeansModel(centroids=np.array([[50.0], [512.5]]), k=2, wcss=1234.5)
+    head = ("model=kmeans version=1\n"
+            "k=2\n"
+            "centroids_shape=2 1\n"
+            "centroids=50 512.5\n"
+            "wcss=1234.5\n")
+    path = tmp_path / "bare.txt"
+    save_model(bare, path)
+    assert path.read_text() == head
+    save_model(KMeansModel(centroids=bare.centroids, k=2, wcss=bare.wcss,
+                           label_map={0: 1, 1: 0}), path)
+    assert path.read_text() == head + "label_map=1 0\n"
+
+
 def test_krr_file_text_with_scaler(tmp_path):
     model = KrrModel(alphas=np.array([0.5, -0.25]),
                      train_inputs=np.array([[1.0, 2.0], [-1.0, 0.5]]), lam=0.125, gamma=2.0,
@@ -204,6 +236,7 @@ MALFORMED = {
     "no_scaler": (_LGR, "lgr",
                   lambda lines: [ln for ln in lines if not ln.startswith("scaler_")], 1),
     "header_token": (_LGR, "lgr", lambda lines: [lines[0] + " stray"] + lines[1:], 1),
+    "header_unknown_key": (_LGR, "lgr", lambda lines: [lines[0] + " seed=5"] + lines[1:], 1),
     "shape_mismatch": (_MLP, "ann", _set("w1_shape", "6 2"), 3),
     "k_not_centroid_rows": (_KMEANS, "kmeans", _set("k", "3"), 2),
     "label_map_count": (_KMEANS, "kmeans", _set("label_map", "1"), 6),
@@ -220,6 +253,9 @@ MALFORMED = {
     "krr_lambda_two_values": (_KRR, "krr", _set("lambda", "1 1"), 2),
     "svr_gamma_two_values": (_SVR, "svr", _set("gamma", "0.5 0.5"), 4),
     "svr_converged_value": (_SVR, "svr", _set("converged", "0.5"), 9),
+    "non_finite_value": (_LGR, "lgr", _set("weights", "nan"), 2),
+    "repeated_array": (_LGR, "lgr", lambda lines: lines + ["bias=5"], 6),
+    "array_not_in_layout": (_KMEANS, "kmeans", lambda lines: lines + ["scaler_mean=1"], 7),
 }
 
 

@@ -208,9 +208,12 @@ def test_series_file_round_trip(tmp_path, small_series):
 
 def test_series_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("nonsense\n0,1,0\n")
-    with pytest.raises(ParseError, match="line 1"):
-        read_series(path)
+    for header in ("nonsense", "interval_seconds=0,origin_s=0",
+                   "interval_seconds=10,origin_s=0,origin_s=5",
+                   "interval_seconds=10,origin_s=0,rate=5", "interval_seconds=10"):
+        path.write_text(header + "\n0,1,0\n")
+        with pytest.raises(ParseError, match="line 1"):
+            read_series(path)
 
 
 def test_series_file_rejects_out_of_order_rows(tmp_path):
