@@ -19,21 +19,21 @@ from .scaling import Scaler, as_matrix
 
 HIDDEN_WIDTH = 6
 BATCH_SIZE = 32
+# lgr_fit stops once its gradient max-norm is at most TOLERANCE; LGR and MLP
+# fits penalize their weights by L2/2 times the squared norm.
+TOLERANCE = 1e-6
+L2 = 1e-4
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
     max_epochs: int = 200
-    tolerance: float = 1e-6
-    l2: float = 1e-4
     seed: int = 42
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs <= 0 or self.tolerance <= 0:
-            raise ConfigError("learning_rate, max_epochs and tolerance must be positive")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
+        if self.learning_rate <= 0 or self.max_epochs <= 0:
+            raise ConfigError("learning_rate and max_epochs must be positive")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
 
     Steps that would raise the loss are halved until they do not, so the
     recorded loss sequence never increases. Stops when the gradient
-    max-norm falls below cfg.tolerance or after cfg.max_epochs; in the
+    max-norm falls below TOLERANCE or after cfg.max_epochs; in the
     latter case, if the final gradient is still above the tolerance, a
     RuntimeWarning names the cap and that gradient.
     """
@@ -109,17 +109,17 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
     w = np.zeros(Xs.shape[1])
     b = 0.0
     step = cfg.learning_rate
-    loss = _lgr_loss(Xs, y, w, b, cfg.l2)
+    loss = _lgr_loss(Xs, y, w, b, L2)
     if loss_history is not None:
         loss_history.append(loss)
     for _ in range(cfg.max_epochs):
-        gw, gb = _lgr_grad(Xs, y, w, b, cfg.l2)
-        if max(np.abs(gw).max(), abs(gb)) <= cfg.tolerance:
+        gw, gb = _lgr_grad(Xs, y, w, b, L2)
+        if max(np.abs(gw).max(), abs(gb)) <= TOLERANCE:
             break
         while True:
             w_new = w - step * gw
             b_new = b - step * gb
-            loss_new = _lgr_loss(Xs, y, w_new, b_new, cfg.l2)
+            loss_new = _lgr_loss(Xs, y, w_new, b_new, L2)
             if loss_new <= loss or step < 1e-18:
                 break
             step *= 0.5
@@ -130,11 +130,11 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
         if loss_history is not None:
             loss_history.append(loss)
     else:  # every epoch ran: say so unless the last step happened to converge
-        gw, gb = _lgr_grad(Xs, y, w, b, cfg.l2)
+        gw, gb = _lgr_grad(Xs, y, w, b, L2)
         grad_norm = max(np.abs(gw).max(), abs(gb))
-        if grad_norm > cfg.tolerance:
+        if grad_norm > TOLERANCE:
             warnings.warn(f"lgr_fit hit its cap of {cfg.max_epochs} epochs with gradient "
-                          f"max-norm {grad_norm:.3e} above tolerance {cfg.tolerance:g}",
+                          f"max-norm {grad_norm:.3e} above tolerance {TOLERANCE:g}",
                           RuntimeWarning, stacklevel=2)
     return LgrModel(weights=w, bias=b, scaler=scaler)
 
@@ -202,7 +202,7 @@ def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
         for start in range(0, n, BATCH_SIZE):
             batch = order[start:start + BATCH_SIZE]
             _, (dW1, db1, dW2, db2) = mlp_loss_grads(
-                W1, b1, W2, b2, Xs[batch], y[batch], cfg.l2)
+                W1, b1, W2, b2, Xs[batch], y[batch], L2)
             W1 -= cfg.learning_rate * dW1
             b1 -= cfg.learning_rate * db1
             W2 -= cfg.learning_rate * dW2

@@ -1,12 +1,14 @@
 """Experiment orchestration: the four run families and their reports.
 
-Detection runs (supervised, unsupervised, semi-supervised) classify
-intervals or frames; the prediction run forecasts the 0/1 attack status
-over the chronological tail of the series. Every run is deterministic per
-(series, config seeds) except its two wall-clock timing fields.
+Every run builds the kind's rows, splits them, fits the train rows (to
+K-Means pseudo-labels for the kmeans+* kinds) and scores the test rows
+against ground truth. The families differ only in the split: stratified
+for detection, none for K-Means, chronological for forecasting the 0/1
+attack status of the series' tail. Runs are deterministic per (series,
+config seeds) except their two timing fields.
 
-Each model kind is fitted and predicted in one place, which the runners,
-`fit_model` (every row, for saved models) and `score_model` all share.
+A kind's rows, fit labels, fit and predict are each decided in one place,
+which the runners, `fit_model` (every row) and `score_model` share.
 """
 
 from __future__ import annotations
@@ -31,14 +33,10 @@ SUPERVISED_KINDS = ("lgr", "ann", "ann_frames", "ann_frames_sigma")
 SEMI_KINDS = ("kmeans+lgr", "kmeans+ann", "kmeans+ann_frames", "kmeans+ann_frames_sigma")
 PREDICTION_KINDS = ("krr", "svr", "lgr_reg")
 MODEL_KINDS = SUPERVISED_KINDS + ("kmeans",) + SEMI_KINDS + PREDICTION_KINDS
+_SMOTE_KINDS = SUPERVISED_KINDS + SEMI_KINDS  # detection LGR/MLP fits balance first
 
-_VARIANT_OF = {
-    "kmeans": "per_interval",
-    "lgr": "per_interval",
-    "ann": "per_interval",
-    "ann_frames": "frames",
-    "ann_frames_sigma": "frames_sigma",
-}
+_VARIANT_OF = {"kmeans": "per_interval", "lgr": "per_interval", "ann": "per_interval",
+               "ann_frames": "frames", "ann_frames_sigma": "frames_sigma"}
 
 
 # Logistic fits are cheap full-batch solves of a convex problem, so they run
@@ -75,20 +73,18 @@ class ExperimentConfig:
         if self.grid is not None and self.model_kind not in ("krr", "svr"):
             raise ConfigError(f"grid search does not apply to {self.model_kind}")
 
-    def echo(self, train_cfg: Optional[TrainConfig]) -> dict:
-        """The report's [config] block; train_cfg is None for a kind that reads none."""
-        items = {
-            "model_kind": self.model_kind,
-            "split_ratio": SPLIT_RATIO,
-            "smote_k": SMOTE_K,
-            "seed": self.seed,
-        }
-        if train_cfg is not None:
-            items["learning_rate"] = train_cfg.learning_rate
-            items["max_epochs"] = train_cfg.max_epochs
-            items["tolerance"] = train_cfg.tolerance
-            items["l2"] = train_cfg.l2
-            items["train_seed"] = train_cfg.seed
+    def echo(self) -> dict:
+        """The report's [config] block: the settings the kind's fit reads."""
+        items = {"model_kind": self.model_kind, "split_ratio": SPLIT_RATIO}
+        if self.model_kind in _SMOTE_KINDS:
+            items["smote_k"] = SMOTE_K
+        items["seed"] = self.seed
+        family = _family(self.model_kind)
+        if family in _FAMILY_TRAIN_DEFAULTS:
+            train = default_train_cfg(family, self.seed)
+            items.update(learning_rate=train.learning_rate, max_epochs=train.max_epochs,
+                         tolerance=classifiers.TOLERANCE, l2=classifiers.L2,
+                         train_seed=train.seed)
         items["grid"] = "yes" if self.grid is not None else "no"
         return items
 
@@ -223,7 +219,7 @@ def auto_label_series(series: IntervalSeries, train_cfg: TrainConfig) -> np.ndar
 
 
 # --------------------------------------------------------------------------
-# one fit and one predict per model kind
+# one row builder, one label rule, one fit and one predict per model kind
 
 
 def _family(kind: str) -> str:
@@ -234,30 +230,24 @@ def _family(kind: str) -> str:
     return "lgr" if base.startswith("lgr") else base
 
 
-def _variant(kind: str) -> str:
-    return _VARIANT_OF[kind.split("+", 1)[-1]]
+def _rows(series: IntervalSeries, kind: str) -> DataSet:
+    """The kind's rows over the series with the series' labels: (interval
+    start, count) for the forecast kinds, otherwise the detection dataset."""
+    if kind in PREDICTION_KINDS:
+        return DataSet(np.column_stack([series.times_s(), series.counts]).astype(np.float64),
+                       series.labels)
+    return build_detection_dataset(series, _VARIANT_OF[kind.split("+", 1)[-1]])
 
 
-def _training_dataset(series: IntervalSeries, cfg: ExperimentConfig) -> DataSet:
-    """The kind's detection dataset, labelled as it trains: ground truth, or
-    K-Means pseudo-labels of the whole series for the kmeans+* kinds."""
-    if cfg.model_kind in SEMI_KINDS:
-        labels = auto_label_series(series, default_train_cfg("kmeans", cfg.seed))
-        if labels.min() == labels.max():
-            raise DegenerateClusteringError("pseudo-labelling produced a single class")
-        series = IntervalSeries(series.counts, labels, interval_seconds=series.interval_seconds,
-                                origin_s=series.origin_s)
-    return build_detection_dataset(series, _variant(cfg.model_kind))
-
-
-def _fit_classifier(train: DataSet, cfg: ExperimentConfig):
-    """SMOTE-balance the training rows, then fit the kind's LGR or MLP."""
-    balanced = smote_balance(train, SMOTE_K, cfg.seed + 1)
-    family = _family(cfg.model_kind)
-    train_cfg = default_train_cfg(family, cfg.seed)
-    if family == "lgr":
-        return classifiers.lgr_fit(balanced.X, balanced.y, train_cfg)
-    return classifiers.mlp_fit(balanced.X, balanced.y, train_cfg)
+def _fit_labels(series: IntervalSeries, cfg: ExperimentConfig) -> IntervalSeries:
+    """The series labelled as the kind is fitted: K-Means pseudo-labels of
+    every interval for the kmeans+* kinds, ground truth (the series) otherwise."""
+    if cfg.model_kind not in SEMI_KINDS:
+        return series
+    labels = auto_label_series(series, default_train_cfg("kmeans", cfg.seed))
+    if labels.min() == labels.max():
+        raise DegenerateClusteringError("pseudo-labelling produced a single class")
+    return replace(series, labels=labels)
 
 
 def _fit_kmeans(X: np.ndarray, train_cfg: TrainConfig):
@@ -267,37 +257,37 @@ def _fit_kmeans(X: np.ndarray, train_cfg: TrainConfig):
     return classifiers.map_clusters_to_labels(classifiers.kmeans_fit(X, 2, train_cfg))
 
 
-def _forecast_features(series: IntervalSeries) -> np.ndarray:
-    """Interval start time and packet count, one row per interval."""
-    return np.column_stack([series.times_s().astype(np.float64),
-                            series.counts.astype(np.float64)])
+def _fit(train: DataSet, cfg: ExperimentConfig):
+    """Fit cfg.model_kind on the training rows; returns (model, chosen, cv_table).
 
-
-def _fit_forecaster(X_raw: np.ndarray, y: np.ndarray, cfg: ExperimentConfig):
-    """Fit a prediction kind on (time, count) rows and 0/1 targets.
-
-    Returns (model, chosen, cv_table). KRR and SVR fit standardized rows
-    with the grid search's best cell, or the default parameters without a
-    grid, and carry the scaler in the model, as LGR does.
+    The detection LGR and MLP kinds fit SMOTE-balanced rows. KRR and SVR fit
+    standardized rows with the grid search's best cell, or the default
+    parameters without a grid, and carry the scaler in the model, as LGR
+    does; chosen is that cell and cv_table the grid's table (None without one).
     """
-    if cfg.model_kind == "lgr_reg":
-        model = classifiers.lgr_fit(X_raw, y.astype(np.int64), default_train_cfg("lgr", cfg.seed))
-        return model, {}, None
-    scaler = Scaler.fit(X_raw)
-    X = scaler.transform(X_raw)
-    table = None
+    kind, family = cfg.model_kind, _family(cfg.model_kind)
+    if kind in _SMOTE_KINDS:
+        train = smote_balance(train, SMOTE_K, cfg.seed + 1)
+    if family == "kmeans":
+        return _fit_kmeans(train.X, default_train_cfg(family, cfg.seed)), {}, None
+    if family in ("lgr", "mlp"):
+        fit = classifiers.lgr_fit if family == "lgr" else classifiers.mlp_fit
+        return fit(train.X, train.y, default_train_cfg(family, cfg.seed)), {}, None
+    scaler = Scaler.fit(train.X)
+    X, y = scaler.transform(train.X), train.y.astype(np.float64)
     if cfg.grid is not None:
-        best, table = regressors.grid_search(X, y, cfg.model_kind, cfg.grid, seed=cfg.seed)
-    elif cfg.model_kind == "krr":
-        best = {"lam": 1.0, "gamma": regressors.default_gamma(X)}
+        best, table = regressors.grid_search(X, y, kind, cfg.grid, seed=cfg.seed)
     else:
-        best = {"C": 1.0, "epsilon": 0.1, "gamma": regressors.default_gamma(X)}
-    if cfg.model_kind == "krr":
+        best = {"lam": 1.0} if kind == "krr" else {"C": 1.0, "epsilon": 0.1}
+        best, table = {**best, "gamma": regressors.default_gamma(X)}, None
+    if kind == "krr":
         model = regressors.krr_fit(X, y, best["lam"], best["gamma"])
     else:
         model = regressors.svr_fit(X, y, best["C"], best["epsilon"], best["gamma"])
         if not model.converged:
-            raise NumericError(f"SVR failed to converge (KKT violation {model.violation:.3e})")
+            raise NumericError(f"SVR failed to converge (KKT violation {model.violation:.3e}) "
+                               f"at C={best['C']:g}, epsilon={best['epsilon']:g}, "
+                               f"gamma={best['gamma']:g}")
     return replace(model, scaler=scaler), best, table
 
 
@@ -346,15 +336,8 @@ def fit_model(series: IntervalSeries, cfg: ExperimentConfig):
     Returns (model, cv_table): cv_table is the grid search's table when
     cfg.grid is set, None otherwise.
     """
-    kind = cfg.model_kind
-    if kind in PREDICTION_KINDS:
-        model, _, table = _fit_forecaster(
-            _forecast_features(series), series.labels.astype(np.float64), cfg)
-        return model, table
-    if kind == "kmeans":
-        X = build_detection_dataset(series, _variant(kind)).X
-        return _fit_kmeans(X, default_train_cfg("kmeans", cfg.seed)), None
-    return _fit_classifier(_training_dataset(series, cfg), cfg), None
+    model, _, table = _fit(_rows(_fit_labels(series, cfg), cfg.model_kind), cfg)
+    return model, table
 
 
 def score_model(model, series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
@@ -364,56 +347,65 @@ def score_model(model, series: IntervalSeries, cfg: ExperimentConfig) -> EvalRep
     held, needed = model.family, _family(kind)
     if held != needed:
         raise ConfigError(f"model file holds a {held} model; {kind} needs {needed}")
-    if kind in PREDICTION_KINDS:
-        X, truth = _forecast_features(series), series.labels
-    else:
-        data = build_detection_dataset(series, _variant(kind))
-        X, truth = data.X, data.y
-    return _score(kind, model, X, truth, 0.0, {})[0]
+    rows = _rows(series, kind)
+    return _score(kind, model, rows.X, rows.y, 0.0, {})[0]
 
 
 # --------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each splits the kind's rows into (train, test) its own way
 
 
-def _detection_report(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
-    """Shared supervised core: split, SMOTE, fit, score the test rows against ground truth."""
-    working = _training_dataset(series, cfg)
-    truth = build_detection_dataset(series, _variant(cfg.model_kind)).y
-    tr_idx, te_idx = split_indices(working.y, SPLIT_RATIO, cfg.seed)
-    train = DataSet(working.X[tr_idx], working.y[tr_idx])
+def _stratified(y, seed: int):
+    """Detection: a seeded SPLIT_RATIO share of each class trains."""
+    return split_indices(y, SPLIT_RATIO, seed)
+
+
+def _every_row(y, seed: int):
+    """K-Means fits every row and is scored on every row."""
+    return slice(None), slice(None)
+
+
+def _chronological(y, seed: int):
+    """Forecasting: the SPLIT_RATIO head trains, the tail is forecast."""
+    if len(y) < 2:
+        raise EmptyDatasetError("need at least 2 intervals to forecast")
+    n_train = int(SPLIT_RATIO * len(y))  # in [1, n - 1] for n >= 2
+    return slice(n_train), slice(n_train, None)
+
+
+def _run(runner: str, kinds, split, series: IntervalSeries, cfg: ExperimentConfig):
+    """Split the kind's rows, fit the train rows as the kind is labelled, and
+    score the test rows against ground truth. Returns the report, the test
+    rows' selector, raw outputs and labels."""
+    kind = cfg.model_kind
+    if kind not in kinds:
+        raise ConfigError(f"{runner} cannot run {kind!r}")
+    labelled = _fit_labels(series, cfg)
+    rows = _rows(labelled, kind)
+    truth = rows.y if labelled is series else _rows(series, kind).y
+    train, test = split(rows.y, cfg.seed)
     t0 = time.perf_counter()
-    model = _fit_classifier(train, cfg)
+    model, chosen, _ = _fit(DataSet(rows.X[train], rows.y[train]), cfg)
     train_seconds = time.perf_counter() - t0
-    echo = cfg.echo(default_train_cfg(_family(cfg.model_kind), cfg.seed))
-    return _score(cfg.model_kind, model, working.X[te_idx], truth[te_idx],
-                  train_seconds, echo)[0]
+    echo = cfg.echo()
+    echo.update({f"chosen_{k}": v for k, v in sorted(chosen.items())})
+    report, raw, y_pred = _score(kind, model, rows.X[test], truth[test], train_seconds, echo)
+    return report, test, raw, y_pred
 
 
 def run_supervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """Detection from ground-truth labels: split, SMOTE, fit, score on the test split."""
-    if cfg.model_kind not in SUPERVISED_KINDS:
-        raise ConfigError(f"run_supervised cannot run {cfg.model_kind!r}")
-    return _detection_report(series, cfg)
+    return _run("run_supervised", SUPERVISED_KINDS, _stratified, series, cfg)[0]
 
 
 def run_unsupervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """K-Means over every interval; cluster labels scored against ground truth."""
-    if cfg.model_kind != "kmeans":
-        raise ConfigError(f"run_unsupervised cannot run {cfg.model_kind!r}")
-    data = build_detection_dataset(series, _variant("kmeans"))
-    train_cfg = default_train_cfg("kmeans", cfg.seed)
-    t0 = time.perf_counter()
-    model = _fit_kmeans(data.X, train_cfg)
-    train_seconds = time.perf_counter() - t0
-    return _score("kmeans", model, data.X, data.y, train_seconds, cfg.echo(train_cfg))[0]
+    return _run("run_unsupervised", ("kmeans",), _every_row, series, cfg)[0]
 
 
 def run_semi_supervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """K-Means pseudo-labels feed the supervised path; scoring stays on ground truth."""
-    if cfg.model_kind not in SEMI_KINDS:
-        raise ConfigError(f"run_semi_supervised cannot run {cfg.model_kind!r}")
-    return _detection_report(series, cfg)
+    return _run("run_semi_supervised", SEMI_KINDS, _stratified, series, cfg)[0]
 
 
 def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
@@ -424,37 +416,22 @@ def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
     training head. Continuous outputs are thresholded at 0.5 for status
     decisions; r2/rmse are computed on the raw outputs.
     """
-    if cfg.model_kind not in PREDICTION_KINDS:
-        raise ConfigError(f"run_prediction cannot run {cfg.model_kind!r}")
-    n = len(series)
-    if n < 2:
-        raise EmptyDatasetError("need at least 2 intervals to forecast")
-    n_train = int(SPLIT_RATIO * n)  # in [1, n - 1] for n >= 2
-    X_raw = _forecast_features(series)
-    echo = cfg.echo(default_train_cfg("lgr", cfg.seed) if cfg.model_kind == "lgr_reg" else None)
-    t0 = time.perf_counter()
-    model, chosen, _ = _fit_forecaster(
-        X_raw[:n_train], series.labels[:n_train].astype(np.float64), cfg)
-    train_seconds = time.perf_counter() - t0
-    echo.update({f"chosen_{k}": v for k, v in sorted(chosen.items())})
-    report, raw, y_pred = _score(cfg.model_kind, model, X_raw[n_train:],
-                                 series.labels[n_train:], train_seconds, echo)
-    pred_series = PredictionSeries(times_s=X_raw[n_train:, 0].astype(np.int64),
-                                   actual=series.labels[n_train:].astype(np.int64),
-                                   predicted_raw=np.asarray(raw, dtype=np.float64),
-                                   predicted_label=np.asarray(y_pred, dtype=np.int64))
-    return report, pred_series
+    report, test, raw, y_pred = _run("run_prediction", PREDICTION_KINDS, _chronological,
+                                     series, cfg)
+    return report, PredictionSeries(times_s=series.times_s()[test],
+                                    actual=series.labels[test].copy(),
+                                    predicted_raw=np.asarray(raw, dtype=np.float64),
+                                    predicted_label=np.asarray(y_pred, dtype=np.int64))
 
 
 def run_experiment(series: IntervalSeries, cfg: ExperimentConfig):
     """Dispatch to the run family that owns cfg.model_kind."""
-    if cfg.model_kind in SUPERVISED_KINDS:
-        return run_supervised(series, cfg)
-    if cfg.model_kind == "kmeans":
-        return run_unsupervised(series, cfg)
-    if cfg.model_kind in SEMI_KINDS:
-        return run_semi_supervised(series, cfg)
-    return run_prediction(series, cfg)[0]
+    kind = cfg.model_kind
+    if kind in PREDICTION_KINDS:
+        return run_prediction(series, cfg)[0]
+    run = (run_supervised if kind in SUPERVISED_KINDS
+           else run_unsupervised if kind == "kmeans" else run_semi_supervised)
+    return run(series, cfg)
 
 
 # --------------------------------------------------------------------------

@@ -155,8 +155,19 @@ def test_krr_report_echoes_no_training_settings(tmp_path, periodic_series):
     assert main(["predict", "--model", "krr", "--series", str(series),
                  "--report", str(report), "--out", str(tmp_path / "p.out")]) == 0
     assert [k for k in read_report(report) if k.startswith("config.")] == [
-        "config.model_kind", "config.split_ratio", "config.smote_k", "config.seed",
+        "config.model_kind", "config.split_ratio", "config.seed",
         "config.grid", "config.chosen_gamma", "config.chosen_lam"]
+
+
+def test_kmeans_report_echoes_training_settings_but_no_smote_k(tmp_path):
+    series, report = _gen(tmp_path), tmp_path / "r.txt"
+    assert main(["evaluate", "--model", "kmeans", "--series", str(series),
+                 "--report", str(report)]) == 0
+    assert {k: v for k, v in read_report(report).items() if k.startswith("config.")} == {
+        "config.model_kind": "kmeans", "config.split_ratio": "0.8", "config.seed": "42",
+        "config.learning_rate": "0.01", "config.max_epochs": "200",
+        "config.tolerance": "1e-06", "config.l2": "0.0001", "config.train_seed": "42",
+        "config.grid": "no"}
 
 
 def test_predict_deterministic_bytes(tmp_path, periodic_series):
@@ -197,6 +208,16 @@ def test_train_prints_each_warning_on_one_line(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("warning: lgr_fit hit its cap of 5000 epochs ")
     assert ".py:" not in lines[0]
+
+
+def test_unconverged_svr_refit_names_its_grid_cell(tmp_path, capsys):
+    series = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["train", "--model", "svr", "--grid", "--series", str(series),
+                 "--out", str(tmp_path / "m.txt")]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: SVR failed to converge (KKT violation 4.911e-03) "
+        "at C=100, epsilon=0.01, gamma=0.1\n")
 
 
 def test_train_kmeans_model_file(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 import synwatch.pipeline as pipeline
 from oracles import frame_sigma, smote_balance_dense
 from synwatch.classifiers import TrainConfig, kmeans_assign, kmeans_fit, map_clusters_to_labels
-from synwatch.errors import (ConfigError, DegenerateClusteringError, EmptyDatasetError)
+from synwatch.errors import (BalancingError, ConfigError, DegenerateClusteringError,
+                             EmptyDatasetError)
 from synwatch.metrics import r_squared, rmse
-from synwatch.pipeline import (MODEL_KINDS, DataSet, ExperimentConfig, auto_label_series,
-                               build_detection_dataset, read_report, run_prediction,
+from synwatch.pipeline import (MODEL_KINDS, PREDICTION_KINDS, DataSet, ExperimentConfig,
+                               auto_label_series, build_detection_dataset, fit_model,
+                               read_report, run_experiment, run_prediction,
                                run_semi_supervised, run_supervised, run_unsupervised,
                                smote_balance, split_indices, write_predictions,
                                write_report)
@@ -260,6 +262,21 @@ def test_semi_supervised_equals_supervised_when_labels_agree(small_series, monke
     assert semi.f1 == sup.f1
 
 
+@pytest.mark.parametrize("kind, builds", [("ann_frames", 1), ("kmeans+ann_frames", 2)])
+def test_detection_run_builds_dataset_once_per_labelling(small_series, monkeypatch, kind, builds):
+    calls = []
+    monkeypatch.setattr(pipeline, "build_detection_dataset",
+                        lambda *args: calls.append(args) or build_detection_dataset(*args))
+    run_experiment(small_series, ExperimentConfig(model_kind=kind))
+    assert len(calls) == builds
+
+
+def test_echo_names_smote_k_only_for_kinds_that_run_smote():
+    assert [k for k in MODEL_KINDS if "smote_k" in ExperimentConfig(k).echo()] == [
+        "lgr", "ann", "ann_frames", "ann_frames_sigma", "kmeans+lgr", "kmeans+ann",
+        "kmeans+ann_frames", "kmeans+ann_frames_sigma"]
+
+
 def test_semi_supervised_frame_variant():
     from synwatch.traffic import SynthesisConfig, generate_baseline, inject_attacks
     cfg = SynthesisConfig(n_intervals=1200, baseline_rate=50.0, attack_fraction=0.2,
@@ -277,6 +294,41 @@ def test_detection_runs_deterministic(small_series):
     a = run_supervised(small_series, cfg)
     b = run_supervised(small_series, cfg)
     assert _report_key(a) == _report_key(b)
+
+
+# Edge-case series and the error each detection kind raises on them, through
+# run_experiment and fit_model. Which check fails first is part of the
+# contract: the kmeans+* kinds pseudo-label the series before building rows.
+_EDGE_SERIES = {"empty": ([], []), "one_interval": ([5], [0]), "flat_11": ([5] * 11, [0] * 11)}
+_NO_INTERVALS = (EmptyDatasetError, "series has no intervals")
+_NO_FRAME = (EmptyDatasetError, "series too short for a single 12-interval frame")
+_FLAT = (DegenerateClusteringError, "all counts identical; cluster mapping undefined")
+
+
+def _edge_error(entry, series_name, kind):
+    if kind in ("ann_frames", "ann_frames_sigma"):
+        return _NO_FRAME
+    if series_name == "empty":
+        return _NO_INTERVALS
+    if kind.startswith("kmeans"):
+        return _FLAT
+    if entry == "fit_model":  # every row goes to SMOTE, which sees one class
+        return BalancingError, "minority class has 0 sample(s); need at least 2"
+    if series_name == "one_interval":  # the stratified split sees one row
+        return ConfigError, "class 0 has 1 samples; need at least 2"
+    return ConfigError, "class 1 has 0 samples; need at least 2"
+
+
+@pytest.mark.parametrize("kind", [k for k in MODEL_KINDS if k not in PREDICTION_KINDS])
+@pytest.mark.parametrize("series_name", list(_EDGE_SERIES))
+@pytest.mark.parametrize("entry", ["run_experiment", "fit_model"])
+def test_edge_series_errors_per_detection_kind(entry, series_name, kind):
+    exc_type, message = _edge_error(entry, series_name, kind)
+    series = _series(*_EDGE_SERIES[series_name])
+    run = run_experiment if entry == "run_experiment" else fit_model
+    with pytest.raises(exc_type, match=f"^{re.escape(message)}$") as info:
+        run(series, ExperimentConfig(model_kind=kind))
+    assert type(info.value) is exc_type
 
 
 # --------------------------------------------------------------------------
