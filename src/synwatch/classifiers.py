@@ -8,6 +8,7 @@ backpropagation, and Lloyd's K-Means with elbow-based k selection.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional
 
@@ -78,16 +79,15 @@ def _check_binary_labels(y) -> np.ndarray:
 # logistic regression
 
 
-def _lgr_loss(Xs, y, w, b, l2):
-    z = Xs @ w + b
-    # log(1 + e^z) - y*z, evaluated stably
+def _lgr_loss(z, y, w, l2):
+    # log(1 + e^z) - y*z, evaluated stably, for the scores z = Xs @ w + b
     bce = float(np.mean(np.logaddexp(0.0, z) - y * z))
     return bce + 0.5 * l2 * float(w @ w)
 
 
-def _lgr_grad(Xs, y, w, b, l2):
-    p = sigmoid(Xs @ w + b)
-    return Xs.T @ (p - y) / len(y) + l2 * w, float(np.mean(p - y))
+def _lgr_grad(Xs, z, y, w, l2):
+    residual = sigmoid(z) - y
+    return Xs.T @ residual / len(y) + l2 * w, float(np.mean(residual))
 
 
 def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
@@ -109,28 +109,30 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
     w = np.zeros(Xs.shape[1])
     b = 0.0
     step = cfg.learning_rate
-    loss = _lgr_loss(Xs, y, w, b, L2)
+    z = Xs @ w + b
+    loss = _lgr_loss(z, y, w, L2)
     if loss_history is not None:
         loss_history.append(loss)
     for _ in range(cfg.max_epochs):
-        gw, gb = _lgr_grad(Xs, y, w, b, L2)
+        gw, gb = _lgr_grad(Xs, z, y, w, L2)
         if max(np.abs(gw).max(), abs(gb)) <= TOLERANCE:
             break
         while True:
             w_new = w - step * gw
             b_new = b - step * gb
-            loss_new = _lgr_loss(Xs, y, w_new, b_new, L2)
+            z_new = Xs @ w_new + b_new
+            loss_new = _lgr_loss(z_new, y, w_new, L2)
             if loss_new <= loss or step < 1e-18:
                 break
             step *= 0.5
         if step < 1e-18:
             break
-        w, b, loss = w_new, b_new, loss_new
+        w, b, z, loss = w_new, b_new, z_new, loss_new
         step = min(step * 2.0, cfg.learning_rate)
         if loss_history is not None:
             loss_history.append(loss)
     else:  # every epoch ran: say so unless the last step happened to converge
-        gw, gb = _lgr_grad(Xs, y, w, b, L2)
+        gw, gb = _lgr_grad(Xs, z, y, w, L2)
         grad_norm = max(np.abs(gw).max(), abs(gb))
         if grad_norm > TOLERANCE:
             warnings.warn(f"lgr_fit hit its cap of {cfg.max_epochs} epochs with gradient "
@@ -160,30 +162,78 @@ def _mlp_forward(W1, b1, W2, b2, Xs):
     return Z1, H, z2[:, 0]
 
 
+def _mlp_views(flat, d):
+    """W1 (6, d), b1 (6,) and W2 (1, 6), in that order, as views of one flat array."""
+    k = HIDDEN_WIDTH * d
+    return (flat[:k].reshape(HIDDEN_WIDTH, d), flat[k:k + HIDDEN_WIDTH],
+            flat[k + HIDDEN_WIDTH:].reshape(1, HIDDEN_WIDTH))
+
+
+# One batch's work arrays; grads holds dW1, db1 and dW2 flat, as _mlp_views reads it.
+_MlpBuffers = namedtuple("_MlpBuffers", "grads dW1 db1 dW2 Z1 H z2 dz2 dH mask l2W1 l2W2")
+
+
+def _mlp_buffers(m, d) -> _MlpBuffers:
+    """Work arrays for one m-row batch."""
+    grads = np.empty(HIDDEN_WIDTH * (d + 2))
+    Z1, H, dH, mask = (np.empty((m, HIDDEN_WIDTH)) for _ in range(4))
+    return _MlpBuffers(grads, *_mlp_views(grads, d), Z1, H, np.empty((m, 1)), np.empty(m),
+                       dH, mask, np.empty((HIDDEN_WIDTH, d)), np.empty((1, HIDDEN_WIDTH)))
+
+
+def _mlp_grads(W1, b1, W2, b2, X, y, l2, buffers):
+    """Backpropagate one batch into buffers' dW1, db1 and dW2; return db2.
+
+    The same IEEE operations, in the same order, as _mlp_forward followed by
+    (sigmoid(z2) - y) / m and the chain rule, each written into its buffer.
+    """
+    _, dW1, db1, dW2, Z1, H, z2, dz2, dH, mask, l2W1, l2W2 = buffers
+    np.matmul(X, W1.T, out=Z1)
+    Z1 += b1
+    np.maximum(Z1, 0.0, out=H)
+    np.matmul(H, W2.T, out=z2)
+    z2 += b2
+    sigmoid(z2[:, 0], out=dz2)
+    dz2 -= y
+    dz2 /= len(y)
+    np.matmul(dz2[None, :], H, out=dW2)
+    np.multiply(l2, W2, out=l2W2)
+    dW2 += l2W2
+    db2 = float(np.add.reduce(dz2))
+    np.matmul(dz2[:, None], W2, out=dH)
+    np.greater(Z1, 0.0, out=mask)
+    dH *= mask  # now dZ1; unlike np.where, it keeps dH's -0.0 and makes inf * 0 NaN
+    np.matmul(dH.T, X, out=dW1)
+    np.multiply(l2, W1, out=l2W1)
+    dW1 += l2W1
+    np.add.reduce(dH, axis=0, out=db1)
+    return db2
+
+
 def mlp_loss_grads(W1, b1, W2, b2, X, y, l2=0.0):
     """Batch binary cross-entropy and its analytic parameter gradients.
 
     Operates on X as given (no scaling), so finite-difference checks can
-    drive it directly.
+    drive it directly; the gradients come from _mlp_grads, the code that
+    trains.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    Z1, H, z2 = _mlp_forward(W1, b1, W2, b2, X)
+    buffers = _mlp_buffers(len(y), X.shape[1])
+    db2 = _mlp_grads(W1, b1, W2, b2, X, y, l2, buffers)
+    z2 = buffers.z2[:, 0]
     loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
     loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
-    dz2 = (sigmoid(z2) - y) / n
-    dW2 = dz2[None, :] @ H + l2 * W2
-    db2 = float(dz2.sum())
-    dH = dz2[:, None] @ W2
-    dZ1 = dH * (Z1 > 0.0)
-    dW1 = dZ1.T @ X + l2 * W1
-    db1 = dZ1.sum(axis=0)
-    return loss, (dW1, db1, dW2, db2)
+    return loss, (buffers.dW1, buffers.db1, buffers.dW2, db2)
 
 
 def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
-    """Train the d-6-1 network with seeded mini-batch gradient descent."""
+    """Train the d-6-1 network with seeded mini-batch gradient descent.
+
+    Each epoch permutes the rows once; its batches are consecutive slices
+    of that copy. Every step works in buffers allocated once per fit, and
+    W1, b1 and W2 are views of one flat array that a step updates at once.
+    """
     X = as_matrix(X)
     y = _check_binary_labels(y)
     if len(y) != X.shape[0]:
@@ -197,16 +247,25 @@ def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
     b1 = np.zeros(HIDDEN_WIDTH)
     W2 = rng.uniform(-0.5, 0.5, size=(1, HIDDEN_WIDTH)) / np.sqrt(HIDDEN_WIDTH)
     b2 = 0.0
+    params = np.concatenate([W1.ravel(), b1, W2.ravel()])
+    W1, b1, W2 = _mlp_views(params, d)
+    lr = cfg.learning_rate
+    Xp, yp = np.empty_like(Xs), np.empty_like(y)
+    full = _mlp_buffers(BATCH_SIZE, d)
+    short = _mlp_buffers(n % BATCH_SIZE, d)
+    batches = [(Xp[start:start + BATCH_SIZE], yp[start:start + BATCH_SIZE],
+                full if start + BATCH_SIZE <= n else short)
+               for start in range(0, n, BATCH_SIZE)]
     for _ in range(cfg.max_epochs):
         order = rng.permutation(n)
-        for start in range(0, n, BATCH_SIZE):
-            batch = order[start:start + BATCH_SIZE]
-            _, (dW1, db1, dW2, db2) = mlp_loss_grads(
-                W1, b1, W2, b2, Xs[batch], y[batch], L2)
-            W1 -= cfg.learning_rate * dW1
-            b1 -= cfg.learning_rate * db1
-            W2 -= cfg.learning_rate * dW2
-            b2 -= cfg.learning_rate * db2
+        np.take(Xs, order, axis=0, out=Xp)
+        np.take(y, order, out=yp)
+        for Xb, yb, buffers in batches:
+            db2 = _mlp_grads(W1, b1, W2, b2, Xb, yb, L2, buffers)
+            grads = buffers.grads
+            grads *= lr
+            params -= grads
+            b2 -= lr * db2
     return MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, scaler=scaler)
 
 

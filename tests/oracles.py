@@ -4,18 +4,26 @@ Most of it is deliberately brute force: exhaustive enumeration, central
 finite differences and projected-gradient optimization, sharing no code
 path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the SVR step
-loop that rebuilds its arrays and the KKT values it reads from them), which
-the optimized ones must match bit for bit.
+loop that rebuilds its arrays and the KKT values it reads from them, the
+LGR fit that computes each accepted step's scores twice, and the MLP fit
+and gradients that allocate every step's arrays), which the optimized ones
+must match bit for bit.
 """
 
-import numpy as np
+import warnings
+from typing import Optional
 
-from synwatch.classifiers import mlp_loss_grads
+import numpy as np
+from scipy.special import expit as sigmoid
+
+from synwatch.classifiers import (BATCH_SIZE, HIDDEN_WIDTH, L2, TOLERANCE, LgrModel,
+                                  MlpModel, TrainConfig, _check_binary_labels,
+                                  mlp_loss_grads)
 from synwatch.errors import BalancingError, ConfigError, ContractViolation
 from synwatch.framing import FRAME_WIDTH
 from synwatch.pipeline import DataSet
 from synwatch.regressors import SMO_ITER_FACTOR, SMO_TOL, SvrModel, rbf_matrix
-from synwatch.scaling import as_matrix
+from synwatch.scaling import Scaler, as_matrix
 
 
 def frame_sigma(values) -> float:
@@ -258,3 +266,129 @@ def _svr_bias(theta, y, u, epsilon, C, n):
     hi = np.where(up, val, -np.inf).max() if up.any() else 0.0
     lo = np.where(low, val, np.inf).min() if low.any() else 0.0
     return float((hi + lo) / 2.0)
+
+
+def _lgr_loss(Xs, y, w, b, l2):
+    z = Xs @ w + b
+    # log(1 + e^z) - y*z, evaluated stably
+    bce = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return bce + 0.5 * l2 * float(w @ w)
+
+
+def _lgr_grad(Xs, y, w, b, l2):
+    p = sigmoid(Xs @ w + b)
+    return Xs.T @ (p - y) / len(y) + l2 * w, float(np.mean(p - y))
+
+
+def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
+                      loss_history: Optional[list] = None) -> LgrModel:
+    """lgr_fit as it was before it reused the accepted step's z = Xs @ w + b.
+
+    Fit L2-regularized logistic regression by monotone gradient descent.
+
+    Steps that would raise the loss are halved until they do not, so the
+    recorded loss sequence never increases. Stops when the gradient
+    max-norm falls below TOLERANCE or after cfg.max_epochs; in the
+    latter case, if the final gradient is still above the tolerance, a
+    RuntimeWarning names the cap and that gradient.
+    """
+    X = as_matrix(X)
+    y = _check_binary_labels(y)
+    if len(y) != X.shape[0]:
+        raise ContractViolation("X and y row counts differ")
+    scaler = Scaler.fit(X)
+    Xs = scaler.transform(X)
+    w = np.zeros(Xs.shape[1])
+    b = 0.0
+    step = cfg.learning_rate
+    loss = _lgr_loss(Xs, y, w, b, L2)
+    if loss_history is not None:
+        loss_history.append(loss)
+    for _ in range(cfg.max_epochs):
+        gw, gb = _lgr_grad(Xs, y, w, b, L2)
+        if max(np.abs(gw).max(), abs(gb)) <= TOLERANCE:
+            break
+        while True:
+            w_new = w - step * gw
+            b_new = b - step * gb
+            loss_new = _lgr_loss(Xs, y, w_new, b_new, L2)
+            if loss_new <= loss or step < 1e-18:
+                break
+            step *= 0.5
+        if step < 1e-18:
+            break
+        w, b, loss = w_new, b_new, loss_new
+        step = min(step * 2.0, cfg.learning_rate)
+        if loss_history is not None:
+            loss_history.append(loss)
+    else:  # every epoch ran: say so unless the last step happened to converge
+        gw, gb = _lgr_grad(Xs, y, w, b, L2)
+        grad_norm = max(np.abs(gw).max(), abs(gb))
+        if grad_norm > TOLERANCE:
+            warnings.warn(f"lgr_fit hit its cap of {cfg.max_epochs} epochs with gradient "
+                          f"max-norm {grad_norm:.3e} above tolerance {TOLERANCE:g}",
+                          RuntimeWarning, stacklevel=2)
+    return LgrModel(weights=w, bias=b, scaler=scaler)
+
+
+def _mlp_forward(W1, b1, W2, b2, Xs):
+    Z1 = Xs @ W1.T + b1
+    H = np.maximum(Z1, 0.0)
+    z2 = H @ W2.T + b2
+    return Z1, H, z2[:, 0]
+
+
+def mlp_loss_grads_reference(W1, b1, W2, b2, X, y, l2=0.0):
+    """mlp_loss_grads as it was before it wrote its gradients into buffers.
+
+    Batch binary cross-entropy and its analytic parameter gradients.
+
+    Operates on X as given (no scaling), so finite-difference checks can
+    drive it directly.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    Z1, H, z2 = _mlp_forward(W1, b1, W2, b2, X)
+    loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
+    loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
+    dz2 = (sigmoid(z2) - y) / n
+    dW2 = dz2[None, :] @ H + l2 * W2
+    db2 = float(dz2.sum())
+    dH = dz2[:, None] @ W2
+    dZ1 = dH * (Z1 > 0.0)
+    dW1 = dZ1.T @ X + l2 * W1
+    db1 = dZ1.sum(axis=0)
+    return loss, (dW1, db1, dW2, db2)
+
+
+def mlp_fit_reference(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
+    """mlp_fit as it was before its step loop kept its buffers in place.
+
+    Train the d-6-1 network with seeded mini-batch gradient descent: a
+    fancy-indexed batch per step and a loss computed and dropped per step.
+    """
+    X = as_matrix(X)
+    y = _check_binary_labels(y)
+    if len(y) != X.shape[0]:
+        raise ContractViolation("X and y row counts differ")
+    d = X.shape[1]
+    scaler = Scaler.fit(X)
+    Xs = scaler.transform(X)
+    n = Xs.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    W1 = rng.uniform(-0.5, 0.5, size=(HIDDEN_WIDTH, d)) / np.sqrt(d)
+    b1 = np.zeros(HIDDEN_WIDTH)
+    W2 = rng.uniform(-0.5, 0.5, size=(1, HIDDEN_WIDTH)) / np.sqrt(HIDDEN_WIDTH)
+    b2 = 0.0
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start:start + BATCH_SIZE]
+            _, (dW1, db1, dW2, db2) = mlp_loss_grads_reference(
+                W1, b1, W2, b2, Xs[batch], y[batch], L2)
+            W1 -= cfg.learning_rate * dW1
+            b1 -= cfg.learning_rate * db1
+            W2 -= cfg.learning_rate * dW2
+            b2 -= cfg.learning_rate * db2
+    return MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, scaler=scaler)

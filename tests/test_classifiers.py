@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_wcss_1d, mlp_gradcheck_worst
-from synwatch.classifiers import (KMeansModel, LgrModel, MlpModel, TrainConfig,
+from oracles import (exhaustive_wcss_1d, lgr_fit_reference, mlp_fit_reference,
+                     mlp_gradcheck_worst, mlp_loss_grads_reference)
+from synwatch import classifiers
+from synwatch.classifiers import (BATCH_SIZE, KMeansModel, LgrModel, MlpModel, TrainConfig,
                                   elbow_curve, kmeans_assign, kmeans_best, kmeans_fit,
                                   lgr_fit, lgr_predict, map_clusters_to_labels, mlp_fit,
-                                  mlp_predict)
+                                  mlp_loss_grads, mlp_predict)
 from synwatch.errors import ConfigError, ContractViolation, TrainingError
 from synwatch.scaling import Scaler
 
@@ -98,6 +100,59 @@ def test_lgr_predict_arity_mismatch():
         lgr_predict(model, np.zeros((3, 1)))
 
 
+def _lgr_parity_case(name):
+    """(X, y, cfg) for one lgr_fit vs lgr_fit_reference case."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
+    if name == "monotone":  # the set of test_lgr_loss_monotone
+        return X, y, TrainConfig(learning_rate=0.5, max_epochs=300)
+    if name == "halving":
+        return X, y, TrainConfig(learning_rate=50.0, max_epochs=300)
+    if name == "capped":
+        return X, y, TrainConfig(learning_rate=0.5, max_epochs=3)
+    if name == "converged":  # the set of test_lgr_converged_fit_does_not_warn
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(80, 2))
+        return X, (X[:, 0] + rng.normal(size=80) > 0).astype(int), \
+            TrainConfig(learning_rate=1.0, max_epochs=5000)
+    if name == "tied_counts":  # d = 1 integer counts, 14 distinct values in 200 rows
+        rng = np.random.default_rng(4)
+        counts = rng.poisson(6, size=200)
+        return counts[:, None].astype(float), \
+            (counts + rng.normal(scale=2.0, size=200) > 7).astype(int), \
+            TrainConfig(learning_rate=1.0, max_epochs=2000)
+    raise ValueError(name)
+
+
+def _fit_recording(fit, X, y, cfg):
+    history = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit(X, y, cfg, loss_history=history)
+    return model, np.array(history), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("case", ["monotone", "halving", "capped", "converged",
+                                  "tied_counts"])
+def test_lgr_fit_matches_reference_bit_for_bit(case, monkeypatch):
+    X, y, cfg = _lgr_parity_case(case)
+    want, want_history, want_warned = _fit_recording(lgr_fit_reference, X, y, cfg)
+    evaluations = []
+    loss = classifiers._lgr_loss
+    monkeypatch.setattr(classifiers, "_lgr_loss",
+                        lambda *args: evaluations.append(1) or loss(*args))
+    got, history, warned = _fit_recording(lgr_fit, X, y, cfg)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert history.tobytes() == want_history.tobytes()
+    assert warned == want_warned
+    # each case reaches the regime it is named for
+    capped = len(history) == cfg.max_epochs + 1
+    assert capped == (case in ("monotone", "capped")) == bool(warned)
+    assert (len(evaluations) > len(history)) == (case == "halving")  # rejected steps
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_lgr_labels_row_order_invariant(rnd):
@@ -167,6 +222,60 @@ def test_mlp_labels_row_order_invariant():
     _, direct = mlp_predict(model, queries)
     _, shuffled = mlp_predict(model, queries[order])
     assert np.array_equal(direct[order], shuffled)
+
+
+def _assert_same_mlp(got, want):
+    for name in ("W1", "b1", "W2"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert np.float64(got.b2).tobytes() == np.float64(want.b2).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 12, 13])  # per-interval, frames, frames_sigma widths
+@pytest.mark.parametrize("n", [64, 100, 20])  # whole batches, a short last one, n < 32
+@pytest.mark.parametrize("learning_rate", [0.05, 1e100])
+def test_mlp_fit_matches_reference_bit_for_bit(d, n, learning_rate):
+    rng = np.random.default_rng(100 * d + n)
+    X = rng.poisson(40, size=(n, d)).astype(float)
+    X[: n // 3] += rng.poisson(400, size=(n // 3, d))
+    y = np.zeros(n, dtype=int)
+    y[: n // 3] = 1
+    cfg = TrainConfig(learning_rate=learning_rate, max_epochs=15, seed=d + n)
+    # 1e100 overflows the weights: inf * 0 in the ReLU mask must give NaN, as it does there
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = mlp_fit(X, y, cfg), mlp_fit_reference(X, y, cfg)
+    _assert_same_mlp(got, want)
+    assert np.isfinite(got.W1).all() == (learning_rate < 1.0)
+
+
+@pytest.mark.parametrize("output_weight", [0.7, np.inf])
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+def test_mlp_loss_grads_match_reference_bytes(output_weight, l2):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(13, 4))
+    y = rng.integers(0, 2, size=13).astype(float)
+    W1 = rng.normal(scale=0.5, size=(6, 4))
+    b1 = rng.normal(scale=0.1, size=6)
+    W2 = rng.normal(scale=0.5, size=(1, 6))
+    W1[0], b1[0], W2[0, 0] = 0.0, -1.0, output_weight  # hidden unit 0 is dead on every row
+    with np.errstate(invalid="ignore"):
+        got_loss, got = mlp_loss_grads(W1, b1, W2, -0.2, X, y, l2)
+        want_loss, want = mlp_loss_grads_reference(W1, b1, W2, -0.2, X, y, l2)
+    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_mlp_fit_reaches_its_step_through_the_module_global(monkeypatch):
+    """A wrapper installed on the module, as benchmark tracing does, sees every step."""
+    calls = []
+    step = classifiers._mlp_grads
+    monkeypatch.setattr(classifiers, "_mlp_grads",
+                        lambda *args: calls.append(len(args[5])) or step(*args))
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(100, 3))
+    mlp_fit(X, (X[:, 0] > 0).astype(int), TrainConfig(max_epochs=3))
+    assert len(calls) == 3 * -(-100 // BATCH_SIZE) == 12
+    assert calls == [32, 32, 32, 4] * 3
 
 
 # --------------------------------------------------------------------------
