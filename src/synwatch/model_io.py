@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classifiers import KMeansModel, LgrModel, MlpModel
-from .errors import ParseError
+from .errors import NumericError, ParseError
 from .regressors import KrrModel, SvrModel
 from .scaling import Scaler
 
@@ -44,25 +44,30 @@ def _fmt(values) -> str:
     return " ".join(format(v, ".17g") for v in arr)
 
 
-def _emit(fh, name, values):
-    fh.write(f"{name}={_fmt(values)}\n")
-
-
 def save_model(model, path) -> None:
-    """Write any trained model, with its input scaler when it has one."""
+    """Write any trained model, with its input scaler when it has one.
+
+    A model with a non-finite value raises NumericError, naming the first
+    such array, before the file is opened: load_model would reject the file.
+    """
     if type(model) not in _LAYOUT:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    arrays = []
+    for name, attr, form in _LAYOUT[type(model)]:
+        if form == "matrix":
+            arrays.append((f"{name}_shape", np.shape(getattr(model, attr))))
+        arrays.append((name, getattr(model, attr)))
+    if getattr(model, "label_map", None) is not None:
+        arrays.append(("label_map", [model.label_map[c] for c in range(model.k)]))
+    if getattr(model, "scaler", None) is not None:
+        arrays += [("scaler_mean", model.scaler.mean), ("scaler_std", model.scaler.std)]
+    for name, values in arrays:
+        if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
+            raise NumericError(f"non-finite value in array {name!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"model={model.family} version={FORMAT_VERSION}\n")
-        for name, attr, form in _LAYOUT[type(model)]:
-            if form == "matrix":
-                _emit(fh, f"{name}_shape", np.shape(getattr(model, attr)))
-            _emit(fh, name, getattr(model, attr))
-        if getattr(model, "label_map", None) is not None:
-            _emit(fh, "label_map", [model.label_map[c] for c in range(model.k)])
-        if getattr(model, "scaler", None) is not None:
-            _emit(fh, "scaler_mean", model.scaler.mean)
-            _emit(fh, "scaler_std", model.scaler.std)
+        for name, values in arrays:
+            fh.write(f"{name}={_fmt(values)}\n")
 
 
 def _parse_arrays(lines, cls):

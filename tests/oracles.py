@@ -184,11 +184,17 @@ def smote_balance_dense(train: DataSet, k: int, seed: int) -> DataSet:
     return DataSet(X_out, y_out)
 
 
-def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
-    """svr_fit as it was before its step loop kept its buffers in place.
+def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float,
+                      second_order: bool = False) -> SvrModel:
+    """The first-order SVR solver: svr_fit before it chose j by second-order gain.
 
-    It solves the epsilon-insensitive dual by maximal-violating-pair updates,
-    building its candidate arrays afresh at every step.
+    It solves the epsilon-insensitive dual by maximal-violating-pair updates
+    (j = argmin of the low values), building its candidate arrays afresh at
+    every step. Where svr_fit's second-order j is that same index at every
+    step, the two agree bit for bit; on larger problems this one may stop at
+    the cap where svr_fit converges. With second_order=True it picks j as
+    svr_fit documents it, from arrays built afresh, and so states svr_fit's
+    iterates bit for bit.
 
     The dual is kept in split (alpha, alpha*) form, 2n box variables tied
     by one equality constraint. Each step picks the most violating pair,
@@ -223,7 +229,13 @@ def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
         violation = m - M
         if violation <= SMO_TOL:
             break
-        ii, jj = i % n, j % n
+        ii = i % n
+        if second_order:  # the largest gap^2 / curvature among positive gaps
+            a = np.maximum(np.diag(K) + K[ii, ii] - 2.0 * K[ii], 1e-12)
+            b = m - low_vals
+            j = int(np.where(b > 0.0, b * b / np.concatenate((a, a)), -np.inf).argmax())
+            violation = m - low_vals[j]
+        jj = j % n
         q = K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj]
         t = violation / max(q, 1e-12)
         t = min(t, C - theta[i] if i < n else theta[i])

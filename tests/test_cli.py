@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from synwatch import regressors
 from synwatch.cli import main
+from synwatch.model_io import load_model
 from synwatch.pipeline import MODEL_KINDS, PREDICTION_KINDS, read_report
 from synwatch.traffic import IntervalSeries, read_series, write_series
 
@@ -210,14 +212,27 @@ def test_train_prints_each_warning_on_one_line(tmp_path, capsys):
     assert ".py:" not in lines[0]
 
 
-def test_unconverged_svr_refit_names_its_grid_cell(tmp_path, capsys):
+def test_unconverged_svr_refit_names_its_grid_cell(tmp_path, capsys, monkeypatch):
+    # a cap of zero steps: every fit stops at its start, and the grid keeps its first cell
+    monkeypatch.setattr(regressors, "SMO_ITER_FACTOR", 0)
     series = _gen(tmp_path)
     capsys.readouterr()
+    out = tmp_path / "m.txt"
     assert main(["train", "--model", "svr", "--grid", "--series", str(series),
-                 "--out", str(tmp_path / "m.txt")]) == 3
+                 "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "numeric error: SVR failed to converge (KKT violation 4.911e-03) "
-        "at C=100, epsilon=0.01, gamma=0.1\n")
+        "numeric error: SVR failed to converge (KKT violation 9.800e-01) "
+        "at C=0.1, epsilon=0.01, gamma=0.01\n")
+    assert not out.exists()
+
+
+def test_svr_grid_trains_and_predicts_on_the_attack_series(tmp_path):
+    series = _gen(tmp_path)
+    assert main(["train", "--model", "svr", "--grid", "--series", str(series),
+                 "--out", str(tmp_path / "m.txt")]) == 0
+    assert load_model(tmp_path / "m.txt").converged
+    assert main(["predict", "--model", "svr", "--grid", "--series", str(series),
+                 "--report", str(tmp_path / "r.txt"), "--out", str(tmp_path / "p.csv")]) == 0
 
 
 def test_train_kmeans_model_file(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from synwatch import pipeline
 from synwatch.classifiers import KMeansModel, LgrModel, MlpModel
 from synwatch.cli import main
-from synwatch.errors import ParseError
+from synwatch.errors import NumericError, ParseError
 from synwatch.model_io import load_model, save_model
 from synwatch.regressors import KrrModel, SvrModel, krr_predict, rbf_matrix
 from synwatch.scaling import Scaler
@@ -184,6 +185,29 @@ def test_header_line_is_versioned(tmp_path):
     path = tmp_path / "m.txt"
     save_model(model, path)
     assert path.read_text().splitlines()[0] == "model=lgr version=1"
+
+
+def test_save_rejects_non_finite_model_before_writing(tmp_path):
+    W1 = np.ones((2, 1))
+    W1[1, 0] = np.nan
+    model = MlpModel(W1=W1, b1=np.zeros(2), W2=np.ones((1, 2)), b2=0.0, scaler=_scaler(1))
+    path = tmp_path / "m.txt"
+    with pytest.raises(NumericError, match="^non-finite value in array 'w1'$"):
+        save_model(model, path)
+    assert not path.exists()
+
+
+def test_train_exits_three_without_writing_a_non_finite_model(tmp_path, capsys,
+                                                              monkeypatch, small_series):
+    nan_model = MlpModel(W1=np.full((2, 1), np.nan), b1=np.zeros(2), W2=np.ones((1, 2)),
+                         b2=0.0, scaler=_scaler(1))
+    monkeypatch.setattr(pipeline, "fit_model", lambda series, cfg: (nan_model, None))
+    series, out = tmp_path / "s.csv", tmp_path / "m.txt"
+    write_series(small_series, series)
+    capsys.readouterr()
+    assert main(["train", "--model", "ann", "--series", str(series), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numeric error: non-finite value in array 'w1'\n"
+    assert not out.exists()
 
 
 def test_load_rejects_bad_header(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from oracles import svr_fit_reference, svr_kkt_violations, svr_objective, svr_qp_oracle
 from synwatch import regressors
 from synwatch.errors import ConfigError, ContractViolation, NumericError
+from synwatch.pipeline import ExperimentConfig, run_prediction
 from synwatch.regressors import (GridSpec, KrrModel, SvrModel, default_gamma,
                                  format_cv_table, grid_search, krr_fit, krr_predict,
                                  rbf_matrix, svr_fit, svr_predict)
@@ -207,7 +208,7 @@ def _svr_parity_case(name):
     rng = np.random.default_rng(0)
     if name == "toy":
         return TOY_X, TOY_Y, TOY_C, TOY_EPS, TOY_GAMMA
-    if name == "capped":  # 320 rows that hit the 100*n step cap
+    if name == "reference_capped":  # 320 rows on which the reference hits the 100*n step cap
         return rng.normal(size=(320, 2)), rng.normal(size=320), 100.0, 0.01, 1.0
     if name == "at_box_bound":
         X = rng.uniform(-2.0, 2.0, size=(40, 1))
@@ -219,27 +220,47 @@ def _svr_parity_case(name):
     raise ValueError(name)
 
 
-@pytest.mark.parametrize("case", ["toy", "capped", "at_box_bound", "zero_epsilon",
-                                  "constant_in_tube"])
-def test_svr_fit_matches_reference_bit_for_bit(case):
-    X, y, C, eps, gamma = _svr_parity_case(case)
-    got = svr_fit(X, y, C, eps, gamma)
-    want = svr_fit_reference(X, y, C, eps, gamma)
+def _assert_same_svr_bits(got, want):
     assert got.dual_deltas.tobytes() == want.dual_deltas.tobytes()
     for name in ("bias", "objective", "violation"):
         assert np.float64(getattr(got, name)).tobytes() == \
             np.float64(getattr(want, name)).tobytes(), name
     # svr_fit's flag is always a Python bool; the reference's is numpy's when its loop broke
     assert got.converged is bool(want.converged)
+
+
+@pytest.mark.parametrize("case", ["toy", "at_box_bound", "zero_epsilon", "constant_in_tube"])
+def test_svr_fit_matches_reference_bit_for_bit(case):
+    """On these cases the second-order pair is the maximal-violating one at every step."""
+    X, y, C, eps, gamma = _svr_parity_case(case)
+    got = svr_fit(X, y, C, eps, gamma)
+    _assert_same_svr_bits(got, svr_fit_reference(X, y, C, eps, gamma))
     # each case reaches the regime it is named for
-    if case == "capped":
-        assert not got.converged and got.violation == pytest.approx(0.040, abs=1e-3)
-    elif case == "at_box_bound":
+    if case == "at_box_bound":
         assert (np.abs(got.dual_deltas) == C).any()
     elif case == "constant_in_tube":
         assert np.all(got.dual_deltas == 0.0)
     else:
         assert got.converged
+
+
+@pytest.mark.parametrize("case", ["toy", "reference_capped", "at_box_bound", "zero_epsilon",
+                                  "constant_in_tube"])
+def test_svr_fit_matches_second_order_reference_bit_for_bit(case):
+    X, y, C, eps, gamma = _svr_parity_case(case)
+    _assert_same_svr_bits(svr_fit(X, y, C, eps, gamma),
+                          svr_fit_reference(X, y, C, eps, gamma, second_order=True))
+
+
+def test_svr_fit_converges_where_reference_hits_cap():
+    X, y, C, eps, gamma = _svr_parity_case("reference_capped")
+    want = svr_fit_reference(X, y, C, eps, gamma)
+    assert not want.converged and want.violation == pytest.approx(0.040, abs=1e-3)
+    got = svr_fit(X, y, C, eps, gamma)
+    assert got.converged and got.violation <= regressors.SMO_TOL
+    assert svr_kkt_violations(got, X, y) <= 1e-3
+    assert abs(got.dual_deltas.sum()) <= 1e-8
+    assert got.objective <= want.objective
 
 
 # --------------------------------------------------------------------------
@@ -322,6 +343,22 @@ def test_grid_search_reaches_fits_through_module_globals(monkeypatch):
     for kind in ("svr", "krr"):
         grid_search(X, y, kind, grid, seed=0)
     assert calls == {"svr": 3, "krr": 3}
+
+
+def test_every_svr_grid_fit_on_the_periodic_series_converges(monkeypatch, periodic_series):
+    """The 24-cell, 3-fold grid and its refit, counted through the module global."""
+    fits = []
+
+    def recording(*args, **kwargs):
+        model = svr_fit(*args, **kwargs)
+        fits.append(model)
+        return model
+
+    monkeypatch.setattr(regressors, "svr_fit", recording)
+    run_prediction(periodic_series, ExperimentConfig(model_kind="svr", grid=GridSpec()))
+    assert len(fits) == 24 * 3 + 1
+    assert all(model.converged for model in fits)
+    assert max(model.violation for model in fits) <= regressors.SMO_TOL
 
 
 def test_grid_needs_enough_samples():
