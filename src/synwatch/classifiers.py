@@ -311,13 +311,42 @@ def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
     return assign, d2[np.arange(len(X)), assign]
 
 
+def _value_groups(X):
+    """(distinct values as a column, inverse, counts) of X, or None unless X is
+    one column of integers whose absolute values sum below 2**53.
+
+    Every sum of such values times their counts is an exact integer, so a mean
+    over groups is the same division as the mean over their rows. A -0.0 keeps
+    the rows: np.unique merges it with 0.0, and the mean of -0.0 rows is -0.0.
+    """
+    if X.shape[1] != 1:
+        return None
+    col = X[:, 0]
+    if not (np.abs(col).sum() < 2.0 ** 53 and (np.floor(col) == col).all()):
+        return None
+    if np.signbit(col[col == 0.0]).any():
+        return None
+    values, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+    return values[:, None], inverse, counts
+
+
 def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
                wcss_history: Optional[list] = None) -> KMeansModel:
     """Lloyd's iterations from k seeded-random distinct data points.
 
     Ties assign to the lowest cluster id; a cluster that empties is
-    reseeded to the point farthest from its assigned centroid. Stops when
-    assignments repeat or after cfg.max_epochs sweeps.
+    reseeded to the row farthest from its assigned centroid (ties to the
+    lowest row). Stops when assignments repeat, when a reseed moves no
+    centroid (X has fewer than k distinct rows, so every later sweep would
+    repeat it), or after cfg.max_epochs sweeps with a RuntimeWarning that
+    names the cap.
+
+    When X is one column of integers whose absolute values sum below 2**53
+    (packet counts), the sweeps run over its distinct values weighted by
+    their counts: the same assignments and, the sums being exact, the same
+    centroids as over the rows. wcss_history then holds sums over values,
+    which may differ from the row sums in the last bits. The final wcss is
+    always summed over the rows.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -327,23 +356,37 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
         raise TrainingError(f"need at least k={k} points, got {n}")
     rng = np.random.default_rng(cfg.seed)
     centroids = _distinct_row_init(X, k, rng)
+    groups = _value_groups(X)
+    if groups is None:  # each row is a point of weight 1
+        points, inverse, counts, sums = X, None, None, X
+    else:
+        points, inverse, counts = groups
+        sums = points * counts[:, None]
     prev_assign = None
     for _ in range(cfg.max_epochs):
-        assign, own = _nearest(X, centroids)
-        empty = [c for c in range(k) if not (assign == c).any()]
-        if empty:
+        assign, own = _nearest(points, centroids)
+        sizes = np.bincount(assign, weights=counts, minlength=k)
+        empty = np.flatnonzero(sizes == 0)
+        if len(empty):
+            own = own if inverse is None else own[inverse]
+            before = centroids.copy()
             for c in empty:
                 far = int(own.argmax())
                 centroids[c] = X[far]
                 own[far] = -1.0
+            if np.array_equal(centroids, before):
+                break  # every later sweep would repeat this one (fewer values than k)
             continue  # re-derive assignments from the repaired centroids
         if wcss_history is not None:
-            wcss_history.append(float(own.sum()))
+            wcss_history.append(float(own.sum() if counts is None else own @ counts))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
         for c in range(k):
-            centroids[c] = X[assign == c].mean(axis=0)
+            centroids[c] = sums[assign == c].sum(axis=0) / sizes[c]
+    else:
+        warnings.warn(f"kmeans_fit hit its cap of {cfg.max_epochs} sweeps before "
+                      f"assignments repeated", RuntimeWarning, stacklevel=2)
     wcss = float(_nearest(X, centroids)[1].sum())
     return KMeansModel(centroids=centroids, k=k, wcss=wcss)
 

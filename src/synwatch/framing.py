@@ -47,10 +47,15 @@ def frame_arrays(series: IntervalSeries) -> tuple[np.ndarray, np.ndarray, np.nda
                           f"(got interval_seconds={series.interval_seconds})")
     n = len(series) // FRAME_WIDTH * FRAME_WIDTH
     C = series.counts[:n].reshape(-1, FRAME_WIDTH)
-    labels = series.labels[:n].reshape(-1, FRAME_WIDTH).max(axis=1)
     V = C.astype(np.float64)
     sigma = np.sqrt(np.mean((V - V.mean(axis=1, keepdims=True)) ** 2, axis=1))
-    return C, sigma, labels
+    return C, sigma, frame_labels(series.labels)
+
+
+def frame_labels(labels: np.ndarray) -> np.ndarray:
+    """The label of every complete frame of per-interval labels: its largest."""
+    n = len(labels) // FRAME_WIDTH * FRAME_WIDTH
+    return labels[:n].reshape(-1, FRAME_WIDTH).max(axis=1)
 
 
 def make_frames(series: IntervalSeries, cfg: FramingConfig) -> list[Frame]:

@@ -164,6 +164,57 @@ def split_indices(y, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
+def _neighbours_by_row(Xm, rows, k_eff):
+    """The k_eff nearest minority rows of each of `rows`, a bounded block of
+    rows at a time: squared distances summed over the features, ties to the
+    lowest row index, never the row itself."""
+    block = max(1, _SMOTE_BLOCK_BYTES // (len(Xm) * Xm.shape[1] * Xm.itemsize))
+    neighbours = np.empty((len(rows), k_eff), dtype=np.intp)
+    for start in range(0, len(rows), block):
+        r = rows[start:start + block]
+        d2 = ((Xm[r][:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(len(r)), r] = np.inf
+        neighbours[start:start + len(r)] = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    return neighbours
+
+
+def _neighbours_by_value(Xm, rows, k_eff):
+    """What _neighbours_by_row finds for one feature, found per distinct value.
+
+    For each distinct value u among `rows`, the groups of equal values are
+    ordered by (u - v)**2, the dense squared distance; those up to the one
+    that brings the rows to k_eff + 1, and every group tied with it, are
+    the candidates. Each gives its lowest k_eff + 1 rows, and the first
+    k_eff + 1 candidates by (distance, row index) serve every row of value
+    u, each dropping itself or else the last.
+    """
+    values, inverse, counts = np.unique(Xm[:, 0], return_inverse=True, return_counts=True)
+    k1 = k_eff + 1
+    # each group's lowest k1 row indices, -1 where it has fewer rows
+    members = np.argsort(inverse, kind="stable")
+    slots = np.cumsum(counts)[:, None] - counts[:, None] + np.arange(k1)
+    head = np.where(np.arange(k1) < counts[:, None],
+                    members[np.minimum(slots, len(members) - 1)], -1)
+    sampled, value_of_row = np.unique(inverse[rows], return_inverse=True)
+    nearest = np.empty((len(sampled), k1), dtype=np.intp)
+    block = max(1, _SMOTE_BLOCK_BYTES // (len(values) * values.itemsize))
+    for start in range(0, len(sampled), block):
+        d2 = (values[sampled[start:start + block], None] - values[None, :]) ** 2
+        order = np.argsort(d2, axis=1, kind="stable")
+        reach = (np.cumsum(counts[order], axis=1) < k1).sum(axis=1)
+        limit = np.take_along_axis(d2, order, 1)[np.arange(len(d2)), reach]
+        for i, (dist, cap) in enumerate(zip(d2, limit)):
+            groups = np.flatnonzero(dist <= cap)
+            cand, cand_d2 = head[groups].ravel(), np.repeat(dist[groups], k1)
+            real = cand >= 0
+            cand, cand_d2 = cand[real], cand_d2[real]
+            nearest[start + i] = cand[np.lexsort((cand, cand_d2))][:k1]
+    first = nearest[value_of_row]
+    keep = first != rows[:, None]
+    keep[:, -1] &= ~keep[:, :-1].all(axis=1)
+    return first[keep].reshape(len(rows), k_eff)
+
+
 def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     """Oversample the minority class to parity with synthetic interpolants.
 
@@ -171,11 +222,13 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     sample and one of its k nearest minority neighbours. Majority rows and
     the original minority rows pass through untouched.
 
-    Neighbours are found only for the minority rows actually sampled, a
-    bounded block of rows at a time, so memory does not grow with the
-    square of the minority size. The output is identical to computing the
-    full minority distance matrix: distances are the same sums of squares,
-    and ties still go to the lowest row index.
+    Neighbours are found only for the minority rows actually sampled. With
+    one feature (per-interval counts) whose squared range is finite, they
+    are found over the distinct values, in time and memory that grow with
+    the number of values; otherwise a bounded block of rows at a time, so
+    memory does not grow with the square of the minority size. The output
+    is identical to computing the full minority distance matrix: distances
+    are the same sums of squares, and ties still go to the lowest row index.
     """
     y = np.asarray(train.y)
     counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}
@@ -196,13 +249,12 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     column = rng.integers(0, k_eff, size=n_new)
     u = rng.random(size=n_new)
     rows = np.unique(base)
-    block = max(1, _SMOTE_BLOCK_BYTES // (n_min * Xm.shape[1] * Xm.itemsize))
-    neighbours = np.empty((len(rows), k_eff), dtype=np.intp)
-    for start in range(0, len(rows), block):
-        r = rows[start:start + block]
-        d2 = ((Xm[r][:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(len(r)), r] = np.inf
-        neighbours[start:start + len(r)] = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    # By value only where no squared distance overflows: the dense search
+    # ranks a row's own infinite distance among overflowed ones by index.
+    with np.errstate(over="ignore"):
+        one_value = Xm.shape[1] == 1 and np.isfinite(np.ptp(Xm) ** 2)
+    search = _neighbours_by_value if one_value else _neighbours_by_row
+    neighbours = search(Xm, rows, k_eff)
     picks = neighbours[np.searchsorted(rows, base), column]
     synth = Xm[base] + u[:, None] * (Xm[picks] - Xm[base])
     X_out = np.vstack([train.X, synth])
@@ -230,24 +282,36 @@ def _family(kind: str) -> str:
     return "lgr" if base.startswith("lgr") else base
 
 
+def _variant(kind: str) -> str:
+    """The detection dataset variant of a kind's rows (kmeans+X builds X's)."""
+    return _VARIANT_OF[kind.split("+", 1)[-1]]
+
+
 def _rows(series: IntervalSeries, kind: str) -> DataSet:
     """The kind's rows over the series with the series' labels: (interval
     start, count) for the forecast kinds, otherwise the detection dataset."""
     if kind in PREDICTION_KINDS:
         return DataSet(np.column_stack([series.times_s(), series.counts]).astype(np.float64),
                        series.labels)
-    return build_detection_dataset(series, _VARIANT_OF[kind.split("+", 1)[-1]])
+    return build_detection_dataset(series, _variant(kind))
 
 
-def _fit_labels(series: IntervalSeries, cfg: ExperimentConfig) -> IntervalSeries:
-    """The series labelled as the kind is fitted: K-Means pseudo-labels of
-    every interval for the kmeans+* kinds, ground truth (the series) otherwise."""
-    if cfg.model_kind not in SEMI_KINDS:
-        return series
+def _fit_rows(series: IntervalSeries, cfg: ExperimentConfig) -> tuple[DataSet, np.ndarray]:
+    """The kind's rows with ground truth, and the labels the kind is fitted to.
+
+    Those are the ground truth, except for the kmeans+* kinds: K-Means
+    pseudo-labels of every interval, which a frame takes by framing's rule.
+    The rows are built once, after the pseudo-labelling.
+    """
+    kind = cfg.model_kind
+    if kind not in SEMI_KINDS:
+        rows = _rows(series, kind)
+        return rows, rows.y
     labels = auto_label_series(series, default_train_cfg("kmeans", cfg.seed))
     if labels.min() == labels.max():
         raise DegenerateClusteringError("pseudo-labelling produced a single class")
-    return replace(series, labels=labels)
+    rows = _rows(series, kind)
+    return rows, labels if _variant(kind) == "per_interval" else framing.frame_labels(labels)
 
 
 def _fit_kmeans(X: np.ndarray, train_cfg: TrainConfig):
@@ -336,7 +400,8 @@ def fit_model(series: IntervalSeries, cfg: ExperimentConfig):
     Returns (model, cv_table): cv_table is the grid search's table when
     cfg.grid is set, None otherwise.
     """
-    model, _, table = _fit(_rows(_fit_labels(series, cfg), cfg.model_kind), cfg)
+    rows, fit_y = _fit_rows(series, cfg)
+    model, _, table = _fit(DataSet(rows.X, fit_y), cfg)
     return model, table
 
 
@@ -380,16 +445,14 @@ def _run(runner: str, kinds, split, series: IntervalSeries, cfg: ExperimentConfi
     kind = cfg.model_kind
     if kind not in kinds:
         raise ConfigError(f"{runner} cannot run {kind!r}")
-    labelled = _fit_labels(series, cfg)
-    rows = _rows(labelled, kind)
-    truth = rows.y if labelled is series else _rows(series, kind).y
-    train, test = split(rows.y, cfg.seed)
+    rows, fit_y = _fit_rows(series, cfg)
+    train, test = split(fit_y, cfg.seed)
     t0 = time.perf_counter()
-    model, chosen, _ = _fit(DataSet(rows.X[train], rows.y[train]), cfg)
+    model, chosen, _ = _fit(DataSet(rows.X[train], fit_y[train]), cfg)
     train_seconds = time.perf_counter() - t0
     echo = cfg.echo()
     echo.update({f"chosen_{k}": v for k, v in sorted(chosen.items())})
-    report, raw, y_pred = _score(kind, model, rows.X[test], truth[test], train_seconds, echo)
+    report, raw, y_pred = _score(kind, model, rows.X[test], rows.y[test], train_seconds, echo)
     return report, test, raw, y_pred
 
 

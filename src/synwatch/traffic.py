@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation, ParseError
 
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass(frozen=True)
 class PacketRecord:
@@ -263,6 +265,8 @@ def read_series(path) -> IntervalSeries:
         raise ParseError(1, f"bad series header {lines[0]!r}") from None
     if interval_seconds < 1:
         raise ParseError(1, "interval_seconds must be >= 1")
+    if not (_INT64.min <= origin_s <= _INT64.max and interval_seconds <= _INT64.max):
+        raise ParseError(1, f"series header value out of int64 range in {lines[0]!r}")
     counts, labels = [], []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -280,5 +284,11 @@ def read_series(path) -> IntervalSeries:
             raise ParseError(line_no, f"invalid count or label in {line!r}")
         counts.append(count)
         labels.append(label)
-    return IntervalSeries(np.array(counts, dtype=np.int64), np.array(labels, dtype=np.int64),
+    try:
+        counts = np.array(counts, dtype=np.int64)
+    except OverflowError:  # only a count can be out of range; its line is looked up here
+        line_nos = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+        line_no = next(n for n, c in zip(line_nos, counts) if c > _INT64.max)
+        raise ParseError(line_no, f"count out of int64 range in {lines[line_no - 1]!r}") from None
+    return IntervalSeries(counts, np.array(labels, dtype=np.int64),
                           interval_seconds=interval_seconds, origin_s=origin_s)

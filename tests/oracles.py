@@ -5,9 +5,9 @@ finite differences and projected-gradient optimization, sharing no code
 path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the SVR step
 loop that rebuilds its arrays and the KKT values it reads from them, the
-LGR fit that computes each accepted step's scores twice, and the MLP fit
-and gradients that allocate every step's arrays), which the optimized ones
-must match bit for bit.
+LGR fit that computes each accepted step's scores twice, the MLP fit and
+gradients that allocate every step's arrays, and the K-Means fit that
+sweeps every row), which the optimized ones must match bit for bit.
 """
 
 import warnings
@@ -16,10 +16,11 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from synwatch.classifiers import (BATCH_SIZE, HIDDEN_WIDTH, L2, TOLERANCE, LgrModel,
-                                  MlpModel, TrainConfig, _check_binary_labels,
-                                  mlp_loss_grads)
-from synwatch.errors import BalancingError, ConfigError, ContractViolation
+from synwatch.classifiers import (BATCH_SIZE, HIDDEN_WIDTH, L2, TOLERANCE, KMeansModel,
+                                  LgrModel, MlpModel, TrainConfig, _check_binary_labels,
+                                  _distinct_row_init, _nearest, mlp_loss_grads)
+from synwatch.errors import (BalancingError, ConfigError, ContractViolation,
+                             TrainingError)
 from synwatch.framing import FRAME_WIDTH
 from synwatch.pipeline import DataSet
 from synwatch.regressors import SMO_ITER_FACTOR, SMO_TOL, SvrModel, rbf_matrix
@@ -404,3 +405,41 @@ def mlp_fit_reference(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
             W2 -= cfg.learning_rate * dW2
             b2 -= cfg.learning_rate * db2
     return MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, scaler=scaler)
+
+
+def kmeans_fit_reference(X, k: int, cfg: TrainConfig = TrainConfig(),
+                         wcss_history: Optional[list] = None) -> KMeansModel:
+    """kmeans_fit as it was before its sweeps ran over distinct values.
+
+    Lloyd's iterations from k seeded-random distinct data points. Ties
+    assign to the lowest cluster id; a cluster that empties is reseeded to
+    the point farthest from its assigned centroid. Stops when assignments
+    repeat or after cfg.max_epochs sweeps.
+    """
+    X = as_matrix(X)
+    n = X.shape[0]
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if n < k:
+        raise TrainingError(f"need at least k={k} points, got {n}")
+    rng = np.random.default_rng(cfg.seed)
+    centroids = _distinct_row_init(X, k, rng)
+    prev_assign = None
+    for _ in range(cfg.max_epochs):
+        assign, own = _nearest(X, centroids)
+        empty = [c for c in range(k) if not (assign == c).any()]
+        if empty:
+            for c in empty:
+                far = int(own.argmax())
+                centroids[c] = X[far]
+                own[far] = -1.0
+            continue  # re-derive assignments from the repaired centroids
+        if wcss_history is not None:
+            wcss_history.append(float(own.sum()))
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+        for c in range(k):
+            centroids[c] = X[assign == c].mean(axis=0)
+    wcss = float(_nearest(X, centroids)[1].sum())
+    return KMeansModel(centroids=centroids, k=k, wcss=wcss)

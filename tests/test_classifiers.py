@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (exhaustive_wcss_1d, lgr_fit_reference, mlp_fit_reference,
-                     mlp_gradcheck_worst, mlp_loss_grads_reference)
+from oracles import (exhaustive_wcss_1d, kmeans_fit_reference, lgr_fit_reference,
+                     mlp_fit_reference, mlp_gradcheck_worst, mlp_loss_grads_reference)
 from synwatch import classifiers
 from synwatch.classifiers import (BATCH_SIZE, KMeansModel, LgrModel, MlpModel, TrainConfig,
                                   elbow_curve, kmeans_assign, kmeans_best, kmeans_fit,
@@ -313,6 +313,70 @@ def test_kmeans_wcss_monotone_and_fixed_point():
     for c in range(3):
         members = X[assign == c]
         assert np.allclose(members.mean(axis=0), model.centroids[c], atol=1e-9)
+
+
+def _kmeans_case(name):
+    rng = np.random.default_rng(13)
+    if name == "counts_ties":  # per-interval packet counts: few values, many ties
+        return rng.poisson(5.0, size=(600, 1)).astype(np.float64)
+    if name == "counts_bimodal":  # baseline and attack rates, as the series mixes them
+        return np.concatenate([rng.poisson(50.0, 800), rng.poisson(500.0, 200)]
+                              ).astype(np.float64).reshape(-1, 1)
+    if name == "mid_run_reseed":  # at k = 3, seed 0 a sweep empties cluster 1; it takes 14
+        return np.array([[9.0], [8.0], [2.0], [0.0], [9.0], [14.0]])
+    if name == "three_values":  # k = 4 > 3 distinct values forces an empty-cluster reseed
+        return np.array([[0.0], [0.0], [0.0], [5.0], [5.0], [9.0], [9.0], [9.0]])
+    if name == "negative_zero":  # np.unique merges -0.0 with 0.0; the row mean keeps -0.0
+        return np.array([[-0.0], [-0.0], [-0.0], [7.0], [8.0], [30.0], [31.0]])
+    if name == "non_integer":
+        return rng.normal(20.0, 5.0, size=(300, 1))
+    if name == "two_columns":
+        return rng.poisson(5.0, size=(300, 2)).astype(np.float64)
+    # "sum_at_2_53": integers whose absolute sum reaches 2**53, so sums may round
+    return np.concatenate([[2.0 ** 52, 2.0 ** 52 + 2], rng.integers(0, 9, size=40)]
+                          ).reshape(-1, 1)
+
+
+_GROUPED = ("counts_ties", "counts_bimodal", "mid_run_reseed", "three_values")
+
+
+@pytest.mark.parametrize("name", ["counts_ties", "counts_bimodal", "mid_run_reseed",
+                                  "three_values", "negative_zero", "non_integer",
+                                  "two_columns", "sum_at_2_53"])
+def test_kmeans_fit_matches_reference_bit_for_bit(name):
+    X = _kmeans_case(name)
+    assert (classifiers._value_groups(X) is not None) == (name in _GROUPED)
+    for k in range(1, 5):
+        for seed in range(4):
+            cfg = TrainConfig(seed=seed)
+            got_history, want_history = [], []
+            got = kmeans_fit(X, k, cfg, wcss_history=got_history)
+            want = kmeans_fit_reference(X, k, cfg, wcss_history=want_history)
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+            assert np.float64(got.wcss).tobytes() == np.float64(want.wcss).tobytes()
+            assert len(got_history) == len(want_history)
+            if name not in _GROUPED:  # the row path sums the same rows
+                assert got_history == want_history
+
+
+def test_kmeans_with_fewer_values_than_clusters_stops_without_warning():
+    X = _kmeans_case("three_values")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = kmeans_fit(X, 4, TrainConfig(seed=0))
+    assert sorted(set(model.centroids.ravel().tolist())) == [0.0, 5.0, 9.0]
+    assert model.wcss == 0.0
+
+
+def test_kmeans_fit_warns_at_its_sweep_cap():
+    X = _kmeans_case("counts_bimodal")
+    cfg = TrainConfig(max_epochs=1, seed=3)
+    with pytest.warns(RuntimeWarning, match="kmeans_fit hit its cap of 1 sweeps"):
+        model = kmeans_fit(X, 2, cfg)
+    assert model.centroids.tobytes() == kmeans_fit_reference(X, 2, cfg).centroids.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kmeans_fit(X, 2, TrainConfig(seed=3))  # converges well inside the default cap
 
 
 def test_kmeans_matches_exhaustive_partitions():

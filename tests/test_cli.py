@@ -55,6 +55,19 @@ def test_grid_with_lgr_reg_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, line", [
+    ("interval_seconds=10,origin_s=0\n0,5,0\n\n1,99999999999999999999999,0\n2,5,1\n", 4),
+    ("interval_seconds=10,origin_s=99999999999999999999999\n0,5,0\n1,9,1\n", 1),
+], ids=["count", "origin_s"])
+def test_series_value_beyond_int64_exits_two(tmp_path, capsys, text, line):
+    series = tmp_path / "s.csv"
+    series.write_text(text)
+    assert main(["evaluate", "--model", "kmeans", "--series", str(series),
+                 "--report", str(tmp_path / "r.txt")]) == 2
+    assert f"error: line {line}: " in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
 # --------------------------------------------------------------------------
 # generate / ingest / inject / frame / elbow
 

@@ -138,14 +138,32 @@ def _smote_case(name):
         C = rng.poisson(50.0, size=(400, 12)).astype(np.float64)
         X = np.column_stack([C, C.std(axis=1)])
         y = (rng.random(400) < 0.15).astype(np.int64)
+    elif name == "counts_sparse":  # d=1, most values held by fewer than k + 1 rows
+        X = rng.integers(0, 150, size=(400, 1)).astype(np.float64)
+        y = (rng.random(400) < 0.3).astype(np.int64)
+    elif name == "counts_few_minority":  # d=1, 3 minority rows, so n_min <= k
+        X = rng.integers(0, 4, size=(40, 1)).astype(np.float64)
+        y = np.array([1] * 3 + [0] * 37)
+    elif name == "reals":  # d=1, non-integer values, some repeated
+        X = np.round(rng.normal(0.0, 2.0, size=(500, 1)), 1) + 0.05
+        y = (rng.random(500) < 0.25).astype(np.int64)
+    elif name == "tiny_values":  # d=1, every squared distance underflows to 0
+        X = rng.integers(-3, 4, size=(200, 1)) * 1e-170
+        y = (rng.random(200) < 0.3).astype(np.int64)
+    elif name == "huge_values":  # d=1, squared distances overflow: the row path runs
+        X = rng.integers(-3, 4, size=(200, 1)) * 1e160
+        y = (rng.random(200) < 0.3).astype(np.int64)
     else:  # "k_above_minority": 4 minority rows, so k=5 exceeds n_min - 1
         X = rng.integers(0, 3, size=(30, 2)).astype(np.float64)
         y = np.array([1] * 4 + [0] * 26)
     return DataSet(X, y)
 
 
-@pytest.mark.parametrize("name", ["counts_ties", "frames", "frames_sigma", "k_above_minority"])
+@pytest.mark.parametrize("name", ["counts_ties", "counts_sparse", "counts_few_minority",
+                                  "reals", "tiny_values", "huge_values", "frames",
+                                  "frames_sigma", "k_above_minority"])
 @pytest.mark.parametrize("block_rows", [None, 1, 7])
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
 def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
     data = _smote_case(name)
     if block_rows is not None:  # force several row blocks, the last one partial
@@ -262,7 +280,7 @@ def test_semi_supervised_equals_supervised_when_labels_agree(small_series, monke
     assert semi.f1 == sup.f1
 
 
-@pytest.mark.parametrize("kind, builds", [("ann_frames", 1), ("kmeans+ann_frames", 2)])
+@pytest.mark.parametrize("kind, builds", [("ann_frames", 1), ("kmeans+ann_frames", 1)])
 def test_detection_run_builds_dataset_once_per_labelling(small_series, monkeypatch, kind, builds):
     calls = []
     monkeypatch.setattr(pipeline, "build_detection_dataset",

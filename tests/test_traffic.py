@@ -210,7 +210,8 @@ def test_series_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     for header in ("nonsense", "interval_seconds=0,origin_s=0",
                    "interval_seconds=10,origin_s=0,origin_s=5",
-                   "interval_seconds=10,origin_s=0,rate=5", "interval_seconds=10"):
+                   "interval_seconds=10,origin_s=0,rate=5", "interval_seconds=10",
+                   "interval_seconds=10,origin_s=-99999999999999999999999"):
         path.write_text(header + "\n0,1,0\n")
         with pytest.raises(ParseError, match="line 1"):
             read_series(path)
