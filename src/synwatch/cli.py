@@ -17,7 +17,7 @@ import numpy as np
 
 from . import classifiers, framing, model_io, pipeline, regressors, traffic
 from .classifiers import TrainConfig
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, read_lines
 from .pipeline import ExperimentConfig
 from .regressors import GridSpec
 
@@ -137,8 +137,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_ingest(args) -> int:
     _echo_config(args)
-    with open(args.log, "r", encoding="utf-8") as fh:
-        records = traffic.parse_packet_log(fh)
+    records = traffic.parse_packet_log(read_lines(args.log))
     series = traffic.bucketize(records, args.interval, dst_filter=args.dst)
     traffic.write_series(series, args.out)
     return 0

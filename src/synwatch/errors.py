@@ -1,8 +1,12 @@
-"""Error taxonomy shared by all modules.
+"""Error taxonomy, and the text-file grammar every reader shares.
 
 The CLI maps these onto exit codes: usage errors exit 1, ConfigError and
-its subclasses exit 2, NumericError exits 3.
+its subclasses exit 2, NumericError exits 3. Every file reader takes its
+lines, header fields and integers from the functions at the end, so a
+file that breaks their rules is a ParseError at its line.
 """
+
+import re
 
 
 class ContractViolation(ValueError):
@@ -39,3 +43,57 @@ class EmptyDatasetError(ConfigError):
 
 class NumericError(ArithmeticError):
     """Numerical failure: singular system or solver non-convergence."""
+
+
+# An integer field: ASCII digits, with a leading "-" only where allowed. An
+# int64 has at most 19 digits, and the bound keeps int() below its digit limit.
+DIGITS = "[0-9]{1,19}"
+_INT64 = range(-2 ** 63, 2 ** 63)
+
+
+def split_lines(text: str) -> list:
+    """text's lines: each ends at a newline, and a carriage return just before
+    it is dropped. No other character ends a line."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_lines(path) -> list:
+    """split_lines of a UTF-8 file; invalid UTF-8 is a ParseError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+    del data  # only one copy of the file lives while it is split
+    return split_lines(text)
+
+
+def header_fields(line: str, keys: tuple, sep) -> dict:
+    """The `key=value` parts of header line 1, split at sep (None: whitespace),
+    which must set each of keys exactly once and nothing else."""
+    parts = line.split(sep)
+    # a part without "=" partitions to (part, "", ""), which matches no (key, "=")
+    if sorted(part.partition("=")[:2] for part in parts) != sorted((key, "=") for key in keys):
+        raise ParseError(1, f"header must be {' '.join(k + '=..' for k in keys)}, each key "
+                            f"once, got {line!r}")
+    return dict(part.split("=", 1) for part in parts)
+
+
+def int64(digits: str, line_no: int, what: str) -> int:
+    """digits, already matched by a DIGITS pattern, as an int that must fit int64."""
+    value = int(digits)
+    if value not in _INT64:
+        raise ParseError(line_no, f"{what} {digits} is out of int64 range")
+    return value
+
+
+def parse_int(text: str, line_no: int, what: str, signed: bool = False) -> int:
+    """text as an int64 of ASCII digits, with a leading "-" only when signed."""
+    if re.fullmatch("-?" * signed + DIGITS, text) is None:
+        raise ParseError(line_no, f"{what} must match {'-?' * signed}{DIGITS}, got {text!r}")
+    return int64(text, line_no, what)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classifiers import KMeansModel, LgrModel, MlpModel
-from .errors import NumericError, ParseError
+from .errors import NumericError, ParseError, header_fields, read_lines
 from .regressors import KrrModel, SvrModel
 from .scaling import Scaler
 
@@ -169,15 +169,8 @@ def load_model(path):
     A malformed file raises ParseError with the line at fault (1 for the
     header and for a missing array).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("model="):
-        raise ParseError(1, "missing model header")
-    if any("=" not in part for part in lines[0].split()):
-        raise ParseError(1, f"expected key=value header fields, got {lines[0]!r}")
-    if sorted(part.partition("=")[0] for part in lines[0].split()) != ["model", "version"]:
-        raise ParseError(1, f"header must set model and version once each, got {lines[0]!r}")
-    header = dict(part.split("=", 1) for part in lines[0].split())
+    lines = read_lines(path) or [""]  # an empty file has an empty header
+    header = header_fields(lines[0], ("model", "version"), None)
     if header["version"] != str(FORMAT_VERSION):
         raise ParseError(1, f"unsupported model version {header['version']!r}")
     cls = _CLASS_OF_FAMILY.get(header["model"])

@@ -23,7 +23,8 @@ import numpy as np
 from . import classifiers, framing, metrics, regressors
 from .classifiers import TrainConfig
 from .errors import (BalancingError, ConfigError, ContractViolation,
-                     DegenerateClusteringError, EmptyDatasetError, NumericError, ParseError)
+                     DegenerateClusteringError, EmptyDatasetError, NumericError, ParseError,
+                     read_lines)
 from .metrics import Confusion
 from .regressors import GridSpec
 from .scaling import Scaler
@@ -350,8 +351,7 @@ def _fit(train: DataSet, cfg: ExperimentConfig):
         model = regressors.svr_fit(X, y, best["C"], best["epsilon"], best["gamma"])
         if not model.converged:
             raise NumericError(f"SVR failed to converge (KKT violation {model.violation:.3e}) "
-                               f"at C={best['C']:g}, epsilon={best['epsilon']:g}, "
-                               f"gamma={best['gamma']:g}")
+                               f"at {regressors.format_cell(best)}")
     return replace(model, scaler=scaler), best, table
 
 
@@ -526,17 +526,16 @@ def read_report(path) -> dict:
     """Parse a report file back into a flat dict (config keys prefixed config.)."""
     out = {}
     section = ""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            if line.startswith("["):
-                section = line.strip("[]") + "."
-                continue
-            if "=" not in line:
-                raise ParseError(line_no, f"expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[section + key] = value
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("["):
+            section = line.strip("[]") + "."
+            continue
+        if "=" not in line:
+            raise ParseError(line_no, f"expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[section + key] = value
     return out
 
 

@@ -8,6 +8,7 @@ Grid search scores hyperparameter cells by k-fold validation RMSE.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -258,11 +259,17 @@ def _grid_cells(kind: str, grid: GridSpec):
 
 
 def _fit_predict(kind, params, X_tr, y_tr, X_va):
+    """Predictions for X_va, and whether the fit converged (a KRR fit always does)."""
     if kind == "krr":
         model = krr_fit(X_tr, y_tr, params["lam"], params["gamma"])
-        return krr_predict(model, X_va)
+        return krr_predict(model, X_va), True
     model = svr_fit(X_tr, y_tr, params["C"], params["epsilon"], params["gamma"])
-    return svr_predict(model, X_va)
+    return svr_predict(model, X_va), model.converged
+
+
+def format_cell(params: dict) -> str:
+    """`C=.., epsilon=.., gamma=..` (or `gamma=.., lam=..`) for a grid cell."""
+    return ", ".join(f"{key}={params[key]:g}" for key in sorted(params))
 
 
 def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
@@ -271,7 +278,9 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
 
     Folds come from one seeded shuffle split into contiguous chunks, so a
     repeated call with the same seed reproduces the table bit for bit.
-    Ties keep the first cell in iteration order.
+    Ties keep the first cell in iteration order. Fold fits that stop at the
+    SMO step cap are scored as they are, and one RuntimeWarning counts them
+    and names the first one's cell.
     """
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.float64)
@@ -281,13 +290,15 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     chunks = np.array_split(perm, grid.folds)
-    table = []
+    table, capped = [], []
     best_params, best_rmse = None, np.inf
     for params in _grid_cells(kind, grid):
         fold_rmses = []
         for f, va_idx in enumerate(chunks):
             tr_idx = np.concatenate([c for g, c in enumerate(chunks) if g != f])
-            pred = _fit_predict(kind, params, X[tr_idx], y[tr_idx], X[va_idx])
+            pred, converged = _fit_predict(kind, params, X[tr_idx], y[tr_idx], X[va_idx])
+            if not converged:
+                capped.append(params)
             err = float(np.sqrt(np.mean((y[va_idx] - pred) ** 2)))
             fold_rmses.append(err)
             table.append((params.get("C"), params["gamma"],
@@ -295,6 +306,10 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
         mean_rmse = float(np.mean(fold_rmses))
         if mean_rmse < best_rmse:
             best_params, best_rmse = dict(params), mean_rmse
+    if capped:
+        warnings.warn(f"grid_search scored {len(capped)} of {len(table)} fold fits that hit "
+                      f"the SMO step cap, the first at {format_cell(capped[0])}",
+                      RuntimeWarning, stacklevel=2)
     return best_params, table
 
 

@@ -8,14 +8,17 @@ redrawn at a higher Poisson rate and labelled 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, ParseError
+from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, header_fields, int64,
+                     parse_int, read_lines, split_lines)
 
-_INT64 = np.iinfo(np.int64)
+_ROW = re.compile(f"({DIGITS}),({DIGITS}),([01])")  # index,count,label
 
 
 @dataclass(frozen=True)
@@ -93,26 +96,23 @@ class SynthesisConfig:
 def parse_packet_log(stream: Union[str, TextIO, Iterable[str]]) -> list[PacketRecord]:
     """Parse a `timestamp_ms,src,dst` text log into PacketRecords.
 
-    Blank lines and lines starting with `#` are skipped. Malformed lines
-    raise ParseError with their 1-based line number.
+    A str is split into lines by errors.split_lines. Blank lines and lines
+    starting with `#` are skipped. Malformed lines, among them a timestamp
+    field that is not ASCII digits or is beyond int64, raise ParseError
+    with their 1-based line number.
     """
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = split_lines(stream)
     records = []
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, line in enumerate(stream, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
             continue
-        parts = line.split(",")
+        parts = line.rstrip("\n").split(",")  # a file object's lines keep their "\n"
         if len(parts) != 3:
             raise ParseError(line_no, f"expected 3 fields, got {len(parts)}")
-        ts_text, src, dst = (p.strip() for p in parts)
-        try:
-            ts = int(ts_text)
-        except ValueError:
-            raise ParseError(line_no, f"non-integer timestamp {ts_text!r}") from None
-        if ts < 0:
-            raise ParseError(line_no, f"negative timestamp {ts}")
+        ts = parse_int(parts[0], line_no, "timestamp")
+        src, dst = parts[1].strip(), parts[2].strip()
         if not src or not dst:
             raise ParseError(line_no, "empty src or dst")
         records.append(PacketRecord(ts, src, dst))
@@ -248,47 +248,27 @@ def write_series(series: IntervalSeries, path) -> None:
 
 
 def read_series(path) -> IntervalSeries:
-    """Read a series file written by write_series."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(1, "missing series header")
-    header = lines[0].split(",")
-    if sorted(part.partition("=")[0] for part in header) != ["interval_seconds", "origin_s"]:
-        raise ParseError(1, f"series header must set interval_seconds and origin_s once "
-                            f"each, got {lines[0]!r}")
-    try:
-        fields = dict(part.split("=", 1) for part in header)
-        interval_seconds = int(fields["interval_seconds"])
-        origin_s = int(fields["origin_s"])
-    except ValueError:
-        raise ParseError(1, f"bad series header {lines[0]!r}") from None
+    """Read a series file written by write_series; blank body lines are skipped."""
+    lines = read_lines(path) or [""]  # an empty file has an empty header
+    header = header_fields(lines[0], ("interval_seconds", "origin_s"), ",")
+    interval_seconds = parse_int(header["interval_seconds"], 1, "interval_seconds")
+    origin_s = parse_int(header["origin_s"], 1, "origin_s", signed=True)
     if interval_seconds < 1:
         raise ParseError(1, "interval_seconds must be >= 1")
-    if not (_INT64.min <= origin_s <= _INT64.max and interval_seconds <= _INT64.max):
-        raise ParseError(1, f"series header value out of int64 range in {lines[0]!r}")
     counts, labels = [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(line_no, f"expected index,count,label, got {line!r}")
-        try:
-            idx, count, label = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(line_no, f"non-integer field in {line!r}") from None
-        if idx != len(counts):
+    match = _ROW.fullmatch
+    for line_no, line in enumerate(islice(lines, 1, None), start=2):
+        row = match(line)
+        if row is None:
+            if not line.strip():
+                continue
+            raise ParseError(line_no, f"expected index,count,label as {DIGITS},{DIGITS},[01], "
+                                      f"got {line!r}")
+        idx, count, label = row.groups()
+        if int(idx) != len(counts):
             raise ParseError(line_no, f"out-of-order index {idx}")
-        if count < 0 or label not in (0, 1):
-            raise ParseError(line_no, f"invalid count or label in {line!r}")
-        counts.append(count)
-        labels.append(label)
-    try:
-        counts = np.array(counts, dtype=np.int64)
-    except OverflowError:  # only a count can be out of range; its line is looked up here
-        line_nos = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
-        line_no = next(n for n, c in zip(line_nos, counts) if c > _INT64.max)
-        raise ParseError(line_no, f"count out of int64 range in {lines[line_no - 1]!r}") from None
-    return IntervalSeries(counts, np.array(labels, dtype=np.int64),
+        counts.append(int64(count, line_no, "count"))
+        labels.append(label == "1")
+    del lines  # freed first, so the arrays and their checks do not add to peak memory
+    return IntervalSeries(np.array(counts, dtype=np.int64), np.array(labels, dtype=np.int64),
                           interval_seconds=interval_seconds, origin_s=origin_s)

@@ -3,8 +3,11 @@ import pytest
 
 from synwatch import regressors
 from synwatch.cli import main
+from synwatch.errors import NumericError
 from synwatch.model_io import load_model
-from synwatch.pipeline import MODEL_KINDS, PREDICTION_KINDS, read_report
+from synwatch.pipeline import (MODEL_KINDS, PREDICTION_KINDS, ExperimentConfig, fit_model,
+                               read_report)
+from synwatch.regressors import GridSpec
 from synwatch.traffic import IntervalSeries, read_series, write_series
 
 
@@ -55,17 +58,34 @@ def test_grid_with_lgr_reg_exits_two(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("text, line", [
-    ("interval_seconds=10,origin_s=0\n0,5,0\n\n1,99999999999999999999999,0\n2,5,1\n", 4),
-    ("interval_seconds=10,origin_s=99999999999999999999999\n0,5,0\n1,9,1\n", 1),
-], ids=["count", "origin_s"])
-def test_series_value_beyond_int64_exits_two(tmp_path, capsys, text, line):
-    series = tmp_path / "s.csv"
-    series.write_text(text)
-    assert main(["evaluate", "--model", "kmeans", "--series", str(series),
-                 "--report", str(tmp_path / "r.txt")]) == 2
+# case: (the role of the malformed file, its bytes, the line at fault)
+@pytest.mark.parametrize("role, data, line", [
+    ("series", b"interval_seconds=10,origin_s=0\n0,5,0\n\n1,99999999999999999999999,0\n2,5,1\n", 4),
+    ("series", b"interval_seconds=10,origin_s=99999999999999999999999\n0,5,0\n1,9,1\n", 1),
+    ("series", b"interval_seconds=10,origin_s=0\n0,5,0\n1,+5,1\n", 3),
+    ("log", b"0,src,host\n99999999999999999999999,src,host\n", 2),
+    ("series", b"interval_seconds=10,origin_s=0\n0,5,0\n1,5\xff,1\n", 3),
+    ("model", b"model=kmeans version=1\nk=2\ncentroids_shape=2 \xff1\n", 3),
+    ("report", b"model_kind=lgr\n\n[config]\nseed=4\xff2\n", 4),
+], ids=["count", "origin_s", "plus_count", "log_timestamp", "series_utf8", "model_utf8",
+        "report_utf8"])
+def test_series_value_beyond_int64_exits_two(tmp_path, capsys, role, data, line):
+    """A value beyond int64, a non-digit integer or invalid UTF-8 in any file
+    the CLI reads is a parse error at its line: exit 2, no output file."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    series = bad if role == "series" else _gen(tmp_path)
+    out = tmp_path / "out"
+    argv = {"series": ["evaluate", "--model", "kmeans", "--series", str(series),
+                       "--report", str(out)],
+            "log": ["ingest", "--log", str(bad), "--out", str(out)],
+            "model": ["evaluate", "--model", "kmeans", "--series", str(series),
+                      "--model-file", str(bad), "--report", str(out)],
+            "report": ["report", str(bad)]}[role]
+    capsys.readouterr()
+    assert main(argv) == 2
     assert f"error: line {line}: " in capsys.readouterr().err
-    assert not (tmp_path / "r.txt").exists()
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------
@@ -234,9 +254,18 @@ def test_unconverged_svr_refit_names_its_grid_cell(tmp_path, capsys, monkeypatch
     assert main(["train", "--model", "svr", "--grid", "--series", str(series),
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
+        "warning: grid_search scored 72 of 72 fold fits that hit the SMO step cap, "
+        "the first at C=0.1, epsilon=0.01, gamma=0.01\n"
         "numeric error: SVR failed to converge (KKT violation 9.800e-01) "
         "at C=0.1, epsilon=0.01, gamma=0.01\n")
     assert not out.exists()
+    # the same warning, once, from the library call the command makes
+    cfg = ExperimentConfig(model_kind="svr", grid=GridSpec())
+    with pytest.warns(RuntimeWarning) as record, pytest.raises(NumericError):
+        fit_model(read_series(series), cfg)
+    assert [str(w.message) for w in record] == [
+        "grid_search scored 72 of 72 fold fits that hit the SMO step cap, "
+        "the first at C=0.1, epsilon=0.01, gamma=0.01"]
 
 
 def test_svr_grid_trains_and_predicts_on_the_attack_series(tmp_path):

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from mutations import check_reader, damaged
 
 from synwatch import pipeline
 from synwatch.classifiers import KMeansModel, LgrModel, MlpModel
@@ -323,3 +329,22 @@ def test_evaluate_three_cluster_model_file_maps_every_cluster(tmp_path, small_se
     text = report.read_text()
     assert f"tp={int((attack & (small_series.labels == 1)).sum())}\n" in text
     assert f"fn={int((attack & (small_series.labels == 0)).sum())}\n" in text  # inverted fn
+
+
+def _saved(model) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "m.txt")
+        return (Path(tmp) / "m.txt").read_bytes()
+
+
+def test_model_file_with_crlf_ends_loads(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(_saved(_SVR).replace(b"\n", b"\r\n"))
+    assert _saved(load_model(path)) == _saved(_SVR)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.sampled_from([_LGR, _MLP, _KMEANS, _KRR, _SVR]).map(_saved).flatmap(damaged))
+def test_damaged_model_file_loads_or_names_its_line(tmp_path, data):
+    check_reader(load_model, tmp_path / "m.txt", data)

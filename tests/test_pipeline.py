@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from mutations import check_reader, damaged
 
 import synwatch.pipeline as pipeline
 from oracles import frame_sigma, smote_balance_dense
@@ -412,6 +414,18 @@ def test_report_file_round_trip(tmp_path, small_series):
     assert data["config.seed"] == "42"
     assert int(data["tp"]) + int(data["tn"]) + int(data["fp"]) + int(data["fn"]) \
         == report.confusion.total
+
+
+_REPORT = (b"model_kind=svr\ntp=12\ntn=100\nfp=0\nfn=3\naccuracy_pct=97.391\n"
+           b"r2=0.998765\ntrain_seconds=0.012345\n[config]\nmodel_kind=svr\nseed=42\n"
+           b"grid=-\n")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=damaged(_REPORT))
+def test_damaged_report_loads_or_names_its_line(tmp_path, data):
+    check_reader(read_report, tmp_path / "r.txt", data)
 
 
 def test_prediction_file_format(tmp_path, periodic_series):

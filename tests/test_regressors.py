@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,22 @@ def test_every_svr_grid_fit_on_the_periodic_series_converges(monkeypatch, period
     assert len(fits) == 24 * 3 + 1
     assert all(model.converged for model in fits)
     assert max(model.violation for model in fits) <= regressors.SMO_TOL
+
+
+def test_grid_search_counts_capped_fold_fits_in_one_warning(monkeypatch):
+    X, y = _wavey(n=30)
+    grid = GridSpec(C_values=(1.0, 10.0), gamma_values=(0.5,), epsilon_values=(0.1,),
+                    folds=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every fit converges: no warning
+        converged = grid_search(X, y, "svr", grid, seed=2)
+    monkeypatch.setattr(regressors, "SMO_ITER_FACTOR", 0)
+    with pytest.warns(RuntimeWarning) as record:
+        capped = grid_search(X, y, "svr", grid, seed=2)
+    assert [str(w.message) for w in record] == [
+        "grid_search scored 6 of 6 fold fits that hit the SMO step cap, "
+        "the first at C=1, epsilon=0.1, gamma=0.5"]
+    assert len(capped[1]) == len(converged[1]) == 6
 
 
 def test_grid_needs_enough_samples():

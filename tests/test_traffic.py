@@ -2,10 +2,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from mutations import check_reader, damaged
 
-from synwatch.errors import ConfigError, ContractViolation, ParseError
+from synwatch.errors import ConfigError, ContractViolation, ParseError, read_lines
 from synwatch.traffic import (PacketRecord, SynthesisConfig, bucketize,
                               generate_baseline, inject_attacks, inject_periodic_attacks,
                               parse_packet_log, read_series, write_series)
@@ -41,6 +42,32 @@ def test_parse_error_names_line():
 def test_parse_accepts_file_object():
     records = parse_packet_log(io.StringIO("7,x,y\n"))
     assert records == [PacketRecord(7, "x", "y")]
+
+
+def test_parse_timestamp_is_ascii_digits_within_int64():
+    for bad in ("+5", "1_0", " 7", "\u0663", "9223372036854775808"):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_packet_log(f"0,a,b\n{bad},a,b\n")
+    assert parse_packet_log("9223372036854775807,a,b\n")[0].timestamp_ms == 2 ** 63 - 1
+
+
+def test_parse_str_breaks_lines_only_at_newline():
+    assert parse_packet_log("1,a,b\r\n2,a,b\r\n") == [PacketRecord(1, "a", "b"),
+                                                    PacketRecord(2, "a", "b")]
+    with pytest.raises(ParseError, match="line 1"):
+        parse_packet_log("1,a,b\x0c2,a,b\n")
+
+
+_LOG = b"# capture\n0,src,host\n1500,h1,h2\n\n9000,a,b\n"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=damaged(_LOG))
+def test_damaged_packet_log_loads_or_names_its_line(tmp_path, data):
+    records = check_reader(lambda p: parse_packet_log(read_lines(p)), tmp_path / "p.log", data)
+    if records is not None:  # a str is split into lines by the same rule
+        assert parse_packet_log(data.decode("utf-8")) == records
 
 
 # --------------------------------------------------------------------------
@@ -222,3 +249,48 @@ def test_series_file_rejects_out_of_order_rows(tmp_path):
     path.write_text("interval_seconds=10,origin_s=0\n1,5,0\n")
     with pytest.raises(ParseError, match="line 2"):
         read_series(path)
+
+
+@pytest.mark.parametrize("row", ["1,1_0,0", "1,+5,1", "1, 7 ,0", "1,\u0663,0", "1,5,2",
+                                 "1,5,0,", "1,-5,0", "+1,5,0",
+                                 pytest.param("1," + "0" * 5000 + "5,0", id="count_5001_digits"),
+                                 pytest.param("0" * 5000 + "1,5,0", id="index_5001_digits")])
+def test_series_row_fields_are_ascii_digits(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"interval_seconds=10,origin_s=0\n0,5,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 3"):
+        read_series(path)
+
+
+def test_series_count_at_the_int64_bound(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("interval_seconds=10,origin_s=0\n0,9223372036854775807,0\n"
+                    "1,9223372036854775808,0\n")
+    with pytest.raises(ParseError, match="line 3: count 9223372036854775808 is out of int64"):
+        read_series(path)
+
+
+def test_series_crlf_loads_and_form_feed_does_not_break_a_line(tmp_path, small_series):
+    path = tmp_path / "s.csv"
+    write_series(small_series, path)
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"\n", b"\r\n"))
+    back = read_series(path)
+    assert np.array_equal(back.counts, small_series.counts)
+    assert np.array_equal(back.labels, small_series.labels)
+    path.write_bytes(text.replace(b"\n1,", b"\x0c1,", 1))
+    with pytest.raises(ParseError, match="line 2"):
+        read_series(path)
+
+
+_SERIES = b"interval_seconds=10,origin_s=-20\n0,5,0\n1,57,1\n\n2,0,1\n3,12,0\n"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=damaged(_SERIES))
+def test_damaged_series_loads_or_names_its_line(tmp_path, data):
+    series = check_reader(read_series, tmp_path / "s.csv", data)
+    if series is not None:
+        assert series.interval_seconds >= 1
+        assert series.counts.dtype == series.labels.dtype == np.int64
