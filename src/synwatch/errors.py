@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: usage errors exit 1, ConfigError and
 its subclasses exit 2, NumericError exits 3. Every file reader takes its
-lines, header fields and integers from the functions at the end, so a
+lines, header fields and numbers from the rules at the end, so a
 file that breaks their rules is a ParseError at its line.
 """
 
@@ -48,6 +48,8 @@ class NumericError(ArithmeticError):
 # An integer field: ASCII digits, with a leading "-" only where allowed. An
 # int64 has at most 19 digits, and the bound keeps int() below its digit limit.
 DIGITS = "[0-9]{1,19}"
+# A float field: ASCII decimal, as format(v, ".17g") writes every finite float.
+FLOAT = r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?"
 _INT64 = range(-2 ** 63, 2 ** 63)
 
 
@@ -60,16 +62,19 @@ def split_lines(text: str) -> list:
     return lines
 
 
-def read_lines(path) -> list:
-    """split_lines of a UTF-8 file; invalid UTF-8 is a ParseError at its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def decode_utf8(data: bytes) -> str:
+    """data as text; invalid UTF-8 is a ParseError at its line."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(data.count(b"\n", 0, exc.start) + 1,
                          f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
-    del data  # only one copy of the file lives while it is split
+
+
+def read_lines(path) -> list:
+    """split_lines of a UTF-8 file; invalid UTF-8 is a ParseError at its line."""
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read())  # the bytes are freed before the text is split
     return split_lines(text)
 
 

@@ -72,12 +72,15 @@ def make_frames(series: IntervalSeries, cfg: FramingConfig) -> list[Frame]:
             for row, s, label in zip(C, sigmas, labels.tolist())]
 
 
+_LINE = "%d," * FRAME_WIDTH + "%d\n"  # v1,...,v12,label
+_LINE_WITH_SIGMA = "%d," * FRAME_WIDTH + "%.17g,%d\n"  # v1,...,v12,sigma,label
+WRITE_BLOCK_FRAMES = 1 << 12  # frames joined into one write
+
+
 def write_frames(frames: Sequence[Frame], path) -> None:
     """One `v1,...,v12[,sigma],label` line per frame."""
     with open(path, "w", encoding="utf-8") as fh:
-        for f in frames:
-            cols = [str(v) for v in f.values]
-            if f.sigma is not None:
-                cols.append(format(f.sigma, ".17g"))
-            cols.append(str(f.label))
-            fh.write(",".join(cols) + "\n")
+        for start in range(0, len(frames), WRITE_BLOCK_FRAMES):
+            fh.write("".join(_LINE % (*f.values, f.label) if f.sigma is None
+                             else _LINE_WITH_SIGMA % (*f.values, f.sigma, f.label)
+                             for f in frames[start:start + WRITE_BLOCK_FRAMES]))

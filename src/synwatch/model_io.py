@@ -10,14 +10,17 @@ so a save/load round trip is exact.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .classifiers import KMeansModel, LgrModel, MlpModel
-from .errors import NumericError, ParseError, header_fields, read_lines
+from .errors import FLOAT, NumericError, ParseError, header_fields, read_lines
 from .regressors import KrrModel, SvrModel
 from .scaling import Scaler
 
 FORMAT_VERSION = 1
+_NUMBER = re.compile(FLOAT)
 
 # Each model class's arrays in file order: (line name, attribute, form). A
 # "value" holds one number, a "vector" any count, and a "matrix" its values
@@ -89,10 +92,10 @@ def _parse_arrays(lines, cls):
             raise ParseError(line_no, f"array {name!r} repeats line {line_of[name]}")
         if name not in names:
             raise ParseError(line_no, f"array {name!r} is not part of a {cls.family} model")
-        try:
-            arrays[name] = np.array([float(t) for t in text.split()])
-        except ValueError:
-            raise ParseError(line_no, f"non-numeric value in array {name!r}") from None
+        values = text.split()
+        if not all(map(_NUMBER.fullmatch, values)):
+            raise ParseError(line_no, f"non-numeric value in array {name!r}")
+        arrays[name] = np.array([float(v) for v in values])
         if not len(arrays[name]):
             raise ParseError(line_no, f"array {name!r} has no values")
         if not np.isfinite(arrays[name]).all():

@@ -15,8 +15,8 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, header_fields, int64,
-                     parse_int, read_lines, split_lines)
+from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, decode_utf8,
+                     header_fields, int64, parse_int, split_lines)
 
 _ROW = re.compile(f"({DIGITS}),({DIGITS}),([01])")  # index,count,label
 
@@ -239,22 +239,98 @@ def inject_periodic_attacks(series: IntervalSeries, cfg: SynthesisConfig,
     return out
 
 
+WRITE_BLOCK_ROWS = 1 << 12  # rows formatted by one % operation
+READ_BLOCK_BYTES = 1 << 16  # bytes of whole rows checked and parsed at once
+_FIELD_DIGITS = 18  # the longest field the array path reads: 10**18 - 1 fits int64
+_ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
 def write_series(series: IntervalSeries, path) -> None:
     """Write the `interval_seconds=..,origin_s=..` header plus index,count,label rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"interval_seconds={series.interval_seconds},origin_s={series.origin_s}\n")
-        for i, (c, l) in enumerate(zip(series.counts, series.labels)):
-            fh.write(f"{i},{c},{l}\n")
+        for start in range(0, len(series), WRITE_BLOCK_ROWS):
+            stop = min(start + WRITE_BLOCK_ROWS, len(series))
+            block = np.stack((np.arange(start, stop), series.counts[start:stop],
+                              series.labels[start:stop]), axis=1)
+            fh.write("%d,%d,%d\n" * (stop - start) % tuple(block.ravel().tolist()))
 
 
 def read_series(path) -> IntervalSeries:
-    """Read a series file written by write_series; blank body lines are skipped."""
-    lines = read_lines(path) or [""]  # an empty file has an empty header
-    header = header_fields(lines[0], ("interval_seconds", "origin_s"), ",")
+    """Read a series file written by write_series; blank body lines are skipped.
+
+    The form write_series writes is parsed as arrays; every other file goes
+    through the line loop, which defines what a series file may hold. Both
+    give the same series for a file in that form.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    series = _read_canonical(data)
+    return _read_series_lines(data) if series is None else series
+
+
+def _series_header(line: str) -> tuple:
+    """(interval_seconds, origin_s) of header line 1."""
+    header = header_fields(line, ("interval_seconds", "origin_s"), ",")
     interval_seconds = parse_int(header["interval_seconds"], 1, "interval_seconds")
     origin_s = parse_int(header["origin_s"], 1, "origin_s", signed=True)
     if interval_seconds < 1:
         raise ParseError(1, "interval_seconds must be >= 1")
+    return interval_seconds, origin_s
+
+
+def _read_canonical(data: bytes) -> Optional[IntervalSeries]:
+    """The series in a file's bytes when its body has the form write_series
+    writes, else None.
+
+    That body is `index,count,label\\n` rows with indices 0, 1, ..., fields
+    of 1 to 18 ASCII digits (so no int64 overflow) and a one-digit label, 0
+    or 1. The line loop accepts every such file and reads the same series,
+    so this path only decides sooner. It checks and parses blocks of whole
+    rows with array operations, so it makes no Python object per row and
+    its temporaries do not grow with the file.
+    """
+    start = data.find(b"\n") + 1
+    if not start or not data.endswith(b"\n"):
+        return None
+    if np.frombuffer(data, np.uint8, offset=start).max(initial=0) > ord("9"):
+        return None
+    # The body is ASCII, so the line loop, too, would fail at the header first.
+    interval_seconds, origin_s = _series_header(split_lines(decode_utf8(data[:start]))[0])
+    n = data.count(b"\n", start)
+    counts, labels = np.empty(n, np.int64), np.empty(n, np.int64)
+    row = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + READ_BLOCK_BYTES - 1) + 1 or len(data)
+        fields = _canonical_rows(data[start:stop])
+        if fields is None or (fields[:, 0] != np.arange(row, row + len(fields))).any():
+            return None
+        counts[row:row + len(fields)] = fields[:, 1]
+        labels[row:row + len(fields)] = fields[:, 2]
+        row, start = row + len(fields), stop
+    return IntervalSeries(counts, labels, interval_seconds=interval_seconds, origin_s=origin_s)
+
+
+def _canonical_rows(block: bytes) -> Optional[np.ndarray]:
+    """The (index, count, label) rows of block, bytes <= "9" that end in a
+    newline, when every row has write_series' form, else None."""
+    body = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(body < ord("0"))  # field ends, which must be "," "," "\n"
+    if len(ends) % 3 or (body[ends].reshape(-1, 3) != _ROW_SEPARATORS).any():
+        return None
+    gaps = np.diff(ends, prepend=-1)  # a field's length plus one
+    if gaps.min() < 2 or gaps.max() > _FIELD_DIGITS + 1 or (gaps[2::3] != 2).any():
+        return None
+    fields = np.fromstring(block.translate(_NEWLINE_TO_COMMA), np.int64, sep=",").reshape(-1, 3)
+    return None if (fields[:, 2] > 1).any() else fields
+
+
+def _read_series_lines(data: bytes) -> IntervalSeries:
+    """The series in a file's bytes by the line loop, the reference for what a
+    series file may hold: any file it rejects is a ParseError at its line."""
+    lines = split_lines(decode_utf8(data)) or [""]  # an empty file has an empty header
+    interval_seconds, origin_s = _series_header(lines[0])
     counts, labels = [], []
     match = _ROW.fullmatch
     for line_no, line in enumerate(islice(lines, 1, None), start=2):

@@ -6,12 +6,13 @@ path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the SVR step
 loop that rebuilds its arrays and the KKT values it reads from them, the
 LGR fit that computes each accepted step's scores twice, the MLP fit and
-gradients that allocate every step's arrays, and the K-Means fit that
-sweeps every row), which the optimized ones must match bit for bit.
+gradients that allocate every step's arrays, the K-Means fit that sweeps
+every row, and the series and frames writers that format one row at a
+time), which the optimized ones must match bit for bit.
 """
 
 import warnings
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit as sigmoid
@@ -21,10 +22,11 @@ from synwatch.classifiers import (BATCH_SIZE, HIDDEN_WIDTH, L2, TOLERANCE, KMean
                                   _distinct_row_init, _nearest, mlp_loss_grads)
 from synwatch.errors import (BalancingError, ConfigError, ContractViolation,
                              TrainingError)
-from synwatch.framing import FRAME_WIDTH
+from synwatch.framing import FRAME_WIDTH, Frame
 from synwatch.pipeline import DataSet
 from synwatch.regressors import SMO_ITER_FACTOR, SMO_TOL, SvrModel, rbf_matrix
 from synwatch.scaling import Scaler, as_matrix
+from synwatch.traffic import IntervalSeries
 
 
 def frame_sigma(values) -> float:
@@ -443,3 +445,22 @@ def kmeans_fit_reference(X, k: int, cfg: TrainConfig = TrainConfig(),
             centroids[c] = X[assign == c].mean(axis=0)
     wcss = float(_nearest(X, centroids)[1].sum())
     return KMeansModel(centroids=centroids, k=k, wcss=wcss)
+
+
+def write_series_lines(series: IntervalSeries, path) -> None:
+    """write_series as it was before it formatted blocks of rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"interval_seconds={series.interval_seconds},origin_s={series.origin_s}\n")
+        for i, (c, l) in enumerate(zip(series.counts, series.labels)):
+            fh.write(f"{i},{c},{l}\n")
+
+
+def write_frames_lines(frames: Sequence[Frame], path) -> None:
+    """write_frames as it was before it formatted blocks of frames."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for f in frames:
+            cols = [str(v) for v in f.values]
+            if f.sigma is not None:
+                cols.append(format(f.sigma, ".17g"))
+            cols.append(str(f.label))
+            fh.write(",".join(cols) + "\n")

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frame_sigma
+from oracles import frame_sigma, write_frames_lines
 from synwatch.errors import ConfigError, ContractViolation
-from synwatch.framing import (FRAME_WIDTH, FramingConfig, frame_arrays, make_frames,
-                              write_frames)
+from synwatch.framing import (FRAME_WIDTH, WRITE_BLOCK_FRAMES, Frame, FramingConfig,
+                              frame_arrays, make_frames, write_frames)
 from synwatch.traffic import IntervalSeries
 
 
@@ -156,3 +156,22 @@ def test_frames_file_text_without_sigma(tmp_path):
     write_frames(make_frames(_series(list(range(24))), FramingConfig()), path)
     assert path.read_text() == ("0,1,2,3,4,5,6,7,8,9,10,11,0\n"
                                 "12,13,14,15,16,17,18,19,20,21,22,23,0\n")
+
+
+_SIGMAS = [0.0, math.sqrt(11), 1e-300, 5e-324, 1e300, 1e16, 0.1, 123456.789]
+
+
+@pytest.mark.parametrize("sigma", ["none", "sigma", "mixed"])
+@pytest.mark.parametrize("n", [0, 1, WRITE_BLOCK_FRAMES - 1, WRITE_BLOCK_FRAMES,
+                               WRITE_BLOCK_FRAMES + 1])
+def test_write_frames_matches_the_row_loop_byte_for_byte(tmp_path, n, sigma):
+    rng = np.random.default_rng(n)
+    values = rng.integers(0, 2 ** 63, size=(n, FRAME_WIDTH), dtype=np.int64)
+    values //= 10 ** rng.integers(0, 19, size=values.shape)
+    values[-1:, -1] = 2 ** 63 - 1
+    frames = [Frame(tuple(row), None if sigma == "none" or (sigma == "mixed" and i % 2)
+                    else _SIGMAS[i % len(_SIGMAS)], int(rng.integers(0, 2)))
+              for i, row in enumerate(values.tolist())]
+    write_frames(frames, tmp_path / "blocks.csv")
+    write_frames_lines(frames, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from mutations import check_reader, damaged
 from synwatch import pipeline
 from synwatch.classifiers import KMeansModel, LgrModel, MlpModel
 from synwatch.cli import main
-from synwatch.errors import NumericError, ParseError
+from synwatch.errors import FLOAT, NumericError, ParseError
 from synwatch.model_io import load_model, save_model
 from synwatch.regressors import KrrModel, SvrModel, krr_predict, rbf_matrix
 from synwatch.scaling import Scaler
@@ -286,6 +287,7 @@ MALFORMED = {
     "non_finite_value": (_LGR, "lgr", _set("weights", "nan"), 2),
     "repeated_array": (_LGR, "lgr", lambda lines: lines + ["bias=5"], 6),
     "array_not_in_layout": (_KMEANS, "kmeans", lambda lines: lines + ["scaler_mean=1"], 7),
+    "non_ascii_digits": (_KMEANS, "kmeans", _set("centroids", "5_0 \u0665\u0660\u0660"), 4),
 }
 
 
@@ -348,3 +350,36 @@ def test_model_file_with_crlf_ends_loads(tmp_path):
 @given(data=st.sampled_from([_LGR, _MLP, _KMEANS, _KRR, _SVR]).map(_saved).flatmap(damaged))
 def test_damaged_model_file_loads_or_names_its_line(tmp_path, data):
     check_reader(load_model, tmp_path / "m.txt", data)
+
+
+# numbers float() reads that a model file may not hold: `_` between digits,
+# non-ASCII digits, a leading "+" or ".", and the names of non-finite values
+@pytest.mark.parametrize("text", ["5_0", "\u0665\u0660", "\uff15", "+5", ".5", "-.5", "nan",
+                                  "-inf", "Infinity", "1e5_0"])
+def test_model_file_numbers_are_ascii_decimal(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(_saved(_KMEANS).decode().replace("centroids=50 500", f"centroids=50 {text}"),
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 4: non-numeric value in array 'centroids'$"):
+        load_model(path)
+
+
+def test_space_inside_a_model_file_number_splits_it(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(_saved(_KMEANS).decode().replace("centroids=50 500", "centroids=50 5 00"),
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 4: array 'centroids' has 3 values"):
+        load_model(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_float_loads_back_from_a_model_file(value):
+    assert re.fullmatch(FLOAT, format(value, ".17g"))
+    model = LgrModel(weights=np.array([value]), bias=value,
+                     scaler=Scaler(mean=np.array([value]), std=np.array([1.0])))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "m.txt")
+        back = load_model(Path(tmp) / "m.txt")
+    assert back.weights.tobytes() == model.weights.tobytes()
+    assert np.float64(back.bias).tobytes() == np.float64(value).tobytes()

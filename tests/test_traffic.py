@@ -5,9 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mutations import check_reader, damaged
+from oracles import write_series_lines
 
 from synwatch.errors import ConfigError, ContractViolation, ParseError, read_lines
-from synwatch.traffic import (PacketRecord, SynthesisConfig, bucketize,
+from synwatch.traffic import (READ_BLOCK_BYTES, WRITE_BLOCK_ROWS, IntervalSeries, PacketRecord,
+                              SynthesisConfig, _read_canonical, _read_series_lines, bucketize,
                               generate_baseline, inject_attacks, inject_periodic_attacks,
                               parse_packet_log, read_series, write_series)
 
@@ -294,3 +296,114 @@ def test_damaged_series_loads_or_names_its_line(tmp_path, data):
     if series is not None:
         assert series.interval_seconds >= 1
         assert series.counts.dtype == series.labels.dtype == np.int64
+
+
+# --------------------------------------------------------------------------
+# the array path against the line loop, and the writer against the row loop
+
+
+def _outcome(read, path):
+    """What read makes of path: the series' header, dtypes and values, or the
+    ParseError message."""
+    try:
+        series = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return (series.interval_seconds, series.origin_s, series.counts.dtype,
+            series.labels.dtype, series.counts.tolist(), series.labels.tolist())
+
+
+def _line_loop(path):
+    return _read_series_lines(path.read_bytes())
+
+
+# a file write_series could have written: counts of 1 to 18 digits, both labels
+_CANONICAL = (b"interval_seconds=10,origin_s=-20\n0,5,0\n1,57,1\n2,0,1\n3,12,0\n"
+              b"4,999999999999999999,1\n5,400,0\n")
+
+
+def test_canonical_file_takes_the_array_path():
+    series = _read_canonical(_CANONICAL)
+    assert series is not None
+    assert series.counts.tolist() == [5, 57, 0, 12, 999999999999999999, 400]
+    assert series.labels.tolist() == [0, 1, 1, 0, 1, 0]
+    assert (series.interval_seconds, series.origin_s) == (10, -20)
+
+
+def test_array_path_reads_a_file_of_many_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 4 * READ_BLOCK_BYTES // 10  # about 19 bytes a row: seven blocks and a part
+    counts = rng.poisson(50, n) * 10 ** rng.integers(0, 16, n)
+    series = IntervalSeries(counts, rng.integers(0, 2, n), interval_seconds=10, origin_s=-7)
+    write_series(series, tmp_path / "s.csv")
+    back = _read_canonical((tmp_path / "s.csv").read_bytes())
+    assert back is not None
+    assert np.array_equal(back.counts, counts) and np.array_equal(back.labels, series.labels)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=damaged(_CANONICAL))
+def test_damaged_canonical_series_reads_as_the_line_loop_does(tmp_path, data):
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    assert _outcome(read_series, path) == _outcome(_line_loop, path)
+
+
+_HEADER = b"interval_seconds=10,origin_s=0\n"
+_ROWS = b"0,5,0\n1,57,1\n"
+# case: (file bytes, what the array path does: "reads", "declines" or "raises")
+PATH_SPLITS = {
+    "canonical": (_HEADER + _ROWS, "reads"),
+    "label_01": (_HEADER + b"0,5,0\n1,57,01\n", "declines"),
+    "label_00": (_HEADER + b"0,5,00\n", "declines"),
+    "label_2": (_HEADER + b"0,5,2\n", "declines"),
+    "count_18_digits": (_HEADER + b"0,999999999999999999,1\n", "reads"),
+    "count_int64_max": (_HEADER + b"0,9223372036854775807,0\n", "declines"),
+    "count_2_pow_63": (_HEADER + b"0,9223372036854775808,0\n", "declines"),
+    "index_007": (_HEADER + b"".join(b"%d,1,0\n" % i for i in range(7)) + b"007,5,1\n",
+                  "reads"),
+    "index_out_of_order": (_HEADER + b"1,5,0\n", "declines"),
+    "empty_field": (_HEADER + b"0,,0\n", "declines"),
+    "header_only": (_HEADER, "reads"),
+    "header_only_no_newline": (_HEADER[:-1], "declines"),
+    "empty_file": (b"", "declines"),
+    "no_final_newline": (_HEADER + _ROWS[:-1], "declines"),
+    "no_final_newline_one_field": (_HEADER + b"0,5,0\n1", "declines"),
+    "blank_line": (_HEADER + b"0,5,0\n\n1,57,1\n", "declines"),
+    "crlf": ((_HEADER + _ROWS).replace(b"\n", b"\r\n"), "declines"),
+    "crlf_header_only": (_HEADER.replace(b"\n", b"\r\n") + _ROWS, "reads"),
+    "bom": (b"\xef\xbb\xbf" + _HEADER + _ROWS, "raises"),
+    "bad_header": (b"interval_seconds=0,origin_s=0\n" + _ROWS, "raises"),
+    "header_invalid_utf8": (b"interval_seconds=10,origin_s=\xff\n" + _ROWS, "raises"),
+    "body_invalid_utf8": (_HEADER + b"0,5\xff,0\n", "declines"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_SPLITS))
+def test_array_path_splits_from_the_line_loop_only_where_it_should(tmp_path, case):
+    data, action = PATH_SPLITS[case]
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    assert _outcome(read_series, path) == _outcome(_line_loop, path)
+    try:
+        taken = "declines" if _read_canonical(data) is None else "reads"
+    except ParseError:
+        taken = "raises"
+    assert taken == action
+
+
+@pytest.mark.parametrize("n", [0, 1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS,
+                               WRITE_BLOCK_ROWS + 1, 3 * WRITE_BLOCK_ROWS + 7])
+def test_write_series_matches_the_row_loop_byte_for_byte(tmp_path, n):
+    rng = np.random.default_rng(n)
+    # counts of every length from 1 to 19 digits, up to the int64 bound
+    counts = rng.integers(0, 2 ** 63, size=n, dtype=np.int64) // 10 ** rng.integers(0, 19, n)
+    counts[-1:] = 2 ** 63 - 1
+    series = IntervalSeries(counts, rng.integers(0, 2, n), interval_seconds=7,
+                            origin_s=-2 ** 63 + n)
+    write_series(series, tmp_path / "blocks.csv")
+    write_series_lines(series, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    back = read_series(tmp_path / "blocks.csv")
+    assert np.array_equal(back.counts, counts) and np.array_equal(back.labels, series.labels)
