@@ -307,8 +307,7 @@ def _distinct_row_init(X, k, rng):
 def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid id per row, ties to the lowest id, and its squared distance."""
     d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    return assign, d2[np.arange(len(X)), assign]
+    return d2.argmin(axis=1), d2.min(axis=1)
 
 
 def _value_groups(X):
@@ -346,7 +345,7 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     their counts: the same assignments and, the sums being exact, the same
     centroids as over the rows. wcss_history then holds sums over values,
     which may differ from the row sums in the last bits. The final wcss is
-    always summed over the rows.
+    always a sum over the rows, of the distances found for their points.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -387,7 +386,8 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     else:
         warnings.warn(f"kmeans_fit hit its cap of {cfg.max_epochs} sweeps before "
                       f"assignments repeated", RuntimeWarning, stacklevel=2)
-    wcss = float(_nearest(X, centroids)[1].sum())
+    own = _nearest(points, centroids)[1]
+    wcss = float((own if inverse is None else own[inverse]).sum())
     return KMeansModel(centroids=centroids, k=k, wcss=wcss)
 
 

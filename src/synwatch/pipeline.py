@@ -47,6 +47,12 @@ _FAMILY_TRAIN_DEFAULTS = {
     "mlp": TrainConfig(),
     "kmeans": TrainConfig(),
 }
+# The training settings each family's fit reads, in the report's order.
+_FAMILY_TRAIN_KEYS = {
+    "lgr": ("learning_rate", "max_epochs", "tolerance", "l2"),
+    "mlp": ("learning_rate", "max_epochs", "l2", "train_seed"),
+    "kmeans": ("max_epochs", "train_seed"),
+}
 
 # Detection trains on this stratified share of each class, forecasting on this
 # chronological head; SMOTE picks among the SMOTE_K nearest minority neighbours.
@@ -75,17 +81,20 @@ class ExperimentConfig:
             raise ConfigError(f"grid search does not apply to {self.model_kind}")
 
     def echo(self) -> dict:
-        """The report's [config] block: the settings the kind's fit reads."""
-        items = {"model_kind": self.model_kind, "split_ratio": SPLIT_RATIO}
+        """The report's [config] block: the settings the kind's run reads."""
+        items = {"model_kind": self.model_kind}
+        if self.model_kind != "kmeans":  # K-Means fits and scores every row
+            items["split_ratio"] = SPLIT_RATIO
         if self.model_kind in _SMOTE_KINDS:
             items["smote_k"] = SMOTE_K
         items["seed"] = self.seed
         family = _family(self.model_kind)
         if family in _FAMILY_TRAIN_DEFAULTS:
             train = default_train_cfg(family, self.seed)
-            items.update(learning_rate=train.learning_rate, max_epochs=train.max_epochs,
+            every = dict(learning_rate=train.learning_rate, max_epochs=train.max_epochs,
                          tolerance=classifiers.TOLERANCE, l2=classifiers.L2,
                          train_seed=train.seed)
+            items.update((key, every[key]) for key in _FAMILY_TRAIN_KEYS[family])
         items["grid"] = "yes" if self.grid is not None else "no"
         return items
 
@@ -165,55 +174,32 @@ def split_indices(y, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-def _neighbours_by_row(Xm, rows, k_eff):
-    """The k_eff nearest minority rows of each of `rows`, a bounded block of
-    rows at a time: squared distances summed over the features, ties to the
-    lowest row index, never the row itself."""
-    block = max(1, _SMOTE_BLOCK_BYTES // (len(Xm) * Xm.shape[1] * Xm.itemsize))
-    neighbours = np.empty((len(rows), k_eff), dtype=np.intp)
-    for start in range(0, len(rows), block):
-        r = rows[start:start + block]
-        d2 = ((Xm[r][:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(len(r)), r] = np.inf
-        neighbours[start:start + len(r)] = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-    return neighbours
+def _neighbours(Xm, rows, k_eff):
+    """The k_eff nearest minority rows of each of `rows`, as the dense search
+    ranks them: by squared distance summed over the features, ties to the
+    lowest row index, the row itself at (inf, its index).
 
-
-def _neighbours_by_value(Xm, rows, k_eff):
-    """What _neighbours_by_row finds for one feature, found per distinct value.
-
-    For each distinct value u among `rows`, the groups of equal values are
-    ordered by (u - v)**2, the dense squared distance; those up to the one
-    that brings the rows to k_eff + 1, and every group tied with it, are
-    the candidates. Each gives its lowest k_eff + 1 rows, and the first
-    k_eff + 1 candidates by (distance, row index) serve every row of value
-    u, each dropping itself or else the last.
+    Rows of equal value are equally far from every row, so each distinct
+    sampled row, a bounded block at a time, keeps its first k_eff + 1 rows.
+    Each row then puts itself at (inf, its index), in place of its own entry
+    or else of the last, which then lies behind k_eff rows at distance 0.
     """
-    values, inverse, counts = np.unique(Xm[:, 0], return_inverse=True, return_counts=True)
+    reps, back = np.unique(Xm[rows], axis=0, return_inverse=True)
     k1 = k_eff + 1
-    # each group's lowest k1 row indices, -1 where it has fewer rows
-    members = np.argsort(inverse, kind="stable")
-    slots = np.cumsum(counts)[:, None] - counts[:, None] + np.arange(k1)
-    head = np.where(np.arange(k1) < counts[:, None],
-                    members[np.minimum(slots, len(members) - 1)], -1)
-    sampled, value_of_row = np.unique(inverse[rows], return_inverse=True)
-    nearest = np.empty((len(sampled), k1), dtype=np.intp)
-    block = max(1, _SMOTE_BLOCK_BYTES // (len(values) * values.itemsize))
-    for start in range(0, len(sampled), block):
-        d2 = (values[sampled[start:start + block], None] - values[None, :]) ** 2
-        order = np.argsort(d2, axis=1, kind="stable")
-        reach = (np.cumsum(counts[order], axis=1) < k1).sum(axis=1)
-        limit = np.take_along_axis(d2, order, 1)[np.arange(len(d2)), reach]
-        for i, (dist, cap) in enumerate(zip(d2, limit)):
-            groups = np.flatnonzero(dist <= cap)
-            cand, cand_d2 = head[groups].ravel(), np.repeat(dist[groups], k1)
-            real = cand >= 0
-            cand, cand_d2 = cand[real], cand_d2[real]
-            nearest[start + i] = cand[np.lexsort((cand, cand_d2))][:k1]
-    first = nearest[value_of_row]
-    keep = first != rows[:, None]
-    keep[:, -1] &= ~keep[:, :-1].all(axis=1)
-    return first[keep].reshape(len(rows), k_eff)
+    near = np.empty((len(reps), k1), dtype=np.intp)
+    near_d2 = np.empty((len(reps), k1))
+    block = max(1, _SMOTE_BLOCK_BYTES // (len(Xm) * Xm.shape[1] * Xm.itemsize))
+    for start in range(0, len(reps), block):
+        d2 = ((reps[start:start + block, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k1]
+        near[start:start + len(d2)] = order
+        near_d2[start:start + len(d2)] = np.take_along_axis(d2, order, 1)
+    back = back.reshape(-1)  # numpy 2.0.0 returns it as a column
+    cand, cand_d2 = near[back], near_d2[back]
+    own = cand == rows[:, None]
+    own[:, -1] |= ~own.any(axis=1)
+    cand[own], cand_d2[own] = rows, np.inf
+    return np.take_along_axis(cand, np.lexsort((cand, cand_d2), axis=-1)[:, :k_eff], 1)
 
 
 def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
@@ -223,13 +209,11 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     sample and one of its k nearest minority neighbours. Majority rows and
     the original minority rows pass through untouched.
 
-    Neighbours are found only for the minority rows actually sampled. With
-    one feature (per-interval counts) whose squared range is finite, they
-    are found over the distinct values, in time and memory that grow with
-    the number of values; otherwise a bounded block of rows at a time, so
-    memory does not grow with the square of the minority size. The output
-    is identical to computing the full minority distance matrix: distances
-    are the same sums of squares, and ties still go to the lowest row index.
+    Neighbours are found only for the distinct minority rows actually
+    sampled, a bounded block of them at a time, so memory does not grow with
+    the square of the minority size. The output is identical to computing
+    the full minority distance matrix: distances are the same sums of
+    squares, and ties still go to the lowest row index.
     """
     y = np.asarray(train.y)
     counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}
@@ -250,12 +234,7 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     column = rng.integers(0, k_eff, size=n_new)
     u = rng.random(size=n_new)
     rows = np.unique(base)
-    # By value only where no squared distance overflows: the dense search
-    # ranks a row's own infinite distance among overflowed ones by index.
-    with np.errstate(over="ignore"):
-        one_value = Xm.shape[1] == 1 and np.isfinite(np.ptp(Xm) ** 2)
-    search = _neighbours_by_value if one_value else _neighbours_by_row
-    neighbours = search(Xm, rows, k_eff)
+    neighbours = _neighbours(Xm, rows, k_eff)
     picks = neighbours[np.searchsorted(rows, base), column]
     synth = Xm[base] + u[:, None] * (Xm[picks] - Xm[base])
     X_out = np.vstack([train.X, synth])

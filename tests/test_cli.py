@@ -199,10 +199,8 @@ def test_kmeans_report_echoes_training_settings_but_no_smote_k(tmp_path):
     assert main(["evaluate", "--model", "kmeans", "--series", str(series),
                  "--report", str(report)]) == 0
     assert {k: v for k, v in read_report(report).items() if k.startswith("config.")} == {
-        "config.model_kind": "kmeans", "config.split_ratio": "0.8", "config.seed": "42",
-        "config.learning_rate": "0.01", "config.max_epochs": "200",
-        "config.tolerance": "1e-06", "config.l2": "0.0001", "config.train_seed": "42",
-        "config.grid": "no"}
+        "config.model_kind": "kmeans", "config.seed": "42", "config.max_epochs": "200",
+        "config.train_seed": "42", "config.grid": "no"}
 
 
 def test_predict_deterministic_bytes(tmp_path, periodic_series):

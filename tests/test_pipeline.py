@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mutations import check_reader, damaged
 
 import synwatch.pipeline as pipeline
@@ -20,7 +21,8 @@ from synwatch.pipeline import (MODEL_KINDS, PREDICTION_KINDS, DataSet, Experimen
                                smote_balance, split_indices, write_predictions,
                                write_report)
 from synwatch.regressors import GridSpec
-from synwatch.traffic import IntervalSeries
+from synwatch.traffic import (IntervalSeries, SynthesisConfig, generate_baseline,
+                              inject_attacks)
 
 
 def _series(counts, labels):
@@ -152,9 +154,23 @@ def _smote_case(name):
     elif name == "tiny_values":  # d=1, every squared distance underflows to 0
         X = rng.integers(-3, 4, size=(200, 1)) * 1e-170
         y = (rng.random(200) < 0.3).astype(np.int64)
-    elif name == "huge_values":  # d=1, squared distances overflow: the row path runs
+    elif name == "huge_values":  # d=1, squared distances overflow to inf
         X = rng.integers(-3, 4, size=(200, 1)) * 1e160
         y = (rng.random(200) < 0.3).astype(np.int64)
+    elif name == "huge_frames":  # d=3, squared distances overflow to inf
+        X = rng.integers(-3, 4, size=(200, 3)) * 1e160
+        y = (rng.random(200) < 0.3).astype(np.int64)
+    elif name == "idle_frames":  # d=12, many all-zero rows, distinct rows tied in distance
+        X = rng.poisson(1.0, size=(400, 12)).astype(np.float64)
+        X[rng.random(400) < 0.4] = 0.0
+        y = (rng.random(400) < 0.3).astype(np.int64)
+    elif name == "counts_reference":  # the per-interval training split of a 10k series
+        cfg = SynthesisConfig(n_intervals=10000, baseline_rate=50.0, attack_fraction=0.2,
+                              attack_multiplier=10.0, burst_length=6, seed=42)
+        rows = build_detection_dataset(inject_attacks(generate_baseline(cfg), cfg),
+                                       "per_interval")
+        train = split_indices(rows.y, pipeline.SPLIT_RATIO, 42)[0]
+        X, y = rows.X[train], rows.y[train]
     else:  # "k_above_minority": 4 minority rows, so k=5 exceeds n_min - 1
         X = rng.integers(0, 3, size=(30, 2)).astype(np.float64)
         y = np.array([1] * 4 + [0] * 26)
@@ -162,10 +178,12 @@ def _smote_case(name):
 
 
 @pytest.mark.parametrize("name", ["counts_ties", "counts_sparse", "counts_few_minority",
-                                  "reals", "tiny_values", "huge_values", "frames",
-                                  "frames_sigma", "k_above_minority"])
+                                  "counts_reference", "reals", "tiny_values", "huge_values",
+                                  "huge_frames", "idle_frames", "frames", "frames_sigma",
+                                  "k_above_minority"])
 @pytest.mark.parametrize("block_rows", [None, 1, 7])
 @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
 def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
     data = _smote_case(name)
     if block_rows is not None:  # force several row blocks, the last one partial
@@ -177,6 +195,37 @@ def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
         want = smote_balance_dense(data, 5, seed)
         assert got.X.tobytes() == want.X.tobytes()
         assert got.y.tobytes() == want.y.tobytes() and got.y.dtype == want.y.dtype
+
+
+@st.composite
+def _smote_inputs(draw):
+    """Small minority/majority rows of 1-3 features on a grid of -3..3 and
+    -0.0 per feature, scaled so that squared distances may underflow or
+    overflow."""
+    d = draw(st.integers(1, 3))
+    n_min, n_maj = draw(st.integers(2, 12)), draw(st.integers(2, 30))
+    cells = np.array(draw(st.lists(st.integers(-3, 4), min_size=(n_min + n_maj) * d,
+                                   max_size=(n_min + n_maj) * d)), dtype=np.float64)
+    X = np.where(cells == 4, -0.0, cells).reshape(-1, d)  # 4 stands for -0.0
+    X *= draw(st.sampled_from([1.0, 0.37, 1e-170, 1e154, 1e160]))
+    minority = draw(st.sampled_from([0, 1]))
+    y = np.array([minority] * n_min + [1 - minority] * n_maj, dtype=np.int64)
+    order = np.array(draw(st.permutations(range(n_min + n_maj))))
+    return DataSet(X[order], y[order])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_smote_inputs(), k=st.integers(1, 7), seed=st.integers(0, 3),
+       block_bytes=st.sampled_from([1, 8, 200, 32 * 2 ** 20]))
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+def test_smote_matches_dense_oracle_on_random_inputs(data, k, seed, block_bytes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_SMOTE_BLOCK_BYTES", block_bytes)
+        got = smote_balance(data, k, seed)
+    want = smote_balance_dense(data, k, seed)
+    assert got.X.tobytes() == want.X.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
 
 
 def test_smote_memory_is_bounded_in_minority_size():
@@ -291,6 +340,29 @@ def test_detection_run_builds_dataset_once_per_labelling(small_series, monkeypat
     assert len(calls) == builds
 
 
+_LGR_KEYS = ["learning_rate", "max_epochs", "tolerance", "l2"]
+_MLP_KEYS = ["learning_rate", "max_epochs", "l2", "train_seed"]
+_DETECTION_KEYS = ["model_kind", "split_ratio", "smote_k", "seed"]
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("lgr", _DETECTION_KEYS + _LGR_KEYS),
+    ("ann", _DETECTION_KEYS + _MLP_KEYS),
+    ("ann_frames", _DETECTION_KEYS + _MLP_KEYS),
+    ("ann_frames_sigma", _DETECTION_KEYS + _MLP_KEYS),
+    ("kmeans", ["model_kind", "seed", "max_epochs", "train_seed"]),
+    ("kmeans+lgr", _DETECTION_KEYS + _LGR_KEYS),
+    ("kmeans+ann", _DETECTION_KEYS + _MLP_KEYS),
+    ("kmeans+ann_frames", _DETECTION_KEYS + _MLP_KEYS),
+    ("kmeans+ann_frames_sigma", _DETECTION_KEYS + _MLP_KEYS),
+    ("krr", ["model_kind", "split_ratio", "seed"]),
+    ("svr", ["model_kind", "split_ratio", "seed"]),
+    ("lgr_reg", ["model_kind", "split_ratio", "seed"] + _LGR_KEYS),
+])
+def test_echo_names_exactly_the_settings_the_run_reads(kind, keys):
+    assert list(ExperimentConfig(kind).echo()) == keys + ["grid"]
+
+
 def test_echo_names_smote_k_only_for_kinds_that_run_smote():
     assert [k for k in MODEL_KINDS if "smote_k" in ExperimentConfig(k).echo()] == [
         "lgr", "ann", "ann_frames", "ann_frames_sigma", "kmeans+lgr", "kmeans+ann",
@@ -298,7 +370,6 @@ def test_echo_names_smote_k_only_for_kinds_that_run_smote():
 
 
 def test_semi_supervised_frame_variant():
-    from synwatch.traffic import SynthesisConfig, generate_baseline, inject_attacks
     cfg = SynthesisConfig(n_intervals=1200, baseline_rate=50.0, attack_fraction=0.2,
                           attack_multiplier=10.0, burst_length=6, seed=3)
     series = inject_attacks(generate_baseline(cfg), cfg)
