@@ -24,6 +24,10 @@ BATCH_SIZE = 32
 # fits penalize their weights by L2/2 times the squared norm.
 TOLERANCE = 1e-6
 L2 = 1e-4
+# kmeans_assign labels rows in blocks whose (row, centroid, feature)
+# differences take at most this many bytes, so its temporaries do not grow
+# with the rows.
+_ASSIGN_BLOCK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -76,18 +80,67 @@ def _check_binary_labels(y) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# points: the distinct rows a fit computes on once, weighted by their rows
+
+
+def _value_groups(X):
+    """(distinct values as a column, inverse, counts) of X, or None unless X is
+    one column of integers whose absolute values sum below 2**53.
+
+    Every sum of such values times their counts is an exact integer, so a mean
+    over groups is the same division as the mean over their rows. A -0.0 keeps
+    the rows: np.unique merges it with 0.0, and the mean of -0.0 rows is -0.0.
+    """
+    if X.shape[1] != 1:
+        return None
+    col = X[:, 0]
+    if not (np.abs(col).sum() < 2.0 ** 53 and (np.floor(col) == col).all()):
+        return None
+    if np.signbit(col[col == 0.0]).any():
+        return None
+    values, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+    return values[:, None], inverse, counts
+
+
+def _labelled_points(Xs, y):
+    """(points, their labels, inverse) of the labelled rows: the distinct (bit
+    pattern, label) pairs of a single column, else the rows themselves with
+    inverse None.
+
+    An elementwise function of a point and its label, taken to the rows by the
+    inverse, has the bits it has on the rows. Bits, not values, so -0.0 and
+    0.0 stay apart. One column only: there a matrix-vector product is one
+    rounded product per row wherever the row sits, while OpenBLAS may round
+    the score of a row of two or more columns differently by where the row
+    sits in the matrix.
+    """
+    if Xs.shape[1] != 1:
+        return Xs, y, None
+    _, value = np.unique(Xs[:, 0].view(np.uint64), return_inverse=True)
+    _, first, inverse = np.unique(2 * value + y.astype(np.intp), return_index=True,
+                                  return_inverse=True)
+    return Xs[first], y[first], inverse
+
+
+def _per_row(values, inverse):
+    """The values of the points, one per row in row order."""
+    return values if inverse is None else values.take(inverse)
+
+
+# --------------------------------------------------------------------------
 # logistic regression
 
 
-def _lgr_loss(z, y, w, l2):
-    # log(1 + e^z) - y*z, evaluated stably, for the scores z = Xs @ w + b
-    bce = float(np.mean(np.logaddexp(0.0, z) - y * z))
+def _lgr_loss(z, y, w, l2, inverse):
+    # log(1 + e^z) - y*z for the points' scores z = points @ w + b,
+    # evaluated stably, and averaged over the rows
+    bce = float(np.mean(_per_row(np.logaddexp(0.0, z) - y * z, inverse)))
     return bce + 0.5 * l2 * float(w @ w)
 
 
-def _lgr_grad(Xs, z, y, w, l2):
-    residual = sigmoid(z) - y
-    return Xs.T @ residual / len(y) + l2 * w, float(np.mean(residual))
+def _lgr_grad(Xs, z, y, w, l2, inverse):
+    residual = _per_row(sigmoid(z) - y, inverse)
+    return Xs.T @ residual / len(Xs) + l2 * w, float(np.mean(residual))
 
 
 def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
@@ -99,6 +152,11 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
     max-norm falls below TOLERANCE or after cfg.max_epochs; in the
     latter case, if the final gradient is still above the tolerance, a
     RuntimeWarning names the cap and that gradient.
+
+    Scores, loss terms and residuals are computed once per point of
+    _labelled_points and taken to the rows; the means and Xs.T @ residual
+    run over the rows in row order, so the fit is the fit over the rows,
+    bit for bit.
     """
     X = as_matrix(X)
     y = _check_binary_labels(y)
@@ -106,22 +164,23 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
         raise ContractViolation("X and y row counts differ")
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
+    points, labels, inverse = _labelled_points(Xs, y)
     w = np.zeros(Xs.shape[1])
     b = 0.0
     step = cfg.learning_rate
-    z = Xs @ w + b
-    loss = _lgr_loss(z, y, w, L2)
+    z = points @ w + b
+    loss = _lgr_loss(z, labels, w, L2, inverse)
     if loss_history is not None:
         loss_history.append(loss)
     for _ in range(cfg.max_epochs):
-        gw, gb = _lgr_grad(Xs, z, y, w, L2)
+        gw, gb = _lgr_grad(Xs, z, labels, w, L2, inverse)
         if max(np.abs(gw).max(), abs(gb)) <= TOLERANCE:
             break
         while True:
             w_new = w - step * gw
             b_new = b - step * gb
-            z_new = Xs @ w_new + b_new
-            loss_new = _lgr_loss(z_new, y, w_new, L2)
+            z_new = points @ w_new + b_new
+            loss_new = _lgr_loss(z_new, labels, w_new, L2, inverse)
             if loss_new <= loss or step < 1e-18:
                 break
             step *= 0.5
@@ -132,7 +191,7 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
         if loss_history is not None:
             loss_history.append(loss)
     else:  # every epoch ran: say so unless the last step happened to converge
-        gw, gb = _lgr_grad(Xs, z, y, w, L2)
+        gw, gb = _lgr_grad(Xs, z, labels, w, L2, inverse)
         grad_norm = max(np.abs(gw).max(), abs(gb))
         if grad_norm > TOLERANCE:
             warnings.warn(f"lgr_fit hit its cap of {cfg.max_epochs} epochs with gradient "
@@ -310,25 +369,6 @@ def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
     return d2.argmin(axis=1), d2.min(axis=1)
 
 
-def _value_groups(X):
-    """(distinct values as a column, inverse, counts) of X, or None unless X is
-    one column of integers whose absolute values sum below 2**53.
-
-    Every sum of such values times their counts is an exact integer, so a mean
-    over groups is the same division as the mean over their rows. A -0.0 keeps
-    the rows: np.unique merges it with 0.0, and the mean of -0.0 rows is -0.0.
-    """
-    if X.shape[1] != 1:
-        return None
-    col = X[:, 0]
-    if not (np.abs(col).sum() < 2.0 ** 53 and (np.floor(col) == col).all()):
-        return None
-    if np.signbit(col[col == 0.0]).any():
-        return None
-    values, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
-    return values[:, None], inverse, counts
-
-
 def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
                wcss_history: Optional[list] = None) -> KMeansModel:
     """Lloyd's iterations from k seeded-random distinct data points.
@@ -402,12 +442,16 @@ def kmeans_best(X, k: int, cfg: TrainConfig = TrainConfig(), restarts: int = 1) 
 
 
 def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
-    """Nearest-centroid id per row, ties to the lowest id."""
+    """Nearest-centroid id per row, ties to the lowest id, a block of rows at a time."""
     X = as_matrix(X)
-    if X.shape[1] != model.centroids.shape[1]:
-        raise ContractViolation(
-            f"model has {model.centroids.shape[1]} features, input has {X.shape[1]}")
-    return _nearest(X, model.centroids)[0]
+    k, d = model.centroids.shape
+    if X.shape[1] != d:
+        raise ContractViolation(f"model has {d} features, input has {X.shape[1]}")
+    block = max(1, _ASSIGN_BLOCK_BYTES // (k * d * 8))
+    assign = np.empty(len(X), dtype=np.intp)
+    for start in range(0, len(X), block):
+        assign[start:start + block] = _nearest(X[start:start + block], model.centroids)[0]
+    return assign
 
 
 def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()

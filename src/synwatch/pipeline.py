@@ -59,13 +59,23 @@ _FAMILY_TRAIN_KEYS = {
 SPLIT_RATIO = 0.8
 SMOTE_K = 5
 
-# smote_balance holds at most this many bytes of (row, minority row, feature)
-# differences at a time, which bounds its memory whatever the minority size.
+# smote_balance holds at most this many bytes of block temporaries at a time:
+# the (row, minority row, feature) differences and their sums over the
+# features, then the sums and their argsort order. That bounds its memory
+# whatever the minority size.
 _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
 
 
 def default_train_cfg(family: str, seed: int) -> TrainConfig:
     return replace(_FAMILY_TRAIN_DEFAULTS[family], seed=seed)
+
+
+def _train_echo(family: str, seed: int, prefix: str = "") -> dict:
+    """The training settings the family's fit reads, their keys prefixed."""
+    train = default_train_cfg(family, seed)
+    every = dict(learning_rate=train.learning_rate, max_epochs=train.max_epochs,
+                 tolerance=classifiers.TOLERANCE, l2=classifiers.L2, train_seed=train.seed)
+    return {prefix + key: every[key] for key in _FAMILY_TRAIN_KEYS[family]}
 
 
 @dataclass(frozen=True)
@@ -88,13 +98,11 @@ class ExperimentConfig:
         if self.model_kind in _SMOTE_KINDS:
             items["smote_k"] = SMOTE_K
         items["seed"] = self.seed
+        if self.model_kind in SEMI_KINDS:  # the K-Means pseudo-labelling runs first
+            items.update(_train_echo("kmeans", self.seed, "kmeans_"))
         family = _family(self.model_kind)
         if family in _FAMILY_TRAIN_DEFAULTS:
-            train = default_train_cfg(family, self.seed)
-            every = dict(learning_rate=train.learning_rate, max_epochs=train.max_epochs,
-                         tolerance=classifiers.TOLERANCE, l2=classifiers.L2,
-                         train_seed=train.seed)
-            items.update((key, every[key]) for key in _FAMILY_TRAIN_KEYS[family])
+            items.update(_train_echo(family, self.seed))
         items["grid"] = "yes" if self.grid is not None else "no"
         return items
 
@@ -188,12 +196,17 @@ def _neighbours(Xm, rows, k_eff):
     k1 = k_eff + 1
     near = np.empty((len(reps), k1), dtype=np.intp)
     near_d2 = np.empty((len(reps), k1))
-    block = max(1, _SMOTE_BLOCK_BYTES // (len(Xm) * Xm.shape[1] * Xm.itemsize))
+    # per (block row, minority row): d differences and their sum, then the sum
+    # and its argsort index, so at most d + 1 values at once
+    block = max(1, _SMOTE_BLOCK_BYTES // (len(Xm) * (Xm.shape[1] + 1) * 8))
     for start in range(0, len(reps), block):
-        d2 = ((reps[start:start + block, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
+        diff = reps[start:start + block, None, :] - Xm[None, :, :]
+        d2 = np.square(diff, out=diff).sum(axis=2)
+        del diff
         order = np.argsort(d2, axis=1, kind="stable")[:, :k1]
         near[start:start + len(d2)] = order
         near_d2[start:start + len(d2)] = np.take_along_axis(d2, order, 1)
+        del d2, order  # before the next block's arrays are made
     back = back.reshape(-1)  # numpy 2.0.0 returns it as a column
     cand, cand_d2 = near[back], near_d2[back]
     own = cand == rows[:, None]

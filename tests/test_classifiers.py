@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,6 +152,51 @@ def test_lgr_fit_matches_reference_bit_for_bit(case, monkeypatch):
     capped = len(history) == cfg.max_epochs + 1
     assert capped == (case in ("monotone", "capped")) == bool(warned)
     assert (len(evaluations) > len(history)) == (case == "halving")  # rejected steps
+
+
+@st.composite
+def _lgr_one_column(draw):
+    """One column over few distinct values, -0.0 among them, with a row that
+    gives the first row's value the other label. Mirrored inputs have mean 0,
+    so -0.0 stays -0.0 after scaling."""
+    n = draw(st.integers(1, 30))
+    cells = np.array(draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n)))
+    X = np.where(cells == 4, -0.0, cells.astype(np.float64))  # 4 stands for -0.0
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    X, y = np.append(X, X[0]), np.append(y, 1 - y[0])
+    if draw(st.booleans()):
+        X, y = np.concatenate([X, -X]), np.concatenate([y, y])
+    return X[:, None] * draw(st.sampled_from([1.0, 0.37, 1e-3, 1e6])), y
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_lgr_one_column(), lr=st.sampled_from([0.01, 0.1, 1.0, 10.0, 50.0]),
+       max_epochs=st.integers(1, 60))
+def test_lgr_fit_on_one_column_matches_reference_bit_for_bit(data, lr, max_epochs):
+    X, y = data
+    cfg = TrainConfig(learning_rate=lr, max_epochs=max_epochs)
+    want, want_history, want_warned = _fit_recording(lgr_fit_reference, X, y, cfg)
+    got, history, warned = _fit_recording(lgr_fit, X, y, cfg)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert history.tobytes() == want_history.tobytes()
+    assert warned == want_warned
+
+
+def test_lgr_points_of_one_column_are_its_distinct_bits_and_labels():
+    Xs = np.array([[1.5], [-0.0], [1.5], [0.0], [1.5], [-0.0], [0.0]])
+    y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    points, labels, inverse = classifiers._labelled_points(Xs, y)
+    assert len(points) == 4  # (1.5, 0), (1.5, 1), (-0.0, 1), (0.0, 1)
+    assert points[inverse].tobytes() == Xs.tobytes()
+    assert labels[inverse].tobytes() == y.tobytes()
+
+
+def test_lgr_points_of_two_or_more_columns_are_the_rows():
+    Xs = np.ones((5, 2))
+    y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    points, labels, inverse = classifiers._labelled_points(Xs, y)
+    assert points is Xs and labels is y and inverse is None
 
 
 @settings(max_examples=20, deadline=None)
@@ -394,6 +440,35 @@ def test_assign_tie_goes_to_lowest_id():
     assert kmeans_assign(model, np.array([[1.0]])).tolist() == [0]
     assert kmeans_assign(model, np.array([[0.0]])).tolist() == [0]
     assert kmeans_assign(model, np.array([[0.4]])).tolist() == [0]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_assign_in_row_blocks_matches_one_pass(monkeypatch, d):
+    rng = np.random.default_rng(17)
+    centroids = rng.integers(0, 5, size=(3, d)).astype(np.float64)
+    centroids[1:] = centroids[0] + [[2.0], [-5.0]]
+    X = rng.integers(-1, 8, size=(1000, d)).astype(np.float64)
+    X[::7] = centroids[0] + 1.0  # equally far from centroids 0 and 1
+    model = KMeansModel(centroids=centroids, k=3, wcss=0.0)
+    want = classifiers._nearest(X, centroids)[0]
+    for block_rows in (1, 7, 64, 1000, 5000):
+        monkeypatch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES", block_rows * 3 * d * 8)
+        got = kmeans_assign(model, X)
+        assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+    assert (want[::7] == 0).all()
+
+
+def test_assign_temporaries_stay_within_one_block():
+    X = np.random.default_rng(2).normal(size=(200_000, 1))
+    model = KMeansModel(centroids=np.array([[-1.0], [1.0]]), k=2, wcss=0.0)
+    tracemalloc.start()
+    try:
+        kmeans_assign(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the labels, and one block's differences, their squares and their sums
+    assert peak <= len(X) * 8 + 3 * classifiers._ASSIGN_BLOCK_BYTES + 2 ** 16
 
 
 def test_assign_arity_mismatch():

@@ -189,7 +189,7 @@ def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
     if block_rows is not None:  # force several row blocks, the last one partial
         n_min = int(min(np.sum(data.y == 0), np.sum(data.y == 1)))
         monkeypatch.setattr(pipeline, "_SMOTE_BLOCK_BYTES",
-                            block_rows * n_min * data.X.shape[1] * 8)
+                            block_rows * n_min * (data.X.shape[1] + 1) * 8)
     for seed in (0, 1, 2):
         got = smote_balance(data, 5, seed)
         want = smote_balance_dense(data, 5, seed)
@@ -226,6 +226,22 @@ def test_smote_matches_dense_oracle_on_random_inputs(data, k, seed, block_bytes)
     want = smote_balance_dense(data, k, seed)
     assert got.X.tobytes() == want.X.tobytes()
     assert got.y.tobytes() == want.y.tobytes()
+
+
+def test_smote_block_temporaries_stay_within_the_bound(monkeypatch):
+    # 50 sampled rows of 20,000 x 3 minority rows: the blocks are nearly all
+    # of the neighbour search's memory
+    Xm = np.random.default_rng(3).normal(size=(20_000, 3))
+    rows = np.arange(0, 20_000, 400)
+    bound = 4 * 2 ** 20
+    monkeypatch.setattr(pipeline, "_SMOTE_BLOCK_BYTES", bound)
+    tracemalloc.start()
+    try:
+        pipeline._neighbours(Xm, rows, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound + 2 ** 16
 
 
 def test_smote_memory_is_bounded_in_minority_size():
@@ -331,6 +347,17 @@ def test_semi_supervised_equals_supervised_when_labels_agree(small_series, monke
     assert semi.f1 == sup.f1
 
 
+def test_hybrid_echo_gives_the_settings_of_its_pseudo_labelling(small_series, monkeypatch):
+    read = []
+    monkeypatch.setattr(pipeline, "auto_label_series", lambda series, train:
+                        read.append(train) or auto_label_series(series, train))
+    cfg = ExperimentConfig(model_kind="kmeans+lgr", seed=7)
+    pipeline._fit_rows(small_series, cfg)
+    echo = cfg.echo()
+    assert [(echo["kmeans_max_epochs"], echo["kmeans_train_seed"])] == [
+        (train.max_epochs, train.seed) for train in read]
+
+
 @pytest.mark.parametrize("kind, builds", [("ann_frames", 1), ("kmeans+ann_frames", 1)])
 def test_detection_run_builds_dataset_once_per_labelling(small_series, monkeypatch, kind, builds):
     calls = []
@@ -343,6 +370,7 @@ def test_detection_run_builds_dataset_once_per_labelling(small_series, monkeypat
 _LGR_KEYS = ["learning_rate", "max_epochs", "tolerance", "l2"]
 _MLP_KEYS = ["learning_rate", "max_epochs", "l2", "train_seed"]
 _DETECTION_KEYS = ["model_kind", "split_ratio", "smote_k", "seed"]
+_PSEUDO_LABEL_KEYS = ["kmeans_max_epochs", "kmeans_train_seed"]
 
 
 @pytest.mark.parametrize("kind, keys", [
@@ -351,10 +379,10 @@ _DETECTION_KEYS = ["model_kind", "split_ratio", "smote_k", "seed"]
     ("ann_frames", _DETECTION_KEYS + _MLP_KEYS),
     ("ann_frames_sigma", _DETECTION_KEYS + _MLP_KEYS),
     ("kmeans", ["model_kind", "seed", "max_epochs", "train_seed"]),
-    ("kmeans+lgr", _DETECTION_KEYS + _LGR_KEYS),
-    ("kmeans+ann", _DETECTION_KEYS + _MLP_KEYS),
-    ("kmeans+ann_frames", _DETECTION_KEYS + _MLP_KEYS),
-    ("kmeans+ann_frames_sigma", _DETECTION_KEYS + _MLP_KEYS),
+    ("kmeans+lgr", _DETECTION_KEYS + _PSEUDO_LABEL_KEYS + _LGR_KEYS),
+    ("kmeans+ann", _DETECTION_KEYS + _PSEUDO_LABEL_KEYS + _MLP_KEYS),
+    ("kmeans+ann_frames", _DETECTION_KEYS + _PSEUDO_LABEL_KEYS + _MLP_KEYS),
+    ("kmeans+ann_frames_sigma", _DETECTION_KEYS + _PSEUDO_LABEL_KEYS + _MLP_KEYS),
     ("krr", ["model_kind", "split_ratio", "seed"]),
     ("svr", ["model_kind", "split_ratio", "seed"]),
     ("lgr_reg", ["model_kind", "split_ratio", "seed"] + _LGR_KEYS),
