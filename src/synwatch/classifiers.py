@@ -1,14 +1,14 @@
 """Detection models built from first principles on numpy.
 
 Three families: binary logistic regression trained by full-batch gradient
-descent, a fixed d-6-1 multilayer perceptron trained by mini-batch
-backpropagation, and Lloyd's K-Means with elbow-based k selection.
+descent, a fixed d-6-1 multilayer perceptron trained by full-batch L-BFGS,
+and Lloyd's K-Means with elbow-based k selection.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import namedtuple
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import ClassVar, Optional
 
@@ -19,11 +19,14 @@ from .errors import ConfigError, ContractViolation, TrainingError
 from .scaling import Scaler, as_matrix
 
 HIDDEN_WIDTH = 6
-BATCH_SIZE = 32
-# lgr_fit stops once its gradient max-norm is at most TOLERANCE; LGR and MLP
-# fits penalize their weights by L2/2 times the squared norm.
+# lgr_fit and mlp_fit stop once their gradient max-norm is at most TOLERANCE;
+# both penalize their weights by L2/2 times the squared norm.
 TOLERANCE = 1e-6
 L2 = 1e-4
+# mlp_fit's L-BFGS keeps this many (step, gradient change) pairs, and halves
+# a step at most this many times before it stops.
+LBFGS_MEMORY = 10
+_LBFGS_HALVINGS = 50
 # kmeans_assign labels rows in blocks whose (row, centroid, feature)
 # differences take at most this many bytes, so its temporaries do not grow
 # with the rows.
@@ -221,77 +224,72 @@ def _mlp_forward(W1, b1, W2, b2, Xs):
     return Z1, H, z2[:, 0]
 
 
-def _mlp_views(flat, d):
-    """W1 (6, d), b1 (6,) and W2 (1, 6), in that order, as views of one flat array."""
-    k = HIDDEN_WIDTH * d
-    return (flat[:k].reshape(HIDDEN_WIDTH, d), flat[k:k + HIDDEN_WIDTH],
-            flat[k + HIDDEN_WIDTH:].reshape(1, HIDDEN_WIDTH))
-
-
-# One batch's work arrays; grads holds dW1, db1 and dW2 flat, as _mlp_views reads it.
-_MlpBuffers = namedtuple("_MlpBuffers", "grads dW1 db1 dW2 Z1 H z2 dz2 dH mask l2W1 l2W2")
-
-
-def _mlp_buffers(m, d) -> _MlpBuffers:
-    """Work arrays for one m-row batch."""
-    grads = np.empty(HIDDEN_WIDTH * (d + 2))
-    Z1, H, dH, mask = (np.empty((m, HIDDEN_WIDTH)) for _ in range(4))
-    return _MlpBuffers(grads, *_mlp_views(grads, d), Z1, H, np.empty((m, 1)), np.empty(m),
-                       dH, mask, np.empty((HIDDEN_WIDTH, d)), np.empty((1, HIDDEN_WIDTH)))
-
-
-def _mlp_grads(W1, b1, W2, b2, X, y, l2, buffers):
-    """Backpropagate one batch into buffers' dW1, db1 and dW2; return db2.
-
-    The same IEEE operations, in the same order, as _mlp_forward followed by
-    (sigmoid(z2) - y) / m and the chain rule, each written into its buffer.
-    """
-    _, dW1, db1, dW2, Z1, H, z2, dz2, dH, mask, l2W1, l2W2 = buffers
-    np.matmul(X, W1.T, out=Z1)
-    Z1 += b1
-    np.maximum(Z1, 0.0, out=H)
-    np.matmul(H, W2.T, out=z2)
-    z2 += b2
-    sigmoid(z2[:, 0], out=dz2)
-    dz2 -= y
-    dz2 /= len(y)
-    np.matmul(dz2[None, :], H, out=dW2)
-    np.multiply(l2, W2, out=l2W2)
-    dW2 += l2W2
-    db2 = float(np.add.reduce(dz2))
-    np.matmul(dz2[:, None], W2, out=dH)
-    np.greater(Z1, 0.0, out=mask)
-    dH *= mask  # now dZ1; unlike np.where, it keeps dH's -0.0 and makes inf * 0 NaN
-    np.matmul(dH.T, X, out=dW1)
-    np.multiply(l2, W1, out=l2W1)
-    dW1 += l2W1
-    np.add.reduce(dH, axis=0, out=db1)
-    return db2
-
-
 def mlp_loss_grads(W1, b1, W2, b2, X, y, l2=0.0):
     """Batch binary cross-entropy and its analytic parameter gradients.
 
     Operates on X as given (no scaling), so finite-difference checks can
-    drive it directly; the gradients come from _mlp_grads, the code that
-    trains.
+    drive it directly; it is the objective mlp_fit minimizes.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    buffers = _mlp_buffers(len(y), X.shape[1])
-    db2 = _mlp_grads(W1, b1, W2, b2, X, y, l2, buffers)
-    z2 = buffers.z2[:, 0]
+    Z1, H, z2 = _mlp_forward(W1, b1, W2, b2, X)
     loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
     loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
-    return loss, (buffers.dW1, buffers.db1, buffers.dW2, db2)
+    dz2 = (sigmoid(z2) - y) / len(y)
+    dW2 = dz2[None, :] @ H + l2 * W2
+    dZ1 = (dz2[:, None] @ W2) * (Z1 > 0.0)
+    dW1 = dZ1.T @ X + l2 * W1
+    return loss, (dW1, dZ1.sum(axis=0), dW2, float(dz2.sum()))
+
+
+# A numpy L-BFGS, not scipy.optimize: importing scipy.optimize after synwatch
+# raises a process's peak RSS from 60 to 77 MB (scipy 1.17), about a quarter
+# of a whole 10k-interval detection benchmark pass's peak.
+def _lbfgs(fun, x0, max_iter):
+    """Minimize fun(x) -> (loss, gradient) from x0 by L-BFGS (Liu & Nocedal, 1989).
+
+    The direction comes from the two-loop recursion over the last LBFGS_MEMORY
+    (step, gradient change) pairs; the step is halved from 1 until the loss is
+    finite and meets the Armijo condition. Stops when the gradient max-norm is
+    at most TOLERANCE, after max_iter iterations, or when no step is accepted.
+    Returns (x, iterations, gradient max-norm).
+    """
+    x, (f, g) = x0, fun(x0)
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    iterations = 0
+    while iterations < max_iter and np.abs(g).max() > TOLERANCE:
+        q = g.copy()
+        alphas = []
+        for s, r, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * r
+        # initial inverse Hessian: the newest pair's curvature, else a first step of max-norm 1
+        q /= pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1]) if pairs else np.abs(g).max()
+        for (s, r, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (r @ q)) * s
+        step, slope = 1.0, -(g @ q)
+        for _ in range(_LBFGS_HALVINGS):
+            x_new = x - step * q
+            f_new, g_new = fun(x_new)
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # no step accepted
+        s, r = x_new - x, g_new - g
+        if s @ r > 0.0:  # the pair keeps the inverse Hessian positive definite
+            pairs.append((s, r, 1.0 / (s @ r)))
+        x, f, g = x_new, f_new, g_new
+        iterations += 1
+    return x, iterations, np.abs(g).max()
 
 
 def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
-    """Train the d-6-1 network with seeded mini-batch gradient descent.
+    """Train the d-6-1 network by one full-batch L-BFGS solve from seeded weights.
 
-    Each epoch permutes the rows once; its batches are consecutive slices
-    of that copy. Every step works in buffers allocated once per fit, and
-    W1, b1 and W2 are views of one flat array that a step updates at once.
+    Minimizes mlp_loss_grads over every row with the L2 penalty, for at most
+    cfg.max_epochs iterations. If it returns with a gradient max-norm above
+    TOLERANCE, a RuntimeWarning names its iterations and that gradient.
     """
     X = as_matrix(X)
     y = _check_binary_labels(y)
@@ -300,31 +298,26 @@ def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
     d = X.shape[1]
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
-    n = Xs.shape[0]
     rng = np.random.default_rng(cfg.seed)
     W1 = rng.uniform(-0.5, 0.5, size=(HIDDEN_WIDTH, d)) / np.sqrt(d)
-    b1 = np.zeros(HIDDEN_WIDTH)
     W2 = rng.uniform(-0.5, 0.5, size=(1, HIDDEN_WIDTH)) / np.sqrt(HIDDEN_WIDTH)
-    b2 = 0.0
-    params = np.concatenate([W1.ravel(), b1, W2.ravel()])
-    W1, b1, W2 = _mlp_views(params, d)
-    lr = cfg.learning_rate
-    Xp, yp = np.empty_like(Xs), np.empty_like(y)
-    full = _mlp_buffers(BATCH_SIZE, d)
-    short = _mlp_buffers(n % BATCH_SIZE, d)
-    batches = [(Xp[start:start + BATCH_SIZE], yp[start:start + BATCH_SIZE],
-                full if start + BATCH_SIZE <= n else short)
-               for start in range(0, n, BATCH_SIZE)]
-    for _ in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        np.take(Xs, order, axis=0, out=Xp)
-        np.take(y, order, out=yp)
-        for Xb, yb, buffers in batches:
-            db2 = _mlp_grads(W1, b1, W2, b2, Xb, yb, L2, buffers)
-            grads = buffers.grads
-            grads *= lr
-            params -= grads
-            b2 -= lr * db2
+    k = HIDDEN_WIDTH * d
+
+    def unpack(params):  # W1, b1, W2 and b2, the first three views of params
+        return (params[:k].reshape(HIDDEN_WIDTH, d), params[k:k + HIDDEN_WIDTH],
+                params[k + HIDDEN_WIDTH:-1].reshape(1, HIDDEN_WIDTH), float(params[-1]))
+
+    def objective(params):
+        loss, (dW1, db1, dW2, db2) = mlp_loss_grads(*unpack(params), Xs, y, L2)
+        return loss, np.concatenate([dW1.ravel(), db1, dW2.ravel(), [db2]])
+
+    start = np.concatenate([W1.ravel(), np.zeros(HIDDEN_WIDTH), W2.ravel(), [0.0]])
+    params, iterations, grad_norm = _lbfgs(objective, start, cfg.max_epochs)
+    if not grad_norm <= TOLERANCE:
+        warnings.warn(f"mlp_fit stopped after {iterations} iterations with gradient "
+                      f"max-norm {grad_norm:.3e} above tolerance {TOLERANCE:g}",
+                      RuntimeWarning, stacklevel=2)
+    W1, b1, W2, b2 = unpack(params)
     return MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, scaler=scaler)
 
 

@@ -41,7 +41,8 @@ _VARIANT_OF = {"kmeans": "per_interval", "lgr": "per_interval", "ann": "per_inte
 
 
 # Logistic fits are cheap full-batch solves of a convex problem, so they run
-# to (near) optimality; the network keeps the short mini-batch schedule.
+# to (near) optimality; the network's L-BFGS converges well inside its
+# default cap of 200 iterations.
 _FAMILY_TRAIN_DEFAULTS = {
     "lgr": TrainConfig(learning_rate=0.1, max_epochs=5000),
     "mlp": TrainConfig(),
@@ -50,7 +51,7 @@ _FAMILY_TRAIN_DEFAULTS = {
 # The training settings each family's fit reads, in the report's order.
 _FAMILY_TRAIN_KEYS = {
     "lgr": ("learning_rate", "max_epochs", "tolerance", "l2"),
-    "mlp": ("learning_rate", "max_epochs", "l2", "train_seed"),
+    "mlp": ("max_epochs", "tolerance", "l2", "train_seed"),
     "kmeans": ("max_epochs", "train_seed"),
 }
 

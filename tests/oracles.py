@@ -5,10 +5,9 @@ finite differences and projected-gradient optimization, sharing no code
 path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the SVR step
 loop that rebuilds its arrays and the KKT values it reads from them, the
-LGR fit that computes each accepted step's scores twice, the MLP fit and
-gradients that allocate every step's arrays, the K-Means fit that sweeps
-every row, and the series and frames writers that format one row at a
-time), which the optimized ones must match bit for bit.
+LGR fit that computes each accepted step's scores twice, the K-Means fit
+that sweeps every row, and the series and frames writers that format one
+row at a time), which the optimized ones must match bit for bit.
 """
 
 import warnings
@@ -17,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit as sigmoid
 
-from synwatch.classifiers import (BATCH_SIZE, HIDDEN_WIDTH, L2, TOLERANCE, KMeansModel,
-                                  LgrModel, MlpModel, TrainConfig, _check_binary_labels,
-                                  _distinct_row_init, _nearest, mlp_loss_grads)
+from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, TrainConfig,
+                                  _check_binary_labels, _distinct_row_init, _nearest,
+                                  mlp_loss_grads)
 from synwatch.errors import (BalancingError, ConfigError, ContractViolation,
                              TrainingError)
 from synwatch.framing import FRAME_WIDTH, Frame
@@ -37,6 +36,25 @@ def frame_sigma(values) -> float:
     return float(np.sqrt(np.mean((v - v.mean()) ** 2)))
 
 
+def mlp_central_differences(W1, b1, W2, b2, X, y, l2, step: float = 1e-4):
+    """Central-difference estimates of mlp_loss_grads' gradients, one parameter at a time."""
+    params = [np.array(W1, dtype=np.float64), np.array(b1, dtype=np.float64),
+              np.array(W2, dtype=np.float64), np.array([b2], dtype=np.float64)]
+    numeric = []
+    for arr in params:
+        flat, grad = arr.reshape(-1), np.empty(arr.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            lp, _ = mlp_loss_grads(*params[:3], params[3][0], X, y, l2)
+            flat[i] = orig - step
+            lm, _ = mlp_loss_grads(*params[:3], params[3][0], X, y, l2)
+            flat[i] = orig
+            grad[i] = (lp - lm) / (2.0 * step)
+        numeric.append(grad.reshape(arr.shape))
+    return numeric[0], numeric[1], numeric[2], float(numeric[3][0])
+
+
 def mlp_gradcheck_worst(seed: int, step: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients."""
     rng = np.random.default_rng(seed)
@@ -48,23 +66,13 @@ def mlp_gradcheck_worst(seed: int, step: float = 1e-4) -> float:
     W2 = rng.normal(scale=0.5, size=(1, 6))
     b2 = float(rng.normal(scale=0.1))
     l2 = 1e-3
-    _, (dW1, db1, dW2, db2) = mlp_loss_grads(W1, b1, W2, b2, X, y, l2)
+    _, analytic = mlp_loss_grads(W1, b1, W2, b2, X, y, l2)
+    numeric = mlp_central_differences(W1, b1, W2, b2, X, y, l2, step)
     worst = 0.0
-    for arr, grad in ((W1, dW1), (b1, db1), (W2, dW2)):
-        flat, gflat = arr.ravel(), np.asarray(grad).ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp, _ = mlp_loss_grads(W1, b1, W2, b2, X, y, l2)
-            flat[i] = orig - step
-            lm, _ = mlp_loss_grads(W1, b1, W2, b2, X, y, l2)
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * step)
-            worst = max(worst, abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]) + abs(numeric)))
-    lp, _ = mlp_loss_grads(W1, b1, W2, b2 + step, X, y, l2)
-    lm, _ = mlp_loss_grads(W1, b1, W2, b2 - step, X, y, l2)
-    numeric = (lp - lm) / (2.0 * step)
-    worst = max(worst, abs(db2 - numeric) / max(1.0, abs(db2) + abs(numeric)))
+    for grad, estimate in zip(analytic, numeric):
+        grad, estimate = np.ravel(grad), np.ravel(estimate)
+        worst = max(worst, float(np.max(np.abs(grad - estimate)
+                                        / np.maximum(1.0, np.abs(grad) + np.abs(estimate)))))
     return worst
 
 
@@ -344,69 +352,6 @@ def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
                           f"max-norm {grad_norm:.3e} above tolerance {TOLERANCE:g}",
                           RuntimeWarning, stacklevel=2)
     return LgrModel(weights=w, bias=b, scaler=scaler)
-
-
-def _mlp_forward(W1, b1, W2, b2, Xs):
-    Z1 = Xs @ W1.T + b1
-    H = np.maximum(Z1, 0.0)
-    z2 = H @ W2.T + b2
-    return Z1, H, z2[:, 0]
-
-
-def mlp_loss_grads_reference(W1, b1, W2, b2, X, y, l2=0.0):
-    """mlp_loss_grads as it was before it wrote its gradients into buffers.
-
-    Batch binary cross-entropy and its analytic parameter gradients.
-
-    Operates on X as given (no scaling), so finite-difference checks can
-    drive it directly.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    Z1, H, z2 = _mlp_forward(W1, b1, W2, b2, X)
-    loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
-    loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
-    dz2 = (sigmoid(z2) - y) / n
-    dW2 = dz2[None, :] @ H + l2 * W2
-    db2 = float(dz2.sum())
-    dH = dz2[:, None] @ W2
-    dZ1 = dH * (Z1 > 0.0)
-    dW1 = dZ1.T @ X + l2 * W1
-    db1 = dZ1.sum(axis=0)
-    return loss, (dW1, db1, dW2, db2)
-
-
-def mlp_fit_reference(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
-    """mlp_fit as it was before its step loop kept its buffers in place.
-
-    Train the d-6-1 network with seeded mini-batch gradient descent: a
-    fancy-indexed batch per step and a loss computed and dropped per step.
-    """
-    X = as_matrix(X)
-    y = _check_binary_labels(y)
-    if len(y) != X.shape[0]:
-        raise ContractViolation("X and y row counts differ")
-    d = X.shape[1]
-    scaler = Scaler.fit(X)
-    Xs = scaler.transform(X)
-    n = Xs.shape[0]
-    rng = np.random.default_rng(cfg.seed)
-    W1 = rng.uniform(-0.5, 0.5, size=(HIDDEN_WIDTH, d)) / np.sqrt(d)
-    b1 = np.zeros(HIDDEN_WIDTH)
-    W2 = rng.uniform(-0.5, 0.5, size=(1, HIDDEN_WIDTH)) / np.sqrt(HIDDEN_WIDTH)
-    b2 = 0.0
-    for _ in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, BATCH_SIZE):
-            batch = order[start:start + BATCH_SIZE]
-            _, (dW1, db1, dW2, db2) = mlp_loss_grads_reference(
-                W1, b1, W2, b2, Xs[batch], y[batch], L2)
-            W1 -= cfg.learning_rate * dW1
-            b1 -= cfg.learning_rate * db1
-            W2 -= cfg.learning_rate * dW2
-            b2 -= cfg.learning_rate * db2
-    return MlpModel(W1=W1, b1=b1, W2=W2, b2=b2, scaler=scaler)
 
 
 def kmeans_fit_reference(X, k: int, cfg: TrainConfig = TrainConfig(),

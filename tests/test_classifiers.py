@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (exhaustive_wcss_1d, kmeans_fit_reference, lgr_fit_reference,
-                     mlp_fit_reference, mlp_gradcheck_worst, mlp_loss_grads_reference)
+                     mlp_central_differences, mlp_gradcheck_worst)
 from synwatch import classifiers
-from synwatch.classifiers import (BATCH_SIZE, KMeansModel, LgrModel, MlpModel, TrainConfig,
+from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, MlpModel, TrainConfig,
                                   elbow_curve, kmeans_assign, kmeans_best, kmeans_fit,
                                   lgr_fit, lgr_predict, map_clusters_to_labels, mlp_fit,
                                   mlp_loss_grads, mlp_predict)
@@ -253,8 +253,9 @@ def test_mlp_deterministic_per_seed():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(64, 4))
     y = (X[:, 0] > 0).astype(int)
-    a = mlp_fit(X, y, TrainConfig(seed=7, max_epochs=5))
-    b = mlp_fit(X, y, TrainConfig(seed=7, max_epochs=5))
+    with pytest.warns(RuntimeWarning, match="mlp_fit stopped after 5 iterations"):
+        a = mlp_fit(X, y, TrainConfig(seed=7, max_epochs=5))
+        b = mlp_fit(X, y, TrainConfig(seed=7, max_epochs=5))
     assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
 
 
@@ -262,7 +263,8 @@ def test_mlp_labels_row_order_invariant():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(48, 3))
     y = (X.sum(axis=1) > 0).astype(int)
-    model = mlp_fit(X, y, TrainConfig(seed=2, max_epochs=20))
+    with pytest.warns(RuntimeWarning, match="mlp_fit stopped after 20 iterations"):
+        model = mlp_fit(X, y, TrainConfig(seed=2, max_epochs=20))
     queries = rng.normal(size=(15, 3))
     order = rng.permutation(15)
     _, direct = mlp_predict(model, queries)
@@ -270,58 +272,101 @@ def test_mlp_labels_row_order_invariant():
     assert np.array_equal(direct[order], shuffled)
 
 
-def _assert_same_mlp(got, want):
-    for name in ("W1", "b1", "W2"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert np.float64(got.b2).tobytes() == np.float64(want.b2).tobytes()
-
-
-@pytest.mark.parametrize("d", [1, 12, 13])  # per-interval, frames, frames_sigma widths
-@pytest.mark.parametrize("n", [64, 100, 20])  # whole batches, a short last one, n < 32
-@pytest.mark.parametrize("learning_rate", [0.05, 1e100])
-def test_mlp_fit_matches_reference_bit_for_bit(d, n, learning_rate):
-    rng = np.random.default_rng(100 * d + n)
+def _two_class_rows(n, d, seed):
+    rng = np.random.default_rng(seed)
     X = rng.poisson(40, size=(n, d)).astype(float)
     X[: n // 3] += rng.poisson(400, size=(n // 3, d))
     y = np.zeros(n, dtype=int)
     y[: n // 3] = 1
-    cfg = TrainConfig(learning_rate=learning_rate, max_epochs=15, seed=d + n)
-    # 1e100 overflows the weights: inf * 0 in the ReLU mask must give NaN, as it does there
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, want = mlp_fit(X, y, cfg), mlp_fit_reference(X, y, cfg)
-    _assert_same_mlp(got, want)
-    assert np.isfinite(got.W1).all() == (learning_rate < 1.0)
+    return X, y
 
 
-@pytest.mark.parametrize("output_weight", [0.7, np.inf])
-@pytest.mark.parametrize("l2", [0.0, 1e-3])
-def test_mlp_loss_grads_match_reference_bytes(output_weight, l2):
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(13, 4))
-    y = rng.integers(0, 2, size=13).astype(float)
-    W1 = rng.normal(scale=0.5, size=(6, 4))
-    b1 = rng.normal(scale=0.1, size=6)
-    W2 = rng.normal(scale=0.5, size=(1, 6))
-    W1[0], b1[0], W2[0, 0] = 0.0, -1.0, output_weight  # hidden unit 0 is dead on every row
-    with np.errstate(invalid="ignore"):
-        got_loss, got = mlp_loss_grads(W1, b1, W2, -0.2, X, y, l2)
-        want_loss, want = mlp_loss_grads_reference(W1, b1, W2, -0.2, X, y, l2)
-    assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
-    for g, w in zip(got, want):
+@pytest.mark.parametrize("d", [1, 12, 13])  # per-interval, frames, frames_sigma widths
+@pytest.mark.parametrize("n", [64, 100, 20])
+def test_mlp_fit_stops_at_a_stationary_point(d, n):
+    """At the returned weights the penalized loss has a gradient of max-norm at
+    most TOLERANCE, by mlp_loss_grads and by central differences, and it is no
+    higher than at the seeded start."""
+    for seed in range(4):
+        X, y = _two_class_rows(n, d, 100 * d + n + seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a converged fit does not warn
+            model = mlp_fit(X, y, TrainConfig(seed=seed))
+        Xs = model.scaler.transform(X)
+        weights = (model.W1, model.b1, model.W2, model.b2)
+        loss, grads = mlp_loss_grads(*weights, Xs, y, L2)
+        assert max(np.abs(g).max() for g in grads) <= TOLERANCE
+        numeric = mlp_central_differences(*weights, Xs, y, L2, step=1e-5)
+        for g, estimate in zip(grads, numeric):
+            assert np.abs(np.asarray(g) - estimate).max() <= 1e-8
+        rng = np.random.default_rng(seed)
+        W1 = rng.uniform(-0.5, 0.5, size=(6, d)) / np.sqrt(d)
+        W2 = rng.uniform(-0.5, 0.5, size=(1, 6)) / np.sqrt(6)
+        start_loss, _ = mlp_loss_grads(W1, np.zeros(6), W2, 0.0, Xs, y, L2)
+        assert loss <= start_loss
+
+
+@pytest.mark.parametrize("d", [1, 12, 13])
+@pytest.mark.parametrize("n", [64, 100, 20])
+@pytest.mark.parametrize("learning_rate", [0.05, 1e100])
+def test_mlp_fit_matches_reference_bit_for_bit(d, n, learning_rate):
+    """The reference is the fit under the default config: the MLP reads no
+    learning rate, so any learning_rate, even one that would overflow a
+    gradient step, gives the same finite weights byte for byte."""
+    X, y = _two_class_rows(n, d, 100 * d + n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # both fits converge
+        got = mlp_fit(X, y, TrainConfig(learning_rate=learning_rate, seed=d + n))
+        want = mlp_fit(X, y, TrainConfig(seed=d + n))
+    for g, w in zip((got.W1, got.b1, got.W2, got.b2), (want.W1, want.b1, want.W2, want.b2)):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert np.isfinite(g).all()
 
 
-def test_mlp_fit_reaches_its_step_through_the_module_global(monkeypatch):
-    """A wrapper installed on the module, as benchmark tracing does, sees every step."""
-    calls = []
-    step = classifiers._mlp_grads
-    monkeypatch.setattr(classifiers, "_mlp_grads",
-                        lambda *args: calls.append(len(args[5])) or step(*args))
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(100, 3))
-    mlp_fit(X, (X[:, 0] > 0).astype(int), TrainConfig(max_epochs=3))
-    assert len(calls) == 3 * -(-100 // BATCH_SIZE) == 12
-    assert calls == [32, 32, 32, 4] * 3
+def test_mlp_fit_warns_at_its_iteration_cap():
+    X, y = _two_class_rows(64, 12, 0)
+    with pytest.warns(RuntimeWarning, match=r"mlp_fit stopped after 1 iterations with "
+                                            r"gradient max-norm \S+ above tolerance 1e-06"):
+        mlp_fit(X, y, TrainConfig(max_epochs=1))
+
+
+def test_mlp_fit_on_a_non_finite_loss_warns_and_keeps_finite_weights():
+    # the column's mean overflows, so every scaled row and the loss are NaN
+    X = np.array([[1e308], [1e308], [0.0], [1.0]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.warns(RuntimeWarning, match="mlp_fit stopped after 0 iterations"):
+        model = mlp_fit(X, [1, 1, 0, 0])
+    assert all(np.isfinite(w).all() for w in (model.W1, model.b1, model.W2, model.b2))
+
+
+def test_lbfgs_accepts_no_step_to_a_non_finite_loss():
+    """The loss is NaN for |x| >= 0.5 and falls towards x = 3: every accepted
+    iterate stays where the loss is finite, and the solver stops short of the
+    tolerance rather than step into the NaN region."""
+    def fun(x):
+        if abs(x[0]) >= 0.5:
+            return float("nan"), np.full(1, np.nan)
+        return float((x[0] - 3.0) ** 2), 2.0 * (x - 3.0)
+
+    x, iterations, grad_norm = classifiers._lbfgs(fun, np.zeros(1), 200)
+    assert 0.0 < x[0] < 0.5 and grad_norm > TOLERANCE and 0 < iterations < 200
+
+
+def test_mlp_fit_evaluates_its_objective_through_the_module_global(monkeypatch):
+    """A wrapper installed on the module, as benchmark tracing does, sees every
+    objective evaluation: each over all the rows, at least one per iteration."""
+    calls, solves = [], []
+    objective, solve = classifiers.mlp_loss_grads, classifiers._lbfgs
+    monkeypatch.setattr(classifiers, "mlp_loss_grads",
+                        lambda *args: calls.append((len(args[4]), len(args[5])))
+                        or objective(*args))
+    monkeypatch.setattr(classifiers, "_lbfgs",
+                        lambda *args: solves.append(solve(*args)) or solves[-1])
+    X, y = _two_class_rows(100, 3, 2)
+    mlp_fit(X, y)
+    iterations = solves[0][1]
+    assert iterations > 0 and len(calls) >= iterations + 1
+    assert set(calls) == {(100, 100)}
 
 
 # --------------------------------------------------------------------------

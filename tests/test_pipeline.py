@@ -368,7 +368,7 @@ def test_detection_run_builds_dataset_once_per_labelling(small_series, monkeypat
 
 
 _LGR_KEYS = ["learning_rate", "max_epochs", "tolerance", "l2"]
-_MLP_KEYS = ["learning_rate", "max_epochs", "l2", "train_seed"]
+_MLP_KEYS = ["max_epochs", "tolerance", "l2", "train_seed"]
 _DETECTION_KEYS = ["model_kind", "split_ratio", "smote_k", "seed"]
 _PSEUDO_LABEL_KEYS = ["kmeans_max_epochs", "kmeans_train_seed"]
 
