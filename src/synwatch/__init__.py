@@ -1,7 +1,7 @@
 """DDoS detection and forecasting on packet-count time series."""
 
 from .classifiers import (KMeansModel, LgrModel, MlpModel, TrainConfig, elbow_curve,
-                          kmeans_assign, kmeans_best, kmeans_fit, lgr_fit, lgr_predict,
+                          kmeans_assign, kmeans_fit, lgr_fit, lgr_predict,
                           map_clusters_to_labels, mlp_fit, mlp_predict)
 from .errors import (BalancingError, ConfigError, ContractViolation,
                      DegenerateClusteringError, EmptyDatasetError, NumericError,

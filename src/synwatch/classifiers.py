@@ -2,7 +2,10 @@
 
 Three families: binary logistic regression trained by full-batch gradient
 descent, a fixed d-6-1 multilayer perceptron trained by full-batch L-BFGS,
-and Lloyd's K-Means with elbow-based k selection.
+and Lloyd's K-Means with elbow-based k selection. K-Means has one entry
+point, kmeans_fit: it groups its input once into weighted points (distinct
+packet counts, or the rows at weight 1) and runs every seeded restart on
+those points.
 """
 
 from __future__ import annotations
@@ -86,23 +89,24 @@ def _check_binary_labels(y) -> np.ndarray:
 # points: the distinct rows a fit computes on once, weighted by their rows
 
 
-def _value_groups(X):
-    """(distinct values as a column, inverse, counts) of X, or None unless X is
-    one column of integers whose absolute values sum below 2**53.
+def _points(X):
+    """(points, inverse, counts) of X: the points Lloyd's sweeps run over, the
+    point of each row, and each point's rows.
 
-    Every sum of such values times their counts is an exact integer, so a mean
-    over groups is the same division as the mean over their rows. A -0.0 keeps
-    the rows: np.unique merges it with 0.0, and the mean of -0.0 rows is -0.0.
+    When X is one column of integers whose absolute values sum below 2**53,
+    the points are its distinct values as a column: every sum of such values
+    times their counts is an exact integer, so a mean over points is the same
+    division as the mean over their rows. A -0.0 keeps the rows: np.unique
+    merges it with 0.0, and the mean of -0.0 rows is -0.0. Any other X comes
+    back as its rows, each a point of weight 1.
     """
-    if X.shape[1] != 1:
-        return None
-    col = X[:, 0]
-    if not (np.abs(col).sum() < 2.0 ** 53 and (np.floor(col) == col).all()):
-        return None
-    if np.signbit(col[col == 0.0]).any():
-        return None
-    values, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
-    return values[:, None], inverse, counts
+    if X.shape[1] == 1:
+        col = X[:, 0]
+        if (np.abs(col).sum() < 2.0 ** 53 and (np.floor(col) == col).all()
+                and not np.signbit(col[col == 0.0]).any()):
+            values, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+            return values[:, None], inverse, counts
+    return X, np.arange(len(X)), np.ones(len(X))
 
 
 def _labelled_points(Xs, y):
@@ -363,74 +367,64 @@ def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
-               wcss_history: Optional[list] = None) -> KMeansModel:
-    """Lloyd's iterations from k seeded-random distinct data points.
+               wcss_history: Optional[list] = None, restarts: int = 1) -> KMeansModel:
+    """Best (lowest wcss, ties to the earliest) of `restarts` runs of Lloyd's
+    iterations, run r from k distinct data points drawn with seed cfg.seed + r.
 
     Ties assign to the lowest cluster id; a cluster that empties is
     reseeded to the row farthest from its assigned centroid (ties to the
-    lowest row). Stops when assignments repeat, when a reseed moves no
+    lowest row). A run stops when assignments repeat, when a reseed moves no
     centroid (X has fewer than k distinct rows, so every later sweep would
     repeat it), or after cfg.max_epochs sweeps with a RuntimeWarning that
-    names the cap.
+    names the cap. Every run appends its sweeps' wcss to wcss_history.
 
-    When X is one column of integers whose absolute values sum below 2**53
-    (packet counts), the sweeps run over its distinct values weighted by
-    their counts: the same assignments and, the sums being exact, the same
-    centroids as over the rows. wcss_history then holds sums over values,
-    which may differ from the row sums in the last bits. The final wcss is
-    always a sum over the rows, of the distances found for their points.
+    Every run sweeps the points of one _points(X): for packet counts the
+    distinct values weighted by their counts (the same assignments and, the
+    sums being exact, the same centroids as the rows), else the rows. Over
+    values, wcss_history holds sums over values, which may differ from the
+    row sums in the last bits; the final wcss is always the row sum.
     """
     X = as_matrix(X)
     n = X.shape[0]
     if k < 1:
         raise ConfigError("k must be >= 1")
+    if restarts < 1:
+        raise ConfigError("restarts must be >= 1")
     if n < k:
         raise TrainingError(f"need at least k={k} points, got {n}")
-    rng = np.random.default_rng(cfg.seed)
-    centroids = _distinct_row_init(X, k, rng)
-    groups = _value_groups(X)
-    if groups is None:  # each row is a point of weight 1
-        points, inverse, counts, sums = X, None, None, X
-    else:
-        points, inverse, counts = groups
-        sums = points * counts[:, None]
-    prev_assign = None
-    for _ in range(cfg.max_epochs):
-        assign, own = _nearest(points, centroids)
-        sizes = np.bincount(assign, weights=counts, minlength=k)
-        empty = np.flatnonzero(sizes == 0)
-        if len(empty):
-            own = own if inverse is None else own[inverse]
-            before = centroids.copy()
-            for c in empty:
-                far = int(own.argmax())
-                centroids[c] = X[far]
-                own[far] = -1.0
-            if np.array_equal(centroids, before):
-                break  # every later sweep would repeat this one (fewer values than k)
-            continue  # re-derive assignments from the repaired centroids
-        if wcss_history is not None:
-            wcss_history.append(float(own.sum() if counts is None else own @ counts))
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        prev_assign = assign
-        for c in range(k):
-            centroids[c] = sums[assign == c].sum(axis=0) / sizes[c]
-    else:
-        warnings.warn(f"kmeans_fit hit its cap of {cfg.max_epochs} sweeps before "
-                      f"assignments repeated", RuntimeWarning, stacklevel=2)
-    own = _nearest(points, centroids)[1]
-    wcss = float((own if inverse is None else own[inverse]).sum())
-    return KMeansModel(centroids=centroids, k=k, wcss=wcss)
-
-
-def kmeans_best(X, k: int, cfg: TrainConfig = TrainConfig(), restarts: int = 1) -> KMeansModel:
-    """Best (lowest wcss) of `restarts` seeded kmeans_fit runs."""
+    points, inverse, counts = _points(X)
+    sums = points * counts[:, None]
     best = None
     for r in range(restarts):
-        model = kmeans_fit(X, k, replace(cfg, seed=cfg.seed + r))
-        if best is None or model.wcss < best.wcss:
-            best = model
+        centroids = _distinct_row_init(X, k, np.random.default_rng(cfg.seed + r))
+        prev_assign = None
+        for _ in range(cfg.max_epochs):
+            assign, own = _nearest(points, centroids)
+            sizes = np.bincount(assign, weights=counts, minlength=k)
+            empty = np.flatnonzero(sizes == 0)
+            if len(empty):
+                own = own[inverse]
+                before = centroids.copy()
+                for c in empty:
+                    far = int(own.argmax())
+                    centroids[c] = X[far]
+                    own[far] = -1.0
+                if np.array_equal(centroids, before):
+                    break  # every later sweep would repeat this one (fewer values than k)
+                continue  # re-derive assignments from the repaired centroids
+            if wcss_history is not None:
+                wcss_history.append(float((own * counts).sum()))
+            if prev_assign is not None and np.array_equal(assign, prev_assign):
+                break
+            prev_assign = assign
+            for c in range(k):
+                centroids[c] = sums[assign == c].sum(axis=0) / sizes[c]
+        else:
+            warnings.warn(f"kmeans_fit hit its cap of {cfg.max_epochs} sweeps before "
+                          f"assignments repeated", RuntimeWarning, stacklevel=2)
+        wcss = float(_nearest(points, centroids)[1][inverse].sum())
+        if best is None or wcss < best.wcss:
+            best = KMeansModel(centroids=centroids, k=k, wcss=wcss)
     return best
 
 
@@ -449,7 +443,8 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
 
 def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()
                 ) -> tuple[list[tuple[int, float]], int]:
-    """WCSS over k = 1..k_max (best of 5 restarts each) plus the chosen k.
+    """WCSS over k = 1..k_max (best of 5 restarts each, one grouping of X per
+    k) plus the chosen k.
 
     The chosen k maximizes the discrete second difference of the wcss
     curve over interior k; with fewer than 3 candidate k it is k_max.
@@ -459,7 +454,7 @@ def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()
         raise ConfigError("k_max must be >= 1")
     if X.shape[0] < k_max:
         raise TrainingError(f"need at least k_max={k_max} points, got {X.shape[0]}")
-    curve = [(k, kmeans_best(X, k, cfg, restarts=5).wcss) for k in range(1, k_max + 1)]
+    curve = [(k, kmeans_fit(X, k, cfg, restarts=5).wcss) for k in range(1, k_max + 1)]
     if k_max < 3:
         return curve, k_max
     wcss = [w for _, w in curve]

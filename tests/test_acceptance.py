@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (exhaustive_wcss_1d, mlp_gradcheck_worst, svr_qp_oracle)
-from synwatch.classifiers import TrainConfig, elbow_curve, kmeans_best
+from synwatch.classifiers import TrainConfig, elbow_curve, kmeans_fit
 from synwatch.cli import main
 from synwatch.metrics import (Confusion, classification_scores, confusion, r_squared,
                               rmse)
@@ -155,8 +155,8 @@ def test_criterion_10_kmeans_oracle():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         vals = rng.uniform(0.0, 100.0, size=n)
-        model = kmeans_best(vals.reshape(-1, 1), 2,
-                            TrainConfig(seed=int(rng.integers(0, 2 ** 31))), restarts=20)
+        model = kmeans_fit(vals.reshape(-1, 1), 2,
+                           TrainConfig(seed=int(rng.integers(0, 2 ** 31))), restarts=20)
         worst = max(worst, abs(model.wcss - exhaustive_wcss_1d(vals)))
     ok = worst <= 1e-9
     _criterion(10, "kmeans exhaustive oracle", ok, f"worst wcss gap={worst:.2e}")

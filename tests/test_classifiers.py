@@ -10,7 +10,7 @@ from oracles import (exhaustive_wcss_1d, kmeans_fit_reference, lgr_fit_reference
                      mlp_central_differences, mlp_gradcheck_worst)
 from synwatch import classifiers
 from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, MlpModel, TrainConfig,
-                                  elbow_curve, kmeans_assign, kmeans_best, kmeans_fit,
+                                  elbow_curve, kmeans_assign, kmeans_fit,
                                   lgr_fit, lgr_predict, map_clusters_to_labels, mlp_fit,
                                   mlp_loss_grads, mlp_predict)
 from synwatch.errors import ConfigError, ContractViolation, TrainingError
@@ -436,18 +436,34 @@ _GROUPED = ("counts_ties", "counts_bimodal", "mid_run_reseed", "three_values")
                                   "two_columns", "sum_at_2_53"])
 def test_kmeans_fit_matches_reference_bit_for_bit(name):
     X = _kmeans_case(name)
-    assert (classifiers._value_groups(X) is not None) == (name in _GROUPED)
+    assert (classifiers._points(X)[0] is not X) == (name in _GROUPED)
     for k in range(1, 5):
         for seed in range(4):
-            cfg = TrainConfig(seed=seed)
-            got_history, want_history = [], []
-            got = kmeans_fit(X, k, cfg, wcss_history=got_history)
-            want = kmeans_fit_reference(X, k, cfg, wcss_history=want_history)
-            assert got.centroids.tobytes() == want.centroids.tobytes()
-            assert np.float64(got.wcss).tobytes() == np.float64(want.wcss).tobytes()
-            assert len(got_history) == len(want_history)
-            if name not in _GROUPED:  # the row path sums the same rows
-                assert got_history == want_history
+            for restarts in (1, 3):
+                got_history = []
+                got = kmeans_fit(X, k, TrainConfig(seed=seed), wcss_history=got_history,
+                                 restarts=restarts)
+                runs = []  # (model, history) of the reference run of each restart's seed
+                for r in range(restarts):
+                    history = []
+                    model = kmeans_fit_reference(X, k, TrainConfig(seed=seed + r),
+                                                 wcss_history=history)
+                    runs.append((model, history))
+                want = min(runs, key=lambda run: run[0].wcss)[0]  # the first on ties
+                assert got.centroids.tobytes() == want.centroids.tobytes()
+                assert np.float64(got.wcss).tobytes() == np.float64(want.wcss).tobytes()
+                want_history = [w for _, history in runs for w in history]
+                assert len(got_history) == len(want_history)
+                if name in _GROUPED:  # sums over values, the row sums up to their last bits
+                    assert got_history == pytest.approx(want_history, rel=1e-12)
+                else:  # the row path sums the same rows
+                    assert got_history == want_history
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_kmeans_fit_needs_a_restart(restarts):
+    with pytest.raises(ConfigError, match="restarts must be >= 1"):
+        kmeans_fit(np.arange(6.0).reshape(-1, 1), 2, restarts=restarts)
 
 
 def test_kmeans_with_fewer_values_than_clusters_stops_without_warning():
@@ -475,8 +491,8 @@ def test_kmeans_matches_exhaustive_partitions():
     for _ in range(12):
         n = int(rng.integers(2, 9))
         vals = rng.uniform(0.0, 100.0, size=n)
-        model = kmeans_best(vals.reshape(-1, 1), 2,
-                            TrainConfig(seed=int(rng.integers(0, 2 ** 31))), restarts=20)
+        model = kmeans_fit(vals.reshape(-1, 1), 2,
+                           TrainConfig(seed=int(rng.integers(0, 2 ** 31))), restarts=20)
         assert model.wcss == pytest.approx(exhaustive_wcss_1d(vals), abs=1e-9)
 
 
@@ -540,6 +556,21 @@ def test_elbow_two_separated_clusters():
     assert chosen == 2
     wcss = [w for _, w in curve]
     assert all(b <= a + 1e-9 for a, b in zip(wcss, wcss[1:]))
+
+
+@pytest.mark.parametrize("name", ["counts_bimodal", "two_columns"])
+def test_elbow_groups_its_input_once_per_k(monkeypatch, name):
+    calls = []
+    points = classifiers._points
+
+    def counting_points(X):
+        calls.append(X.shape)
+        return points(X)
+
+    monkeypatch.setattr(classifiers, "_points", counting_points)
+    X = _kmeans_case(name)
+    elbow_curve(X, 4)
+    assert calls == [X.shape] * 4  # one grouping per k, not one per restart
 
 
 def test_map_clusters_high_mean_is_attack():
