@@ -3,11 +3,15 @@
 Traffic is reduced to one integer per fixed interval (default 10 s): the
 number of packets that arrived at a host during that interval. Attack
 periods are injected as bursts of consecutive intervals whose counts are
-redrawn at a higher Poisson rate and labelled 1.
+redrawn at a higher Poisson rate and labelled 1. Burst starts are computed
+in closed form, with no loop over bursts, and one writer fills the bursts
+of both injectors with a single Poisson draw. A series has at most
+MAX_INTERVALS intervals.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -19,6 +23,8 @@ from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, decode_
                      header_fields, int64, parse_int, split_lines)
 
 _ROW = re.compile(f"({DIGITS}),({DIGITS}),([01])")  # index,count,label
+# The most intervals a series may have: 1 GiB per int64 array, 42 years of 10 s.
+MAX_INTERVALS = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -81,14 +87,15 @@ class SynthesisConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_intervals < 0:
-            raise ConfigError("n_intervals must be >= 0")
-        if self.baseline_rate <= 0:
-            raise ConfigError("baseline_rate must be > 0")
+        if not 0 <= self.n_intervals <= MAX_INTERVALS:
+            raise ConfigError(f"n_intervals must be in [0, {MAX_INTERVALS}]")
+        # each comparison is False for NaN, so NaN fails it too
+        if not (self.baseline_rate > 0 and math.isfinite(self.baseline_rate)):
+            raise ConfigError("baseline_rate must be finite and > 0")
         if not 0.0 <= self.attack_fraction <= 1.0:
             raise ConfigError("attack_fraction must be in [0, 1]")
-        if self.attack_multiplier <= 1.0:
-            raise ConfigError("attack_multiplier must be > 1")
+        if not (self.attack_multiplier > 1.0 and math.isfinite(self.attack_multiplier)):
+            raise ConfigError("attack_multiplier must be finite and > 1")
         if self.burst_length < 1:
             raise ConfigError("burst_length must be >= 1")
 
@@ -140,6 +147,10 @@ def bucketize(
     width_ms = interval_seconds * 1000
     origin_s = int(ts_ms.min() // width_ms) * interval_seconds
     idx = (ts_ms - origin_s * 1000) // width_ms
+    span = int(idx.max()) + 1
+    if span > MAX_INTERVALS:
+        raise ConfigError(f"packets span {span} intervals of {interval_seconds} s from "
+                          f"origin_s={origin_s}, more than MAX_INTERVALS={MAX_INTERVALS}")
     counts = np.bincount(idx)
     return IntervalSeries(counts, np.zeros(len(counts), dtype=np.int64),
                           interval_seconds=interval_seconds, origin_s=origin_s)
@@ -153,37 +164,35 @@ def generate_baseline(cfg: SynthesisConfig) -> IntervalSeries:
                           interval_seconds=10, origin_s=0)
 
 
-def _burst_lengths(n_attacked: int, burst_length: int) -> list[int]:
-    lengths = [burst_length] * (n_attacked // burst_length)
-    if n_attacked % burst_length:
-        lengths.append(n_attacked % burst_length)
-    return lengths
-
-
-def _place_bursts(n: int, lengths: list[int], rng: np.random.Generator) -> list[int]:
-    """Choose non-adjacent start positions for bursts of the given lengths.
+def _place_bursts(n: int, lengths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Start positions of non-adjacent bursts of the given lengths, in order.
 
     Bursts keep at least one clean interval between them so each stays a
-    distinct run. Placement is uniform over all valid layouts: the free
-    slack is split into gaps via a random composition.
+    distinct run. Placement is uniform over all valid layouts: m sorted
+    distinct draws from slack + m positions split the free slack into gaps,
+    so burst i starts at the i-th draw plus the length of the bursts before it.
     """
     m = len(lengths)
-    if m == 0:
-        return []
-    slack = n - sum(lengths) - (m - 1)
+    slack = n - int(lengths.sum()) - (m - 1)
     if slack < 0:
         raise ConfigError(
-            f"cannot place {m} bursts (total {sum(lengths)}) in {n} intervals without overlap"
+            f"cannot place {m} bursts (total {lengths.sum()}) in {n} intervals without overlap"
         )
-    bars = np.sort(rng.choice(slack + m, size=m, replace=False))
-    gaps = np.diff(np.concatenate(([-1], bars))) - 1  # extra gap before each burst
-    starts = []
-    pos = 0
-    for i, length in enumerate(lengths):
-        pos += int(gaps[i]) + (1 if i else 0)
-        starts.append(pos)
-        pos += length
-    return starts
+    return np.sort(rng.choice(slack + m, size=m, replace=False)) + np.cumsum(lengths) - lengths
+
+
+def _write_bursts(series: IntervalSeries, cfg: SynthesisConfig, starts: np.ndarray,
+                  lengths: np.ndarray, rng: np.random.Generator) -> IntervalSeries:
+    """A copy of series whose bursts, ascending starts with their lengths, are
+    redrawn from Poisson(attack_multiplier * baseline_rate) in one draw and
+    labelled 1."""
+    before = np.cumsum(lengths) - lengths
+    rows = np.repeat(starts - before, lengths) + np.arange(lengths.sum())
+    counts, labels = series.counts.copy(), series.labels.copy()
+    counts[rows] = rng.poisson(cfg.attack_multiplier * cfg.baseline_rate, size=len(rows))
+    labels[rows] = 1
+    return IntervalSeries(counts, labels, interval_seconds=series.interval_seconds,
+                          origin_s=series.origin_s)
 
 
 def inject_attacks(series: IntervalSeries, cfg: SynthesisConfig) -> IntervalSeries:
@@ -203,19 +212,11 @@ def inject_attacks(series: IntervalSeries, cfg: SynthesisConfig) -> IntervalSeri
         raise ConfigError(
             f"attack_fraction * n_intervals = {target} is not a whole number of intervals"
         )
-    out = IntervalSeries(series.counts.copy(), series.labels.copy(),
-                         interval_seconds=series.interval_seconds, origin_s=series.origin_s)
-    if n_attacked == 0:
-        return out
     rng = np.random.default_rng([cfg.seed, 1])
-    lengths = _burst_lengths(n_attacked, cfg.burst_length)
+    # full bursts, then the remainder: the gaps between multiples of burst_length
+    lengths = np.diff(np.append(np.arange(0, n_attacked, cfg.burst_length), n_attacked))
     rng.shuffle(lengths)
-    starts = _place_bursts(n, lengths, rng)
-    attack_rate = cfg.attack_multiplier * cfg.baseline_rate
-    for start, length in zip(starts, lengths):
-        out.counts[start:start + length] = rng.poisson(attack_rate, size=length)
-        out.labels[start:start + length] = 1
-    return out
+    return _write_bursts(series, cfg, _place_bursts(n, lengths, rng), lengths, rng)
 
 
 def inject_periodic_attacks(series: IntervalSeries, cfg: SynthesisConfig,
@@ -229,14 +230,9 @@ def inject_periodic_attacks(series: IntervalSeries, cfg: SynthesisConfig,
         raise ConfigError("period must exceed burst_length")
     if len(series) and series.labels.max() > 0:
         raise ContractViolation("inject_periodic_attacks requires an all-legitimate series")
-    out = IntervalSeries(series.counts.copy(), series.labels.copy(),
-                         interval_seconds=series.interval_seconds, origin_s=series.origin_s)
-    rng = np.random.default_rng([cfg.seed, 2])
-    attack_rate = cfg.attack_multiplier * cfg.baseline_rate
-    for start in range(0, len(series) - cfg.burst_length + 1, period):
-        out.counts[start:start + cfg.burst_length] = rng.poisson(attack_rate, cfg.burst_length)
-        out.labels[start:start + cfg.burst_length] = 1
-    return out
+    starts = np.arange(0, len(series) - cfg.burst_length + 1, period)
+    return _write_bursts(series, cfg, starts, np.full(len(starts), cfg.burst_length),
+                         np.random.default_rng([cfg.seed, 2]))
 
 
 WRITE_BLOCK_ROWS = 1 << 12  # rows formatted by one % operation
@@ -262,12 +258,18 @@ def read_series(path) -> IntervalSeries:
 
     The form write_series writes is parsed as arrays; every other file goes
     through the line loop, which defines what a series file may hold. Both
-    give the same series for a file in that form.
+    give the same series for a file in that form. A file whose interval
+    times pass int64 is a ParseError at its header, line 1.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     series = _read_canonical(data)
-    return _read_series_lines(data) if series is None else series
+    if series is None:
+        series = _read_series_lines(data)
+    if series.origin_s + len(series) * series.interval_seconds > np.iinfo(np.int64).max:
+        raise ParseError(1, f"origin_s={series.origin_s} plus {len(series)} rows of "
+                            f"interval_seconds={series.interval_seconds} passes the int64 limit")
+    return series
 
 
 def _series_header(line: str) -> tuple:

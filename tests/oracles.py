@@ -6,8 +6,9 @@ path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the SVR step
 loop that rebuilds its arrays and the KKT values it reads from them, the
 LGR fit that computes each accepted step's scores twice, the K-Means fit
-that sweeps every row, and the series and frames writers that format one
-row at a time), which the optimized ones must match bit for bit.
+that sweeps every row, the attack injectors that place and draw one burst
+at a time, and the series and frames writers that format one row at a
+time), which the optimized ones must match bit for bit.
 """
 
 import warnings
@@ -25,7 +26,7 @@ from synwatch.framing import FRAME_WIDTH, Frame
 from synwatch.pipeline import DataSet
 from synwatch.regressors import SMO_ITER_FACTOR, SMO_TOL, SvrModel, rbf_matrix
 from synwatch.scaling import Scaler, as_matrix
-from synwatch.traffic import IntervalSeries
+from synwatch.traffic import IntervalSeries, SynthesisConfig
 
 
 def frame_sigma(values) -> float:
@@ -390,6 +391,94 @@ def kmeans_fit_reference(X, k: int, cfg: TrainConfig = TrainConfig(),
             centroids[c] = X[assign == c].mean(axis=0)
     wcss = float(_nearest(X, centroids)[1].sum())
     return KMeansModel(centroids=centroids, k=k, wcss=wcss)
+
+
+def _burst_lengths(n_attacked: int, burst_length: int) -> list[int]:
+    lengths = [burst_length] * (n_attacked // burst_length)
+    if n_attacked % burst_length:
+        lengths.append(n_attacked % burst_length)
+    return lengths
+
+
+def _place_bursts(n: int, lengths: list[int], rng: np.random.Generator) -> list[int]:
+    """Choose non-adjacent start positions for bursts of the given lengths.
+
+    Bursts keep at least one clean interval between them so each stays a
+    distinct run. Placement is uniform over all valid layouts: the free
+    slack is split into gaps via a random composition.
+    """
+    m = len(lengths)
+    if m == 0:
+        return []
+    slack = n - sum(lengths) - (m - 1)
+    if slack < 0:
+        raise ConfigError(
+            f"cannot place {m} bursts (total {sum(lengths)}) in {n} intervals without overlap"
+        )
+    bars = np.sort(rng.choice(slack + m, size=m, replace=False))
+    gaps = np.diff(np.concatenate(([-1], bars))) - 1  # extra gap before each burst
+    starts = []
+    pos = 0
+    for i, length in enumerate(lengths):
+        pos += int(gaps[i]) + (1 if i else 0)
+        starts.append(pos)
+        pos += length
+    return starts
+
+
+def inject_attacks_reference(series: IntervalSeries, cfg: SynthesisConfig) -> IntervalSeries:
+    """inject_attacks as it was before it placed bursts in closed form and
+    wrote them in one draw: overwrite random bursts of intervals with attack traffic.
+
+    Exactly round(attack_fraction * len(series)) intervals are attacked, in
+    non-overlapping, non-adjacent bursts of cfg.burst_length (one final
+    shorter burst when the total is not a multiple). Attacked counts are
+    redrawn from Poisson(attack_multiplier * baseline_rate) and labelled 1.
+    """
+    if len(series) and series.labels.max() > 0:
+        raise ContractViolation("inject_attacks requires an all-legitimate series")
+    n = len(series)
+    target = cfg.attack_fraction * n
+    n_attacked = int(round(target))
+    if abs(target - n_attacked) > 1e-6:
+        raise ConfigError(
+            f"attack_fraction * n_intervals = {target} is not a whole number of intervals"
+        )
+    out = IntervalSeries(series.counts.copy(), series.labels.copy(),
+                         interval_seconds=series.interval_seconds, origin_s=series.origin_s)
+    if n_attacked == 0:
+        return out
+    rng = np.random.default_rng([cfg.seed, 1])
+    lengths = _burst_lengths(n_attacked, cfg.burst_length)
+    rng.shuffle(lengths)
+    starts = _place_bursts(n, lengths, rng)
+    attack_rate = cfg.attack_multiplier * cfg.baseline_rate
+    for start, length in zip(starts, lengths):
+        out.counts[start:start + length] = rng.poisson(attack_rate, size=length)
+        out.labels[start:start + length] = 1
+    return out
+
+
+def inject_periodic_attacks_reference(series: IntervalSeries, cfg: SynthesisConfig,
+                                      period: int) -> IntervalSeries:
+    """inject_periodic_attacks as it was before it wrote its bursts in one
+    draw: inject one burst at the start of every `period` intervals.
+
+    Gives the temporally regular attack pattern the forecasting experiments
+    train on; counts and labels are rewritten exactly as inject_attacks does.
+    """
+    if period < cfg.burst_length + 1:
+        raise ConfigError("period must exceed burst_length")
+    if len(series) and series.labels.max() > 0:
+        raise ContractViolation("inject_periodic_attacks requires an all-legitimate series")
+    out = IntervalSeries(series.counts.copy(), series.labels.copy(),
+                         interval_seconds=series.interval_seconds, origin_s=series.origin_s)
+    rng = np.random.default_rng([cfg.seed, 2])
+    attack_rate = cfg.attack_multiplier * cfg.baseline_rate
+    for start in range(0, len(series) - cfg.burst_length + 1, period):
+        out.counts[start:start + cfg.burst_length] = rng.poisson(attack_rate, cfg.burst_length)
+        out.labels[start:start + cfg.burst_length] = 1
+    return out
 
 
 def write_series_lines(series: IntervalSeries, path) -> None:

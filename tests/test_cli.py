@@ -88,6 +88,42 @@ def test_series_value_beyond_int64_exits_two(tmp_path, capsys, role, data, line)
     assert not out.exists()
 
 
+# case: (the file the command reads, its bytes or None, extra argv, what the message names)
+@pytest.mark.parametrize("command, data, argv, message", [
+    ("predict", b"\n", [], "line 1: origin_s=9223372036854775000 plus 240 rows"),
+    ("predict", b"\r\n", [], "line 1: origin_s=9223372036854775000 plus 240 rows"),
+    ("ingest", b"0,a,h\n9000000000000000000,a,h\n", [], "span 900000000000001 intervals"),
+    ("generate", None, ["--intervals", "10000000000000"], "n_intervals must be in"),
+    ("generate", None, ["--rate", "nan"], "baseline_rate must be finite"),
+    ("generate", None, ["--rate", "inf"], "baseline_rate must be finite"),
+    ("generate", None, ["--multiplier", "nan"], "attack_multiplier must be finite"),
+], ids=["times_overflow_array_path", "times_overflow_crlf", "log_span", "intervals", "rate_nan",
+        "rate_inf", "multiplier_nan"])
+def test_refusals_exit_two_before_allocating(tmp_path, capsys, command, data, argv, message):
+    """A series whose times pass int64, a span beyond MAX_INTERVALS and a
+    non-finite rate each exit 2 naming the header line, the span or the field."""
+    out = tmp_path / "out"
+    if command == "predict":
+        lines = _gen(tmp_path).read_bytes().splitlines(keepends=True)
+        series = tmp_path / "far.csv"
+        series.write_bytes((b"interval_seconds=10,origin_s=9223372036854775000\n"
+                            + b"".join(lines[1:])).replace(b"\n", data))
+        argv = ["predict", "--model", "krr", "--series", str(series),
+                "--report", str(tmp_path / "r.txt"), "--out", str(out)]
+    elif command == "ingest":
+        log = tmp_path / "far.log"
+        log.write_bytes(data)
+        argv = ["ingest", "--log", str(log), "--out", str(out)]
+    else:
+        flags = {"--intervals": "600", "--rate": "50", "--multiplier": "10"}
+        flags.update(zip(argv[::2], argv[1::2]))
+        argv = ["generate", *[x for kv in flags.items() for x in kv], "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # generate / ingest / inject / frame / elbow
 

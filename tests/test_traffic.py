@@ -5,13 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mutations import check_reader, damaged
-from oracles import write_series_lines
+from oracles import (inject_attacks_reference, inject_periodic_attacks_reference,
+                     write_series_lines)
 
+from synwatch import traffic
 from synwatch.errors import ConfigError, ContractViolation, ParseError, read_lines
-from synwatch.traffic import (READ_BLOCK_BYTES, WRITE_BLOCK_ROWS, IntervalSeries, PacketRecord,
-                              SynthesisConfig, _read_canonical, _read_series_lines, bucketize,
-                              generate_baseline, inject_attacks, inject_periodic_attacks,
-                              parse_packet_log, read_series, write_series)
+from synwatch.traffic import (MAX_INTERVALS, READ_BLOCK_BYTES, WRITE_BLOCK_ROWS, IntervalSeries,
+                              PacketRecord, SynthesisConfig, _read_canonical, _read_series_lines,
+                              bucketize, generate_baseline, inject_attacks,
+                              inject_periodic_attacks, parse_packet_log, read_series, write_series)
 
 
 # --------------------------------------------------------------------------
@@ -126,6 +128,20 @@ def test_bucketize_counts_sum_to_matching_records(raw):
     assert series.counts.sum() == sum(1 for r in records if r.dst == "x")
 
 
+def test_series_length_is_bounded_before_allocating(monkeypatch):
+    # 9e18 ms at 10 s per interval is 9e14 intervals, far more than numpy could allocate
+    records = [PacketRecord(0, "a", "h"), PacketRecord(9 * 10 ** 18, "a", "h")]
+    with pytest.raises(ConfigError, match="span 900000000000001 intervals of 10 s"):
+        bucketize(records, 10)
+    with pytest.raises(ConfigError, match="n_intervals"):
+        SynthesisConfig(n_intervals=MAX_INTERVALS + 1, baseline_rate=5.0)
+    SynthesisConfig(n_intervals=MAX_INTERVALS, baseline_rate=5.0)
+    monkeypatch.setattr(traffic, "MAX_INTERVALS", 5)  # the bound itself, without 1 GiB arrays
+    assert len(bucketize([PacketRecord(0, "a", "h"), PacketRecord(40_000, "a", "h")], 10)) == 5
+    with pytest.raises(ConfigError, match="span 6 intervals"):
+        bucketize([PacketRecord(0, "a", "h"), PacketRecord(50_000, "a", "h")], 10)
+
+
 # --------------------------------------------------------------------------
 # generate_baseline / inject_attacks
 
@@ -151,6 +167,12 @@ def test_generate_deterministic():
 def test_generate_rejects_bad_rate():
     with pytest.raises(ConfigError):
         SynthesisConfig(n_intervals=10, baseline_rate=0.0)
+    nan, inf = float("nan"), float("inf")
+    for field, value in [("baseline_rate", -1.0), ("baseline_rate", nan),
+                         ("baseline_rate", inf), ("attack_multiplier", 1.0),
+                         ("attack_multiplier", nan), ("attack_multiplier", inf)]:
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            SynthesisConfig(**{"n_intervals": 10, "baseline_rate": 5.0, field: value})
 
 
 def test_inject_zero_fraction_is_noop():
@@ -221,6 +243,41 @@ def test_inject_periodic_layout():
     assert out.labels.sum() == 24
 
 
+# case: (n_intervals, attack_fraction, burst_length, baseline_rate, attack_multiplier, seed)
+_INJECT_CASES = {
+    "no_attack": (600, 0.0, 6, 50.0, 10.0, 1),
+    "remainder_burst": (600, 0.2, 7, 50.0, 10.0, 2),
+    "zero_slack": (11, 10 / 11, 5, 50.0, 10.0, 3),
+    "burst_of_one": (100, 0.25, 1, 50.0, 10.0, 4),
+    "lam_below_10": (10_000, 0.2, 6, 0.5, 4.0, 5),
+    "lam_above_10": (10_000, 0.2, 6, 50.0, 10.0, 6),
+    "shorter_than_a_burst": (4, 0.25, 6, 20.0, 3.0, 7),
+    "overfull": (100, 0.9, 1, 10.0, 10.0, 8),
+}
+
+
+@pytest.mark.parametrize("case", _INJECT_CASES.values(), ids=_INJECT_CASES.keys())
+def test_injectors_match_the_per_burst_reference_byte_for_byte(case):
+    n, fraction, burst, rate, multiplier, seed = case
+    cfg = SynthesisConfig(n_intervals=n, baseline_rate=rate, attack_fraction=fraction,
+                          attack_multiplier=multiplier, burst_length=burst, seed=seed)
+    base = generate_baseline(cfg)
+    for inject, reference, period in [
+            (inject_attacks, inject_attacks_reference, ()),
+            (inject_periodic_attacks, inject_periodic_attacks_reference, (burst + 3,))]:
+        try:
+            want = reference(base, cfg, *period)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                inject(base, cfg, *period)
+            assert str(got.value) == str(exc)
+            continue
+        out = inject(base, cfg, *period)
+        assert out.counts.tobytes() == want.counts.tobytes()
+        assert out.labels.tobytes() == want.labels.tobytes()
+        assert (out.interval_seconds, out.origin_s) == (want.interval_seconds, want.origin_s)
+
+
 # --------------------------------------------------------------------------
 # series file round trip
 
@@ -283,6 +340,22 @@ def test_series_crlf_loads_and_form_feed_does_not_break_a_line(tmp_path, small_s
     path.write_bytes(text.replace(b"\n1,", b"\x0c1,", 1))
     with pytest.raises(ParseError, match="line 2"):
         read_series(path)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["array_path", "crlf_line_loop"])
+def test_series_times_beyond_int64_are_refused_at_the_header(tmp_path, newline):
+    path = tmp_path / "s.csv"
+    last = 2 ** 63 - 1 - 2 * 10  # two rows of 10 s end exactly at the int64 limit
+    for origin_s in (last, last + 1):
+        path.write_bytes(f"interval_seconds=10,origin_s={origin_s}\n0,5,0\n1,7,1\n"
+                         .encode().replace(b"\n", newline))
+        assert (_read_canonical(path.read_bytes()) is None) == (newline == b"\r\n")
+        if origin_s == last:
+            assert read_series(path).origin_s == last
+            continue
+        with pytest.raises(ParseError, match=f"line 1: origin_s={origin_s} plus 2 rows of "
+                                             "interval_seconds=10 passes the int64 limit"):
+            read_series(path)
 
 
 _SERIES = b"interval_seconds=10,origin_s=-20\n0,5,0\n1,57,1\n\n2,0,1\n3,12,0\n"
