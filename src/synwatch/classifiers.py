@@ -5,7 +5,9 @@ descent, a fixed d-6-1 multilayer perceptron trained by full-batch L-BFGS,
 and Lloyd's K-Means with elbow-based k selection. K-Means has one entry
 point, kmeans_fit: it groups its input once into weighted points (distinct
 packet counts, or the rows at weight 1) and runs every seeded restart on
-those points.
+those points. A restart draws its first centroids over those points too,
+with array operations and no loop over rows, and an emptied cluster is
+reseeded from them, so kmeans_fit reads its input only to group it.
 """
 
 from __future__ import annotations
@@ -341,23 +343,30 @@ def mlp_predict(model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
 # K-Means
 
 
-def _distinct_row_init(X, k, rng):
-    order = rng.permutation(X.shape[0])
-    chosen: list[int] = []
-    seen: set[bytes] = set()
-    for i in order:
-        key = X[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            chosen.append(i)
-            if len(chosen) == k:
-                break
-    for i in order:
-        if len(chosen) == k:
+def _seeded_centroids(points, inverse, k, rng):
+    """The k starting centroids of one run, as points: one rng.permutation of
+    the rows, the first k rows of distinct bytes in that order, then the
+    earliest of the others when there are fewer than k distinct rows.
+
+    The first row of each key is found in a prefix of the order that
+    doubles from 4k rows until it holds k keys. Fewer points than rows are
+    grouped and distinct, so a row's point is its key; as many points as
+    rows may repeat, so each row is keyed by its point's uint64 view, which
+    keeps -0.0 apart from 0.0.
+    """
+    n = len(inverse)
+    order = rng.permutation(n)
+    m = 4 * k
+    while True:
+        rows = inverse[order[:m]]
+        keys = rows if len(points) < n else points[rows].view(np.uint64)
+        first = np.sort(np.unique(keys, axis=0, return_index=True)[1])[:k]
+        if len(first) == k or m >= n:
             break
-        if i not in chosen:
-            chosen.append(i)
-    return X[np.array(chosen[:k])].copy()
+        m *= 2
+    spare = np.arange(min(n, 2 * k))  # fewer than k are chosen: the others fill the draw
+    chosen = np.concatenate([first, spare[~np.isin(spare, first)]])[:k]
+    return points[inverse[order[chosen]]]
 
 
 def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
@@ -396,7 +405,7 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     sums = points * counts[:, None]
     best = None
     for r in range(restarts):
-        centroids = _distinct_row_init(X, k, np.random.default_rng(cfg.seed + r))
+        centroids = _seeded_centroids(points, inverse, k, np.random.default_rng(cfg.seed + r))
         prev_assign = None
         for _ in range(cfg.max_epochs):
             assign, own = _nearest(points, centroids)
@@ -407,7 +416,7 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
                 before = centroids.copy()
                 for c in empty:
                     far = int(own.argmax())
-                    centroids[c] = X[far]
+                    centroids[c] = points[inverse[far]]
                     own[far] = -1.0
                 if np.array_equal(centroids, before):
                     break  # every later sweep would repeat this one (fewer values than k)

@@ -34,15 +34,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SYN_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"SYN_SEED must be an integer, got {env!r}") from None
+    source = "--seed"
+    if value is None:
+        env = os.environ.get("SYN_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        try:
+            value, source = int(env), "SYN_SEED"
+        except ValueError:
+            raise ConfigError(f"SYN_SEED must be an integer, got {env!r}") from None
+    if value < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"{source} must be non-negative, got {value}")
+    return value
 
 
 def _echo_config(args, **derived) -> None:

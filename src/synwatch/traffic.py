@@ -25,6 +25,8 @@ from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, decode_
 _ROW = re.compile(f"({DIGITS}),({DIGITS}),([01])")  # index,count,label
 # The most intervals a series may have: 1 GiB per int64 array, 42 years of 10 s.
 MAX_INTERVALS = 2 ** 27
+# The highest rate numpy's Poisson draw takes: int64's maximum less ten of its square roots.
+MAX_POISSON_RATE = float(2 ** 63 - 1) - 10 * math.sqrt(2 ** 63 - 1)
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ class SynthesisConfig:
             raise ConfigError("attack_fraction must be in [0, 1]")
         if not (self.attack_multiplier > 1.0 and math.isfinite(self.attack_multiplier)):
             raise ConfigError("attack_multiplier must be finite and > 1")
+        if self.baseline_rate * self.attack_multiplier > MAX_POISSON_RATE:
+            raise ConfigError(f"baseline_rate * attack_multiplier must be at most "
+                              f"{MAX_POISSON_RATE:.6g}, the highest Poisson rate numpy draws")
         if self.burst_length < 1:
             raise ConfigError("burst_length must be >= 1")
 

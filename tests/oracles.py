@@ -6,9 +6,10 @@ path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the SVR step
 loop that rebuilds its arrays and the KKT values it reads from them, the
 LGR fit that computes each accepted step's scores twice, the K-Means fit
-that sweeps every row, the attack injectors that place and draw one burst
-at a time, and the series and frames writers that format one row at a
-time), which the optimized ones must match bit for bit.
+that sweeps every row from centroids drawn a row at a time, the attack
+injectors that place and draw one burst at a time, and the series and
+frames writers that format one row at a time), which the optimized ones
+must match bit for bit.
 """
 
 import warnings
@@ -18,8 +19,7 @@ import numpy as np
 from scipy.special import expit as sigmoid
 
 from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, TrainConfig,
-                                  _check_binary_labels, _distinct_row_init, _nearest,
-                                  mlp_loss_grads)
+                                  _check_binary_labels, _nearest, mlp_loss_grads)
 from synwatch.errors import (BalancingError, ConfigError, ContractViolation,
                              TrainingError)
 from synwatch.framing import FRAME_WIDTH, Frame
@@ -353,6 +353,25 @@ def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
                           f"max-norm {grad_norm:.3e} above tolerance {TOLERANCE:g}",
                           RuntimeWarning, stacklevel=2)
     return LgrModel(weights=w, bias=b, scaler=scaler)
+
+
+def _distinct_row_init(X, k, rng):
+    order = rng.permutation(X.shape[0])
+    chosen: list[int] = []
+    seen: set[bytes] = set()
+    for i in order:
+        key = X[i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            chosen.append(i)
+            if len(chosen) == k:
+                break
+    for i in order:
+        if len(chosen) == k:
+            break
+        if i not in chosen:
+            chosen.append(i)
+    return X[np.array(chosen[:k])].copy()
 
 
 def kmeans_fit_reference(X, k: int, cfg: TrainConfig = TrainConfig(),

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (exhaustive_wcss_1d, kmeans_fit_reference, lgr_fit_reference,
-                     mlp_central_differences, mlp_gradcheck_worst)
+from oracles import (_distinct_row_init, exhaustive_wcss_1d, kmeans_fit_reference,
+                     lgr_fit_reference, mlp_central_differences, mlp_gradcheck_worst)
 from synwatch import classifiers
 from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, MlpModel, TrainConfig,
                                   elbow_curve, kmeans_assign, kmeans_fit,
@@ -423,22 +423,34 @@ def _kmeans_case(name):
         return rng.normal(20.0, 5.0, size=(300, 1))
     if name == "two_columns":
         return rng.poisson(5.0, size=(300, 2)).astype(np.float64)
+    if name == "rare_kth_value":  # the 3rd and 4th values are rare: the drawn prefix must grow
+        return np.concatenate([rng.integers(0, 2, size=2000), [2, 2, 2, 3]]
+                              ).astype(np.float64).reshape(-1, 1)
+    if name == "signed_zero_rows":  # repeated rows; [-0, 0] and [0, 0] differ only in bytes
+        return np.array([[-0.0, 0.0], [0.0, 0.0], [3.0, 1.0]])[rng.integers(0, 3, size=40)]
     # "sum_at_2_53": integers whose absolute sum reaches 2**53, so sums may round
     return np.concatenate([[2.0 ** 52, 2.0 ** 52 + 2], rng.integers(0, 9, size=40)]
                           ).reshape(-1, 1)
 
 
-_GROUPED = ("counts_ties", "counts_bimodal", "mid_run_reseed", "three_values")
+_GROUPED = ("counts_ties", "counts_bimodal", "mid_run_reseed", "three_values",
+            "rare_kth_value")
 
 
 @pytest.mark.parametrize("name", ["counts_ties", "counts_bimodal", "mid_run_reseed",
                                   "three_values", "negative_zero", "non_integer",
-                                  "two_columns", "sum_at_2_53"])
+                                  "two_columns", "sum_at_2_53", "rare_kth_value",
+                                  "signed_zero_rows"])
 def test_kmeans_fit_matches_reference_bit_for_bit(name):
     X = _kmeans_case(name)
-    assert (classifiers._points(X)[0] is not X) == (name in _GROUPED)
+    points, inverse, _ = classifiers._points(X)
+    assert (points is not X) == (name in _GROUPED)
     for k in range(1, 5):
         for seed in range(4):
+            # the draw alone, whose fill rows a reseed replaces before any sweep counts
+            draw = classifiers._seeded_centroids(points, inverse, k, np.random.default_rng(seed))
+            want = _distinct_row_init(X, k, np.random.default_rng(seed))
+            assert draw.tobytes() == want.tobytes()
             for restarts in (1, 3):
                 got_history = []
                 got = kmeans_fit(X, k, TrainConfig(seed=seed), wcss_history=got_history,

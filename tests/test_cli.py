@@ -97,11 +97,14 @@ def test_series_value_beyond_int64_exits_two(tmp_path, capsys, role, data, line)
     ("generate", None, ["--rate", "nan"], "baseline_rate must be finite"),
     ("generate", None, ["--rate", "inf"], "baseline_rate must be finite"),
     ("generate", None, ["--multiplier", "nan"], "attack_multiplier must be finite"),
+    ("generate", None, ["--rate", "1e18"], "baseline_rate * attack_multiplier must be at most"),
+    ("generate", None, ["--seed", "-1"], "--seed must be non-negative, got -1"),
 ], ids=["times_overflow_array_path", "times_overflow_crlf", "log_span", "intervals", "rate_nan",
-        "rate_inf", "multiplier_nan"])
+        "rate_inf", "multiplier_nan", "attack_rate_past_poisson", "seed_negative"])
 def test_refusals_exit_two_before_allocating(tmp_path, capsys, command, data, argv, message):
-    """A series whose times pass int64, a span beyond MAX_INTERVALS and a
-    non-finite rate each exit 2 naming the header line, the span or the field."""
+    """A series whose times pass int64, a span beyond MAX_INTERVALS, a
+    non-finite rate, an attack rate past numpy's Poisson limit and a negative
+    seed each exit 2 naming the header line, the span or the field."""
     out = tmp_path / "out"
     if command == "predict":
         lines = _gen(tmp_path).read_bytes().splitlines(keepends=True)
@@ -417,11 +420,13 @@ def test_bad_seed_env_fails_only_commands_with_a_seed(tmp_path, monkeypatch, cap
     report = tmp_path / "r.txt"
     main(["evaluate", "--model", "kmeans", "--series", str(series), "--report", str(report)])
     (tmp_path / "packets.log").write_text("0,src,host\n")
-    monkeypatch.setenv("SYN_SEED", "abc")
-    capsys.readouterr()
-    assert main(["elbow", "--series", str(series), "--kmax", "2",
-                 "--out", str(tmp_path / "e.csv")]) == 2
-    assert "SYN_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    for env, message in [("abc", "SYN_SEED must be an integer, got 'abc'"),
+                         ("-4", "SYN_SEED must be non-negative, got -4")]:
+        monkeypatch.setenv("SYN_SEED", env)
+        capsys.readouterr()
+        assert main(["elbow", "--series", str(series), "--kmax", "2",
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert message in capsys.readouterr().err
     assert main(["ingest", "--log", str(tmp_path / "packets.log"),
                  "--out", str(tmp_path / "i.csv")]) == 0
     assert main(["frame", "--series", str(series), "--out", str(tmp_path / "f.csv")]) == 0

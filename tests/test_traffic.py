@@ -173,6 +173,8 @@ def test_generate_rejects_bad_rate():
                          ("attack_multiplier", nan), ("attack_multiplier", inf)]:
         with pytest.raises(ConfigError, match=f"^{field} must be finite"):
             SynthesisConfig(**{"n_intervals": 10, "baseline_rate": 5.0, field: value})
+    with pytest.raises(ConfigError, match=r"^baseline_rate \* attack_multiplier must be at most"):
+        SynthesisConfig(n_intervals=10, baseline_rate=1e18)  # attack rate 1e19
 
 
 def test_inject_zero_fraction_is_noop():
