@@ -369,9 +369,14 @@ def _seeded_centroids(points, inverse, k, rng):
     return points[inverse[order[chosen]]]
 
 
+def _sq_distances(X, centroids) -> np.ndarray:
+    """Squared distance of every row to every centroid, rows x centroids."""
+    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid id per row, ties to the lowest id, and its squared distance."""
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(X, centroids)
     return d2.argmin(axis=1), d2.min(axis=1)
 
 
@@ -446,7 +451,8 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
     block = max(1, _ASSIGN_BLOCK_BYTES // (k * d * 8))
     assign = np.empty(len(X), dtype=np.intp)
     for start in range(0, len(X), block):
-        assign[start:start + block] = _nearest(X[start:start + block], model.centroids)[0]
+        assign[start:start + block] = _sq_distances(X[start:start + block],
+                                                    model.centroids).argmin(axis=1)
     return assign
 
 

@@ -515,13 +515,20 @@ def test_assign_tie_goes_to_lowest_id():
     assert kmeans_assign(model, np.array([[0.4]])).tolist() == [0]
 
 
-@pytest.mark.parametrize("d", [1, 3])
+# d = 13 is the sigma-frame width: past 8 features numpy sums with unrolled
+# accumulators, so a rewrite that sums the squares in another order breaks the near ties
+@pytest.mark.parametrize("d", [1, 3, 13])
 def test_assign_in_row_blocks_matches_one_pass(monkeypatch, d):
     rng = np.random.default_rng(17)
     centroids = rng.integers(0, 5, size=(3, d)).astype(np.float64)
     centroids[1:] = centroids[0] + [[2.0], [-5.0]]
     X = rng.integers(-1, 8, size=(1000, d)).astype(np.float64)
     X[::7] = centroids[0] + 1.0  # equally far from centroids 0 and 1
+    # near ties: offsets that cancel in pairs leave a row equally far from centroids 0
+    # and 1 in exact arithmetic, so rounding, and the summation order, picks its id
+    half = rng.choice([0.1, 0.3, 0.7], size=(len(X[3::7]), d // 2))
+    offsets = np.concatenate([half, -half, np.zeros((len(half), d % 2))], axis=1)
+    X[3::7] = centroids[0] + 1.0 + rng.permuted(offsets, axis=1)
     model = KMeansModel(centroids=centroids, k=3, wcss=0.0)
     want = classifiers._nearest(X, centroids)[0]
     for block_rows in (1, 7, 64, 1000, 5000):

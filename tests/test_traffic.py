@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,17 +469,67 @@ def test_array_path_splits_from_the_line_loop_only_where_it_should(tmp_path, cas
     assert taken == action
 
 
-@pytest.mark.parametrize("n", [0, 1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS,
-                               WRITE_BLOCK_ROWS + 1, 3 * WRITE_BLOCK_ROWS + 7])
-def test_write_series_matches_the_row_loop_byte_for_byte(tmp_path, n):
+# The parity cases run at 4k-row blocks: each block is rendered at its own widths,
+# so that size meets every boundary below while keeping the row-loop oracle quick.
+_PARITY_BLOCK_ROWS = 1 << 12
+
+
+def _random_width_series(n: int) -> IntervalSeries:
+    """n rows whose counts have every length from 1 to 19 digits, up to the int64 bound."""
     rng = np.random.default_rng(n)
-    # counts of every length from 1 to 19 digits, up to the int64 bound
     counts = rng.integers(0, 2 ** 63, size=n, dtype=np.int64) // 10 ** rng.integers(0, 19, n)
     counts[-1:] = 2 ** 63 - 1
-    series = IntervalSeries(counts, rng.integers(0, 2, n), interval_seconds=7,
-                            origin_s=-2 ** 63 + n)
+    return IntervalSeries(counts, rng.integers(0, 2, n), interval_seconds=7,
+                          origin_s=-2 ** 63 + n)
+
+
+def _widths_differ_by_block() -> IntervalSeries:
+    """Single-digit counts, then a block holding 2**63 - 1, then single digits again."""
+    counts = np.random.default_rng(5).integers(0, 10, 3 * _PARITY_BLOCK_ROWS)
+    counts[_PARITY_BLOCK_ROWS + 5] = 2 ** 63 - 1
+    return IntervalSeries(counts, counts % 2)
+
+
+_WRITE_CASES = {
+    "all-zero": lambda: IntervalSeries(np.zeros(_PARITY_BLOCK_ROWS + 5, np.int64),
+                                       np.zeros(_PARITY_BLOCK_ROWS + 5, np.int64)),
+    "widths-differ-by-block": _widths_differ_by_block,
+    # 9 -> 10, 99 -> 100 and 999 -> 1000 fall inside the first block, 9999 -> 10000 the third
+    "index-gains-a-digit": lambda: IntervalSeries(np.arange(10_001) % 3,
+                                                  np.arange(10_001) % 2, origin_s=5),
+}
+
+
+@pytest.mark.parametrize("case", [0, 1, _PARITY_BLOCK_ROWS - 1, _PARITY_BLOCK_ROWS,
+                                  _PARITY_BLOCK_ROWS + 1, 3 * _PARITY_BLOCK_ROWS + 7,
+                                  *_WRITE_CASES])
+def test_write_series_matches_the_row_loop_byte_for_byte(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(traffic, "WRITE_BLOCK_ROWS", _PARITY_BLOCK_ROWS)
+    series = _random_width_series(case) if isinstance(case, int) else _WRITE_CASES[case]()
     write_series(series, tmp_path / "blocks.csv")
     write_series_lines(series, tmp_path / "rows.csv")
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert b"\0" not in written
     back = read_series(tmp_path / "blocks.csv")
-    assert np.array_equal(back.counts, counts) and np.array_equal(back.labels, series.labels)
+    assert np.array_equal(back.counts, series.counts)
+    assert np.array_equal(back.labels, series.labels)
+
+
+def test_write_series_temporaries_stay_within_one_block(tmp_path):
+    n = 200_000
+    # 19-digit counts make the widest rows: 6 + 19 + 1 digits and 3 separators
+    series = IntervalSeries(np.full(n, 2 ** 63 - 1), np.arange(n) % 2)
+    row_bytes = 6 + 19 + 1 + 3
+    tracemalloc.start()
+    try:
+        write_series(series, tmp_path / "s.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's digit matrix, its bytes and those bytes without NULs, and its int64
+    # columns and digit temporaries; the whole text alone would be n * row_bytes
+    bound = WRITE_BLOCK_ROWS * (3 * row_bytes + 4 * 8) + 2 ** 16
+    assert peak <= bound < n * row_bytes
+    write_series_lines(series, tmp_path / "rows.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
