@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import ConfigError, ContractViolation, TrainingError
 from .scaling import Scaler, as_matrix
@@ -74,6 +73,12 @@ class KMeansModel:
     k: int
     wcss: float
     label_map: Optional[dict[int, int]] = None
+
+
+def _sigmoid(z):
+    """1 / (1 + e^-z), elementwise: 0 for z below about -709, where e^-z overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _check_binary_labels(y) -> np.ndarray:
@@ -148,7 +153,7 @@ def _lgr_loss(z, y, w, l2, inverse):
 
 
 def _lgr_grad(Xs, z, y, w, l2, inverse):
-    residual = _per_row(sigmoid(z) - y, inverse)
+    residual = _per_row(_sigmoid(z) - y, inverse)
     return Xs.T @ residual / len(Xs) + l2 * w, float(np.mean(residual))
 
 
@@ -215,7 +220,7 @@ def lgr_predict(model: LgrModel, X) -> tuple[np.ndarray, np.ndarray]:
     if X.shape[1] != len(model.weights):
         raise ContractViolation(
             f"model has {len(model.weights)} features, input has {X.shape[1]}")
-    p = sigmoid(model.scaler.transform(X) @ model.weights + model.bias)
+    p = _sigmoid(model.scaler.transform(X) @ model.weights + model.bias)
     return p, (p >= 0.5).astype(np.int64)
 
 
@@ -241,16 +246,16 @@ def mlp_loss_grads(W1, b1, W2, b2, X, y, l2=0.0):
     Z1, H, z2 = _mlp_forward(W1, b1, W2, b2, X)
     loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
     loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
-    dz2 = (sigmoid(z2) - y) / len(y)
+    dz2 = (_sigmoid(z2) - y) / len(y)
     dW2 = dz2[None, :] @ H + l2 * W2
     dZ1 = (dz2[:, None] @ W2) * (Z1 > 0.0)
     dW1 = dZ1.T @ X + l2 * W1
     return loss, (dW1, dZ1.sum(axis=0), dW2, float(dz2.sum()))
 
 
-# A numpy L-BFGS, not scipy.optimize: importing scipy.optimize after synwatch
-# raises a process's peak RSS from 60 to 77 MB (scipy 1.17), about a quarter
-# of a whole 10k-interval detection benchmark pass's peak.
+# A numpy L-BFGS, not scipy.optimize: synwatch imports no scipy at all.
+# Importing scipy.optimize raises a numpy-only process's peak RSS from 27 to
+# 76 MB (scipy 1.17).
 def _lbfgs(fun, x0, max_iter):
     """Minimize fun(x) -> (loss, gradient) from x0 by L-BFGS (Liu & Nocedal, 1989).
 
@@ -335,7 +340,7 @@ def mlp_predict(model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
             f"model has {model.W1.shape[1]} features, input has {X.shape[1]}")
     Xs = model.scaler.transform(X)
     _, _, z2 = _mlp_forward(model.W1, model.b1, model.W2, model.b2, Xs)
-    p = sigmoid(z2)
+    p = _sigmoid(z2)
     return p, (p >= 0.5).astype(np.int64)
 
 

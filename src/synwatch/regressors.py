@@ -1,19 +1,20 @@
 """Forecasting models: kernel ridge regression and epsilon-SVR, RBF kernel.
 
-KRR solves its dense regularized kernel system directly; SVR runs a dual
-optimizer that picks each pair by second-order gain (Fan, Chen & Lin, JMLR
-6, 2005, as in LIBSVM) and updates it analytically.
+KRR solves its dense regularized kernel system by one LU solve and one
+refinement pass; SVR runs a dual optimizer that picks each pair by
+second-order gain (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
+updates it analytically.
 Grid search scores hyperparameter cells by k-fold validation RMSE.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import ConfigError, ContractViolation, NumericError
 from .scaling import Scaler, as_matrix
@@ -58,8 +59,10 @@ class GridSpec:
     def __post_init__(self):
         for name in ("C_values", "gamma_values", "epsilon_values", "lambda_values"):
             vals = getattr(self, name)
-            if not vals or any(v <= 0 for v in vals) or list(vals) != sorted(vals):
-                raise ConfigError(f"{name} must be a non-empty ascending positive list")
+            if (not vals or any(not (v > 0 and math.isfinite(v)) for v in vals)
+                    or list(vals) != sorted(vals)):
+                raise ConfigError(f"{name} must be a non-empty ascending list of finite "
+                                  f"positive values")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
 
@@ -70,8 +73,14 @@ def rbf_matrix(A, B, gamma: float) -> np.ndarray:
     B = as_matrix(B)
     if A.shape[1] != B.shape[1]:
         raise ContractViolation("rbf_matrix arity mismatch")
-    d2 = (A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2.0 * (A @ B.T)
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), built in one buffer
+    G = A @ B.T
+    G *= 2.0
+    d2 = (A * A).sum(1)[:, None] + (B * B).sum(1)[None, :]
+    d2 -= G
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -gamma
+    return np.exp(d2, out=d2)
 
 
 def default_gamma(X) -> float:
@@ -83,35 +92,42 @@ def default_gamma(X) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
+def _check_param(name: str, value: float, positive: bool) -> None:
+    """Refuse a NaN, infinite or negative value (or 0 when positive), naming it."""
+    # each comparison is False for NaN, so NaN fails it too
+    if not ((value > 0 if positive else value >= 0) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be finite and {'> 0' if positive else '>= 0'}")
+
+
 # --------------------------------------------------------------------------
 # kernel ridge regression
 
 
 def krr_fit(X, y, lam: float, gamma: float) -> KrrModel:
-    """Solve (K + lam*I) alphas = y by Cholesky, with one refinement pass.
+    """Solve (K + lam*I) alphas = y by LU solve, with one refinement pass.
 
     lam = 0 is allowed for pairwise-distinct inputs (pure interpolation);
-    a numerically singular system raises NumericError.
+    an exactly singular system, or one whose residual stays above its bound
+    after the refinement pass, raises NumericError.
     """
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.float64)
     if len(y) != X.shape[0]:
         raise ContractViolation("X and y row counts differ")
-    if lam < 0:
-        raise ConfigError("lam must be >= 0")
-    K = rbf_matrix(X, X, gamma)
-    A = K + lam * np.eye(len(y))
+    _check_param("lam", lam, positive=False)
+    _check_param("gamma", gamma, positive=True)
+    A = rbf_matrix(X, X, gamma)
+    A.flat[::len(y) + 1] += lam  # K + lam*I, bit for bit: K has no -0.0 entry
     try:
-        factor = cho_factor(A, lower=True)
-        alphas = cho_solve(factor, y)
-    except LinAlgError as exc:
-        raise NumericError(f"kernel system not positive definite: {exc}") from None
+        alphas = np.linalg.solve(A, y)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"kernel system is singular: {exc}") from None
     bound = 1e-8 * max(1.0, float(np.abs(y).max(initial=0.0)))
     residual = np.abs(A @ alphas - y).max(initial=0.0)
-    if residual > bound:
-        alphas = alphas + cho_solve(factor, y - A @ alphas)
+    if not residual <= bound:  # a NaN residual fails too
+        alphas = alphas + np.linalg.solve(A, y - A @ alphas)
         residual = np.abs(A @ alphas - y).max(initial=0.0)
-        if residual > bound:
+        if not residual <= bound:
             raise NumericError(f"ill-conditioned kernel system (residual {residual:.3e})")
     return KrrModel(alphas=alphas, train_inputs=X.copy(), lam=lam, gamma=gamma)
 
@@ -162,8 +178,9 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
         raise ContractViolation("X and y row counts differ")
     if n < 2:
         raise ContractViolation("svr_fit needs at least two samples")
-    if C <= 0 or epsilon < 0 or gamma <= 0:
-        raise ConfigError("require C > 0, epsilon >= 0, gamma > 0")
+    _check_param("C", C, positive=True)
+    _check_param("epsilon", epsilon, positive=False)
+    _check_param("gamma", gamma, positive=True)
     # the kernel matrix transposed, so that Kt[c], column c of K, is contiguous
     Kt = np.ascontiguousarray(rbf_matrix(X, X, gamma).T)
     theta = np.zeros(2 * n)  # [alpha | alpha*]

@@ -3,20 +3,19 @@
 Most of it is deliberately brute force: exhaustive enumeration, central
 finite differences and projected-gradient optimization, sharing no code
 path with the implementations under test. The rest are the plain versions
-of optimized functions (dense SMOTE, the sigma of one frame, the SVR step
-loop that rebuilds its arrays and the KKT values it reads from them, the
-LGR fit that computes each accepted step's scores twice, the K-Means fit
-that sweeps every row from centroids drawn a row at a time, the attack
-injectors that place and draw one burst at a time, and the series and
-frames writers that format one row at a time), which the optimized ones
-must match bit for bit.
+of optimized functions (dense SMOTE, the sigma of one frame, the RBF kernel
+built in one expression, the SVR step loop that rebuilds its arrays and the
+KKT values it reads from them, the LGR fit that computes each accepted
+step's scores twice, the K-Means fit that sweeps every row from centroids
+drawn a row at a time, the attack injectors that place and draw one burst
+at a time, and the series and frames writers that format one row at a
+time), which the optimized ones must match bit for bit.
 """
 
 import warnings
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, TrainConfig,
                                   _check_binary_labels, _nearest, mlp_loss_grads)
@@ -24,7 +23,7 @@ from synwatch.errors import (BalancingError, ConfigError, ContractViolation,
                              TrainingError)
 from synwatch.framing import FRAME_WIDTH, Frame
 from synwatch.pipeline import DataSet
-from synwatch.regressors import SMO_ITER_FACTOR, SMO_TOL, SvrModel, rbf_matrix
+from synwatch.regressors import SMO_ITER_FACTOR, SMO_TOL, SvrModel
 from synwatch.scaling import Scaler, as_matrix
 from synwatch.traffic import IntervalSeries, SynthesisConfig
 
@@ -90,6 +89,14 @@ def exhaustive_wcss_1d(values) -> float:
     return best
 
 
+def rbf_matrix_reference(A, B, gamma: float) -> np.ndarray:
+    """rbf_matrix as it was before it built the kernel in one buffer."""
+    A = as_matrix(A)
+    B = as_matrix(B)
+    d2 = (A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2.0 * (A @ B.T)
+    return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
 def project_box_hyperplane(z, s, C):
     """Exact projection onto {0 <= x <= C, s @ x = 0} via breakpoint search."""
     bps = np.unique(np.concatenate([z[s > 0], z[s > 0] - C, -z[s < 0], C - z[s < 0]]))
@@ -118,7 +125,7 @@ def svr_qp_oracle(X, y, C, epsilon, gamma, iters=20000):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
-    K = rbf_matrix(X, X, gamma)
+    K = rbf_matrix_reference(X, X, gamma)
     s = np.concatenate([np.ones(n), -np.ones(n)])
     step = 1.0 / (2.0 * float(np.linalg.eigvalsh(K).max()) + 1e-9)
     theta = np.zeros(2 * n)
@@ -140,7 +147,7 @@ def svr_qp_oracle(X, y, C, epsilon, gamma, iters=20000):
 
 def svr_objective(X, y, deltas, epsilon, gamma) -> float:
     """Dual objective evaluated from the net coefficients."""
-    K = rbf_matrix(X, X, gamma)
+    K = rbf_matrix_reference(X, X, gamma)
     deltas = np.asarray(deltas, dtype=np.float64)
     return (0.5 * float(deltas @ K @ deltas)
             + epsilon * float(np.abs(deltas).sum()) - float(np.asarray(y) @ deltas))
@@ -223,7 +230,7 @@ def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float,
         raise ContractViolation("svr_fit needs at least two samples")
     if C <= 0 or epsilon < 0 or gamma <= 0:
         raise ConfigError("require C > 0, epsilon >= 0, gamma > 0")
-    K = rbf_matrix(X, X, gamma)
+    K = rbf_matrix_reference(X, X, gamma)
     theta = np.zeros(2 * n)  # [alpha | alpha*]
     beta = np.zeros(n)
     u = np.zeros(n)  # K @ beta
@@ -300,7 +307,8 @@ def _lgr_loss(Xs, y, w, b, l2):
 
 
 def _lgr_grad(Xs, y, w, b, l2):
-    p = sigmoid(Xs @ w + b)
+    with np.errstate(over="ignore"):  # the library's sigmoid expression, restated
+        p = 1.0 / (1.0 + np.exp(-(Xs @ w + b)))
     return Xs.T @ (p - y) / len(y) + l2 * w, float(np.mean(p - y))
 
 

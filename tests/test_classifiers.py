@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -19,6 +20,37 @@ from synwatch.scaling import Scaler
 
 def _identity_scaler(d):
     return Scaler(mean=np.zeros(d), std=np.ones(d))
+
+
+# --------------------------------------------------------------------------
+# sigmoid
+
+
+def _sigmoid_reference(z: float) -> float:
+    """1 / (1 + e^-z) in pure Python, from whichever side keeps e^-|z| <= 1."""
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def test_sigmoid_matches_a_pure_python_reference():
+    z = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, -1e-300,
+                         1e-16, -1e-16, 1e-8, -1e-8, 36.0, 37.0, 708.0, -708.0],
+                        np.linspace(-708.0, 708.0, 20_001)])
+    got = classifiers._sigmoid(z)
+    for zi, pi in zip(z.tolist(), got.tolist()):
+        assert pi == pytest.approx(_sigmoid_reference(zi), rel=1e-15, abs=0.0), zi
+
+
+def test_sigmoid_is_a_half_at_zero_and_silent_far_below():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classifiers._sigmoid(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+        p = classifiers._sigmoid(np.array([-709.0, -709.8, -710.0, -745.0, -746.0, -800.0,
+                                           -1e308, -math.inf]))
+    assert np.all((p >= 0.0) & (p < 1e-307))
+    assert p[-4:].tolist() == [0.0] * 4
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mutations import check_reader, damaged
 
+import synwatch
 import synwatch.pipeline as pipeline
 from oracles import frame_sigma, smote_balance_dense
 from synwatch.classifiers import TrainConfig, kmeans_assign, kmeans_fit, map_clusters_to_labels
@@ -537,3 +542,31 @@ def test_prediction_file_format(tmp_path, periodic_series):
     assert len(first) == 4
     assert int(first[0]) == pred.times_s[0]
     assert float(first[2]) == pred.predicted_raw[0]
+
+
+# --------------------------------------------------------------------------
+# dependencies
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or of a submodule now raises ImportError
+from synwatch.pipeline import ExperimentConfig, fit_model, score_model
+from synwatch.traffic import SynthesisConfig, generate_baseline, inject_attacks
+cfg = SynthesisConfig(n_intervals=240, baseline_rate=50.0, seed=7)
+series = inject_attacks(generate_baseline(cfg), cfg)
+for kind in ("lgr", "ann", "kmeans", "krr", "svr"):
+    exp = ExperimentConfig(model_kind=kind)
+    score_model(fit_model(series, exp)[0], series, exp)
+del sys.modules["scipy"]
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_every_model_family_fits_and_predicts_without_scipy():
+    src = str(pathlib.Path(synwatch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

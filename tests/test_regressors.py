@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import svr_fit_reference, svr_kkt_violations, svr_objective, svr_qp_oracle
+from oracles import (rbf_matrix_reference, svr_fit_reference, svr_kkt_violations,
+                     svr_objective, svr_qp_oracle)
 from synwatch import regressors
 from synwatch.errors import ConfigError, ContractViolation, NumericError
 from synwatch.pipeline import ExperimentConfig, run_prediction
@@ -38,6 +39,50 @@ def test_kernel_symmetry():
     for _ in range(10):
         X, Z = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
         assert np.array_equal(rbf_matrix(X, Z, 0.7), rbf_matrix(Z, X, 0.7).T)
+
+
+def _kernel_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "n1":
+        return rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+    if name == "coincident":  # repeated rows, whose d2 may round below 0 before the clip
+        A = np.repeat(rng.normal(size=(4, 13)), 3, axis=0)
+        return A, A[::-1].copy()
+    d = int(name[1:])
+    A = rng.normal(scale=3.0, size=(7, d))
+    return A, np.vstack([A[:2], rng.normal(scale=3.0, size=(9, d))])
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "d13", "coincident", "n1"])
+def test_kernel_matches_the_one_expression_reference_bit_for_bit(name):
+    A, B = _kernel_case(name)
+    for gamma in (1e-3, 0.37, 1.0, 25.0):
+        for left, right in ((A, B), (B, A), (A, A)):
+            got, want = rbf_matrix(left, right, gamma), rbf_matrix_reference(left, right, gamma)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "d13", "coincident", "n1"])
+def test_krr_solves_the_reference_system_matrix_bit_for_bit(name, monkeypatch):
+    X = _kernel_case(name)[0]
+    y = np.arange(len(X), dtype=np.float64)
+    solve, systems = np.linalg.solve, []
+
+    def spy(A, b):
+        systems.append(A.copy())
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    for lam in (0.0, 1e-3, 1.0):
+        for gamma in (0.01, 0.37, 4.0):
+            systems.clear()
+            try:
+                krr_fit(X, y, lam, gamma)
+            except NumericError:  # coincident rows at lam = 0
+                pass
+            want = rbf_matrix_reference(X, X, gamma) + lam * np.eye(len(X))
+            assert systems and systems[0].tobytes() == want.tobytes()
 
 
 def test_kernel_arity_mismatch():
@@ -110,7 +155,7 @@ def test_krr_prediction_decays_far_away():
 
 def test_krr_duplicate_rows_with_zero_lambda_fail():
     X = np.array([[1.0], [1.0]])
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="singular"):
         krr_fit(X, np.array([0.0, 1.0]), lam=0.0, gamma=1.0)
 
 
@@ -192,6 +237,25 @@ def test_svr_zero_deltas_predict_bias():
     model = SvrModel(dual_deltas=np.zeros(2), bias=7.0,
                      train_inputs=np.zeros((2, 1)), C=1.0, epsilon=0.1, gamma=1.0)
     assert np.all(svr_predict(model, np.array([[4.0], [-1.0]])) == 7.0)
+
+
+_NON_FINITE_FITS = {
+    "krr_fit-lam": ("lam", lambda v: krr_fit(TOY_X, TOY_Y, lam=v, gamma=1.0)),
+    "krr_fit-gamma": ("gamma", lambda v: krr_fit(TOY_X, TOY_Y, lam=0.1, gamma=v)),
+    "svr_fit-C": ("C", lambda v: svr_fit(TOY_X, TOY_Y, C=v, epsilon=0.1, gamma=1.0)),
+    "svr_fit-epsilon": ("epsilon", lambda v: svr_fit(TOY_X, TOY_Y, C=1.0, epsilon=v, gamma=1.0)),
+    "svr_fit-gamma": ("gamma", lambda v: svr_fit(TOY_X, TOY_Y, C=1.0, epsilon=0.1, gamma=v)),
+    **{f"GridSpec-{field}": (field, lambda v, field=field: GridSpec(**{field: (0.5, v)}))
+       for field in ("C_values", "gamma_values", "epsilon_values", "lambda_values")},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_FITS))
+def test_non_finite_kernel_hyperparameters_are_refused_by_name(case, value):
+    field, call = _NON_FINITE_FITS[case]
+    with pytest.raises(ConfigError, match=f"^{field} must be .*finite"):
+        call(value)
 
 
 def test_svr_input_validation():
