@@ -6,7 +6,7 @@ from .classifiers import (KMeansModel, LgrModel, MlpModel, TrainConfig, elbow_cu
 from .errors import (BalancingError, ConfigError, ContractViolation,
                      DegenerateClusteringError, EmptyDatasetError, NumericError,
                      ParseError, TrainingError)
-from .framing import Frame, FramingConfig, make_frames
+from .framing import Frame, Frames, FramingConfig, make_frames
 from .metrics import Confusion, classification_scores, confusion, r_squared, rmse
 from .pipeline import (DataSet, EvalReport, ExperimentConfig, PredictionSeries,
                        build_detection_dataset, fit_model, run_prediction, run_semi_supervised,

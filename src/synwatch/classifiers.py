@@ -12,6 +12,7 @@ reseeded from them, so kmeans_fit reads its input only to group it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
@@ -44,8 +45,11 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs <= 0:
-            raise ConfigError("learning_rate and max_epochs must be positive")
+        # the comparison is False for NaN, so NaN fails it too
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError("learning_rate must be finite and > 0")
+        if self.max_epochs <= 0:
+            raise ConfigError("max_epochs must be positive")
 
 
 @dataclass(frozen=True)

@@ -157,13 +157,14 @@ def build_detection_dataset(series: IntervalSeries, variant: str) -> DataSet:
         X = series.counts.astype(np.float64).reshape(-1, 1)
         return DataSet(X, series.labels.copy())
     if variant in ("frames", "frames_sigma"):
-        C, sigma, labels = framing.frame_arrays(series)
-        if len(C) == 0:
+        frames = framing.make_frames(
+            series, framing.FramingConfig(with_sigma=variant == "frames_sigma"))
+        if len(frames) == 0:
             raise EmptyDatasetError("series too short for a single 12-interval frame")
-        X = C.astype(np.float64)
-        if variant == "frames_sigma":
-            X = np.column_stack([X, sigma])
-        return DataSet(X, labels)
+        X = frames.counts.astype(np.float64)
+        if frames.sigma is not None:
+            X = np.column_stack([X, frames.sigma])
+        return DataSet(X, frames.labels)
     raise ConfigError(f"unknown dataset variant {variant!r}")
 
 

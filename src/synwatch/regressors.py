@@ -92,6 +92,16 @@ def default_gamma(X) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
+def _targets(y, n: int) -> np.ndarray:
+    """y as float64: one finite target per row of X."""
+    y = np.asarray(y, dtype=np.float64)
+    if len(y) != n:
+        raise ContractViolation("X and y row counts differ")
+    if not np.isfinite(y).all():
+        raise ContractViolation("y contains non-finite values")
+    return y
+
+
 def _check_param(name: str, value: float, positive: bool) -> None:
     """Refuse a NaN, infinite or negative value (or 0 when positive), naming it."""
     # each comparison is False for NaN, so NaN fails it too
@@ -111,9 +121,7 @@ def krr_fit(X, y, lam: float, gamma: float) -> KrrModel:
     after the refinement pass, raises NumericError.
     """
     X = as_matrix(X)
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) != X.shape[0]:
-        raise ContractViolation("X and y row counts differ")
+    y = _targets(y, X.shape[0])
     _check_param("lam", lam, positive=False)
     _check_param("gamma", gamma, positive=True)
     A = rbf_matrix(X, X, gamma)
@@ -172,10 +180,8 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
     two variables it moved.
     """
     X = as_matrix(X)
-    y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
-    if len(y) != n:
-        raise ContractViolation("X and y row counts differ")
+    y = _targets(y, n)
     if n < 2:
         raise ContractViolation("svr_fit needs at least two samples")
     _check_param("C", C, positive=True)
@@ -300,8 +306,8 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
     and names the first one's cell.
     """
     X = as_matrix(X)
-    y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
+    y = _targets(y, n)
     if n < grid.folds:
         raise ConfigError(f"need at least folds={grid.folds} samples, got {n}")
     rng = np.random.default_rng(seed)

@@ -264,26 +264,33 @@ def write_series(series: IntervalSeries, path) -> None:
 
 
 def _decimal_lines(columns) -> bytes:
-    """One `a,b,...\\n` line per row of equal-length non-negative int64
-    columns, each value in decimal with no leading zeros, as "%d" writes it.
+    """One `a,b,...\\n` line per row of equal-length columns: a non-negative
+    int64 value in decimal with no leading zeros, as "%d" writes it, and a
+    bytes (`S`) value as its text.
 
-    A rows x width uint8 matrix gets each column's digits, right to left by
-    % 10 and // 10, in as many places as the column's largest value has.
-    The units digit is always written; places above a value's leading digit
-    stay NUL and are deleted from the bytes.
+    A rows x width uint8 matrix gets each int column's digits, right to left
+    by // 10, in as many places as the column's largest value has,
+    and each bytes column's NUL-padded text. The units digit is always
+    written; places above a value's leading digit stay NUL, and NULs are
+    deleted from the bytes.
     """
     n = len(columns[0])
-    widths = [len(str(int(column.max(initial=0)))) for column in columns]
+    widths = [column.itemsize if column.dtype.kind == "S"
+              else len(str(int(column.max(initial=0)))) for column in columns]
     text = np.zeros((n, sum(widths) + len(widths)), np.uint8)
     end = -1
     for column, width in zip(columns, widths):
         end += width + 1  # the separator after this column
         text[:, end] = ord(",")
+        if column.dtype.kind == "S":
+            text[:, end - width:end] = column.view(np.uint8).reshape(n, width)
+            continue
         rest = column
         for place in range(1, width + 1):
-            digits = rest % 10 + ord("0")
+            higher = rest // 10  # by a scalar, // is several times faster than %
+            digits = rest - 10 * higher + ord("0")
             text[:, end - place] = digits if place == 1 else np.where(rest, digits, 0)
-            rest = rest // 10
+            rest = higher
     text[:, -1] = ord("\n")
     return text.tobytes().translate(None, b"\0")
 

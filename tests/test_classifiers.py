@@ -106,6 +106,13 @@ def test_lgr_converged_fit_does_not_warn():
     assert len(history) < 5000
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_train_config_refuses_a_non_finite_learning_rate_by_name(rate):
+    # a NaN rate used to pass and make lgr_fit's step-halving loop run forever
+    with pytest.raises(ConfigError, match="^learning_rate must be finite and > 0$"):
+        TrainConfig(learning_rate=rate)
+
+
 def test_lgr_rejects_single_class():
     with pytest.raises(TrainingError):
         lgr_fit(np.ones((4, 1)), np.zeros(4, dtype=int))

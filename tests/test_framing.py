@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import frame_sigma, write_frames_lines
 from synwatch.errors import ConfigError, ContractViolation
-from synwatch.framing import (FRAME_WIDTH, WRITE_BLOCK_FRAMES, Frame, FramingConfig,
-                              frame_arrays, make_frames, write_frames)
+from synwatch.framing import (FRAME_WIDTH, WRITE_BLOCK_FRAMES, Frame, Frames, FramingConfig,
+                              make_frames, write_frames)
 from synwatch.traffic import IntervalSeries
 
 
@@ -59,7 +59,9 @@ def test_sigma_scales_linearly(values, c):
 
 
 def test_empty_series_makes_no_frames():
-    assert make_frames(_series([]), FramingConfig()) == []
+    frames = make_frames(_series([]), FramingConfig())
+    assert len(frames) == 0
+    assert list(frames) == []
 
 
 def test_single_clean_frame_labelled_zero():
@@ -92,14 +94,44 @@ def test_sigma_computed_on_request():
                 min_size=0, max_size=60))
 def test_frame_arrays_match_per_frame_definition(rows):
     series = _series([c for c, _ in rows], [l for _, l in rows])
-    C, sigma, labels = frame_arrays(series)
     frames = make_frames(series, FramingConfig(with_sigma=True))
-    assert len(C) == len(frames) == len(rows) // FRAME_WIDTH
+    C, sigma, labels = frames.counts, frames.sigma, frames.labels
+    assert C.shape == (len(frames), FRAME_WIDTH) and C.dtype == np.int64
+    assert len(sigma) == len(labels) == len(frames) == len(rows) // FRAME_WIDTH
     for i, f in enumerate(frames):
         chunk = rows[i * FRAME_WIDTH:(i + 1) * FRAME_WIDTH]
+        assert f == frames[i]
         assert f.values == tuple(C[i].tolist()) == tuple(c for c, _ in chunk)
+        assert all(type(v) is int for v in f.values)
         assert f.sigma == sigma[i] == frame_sigma([c for c, _ in chunk])  # bit-exact
+        assert type(f.label) is int
         assert f.label == labels[i] == max(l for _, l in chunk)
+
+
+def test_frame_counts_are_a_view_of_the_series():
+    series = _series(list(range(30)))
+    assert np.shares_memory(make_frames(series, FramingConfig()).counts, series.counts)
+
+
+def test_frame_rows_hold_python_numbers():
+    frames = make_frames(_series([2] * 11 + [14] + [5] * 12, [0] * 23 + [1]),
+                         FramingConfig(with_sigma=True))
+    for f in [*frames, frames[0], frames[-1]]:
+        assert type(f.label) is int and type(f.sigma) is float
+        assert all(type(v) is int for v in f.values)
+    assert make_frames(_series([5] * 12), FramingConfig())[0].sigma is None
+
+
+@pytest.mark.parametrize("counts, sigma, labels", [
+    (np.zeros((2, FRAME_WIDTH - 1)), None, [0, 0]),
+    (np.zeros((2, FRAME_WIDTH)), None, [0]),
+    (np.zeros((2, FRAME_WIDTH)), [0.0], [0, 0]),
+    (np.full((1, FRAME_WIDTH), -1), None, [0]),
+    (np.zeros((1, FRAME_WIDTH)), None, [2]),
+], ids=["width", "labels", "sigma", "negative", "label-value"])
+def test_frames_refuse_arrays_that_are_not_frames(counts, sigma, labels):
+    with pytest.raises(ContractViolation):
+        Frames(counts, sigma, labels)
 
 
 def test_rejects_non_ten_second_intervals():
@@ -119,7 +151,8 @@ def test_concatenation_property(a, b):
     sa = _series([c for c, _ in a], [l for _, l in a])
     sb = _series([c for c, _ in b], [l for _, l in b])
     joined = _series([c for c, _ in a + b], [l for _, l in a + b])
-    assert make_frames(joined, cfg) == make_frames(sa, cfg) + make_frames(sb, cfg)
+    assert list(make_frames(joined, cfg)) == (list(make_frames(sa, cfg))
+                                              + list(make_frames(sb, cfg)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -158,10 +191,13 @@ def test_frames_file_text_without_sigma(tmp_path):
                                 "12,13,14,15,16,17,18,19,20,21,22,23,0\n")
 
 
-_SIGMAS = [0.0, math.sqrt(11), 1e-300, 5e-324, 1e300, 1e16, 0.1, 123456.789]
+# -0.0 next to 0.0 and the non-finite values check that each distinct sigma
+# is formatted by its bits
+_SIGMAS = [0.0, math.sqrt(11), 1e-300, 5e-324, 1e300, 1e16, 0.1, 123456.789,
+           -0.0, math.inf, math.nan]
 
 
-@pytest.mark.parametrize("sigma", ["none", "sigma", "mixed"])
+@pytest.mark.parametrize("sigma", ["none", "sigma"])
 @pytest.mark.parametrize("n", [0, 1, WRITE_BLOCK_FRAMES - 1, WRITE_BLOCK_FRAMES,
                                WRITE_BLOCK_FRAMES + 1])
 def test_write_frames_matches_the_row_loop_byte_for_byte(tmp_path, n, sigma):
@@ -169,9 +205,21 @@ def test_write_frames_matches_the_row_loop_byte_for_byte(tmp_path, n, sigma):
     values = rng.integers(0, 2 ** 63, size=(n, FRAME_WIDTH), dtype=np.int64)
     values //= 10 ** rng.integers(0, 19, size=values.shape)
     values[-1:, -1] = 2 ** 63 - 1
-    frames = [Frame(tuple(row), None if sigma == "none" or (sigma == "mixed" and i % 2)
-                    else _SIGMAS[i % len(_SIGMAS)], int(rng.integers(0, 2)))
-              for i, row in enumerate(values.tolist())]
+    sigmas = None if sigma == "none" else np.resize(_SIGMAS, n)
+    frames = Frames(values, sigmas, rng.integers(0, 2, size=n))
     write_frames(frames, tmp_path / "blocks.csv")
-    write_frames_lines(frames, tmp_path / "rows.csv")
+    write_frames_lines(list(frames), tmp_path / "rows.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 100), st.integers(0, 2 ** 63 - 1)),
+                          st.integers(0, 1)), min_size=0, max_size=60),
+       st.booleans())
+def test_written_frames_match_the_row_loop(tmp_path_factory, rows, with_sigma):
+    series = _series([c for c, _ in rows], [l for _, l in rows])
+    frames = make_frames(series, FramingConfig(with_sigma=with_sigma))
+    d = tmp_path_factory.mktemp("frames")
+    write_frames(frames, d / "blocks.csv")
+    write_frames_lines(list(frames), d / "rows.csv")
+    assert (d / "blocks.csv").read_bytes() == (d / "rows.csv").read_bytes()

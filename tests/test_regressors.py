@@ -258,6 +258,23 @@ def test_non_finite_kernel_hyperparameters_are_refused_by_name(case, value):
         call(value)
 
 
+_NAN_TARGET = np.array([0.0, 1.0, math.nan, 0.0])
+_NON_FINITE_TARGET_FITS = {
+    "krr_fit": lambda: krr_fit(TOY_X, _NAN_TARGET, lam=0.1, gamma=1.0),
+    "svr_fit": lambda: svr_fit(TOY_X, _NAN_TARGET, C=1.0, epsilon=0.1, gamma=1.0),
+    "grid_search": lambda: grid_search(TOY_X, _NAN_TARGET, "svr", GridSpec(folds=2), seed=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_TARGET_FITS))
+def test_non_finite_targets_are_refused_before_any_kernel(case, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built for a non-finite target")
+    monkeypatch.setattr(regressors, "rbf_matrix", no_kernel)
+    with pytest.raises(ContractViolation, match="^y contains non-finite values$"):
+        _NON_FINITE_TARGET_FITS[case]()
+
+
 def test_svr_input_validation():
     with pytest.raises(ContractViolation):
         svr_fit(np.zeros((1, 1)), np.zeros(1), 1.0, 0.1, 1.0)
