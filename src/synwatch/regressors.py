@@ -3,8 +3,12 @@
 KRR solves its dense regularized kernel system by one LU solve and one
 refinement pass; SVR runs a dual optimizer that picks each pair by
 second-order gain (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
-updates it analytically.
-Grid search scores hyperparameter cells by k-fold validation RMSE.
+updates it analytically, reading each pair's curvature from a table built
+once per kernel.
+Grid search scores hyperparameter cells by k-fold validation RMSE. It builds
+the training and validation kernels once per (gamma, fold) and fits every
+cell with that gamma on them, through the private `_kernel` argument of
+`krr_fit` and `svr_fit`.
 """
 
 from __future__ import annotations
@@ -60,9 +64,9 @@ class GridSpec:
         for name in ("C_values", "gamma_values", "epsilon_values", "lambda_values"):
             vals = getattr(self, name)
             if (not vals or any(not (v > 0 and math.isfinite(v)) for v in vals)
-                    or list(vals) != sorted(vals)):
-                raise ConfigError(f"{name} must be a non-empty ascending list of finite "
-                                  f"positive values")
+                    or any(a >= b for a, b in zip(vals, vals[1:]))):
+                raise ConfigError(f"{name} must be a non-empty strictly ascending list of "
+                                  f"finite positive values")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
 
@@ -102,6 +106,13 @@ def _targets(y, n: int) -> np.ndarray:
     return y
 
 
+def _shared_kernel(kernel: np.ndarray, n: int, caller: str) -> np.ndarray:
+    """A kernel passed in through `_kernel`, refused unless it is n x n."""
+    if kernel.shape != (n, n):
+        raise ContractViolation(f"{caller} needs a {n}x{n} kernel, got shape {kernel.shape}")
+    return kernel
+
+
 def _check_param(name: str, value: float, positive: bool) -> None:
     """Refuse a NaN, infinite or negative value (or 0 when positive), naming it."""
     # each comparison is False for NaN, so NaN fails it too
@@ -113,18 +124,24 @@ def _check_param(name: str, value: float, positive: bool) -> None:
 # kernel ridge regression
 
 
-def krr_fit(X, y, lam: float, gamma: float) -> KrrModel:
+def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
     """Solve (K + lam*I) alphas = y by LU solve, with one refinement pass.
 
     lam = 0 is allowed for pairwise-distinct inputs (pure interpolation);
     an exactly singular system, or one whose residual stays above its bound
-    after the refinement pass, raises NumericError.
+    after the refinement pass, raises NumericError. `_kernel`, private to
+    grid search, is `rbf_matrix(X, X, gamma)` built by the caller; it is
+    copied, not changed.
     """
     X = as_matrix(X)
-    y = _targets(y, X.shape[0])
+    n = X.shape[0]
+    y = _targets(y, n)
     _check_param("lam", lam, positive=False)
     _check_param("gamma", gamma, positive=True)
-    A = rbf_matrix(X, X, gamma)
+    if _kernel is None:
+        A = rbf_matrix(X, X, gamma)
+    else:
+        A = _shared_kernel(_kernel, n, "krr_fit").copy()
     A.flat[::len(y) + 1] += lam  # K + lam*I, bit for bit: K has no -0.0 entry
     try:
         alphas = np.linalg.solve(A, y)
@@ -159,7 +176,24 @@ def krr_predict(model: KrrModel, X) -> np.ndarray:
 # epsilon support vector regression
 
 
-def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
+def _svr_kernel(X, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Kt, curv) for svr_fit: the kernel and its pair curvature table.
+
+    Kt is K transposed, so that Kt[c], column c of K, is contiguous.
+    curv[ii, t] is K[ii, ii] + K[t, t] - 2 K[t, ii], floored at 1e-12: the
+    curvature of a step that moves a variable of row ii against one of row t.
+    """
+    Kt = np.ascontiguousarray(rbf_matrix(X, X, gamma).T)
+    diag = Kt.diagonal()
+    # the diagonal sum first, then the doubled kernel: svr_fit_reference's order,
+    # so that both divide the gains by the same bits and pick the same pairs
+    curv = diag[:, None] + diag
+    curv -= Kt * 2.0
+    np.maximum(curv, 1e-12, out=curv)
+    return Kt, curv
+
+
+def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None) -> SvrModel:
     """Solve the epsilon-insensitive dual by second-order working-set selection.
 
     The dual is kept in split (alpha, alpha*) form, 2n box variables tied
@@ -177,7 +211,8 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
     (y - u) plus one offset per variable and direction: -epsilon for alpha
     and +epsilon for alpha* where the variable may move that way, -inf (up)
     or +inf (low) where it may not. A step changes only the offsets of the
-    two variables it moved.
+    two variables it moved. `_kernel`, private to grid search, is
+    `_svr_kernel(X, gamma)` built by the caller.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -187,13 +222,15 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
     _check_param("C", C, positive=True)
     _check_param("epsilon", epsilon, positive=False)
     _check_param("gamma", gamma, positive=True)
-    # the kernel matrix transposed, so that Kt[c], column c of K, is contiguous
-    Kt = np.ascontiguousarray(rbf_matrix(X, X, gamma).T)
+    if _kernel is None:
+        Kt, curv = _svr_kernel(X, gamma)
+    else:
+        Kt, curv = (_shared_kernel(k, n, "svr_fit") for k in _kernel)
     theta = np.zeros(2 * n)  # [alpha | alpha*]
     beta = np.zeros(n)
     u = np.zeros(n)  # K @ beta
     g = np.empty(n)  # y - u
-    kd = np.empty(n)  # 2 * column ii of K, then t * (column ii - column jj)
+    kd = np.empty(n)  # t * (column ii - column jj)
     off = np.empty((2, 2, n))  # [up | low] offsets, each [alpha | alpha*]
     up_off, low_off = off[0].reshape(2 * n), off[1].reshape(2 * n)  # views
     eps = float(epsilon)  # so g + (-eps) is g - epsilon bit for bit, -0.0 included
@@ -201,8 +238,6 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
     low_off[:n], low_off[n:] = np.inf, eps
     vals = np.empty((2, 2, n))
     up_vals, low_vals = vals[0].reshape(2 * n), vals[1].reshape(2 * n)  # views
-    diag = Kt.diagonal().copy()
-    curv = np.empty(n)  # K[ii, ii] + K[tt, tt] - 2 K[tt, ii], floored; K is symmetric
     gain = np.empty((2, n))  # over the low candidates, [alpha | alpha*]
     max_iter = SMO_ITER_FACTOR * n
     for _ in range(max_iter):
@@ -215,13 +250,9 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float) -> SvrModel:
             break
         # second-order choice of j: the largest gap^2 / curvature among positive gaps
         ii = i % n
-        np.add(diag, diag[ii], out=curv)
-        np.multiply(Kt[ii], 2.0, out=kd)
-        curv -= kd
-        np.maximum(curv, 1e-12, out=curv)
         np.maximum(gain, 0.0, out=gain)
         gain *= gain
-        gain /= curv
+        gain /= curv[ii]
         j = int(gain.argmax())
         gap = m - low_vals[j]
         jj = j % n
@@ -281,13 +312,18 @@ def _grid_cells(kind: str, grid: GridSpec):
     raise ConfigError(f"unknown grid-search kind {kind!r}")
 
 
-def _fit_predict(kind, params, X_tr, y_tr, X_va):
-    """Predictions for X_va, and whether the fit converged (a KRR fit always does)."""
+def _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va):
+    """Validation predictions, and whether the fit converged (a KRR fit always does).
+
+    K_tr is the fold's training kernel in the form the fit takes, K_va the
+    validation rows' kernel against the training rows; K_va @ alphas is
+    krr_predict's product and K_va @ dual_deltas + bias svr_predict's.
+    """
     if kind == "krr":
-        model = krr_fit(X_tr, y_tr, params["lam"], params["gamma"])
-        return krr_predict(model, X_va), True
-    model = svr_fit(X_tr, y_tr, params["C"], params["epsilon"], params["gamma"])
-    return svr_predict(model, X_va), model.converged
+        model = krr_fit(X_tr, y_tr, params["lam"], params["gamma"], _kernel=K_tr)
+        return K_va @ model.alphas, True
+    model = svr_fit(X_tr, y_tr, params["C"], params["epsilon"], params["gamma"], _kernel=K_tr)
+    return K_va @ model.dual_deltas + model.bias, model.converged
 
 
 def format_cell(params: dict) -> str:
@@ -304,6 +340,11 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
     Ties keep the first cell in iteration order. Fold fits that stop at the
     SMO step cap are scored as they are, and one RuntimeWarning counts them
     and names the first one's cell.
+
+    The fits run gamma by gamma: each (gamma, fold) builds its training and
+    validation kernels once, fits every cell with that gamma on them and
+    drops them before the next is built. The table lists the cells in
+    iteration order all the same.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -313,16 +354,27 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     chunks = np.array_split(perm, grid.folds)
-    table, capped = [], []
-    best_params, best_rmse = None, np.inf
-    for params in _grid_cells(kind, grid):
-        fold_rmses = []
+    cells = _grid_cells(kind, grid)
+    scores = {}  # (cell index, fold) -> (validation RMSE, converged)
+    for gamma in grid.gamma_values:
         for f, va_idx in enumerate(chunks):
             tr_idx = np.concatenate([c for g, c in enumerate(chunks) if g != f])
-            pred, converged = _fit_predict(kind, params, X[tr_idx], y[tr_idx], X[va_idx])
+            X_tr, y_tr = X[tr_idx], y[tr_idx]
+            K_tr = _svr_kernel(X_tr, gamma) if kind == "svr" else rbf_matrix(X_tr, X_tr, gamma)
+            K_va = rbf_matrix(X[va_idx], X_tr, gamma)
+            for c, params in enumerate(cells):
+                if params["gamma"] == gamma:
+                    pred, converged = _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va)
+                    scores[c, f] = float(np.sqrt(np.mean((y[va_idx] - pred) ** 2))), converged
+            del K_tr, K_va  # so that only one (gamma, fold) kernel set is alive at a time
+    table, capped = [], []
+    best_params, best_rmse = None, np.inf
+    for c, params in enumerate(cells):
+        fold_rmses = []
+        for f in range(grid.folds):
+            err, converged = scores[c, f]
             if not converged:
                 capped.append(params)
-            err = float(np.sqrt(np.mean((y[va_idx] - pred) ** 2)))
             fold_rmses.append(err)
             table.append((params.get("C"), params["gamma"],
                           params.get("epsilon", params.get("lam")), f, err))

@@ -5,7 +5,8 @@ finite differences and projected-gradient optimization, sharing no code
 path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the RBF kernel
 built in one expression, the SVR step loop that rebuilds its arrays and the
-KKT values it reads from them, the LGR fit that computes each accepted
+KKT values it reads from them, the grid search that builds a kernel for each
+cell's fold fit and predicts through the models, the LGR fit that computes each accepted
 step's scores twice, the K-Means fit that sweeps every row from centroids
 drawn a row at a time, the attack injectors that place and draw one burst
 at a time, and the series and frames writers that format one row at a
@@ -23,7 +24,9 @@ from synwatch.errors import (BalancingError, ConfigError, ContractViolation,
                              TrainingError)
 from synwatch.framing import FRAME_WIDTH, Frame
 from synwatch.pipeline import DataSet
-from synwatch.regressors import SMO_ITER_FACTOR, SMO_TOL, SvrModel
+from synwatch.regressors import (SMO_ITER_FACTOR, SMO_TOL, GridSpec, SvrModel, _grid_cells,
+                                 _targets, format_cell, krr_fit, krr_predict, svr_fit,
+                                 svr_predict)
 from synwatch.scaling import Scaler, as_matrix
 from synwatch.traffic import IntervalSeries, SynthesisConfig
 
@@ -297,6 +300,54 @@ def _svr_bias(theta, y, u, epsilon, C, n):
     hi = np.where(up, val, -np.inf).max() if up.any() else 0.0
     lo = np.where(low, val, np.inf).min() if low.any() else 0.0
     return float((hi + lo) / 2.0)
+
+
+def _grid_fit_predict(kind, params, X_tr, y_tr, X_va):
+    """Predictions for X_va, and whether the fit converged (a KRR fit always does)."""
+    if kind == "krr":
+        model = krr_fit(X_tr, y_tr, params["lam"], params["gamma"])
+        return krr_predict(model, X_va), True
+    model = svr_fit(X_tr, y_tr, params["C"], params["epsilon"], params["gamma"])
+    return svr_predict(model, X_va), model.converged
+
+
+def grid_search_reference(X, y, kind: str, grid: GridSpec, seed: int = 42
+                          ) -> tuple[dict, list[tuple]]:
+    """grid_search as it ran cell by cell: every fold fit builds its own kernels.
+
+    Each fit calls krr_fit or svr_fit without a shared kernel, and each
+    prediction goes through krr_predict or svr_predict, so grid_search must
+    give the same best cell, table floats and warning bit for bit.
+    """
+    X = as_matrix(X)
+    n = X.shape[0]
+    y = _targets(y, n)
+    if n < grid.folds:
+        raise ConfigError(f"need at least folds={grid.folds} samples, got {n}")
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    chunks = np.array_split(perm, grid.folds)
+    table, capped = [], []
+    best_params, best_rmse = None, np.inf
+    for params in _grid_cells(kind, grid):
+        fold_rmses = []
+        for f, va_idx in enumerate(chunks):
+            tr_idx = np.concatenate([c for g, c in enumerate(chunks) if g != f])
+            pred, converged = _grid_fit_predict(kind, params, X[tr_idx], y[tr_idx], X[va_idx])
+            if not converged:
+                capped.append(params)
+            err = float(np.sqrt(np.mean((y[va_idx] - pred) ** 2)))
+            fold_rmses.append(err)
+            table.append((params.get("C"), params["gamma"],
+                          params.get("epsilon", params.get("lam")), f, err))
+        mean_rmse = float(np.mean(fold_rmses))
+        if mean_rmse < best_rmse:
+            best_params, best_rmse = dict(params), mean_rmse
+    if capped:
+        warnings.warn(f"grid_search scored {len(capped)} of {len(table)} fold fits that hit "
+                      f"the SMO step cap, the first at {format_cell(capped[0])}",
+                      RuntimeWarning, stacklevel=2)
+    return best_params, table
 
 
 def _lgr_loss(Xs, y, w, b, l2):

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import (rbf_matrix_reference, svr_fit_reference, svr_kkt_violations,
-                     svr_objective, svr_qp_oracle)
+from oracles import (grid_search_reference, rbf_matrix_reference, svr_fit_reference,
+                     svr_kkt_violations, svr_objective, svr_qp_oracle)
 from synwatch import regressors
 from synwatch.errors import ConfigError, ContractViolation, NumericError
 from synwatch.pipeline import ExperimentConfig, run_prediction
@@ -258,6 +259,15 @@ def test_non_finite_kernel_hyperparameters_are_refused_by_name(case, value):
         call(value)
 
 
+@pytest.mark.parametrize("field", ["C_values", "gamma_values", "epsilon_values",
+                                   "lambda_values"])
+def test_grid_spec_refuses_a_repeated_value_by_name(field):
+    """(0.5, 0.5) is sorted, but would fit its cell twice and repeat its table rows."""
+    name, call = _NON_FINITE_FITS[f"GridSpec-{field}"]
+    with pytest.raises(ConfigError, match=f"^{name} must be a non-empty strictly ascending"):
+        call(0.5)
+
+
 _NAN_TARGET = np.array([0.0, 1.0, math.nan, 0.0])
 _NON_FINITE_TARGET_FITS = {
     "krr_fit": lambda: krr_fit(TOY_X, _NAN_TARGET, lam=0.1, gamma=1.0),
@@ -332,6 +342,42 @@ def test_svr_fit_matches_second_order_reference_bit_for_bit(case):
     X, y, C, eps, gamma = _svr_parity_case(case)
     _assert_same_svr_bits(svr_fit(X, y, C, eps, gamma),
                           svr_fit_reference(X, y, C, eps, gamma, second_order=True))
+
+
+@pytest.mark.parametrize("case", ["toy", "reference_capped", "at_box_bound", "zero_epsilon",
+                                  "constant_in_tube"])
+def test_fits_on_a_shared_kernel_match_their_own_bit_for_bit(case):
+    X, y, C, eps, gamma = _svr_parity_case(case)
+    _assert_same_svr_bits(
+        svr_fit(X, y, C, eps, gamma, _kernel=regressors._svr_kernel(X, gamma)),
+        svr_fit(X, y, C, eps, gamma))
+    K = rbf_matrix(X, X, gamma)
+    shared = krr_fit(X, y, 0.1, gamma, _kernel=K)
+    assert shared.alphas.tobytes() == krr_fit(X, y, 0.1, gamma).alphas.tobytes()
+    assert K.tobytes() == rbf_matrix(X, X, gamma).tobytes()  # the fit copied it
+
+
+@pytest.mark.parametrize("case", ["toy", "reference_capped", "at_box_bound"])
+def test_svr_curvature_table_rows_are_the_per_step_rows_bit_for_bit(case):
+    """Row ii is (diag + diag[ii]) - Kt[ii] * 2 floored at 1e-12, in that order of operations."""
+    X, _, _, _, gamma = _svr_parity_case(case)
+    Kt, curv = regressors._svr_kernel(X, gamma)
+    assert Kt.tobytes() == np.ascontiguousarray(rbf_matrix(X, X, gamma).T).tobytes()
+    diag = Kt.diagonal().copy()
+    for ii in range(len(X)):
+        row = np.add(diag, diag[ii])
+        row -= np.multiply(Kt[ii], 2.0)
+        assert np.maximum(row, 1e-12).tobytes() == curv[ii].tobytes()
+
+
+def test_a_shared_kernel_of_the_wrong_shape_is_refused():
+    K = rbf_matrix(TOY_X[:3], TOY_X[:3], TOY_GAMMA)
+    with pytest.raises(ContractViolation, match="^krr_fit needs a 4x4 kernel"):
+        krr_fit(TOY_X, TOY_Y, 0.1, TOY_GAMMA, _kernel=K)
+    Kt, curv = regressors._svr_kernel(TOY_X, TOY_GAMMA)
+    for kernel in ((K, curv), (Kt, curv[:, :3])):
+        with pytest.raises(ContractViolation, match="^svr_fit needs a 4x4 kernel"):
+            svr_fit(TOY_X, TOY_Y, TOY_C, TOY_EPS, TOY_GAMMA, _kernel=kernel)
 
 
 def test_svr_fit_converges_where_reference_hits_cap():
@@ -425,6 +471,85 @@ def test_grid_search_reaches_fits_through_module_globals(monkeypatch):
     for kind in ("svr", "krr"):
         grid_search(X, y, kind, grid, seed=0)
     assert calls == {"svr": 3, "krr": 3}
+
+
+def _grid_inputs(name, series):
+    """(X, y) for the grid parity cases: d = 1, 2 and 3 columns over 30, 97 and 600 rows."""
+    rng = np.random.default_rng(3)
+    if name == "d1-n30":
+        X = np.sort(rng.uniform(-3.0, 3.0, size=30)).reshape(-1, 1)
+        return X, np.sin(X[:, 0])
+    if name == "d2-n97":
+        X = rng.normal(size=(97, 2))
+        return X, np.sin(X[:, 0]) + 0.5 * X[:, 1]
+    if name == "d3-n600":  # the periodic series' time, count and previous count
+        counts = series.counts.astype(np.float64)
+        X = np.column_stack([series.times_s(), counts, np.roll(counts, 1)])
+        return Scaler.fit(X).transform(X), series.labels.astype(np.float64)
+    raise ValueError(name)
+
+
+def _grid_bits(kind, X, y, grid, search):
+    """A grid search's best cell, its table with each float as bytes, and its warnings."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        best, table = search(X, y, kind, grid, seed=0)
+    rows = [tuple(np.float64(v).tobytes() if isinstance(v, float) else v for v in row)
+            for row in table]
+    return best, rows, [str(w.message) for w in record]
+
+
+@pytest.mark.parametrize("name", ["d1-n30", "d2-n97", "d3-n600"])
+@pytest.mark.parametrize("folds", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["krr", "svr"])
+def test_grid_search_matches_reference_bit_for_bit(kind, folds, name, periodic_series):
+    """Kernels shared per (gamma, fold) give the per-cell search's table, bit for bit."""
+    X, y = _grid_inputs(name, periodic_series)
+    grid = GridSpec(folds=folds)
+    assert (_grid_bits(kind, X, y, grid, grid_search)
+            == _grid_bits(kind, X, y, grid, grid_search_reference))
+
+
+def test_capped_grid_search_matches_reference_bit_for_bit(monkeypatch, periodic_series):
+    monkeypatch.setattr(regressors, "SMO_ITER_FACTOR", 1)
+    X, y = _grid_inputs("d2-n97", periodic_series)
+    got = _grid_bits("svr", X, y, GridSpec(), grid_search)
+    assert got == _grid_bits("svr", X, y, GridSpec(), grid_search_reference)
+    assert got[2] == ["grid_search scored 42 of 72 fold fits that hit the SMO step cap, "
+                      "the first at C=1, epsilon=0.01, gamma=0.1"]
+
+
+@pytest.mark.parametrize("kind", ["krr", "svr"])
+def test_grid_search_builds_two_kernels_per_gamma_and_fold(kind, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return rbf_matrix(*args)
+
+    monkeypatch.setattr(regressors, "rbf_matrix", counting)
+    X, y = _grid_inputs("d1-n30", None)
+    grid_search(X, y, kind, GridSpec(), seed=0)
+    # (training, validation) x 3 folds for each gamma in turn: 18, where a kernel pair
+    # per fold fit makes 144 (svr) or 72 (krr)
+    assert calls == [g for g in GridSpec().gamma_values for _ in range(2 * 3)]
+
+
+def test_svr_grid_search_holds_one_kernel_set_at_a_time(periodic_series):
+    """Peak traced memory is a few training kernels, not one set per (gamma, fold).
+
+    The kernels do not depend on C or epsilon, so one (C, epsilon) pair keeps
+    the default grid's nine (gamma, fold) kernel sets at a ninth of its fits.
+    """
+    X, y = _grid_inputs("d3-n600", periodic_series)
+    n_tr = len(y) - len(y) // 3
+    tracemalloc.start()
+    try:
+        grid_search(X, y, "svr", GridSpec(C_values=(0.1,), epsilon_values=(0.1,)), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n_tr * n_tr * 8
 
 
 def test_every_svr_grid_fit_on_the_periodic_series_converges(monkeypatch, periodic_series):
