@@ -217,8 +217,8 @@ def _cmd_predict(args) -> int:
     report, pred = pipeline.run_prediction(series, cfg)
     pipeline.write_report(report, args.report)
     pipeline.write_predictions(pred, args.out)
-    print(f"accuracy_pct={report.accuracy_pct:.3f} r2={report.r2:.6f} "
-          f"rmse={report.rmse:.6f}")
+    r2 = "-" if report.r2 is None else f"{report.r2:.6f}"  # a constant tail has no r2
+    print(f"accuracy_pct={report.accuracy_pct:.3f} r2={r2} rmse={report.rmse:.6f}")
     return 0
 
 

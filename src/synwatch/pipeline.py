@@ -7,8 +7,9 @@ for detection, none for K-Means, chronological for forecasting the 0/1
 attack status of the series' tail. Runs are deterministic per (series,
 config seeds) except their two timing fields.
 
-A kind's rows, fit labels, fit and predict are each decided in one place,
-which the runners, `fit_model` (every row) and `score_model` share.
+Each kind's model family, rows and owning run are stated once, in `_KINDS`.
+A kind's rows, fit labels, split, fit and predict are each decided in one
+place, which the runners, `fit_model` (every row) and `score_model` share.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,29 +31,40 @@ from .regressors import GridSpec
 from .scaling import Scaler
 from .traffic import IntervalSeries
 
-SUPERVISED_KINDS = ("lgr", "ann", "ann_frames", "ann_frames_sigma")
-SEMI_KINDS = ("kmeans+lgr", "kmeans+ann", "kmeans+ann_frames", "kmeans+ann_frames_sigma")
-PREDICTION_KINDS = ("krr", "svr", "lgr_reg")
-MODEL_KINDS = SUPERVISED_KINDS + ("kmeans",) + SEMI_KINDS + PREDICTION_KINDS
-_SMOTE_KINDS = SUPERVISED_KINDS + SEMI_KINDS  # detection LGR/MLP fits balance first
 
-_VARIANT_OF = {"kmeans": "per_interval", "lgr": "per_interval", "ann": "per_interval",
-               "ann_frames": "frames", "ann_frames_sigma": "frames_sigma"}
+class _Kind(NamedTuple):
+    family: str  # the model it fits: training defaults, fit, predict, model file
+    rows: str  # a detection dataset variant, or "forecast": (interval start, count)
+    run: str  # the runner that owns it
 
 
-# Logistic fits are cheap full-batch solves of a convex problem, so they run
-# to (near) optimality; the network's L-BFGS converges well inside its
-# default cap of 200 iterations.
-_FAMILY_TRAIN_DEFAULTS = {
-    "lgr": TrainConfig(learning_rate=0.1, max_epochs=5000),
-    "mlp": TrainConfig(),
-    "kmeans": TrainConfig(),
-}
-# The training settings each family's fit reads, in the report's order.
-_FAMILY_TRAIN_KEYS = {
-    "lgr": ("learning_rate", "max_epochs", "tolerance", "l2"),
-    "mlp": ("max_epochs", "tolerance", "l2", "train_seed"),
-    "kmeans": ("max_epochs", "train_seed"),
+_DETECTORS = {"lgr": _Kind("lgr", "per_interval", "run_supervised"),
+              "ann": _Kind("mlp", "per_interval", "run_supervised"),
+              "ann_frames": _Kind("mlp", "frames", "run_supervised"),
+              "ann_frames_sigma": _Kind("mlp", "frames_sigma", "run_supervised")}
+# Every model kind, in the CLI's order. A kmeans+X kind fits X's model on X's
+# rows, to K-Means pseudo-labels.
+_KINDS = {**_DETECTORS,
+          "kmeans": _Kind("kmeans", "per_interval", "run_unsupervised"),
+          **{f"kmeans+{name}": kind._replace(run="run_semi_supervised")
+             for name, kind in _DETECTORS.items()},
+          "krr": _Kind("krr", "forecast", "run_prediction"),
+          "svr": _Kind("svr", "forecast", "run_prediction"),
+          "lgr_reg": _Kind("lgr", "forecast", "run_prediction")}
+SUPERVISED_KINDS, SEMI_KINDS, PREDICTION_KINDS = (
+    tuple(name for name, kind in _KINDS.items() if kind.run == run)
+    for run in ("run_supervised", "run_semi_supervised", "run_prediction"))
+MODEL_KINDS = tuple(_KINDS)
+
+# Each trained family's defaults and the settings its fit reads, in the report's
+# order. LGR's gradient descent can reach its epoch cap first: on the reference
+# series it stops at 5000 epochs with gradient max-norm 1.746e-03, and warns.
+# The network's L-BFGS converges well inside its default cap of 200 iterations.
+_FAMILIES = {
+    "lgr": (TrainConfig(learning_rate=0.1, max_epochs=5000),
+            ("learning_rate", "max_epochs", "tolerance", "l2")),
+    "mlp": (TrainConfig(), ("max_epochs", "tolerance", "l2", "train_seed")),
+    "kmeans": (TrainConfig(), ("max_epochs", "train_seed")),
 }
 
 # Detection trains on this stratified share of each class, forecasting on this
@@ -68,7 +80,7 @@ _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
 
 
 def default_train_cfg(family: str, seed: int) -> TrainConfig:
-    return replace(_FAMILY_TRAIN_DEFAULTS[family], seed=seed)
+    return replace(_FAMILIES[family][0], seed=seed)
 
 
 def _train_echo(family: str, seed: int, prefix: str = "") -> dict:
@@ -76,7 +88,7 @@ def _train_echo(family: str, seed: int, prefix: str = "") -> dict:
     train = default_train_cfg(family, seed)
     every = dict(learning_rate=train.learning_rate, max_epochs=train.max_epochs,
                  tolerance=classifiers.TOLERANCE, l2=classifiers.L2, train_seed=train.seed)
-    return {prefix + key: every[key] for key in _FAMILY_TRAIN_KEYS[family]}
+    return {prefix + key: every[key] for key in _FAMILIES[family][1]}
 
 
 @dataclass(frozen=True)
@@ -86,9 +98,9 @@ class ExperimentConfig:
     grid: Optional[GridSpec] = None
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
+        if self.model_kind not in _KINDS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
-        if self.grid is not None and self.model_kind not in ("krr", "svr"):
+        if self.grid is not None and _KINDS[self.model_kind].family not in ("krr", "svr"):
             raise ConfigError(f"grid search does not apply to {self.model_kind}")
 
     def echo(self) -> dict:
@@ -96,13 +108,13 @@ class ExperimentConfig:
         items = {"model_kind": self.model_kind}
         if self.model_kind != "kmeans":  # K-Means fits and scores every row
             items["split_ratio"] = SPLIT_RATIO
-        if self.model_kind in _SMOTE_KINDS:
+        if _balances(self.model_kind):
             items["smote_k"] = SMOTE_K
         items["seed"] = self.seed
         if self.model_kind in SEMI_KINDS:  # the K-Means pseudo-labelling runs first
             items.update(_train_echo("kmeans", self.seed, "kmeans_"))
-        family = _family(self.model_kind)
-        if family in _FAMILY_TRAIN_DEFAULTS:
+        family = _KINDS[self.model_kind].family
+        if family in _FAMILIES:
             items.update(_train_echo(family, self.seed))
         items["grid"] = "yes" if self.grid is not None else "no"
         return items
@@ -269,26 +281,19 @@ def auto_label_series(series: IntervalSeries, train_cfg: TrainConfig) -> np.ndar
 # one row builder, one label rule, one fit and one predict per model kind
 
 
-def _family(kind: str) -> str:
-    """The `family` of the model a kind fits (kmeans+X fits X's)."""
-    base = kind.split("+", 1)[-1]
-    if base.startswith("ann"):
-        return "mlp"
-    return "lgr" if base.startswith("lgr") else base
-
-
-def _variant(kind: str) -> str:
-    """The detection dataset variant of a kind's rows (kmeans+X builds X's)."""
-    return _VARIANT_OF[kind.split("+", 1)[-1]]
+def _balances(kind: str) -> bool:
+    """Whether the kind's fit SMOTE-balances its rows: the detection LGR and MLP kinds."""
+    return _KINDS[kind].family in ("lgr", "mlp") and _KINDS[kind].rows != "forecast"
 
 
 def _rows(series: IntervalSeries, kind: str) -> DataSet:
     """The kind's rows over the series with the series' labels: (interval
     start, count) for the forecast kinds, otherwise the detection dataset."""
-    if kind in PREDICTION_KINDS:
+    rows = _KINDS[kind].rows
+    if rows == "forecast":
         return DataSet(np.column_stack([series.times_s(), series.counts]).astype(np.float64),
                        series.labels)
-    return build_detection_dataset(series, _variant(kind))
+    return build_detection_dataset(series, rows)
 
 
 def _fit_rows(series: IntervalSeries, cfg: ExperimentConfig) -> tuple[DataSet, np.ndarray]:
@@ -306,7 +311,7 @@ def _fit_rows(series: IntervalSeries, cfg: ExperimentConfig) -> tuple[DataSet, n
     if labels.min() == labels.max():
         raise DegenerateClusteringError("pseudo-labelling produced a single class")
     rows = _rows(series, kind)
-    return rows, labels if _variant(kind) == "per_interval" else framing.frame_labels(labels)
+    return rows, labels if _KINDS[kind].rows == "per_interval" else framing.frame_labels(labels)
 
 
 def _fit_kmeans(X: np.ndarray, train_cfg: TrainConfig):
@@ -324,8 +329,8 @@ def _fit(train: DataSet, cfg: ExperimentConfig):
     parameters without a grid, and carry the scaler in the model, as LGR
     does; chosen is that cell and cv_table the grid's table (None without one).
     """
-    kind, family = cfg.model_kind, _family(cfg.model_kind)
-    if kind in _SMOTE_KINDS:
+    kind, family = cfg.model_kind, _KINDS[cfg.model_kind].family
+    if _balances(kind):
         train = smote_balance(train, SMOTE_K, cfg.seed + 1)
     if family == "kmeans":
         return _fit_kmeans(train.X, default_train_cfg(family, cfg.seed)), {}, None
@@ -355,7 +360,7 @@ def _predict(kind: str, model, X) -> tuple[np.ndarray, np.ndarray]:
     Raw outputs are probabilities (LGR, MLP), cluster ids (K-Means) or
     regression values, which are thresholded at 0.5 (KRR, SVR).
     """
-    family = _family(kind)
+    family = _KINDS[kind].family
     if family == "lgr":
         return classifiers.lgr_predict(model, X)
     if family == "mlp":
@@ -373,16 +378,19 @@ def _predict(kind: str, model, X) -> tuple[np.ndarray, np.ndarray]:
 def _score(kind: str, model, X, truth, train_seconds: float, config: dict
            ) -> tuple[EvalReport, np.ndarray, np.ndarray]:
     """Predict every row of X and score it against truth; forecasters also
-    get r2/rmse of the raw outputs. Returns the report, raw outputs and labels."""
+    get rmse of the raw outputs, and r2 unless the truth is constant.
+    Returns the report, raw outputs and labels."""
     t0 = time.perf_counter()
     raw, y_pred = _predict(kind, model, X)
     infer_seconds = time.perf_counter() - t0
     conf = metrics.confusion(truth, y_pred)
     acc, fp, fn, f1 = metrics.classification_scores(conf)
     r2 = err = None
-    if kind in PREDICTION_KINDS:
+    if _KINDS[kind].rows == "forecast":
         y = np.asarray(truth, dtype=np.float64)
-        r2, err = metrics.r_squared(y, raw), metrics.rmse(y, raw)
+        err = metrics.rmse(y, raw)
+        if y.min() < y.max():  # r2 has no baseline over a constant truth
+            r2 = metrics.r_squared(y, raw)
     report = EvalReport(kind, conf, acc, fp, fn, f1, train_seconds, infer_seconds,
                         r2=r2, rmse=err, config=config)
     return report, raw, y_pred
@@ -403,7 +411,7 @@ def score_model(model, series: IntervalSeries, cfg: ExperimentConfig) -> EvalRep
     """Score a fitted model over every row of the series, as
     `evaluate --model-file` reports it. The report's config is left empty."""
     kind = cfg.model_kind
-    held, needed = model.family, _family(kind)
+    held, needed = model.family, _KINDS[kind].family
     if held != needed:
         raise ConfigError(f"model file holds a {held} model; {kind} needs {needed}")
     rows = _rows(series, kind)
@@ -411,36 +419,32 @@ def score_model(model, series: IntervalSeries, cfg: ExperimentConfig) -> EvalRep
 
 
 # --------------------------------------------------------------------------
-# experiment runners: each splits the kind's rows into (train, test) its own way
+# experiment runners: one split per kind, then fit and score
 
 
-def _stratified(y, seed: int):
-    """Detection: a seeded SPLIT_RATIO share of each class trains."""
-    return split_indices(y, SPLIT_RATIO, seed)
-
-
-def _every_row(y, seed: int):
-    """K-Means fits every row and is scored on every row."""
-    return slice(None), slice(None)
-
-
-def _chronological(y, seed: int):
-    """Forecasting: the SPLIT_RATIO head trains, the tail is forecast."""
+def _split(kind: str, y, seed: int):
+    """The (train, test) selectors of the kind's rows. K-Means fits and is
+    scored on every row; detection trains on a seeded SPLIT_RATIO share of
+    each class; forecasting trains on the SPLIT_RATIO head, forecasts the tail."""
+    if kind == "kmeans":
+        return slice(None), slice(None)
+    if _KINDS[kind].rows != "forecast":
+        return split_indices(y, SPLIT_RATIO, seed)
     if len(y) < 2:
         raise EmptyDatasetError("need at least 2 intervals to forecast")
     n_train = int(SPLIT_RATIO * len(y))  # in [1, n - 1] for n >= 2
     return slice(n_train), slice(n_train, None)
 
 
-def _run(runner: str, kinds, split, series: IntervalSeries, cfg: ExperimentConfig):
+def _run(series: IntervalSeries, cfg: ExperimentConfig, run: Optional[str] = None):
     """Split the kind's rows, fit the train rows as the kind is labelled, and
-    score the test rows against ground truth. Returns the report, the test
-    rows' selector, raw outputs and labels."""
+    score the test rows against ground truth. `run`, when given, must own the
+    kind. Returns the report, the test rows' selector, raw outputs and labels."""
     kind = cfg.model_kind
-    if kind not in kinds:
-        raise ConfigError(f"{runner} cannot run {kind!r}")
+    if run is not None and _KINDS[kind].run != run:
+        raise ConfigError(f"{run} cannot run {kind!r}")
     rows, fit_y = _fit_rows(series, cfg)
-    train, test = split(fit_y, cfg.seed)
+    train, test = _split(kind, fit_y, cfg.seed)
     t0 = time.perf_counter()
     model, chosen, _ = _fit(DataSet(rows.X[train], fit_y[train]), cfg)
     train_seconds = time.perf_counter() - t0
@@ -452,17 +456,17 @@ def _run(runner: str, kinds, split, series: IntervalSeries, cfg: ExperimentConfi
 
 def run_supervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """Detection from ground-truth labels: split, SMOTE, fit, score on the test split."""
-    return _run("run_supervised", SUPERVISED_KINDS, _stratified, series, cfg)[0]
+    return _run(series, cfg, "run_supervised")[0]
 
 
 def run_unsupervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """K-Means over every interval; cluster labels scored against ground truth."""
-    return _run("run_unsupervised", ("kmeans",), _every_row, series, cfg)[0]
+    return _run(series, cfg, "run_unsupervised")[0]
 
 
 def run_semi_supervised(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
     """K-Means pseudo-labels feed the supervised path; scoring stays on ground truth."""
-    return _run("run_semi_supervised", SEMI_KINDS, _stratified, series, cfg)[0]
+    return _run(series, cfg, "run_semi_supervised")[0]
 
 
 def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
@@ -473,22 +477,16 @@ def run_prediction(series: IntervalSeries, cfg: ExperimentConfig
     training head. Continuous outputs are thresholded at 0.5 for status
     decisions; r2/rmse are computed on the raw outputs.
     """
-    report, test, raw, y_pred = _run("run_prediction", PREDICTION_KINDS, _chronological,
-                                     series, cfg)
+    report, test, raw, y_pred = _run(series, cfg, "run_prediction")
     return report, PredictionSeries(times_s=series.times_s()[test],
                                     actual=series.labels[test].copy(),
                                     predicted_raw=np.asarray(raw, dtype=np.float64),
                                     predicted_label=np.asarray(y_pred, dtype=np.int64))
 
 
-def run_experiment(series: IntervalSeries, cfg: ExperimentConfig):
-    """Dispatch to the run family that owns cfg.model_kind."""
-    kind = cfg.model_kind
-    if kind in PREDICTION_KINDS:
-        return run_prediction(series, cfg)[0]
-    run = (run_supervised if kind in SUPERVISED_KINDS
-           else run_unsupervised if kind == "kmeans" else run_semi_supervised)
-    return run(series, cfg)
+def run_experiment(series: IntervalSeries, cfg: ExperimentConfig) -> EvalReport:
+    """The report of the run that owns cfg.model_kind."""
+    return _run(series, cfg)[0]
 
 
 # --------------------------------------------------------------------------

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from synwatch import regressors
+from synwatch.classifiers import kmeans_fit
 from synwatch.cli import main
 from synwatch.errors import NumericError
-from synwatch.model_io import load_model
-from synwatch.pipeline import (MODEL_KINDS, PREDICTION_KINDS, ExperimentConfig, fit_model,
-                               read_report)
+from synwatch.model_io import load_model, save_model
+from synwatch.pipeline import (MODEL_KINDS, PREDICTION_KINDS, ExperimentConfig,
+                               default_train_cfg, fit_model, read_report)
 from synwatch.regressors import GridSpec
 from synwatch.traffic import IntervalSeries, read_series, write_series
 
@@ -223,6 +224,24 @@ def test_predict_writes_report_and_series(tmp_path, periodic_series):
     assert all(len(line.split(",")) == 4 for line in lines)
 
 
+@pytest.mark.parametrize("kind", PREDICTION_KINDS)
+def test_predict_over_an_attack_free_tail_omits_r2(tmp_path, capsys, kind):
+    # seed 1 at attack fraction 0.01 puts the only burst at intervals 308-313, so
+    # the forecast tail is all benign: r2 has no baseline, accuracy and rmse are defined
+    series = tmp_path / "s.csv"
+    assert main(["generate", "--intervals", "600", "--rate", "50", "--attack-fraction", "0.01",
+                 "--seed", "1", "--out", str(series)]) == 0
+    assert read_series(series).labels[480:].max() == 0
+    report_path, pred_path = tmp_path / "r.txt", tmp_path / "pred.csv"
+    capsys.readouterr()
+    assert main(["predict", "--model", kind, "--series", str(series),
+                 "--report", str(report_path), "--out", str(pred_path)]) == 0
+    assert " r2=- rmse=" in capsys.readouterr().out
+    assert len(pred_path.read_text().splitlines()) == 120
+    report = read_report(report_path)
+    assert "r2" not in report and "rmse" in report
+
+
 def test_krr_report_echoes_no_training_settings(tmp_path, periodic_series):
     series, report = tmp_path / "p.csv", tmp_path / "r.txt"
     write_series(periodic_series, series)
@@ -320,6 +339,29 @@ def test_train_kmeans_model_file(tmp_path):
     assert main(["train", "--model", "kmeans", "--series", str(series),
                  "--out", str(model_path)]) == 0
     assert model_path.read_text().startswith("model=kmeans version=1")
+
+
+def test_kmeans_file_without_label_map_scores_as_the_trained_file(tmp_path):
+    # a bare kmeans_fit model holds no label_map line; scoring maps its clusters
+    # as train does before it saves
+    series = _gen(tmp_path)
+    trained, bare = tmp_path / "trained.txt", tmp_path / "bare.txt"
+    assert main(["train", "--model", "kmeans", "--series", str(series),
+                 "--out", str(trained)]) == 0
+    X = read_series(series).counts.astype(np.float64).reshape(-1, 1)
+    save_model(kmeans_fit(X, 2, default_train_cfg("kmeans", 42)), bare)
+    assert "label_map" not in bare.read_text()
+    # cluster 0 is the burst cluster, so scoring raw cluster ids would invert every label
+    assert load_model(trained).label_map == {0: 1, 1: 0}
+    reports = []
+    for model_path in (trained, bare):
+        report_path = tmp_path / f"{model_path.stem}-report.txt"
+        assert main(["evaluate", "--model", "kmeans", "--series", str(series),
+                     "--model-file", str(model_path), "--report", str(report_path)]) == 0
+        report = read_report(report_path)
+        del report["config.model_file"], report["infer_seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_train_grid_only_for_kernel_models(tmp_path):

@@ -19,9 +19,10 @@ from synwatch.classifiers import TrainConfig, kmeans_assign, kmeans_fit, map_clu
 from synwatch.errors import (BalancingError, ConfigError, DegenerateClusteringError,
                              EmptyDatasetError)
 from synwatch.metrics import r_squared, rmse
-from synwatch.pipeline import (MODEL_KINDS, PREDICTION_KINDS, DataSet, ExperimentConfig,
-                               auto_label_series, build_detection_dataset, fit_model,
-                               read_report, run_experiment, run_prediction,
+from synwatch.pipeline import (MODEL_KINDS, PREDICTION_KINDS, SEMI_KINDS, SUPERVISED_KINDS,
+                               DataSet, ExperimentConfig, auto_label_series,
+                               build_detection_dataset, fit_model, read_report,
+                               run_experiment, run_prediction,
                                run_semi_supervised, run_supervised, run_unsupervised,
                                smote_balance, split_indices, write_predictions,
                                write_report)
@@ -418,6 +419,42 @@ def test_detection_runs_deterministic(small_series):
     a = run_supervised(small_series, cfg)
     b = run_supervised(small_series, cfg)
     assert _report_key(a) == _report_key(b)
+
+
+_RUN_OF_KIND = {
+    **dict.fromkeys(("lgr", "ann", "ann_frames", "ann_frames_sigma"), run_supervised),
+    "kmeans": run_unsupervised,
+    **dict.fromkeys(("kmeans+lgr", "kmeans+ann", "kmeans+ann_frames",
+                     "kmeans+ann_frames_sigma"), run_semi_supervised),
+    **dict.fromkeys(("krr", "svr", "lgr_reg"), run_prediction),
+}
+
+
+def test_kind_tuples_name_each_run_family_in_order():
+    assert MODEL_KINDS == tuple(_RUN_OF_KIND)
+    for kinds, run in [(SUPERVISED_KINDS, run_supervised), (SEMI_KINDS, run_semi_supervised),
+                       (PREDICTION_KINDS, run_prediction)]:
+        assert kinds == tuple(kind for kind, owner in _RUN_OF_KIND.items() if owner is run)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_run_experiment_reports_as_the_run_that_owns_the_kind(small_series, periodic_series,
+                                                              kind):
+    series = periodic_series if kind in PREDICTION_KINDS else small_series
+    cfg = ExperimentConfig(model_kind=kind)
+    owned = _RUN_OF_KIND[kind](series, cfg)
+    owned = owned[0] if kind in PREDICTION_KINDS else owned
+    report = run_experiment(series, cfg)
+    assert (_report_key(report), report.config) == (_report_key(owned), owned.config)
+
+
+@pytest.mark.parametrize("run", sorted(set(_RUN_OF_KIND.values()), key=lambda f: f.__name__))
+def test_runs_refuse_every_kind_they_do_not_own(small_series, run):
+    for kind in MODEL_KINDS:
+        if _RUN_OF_KIND[kind] is not run:
+            message = f"{run.__name__} cannot run {kind!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                run(small_series, ExperimentConfig(model_kind=kind))
 
 
 # Edge-case series and the error each detection kind raises on them, through
