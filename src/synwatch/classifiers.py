@@ -8,6 +8,10 @@ packet counts, or the rows at weight 1) and runs every seeded restart on
 those points. A restart draws its first centroids over those points too,
 with array operations and no loop over rows, and an emptied cluster is
 reseeded from them, so kmeans_fit reads its input only to group it.
+Packet counts are grouped by counting: one np.bincount over a table no
+longer than the column, with np.unique's sort only for a column that spans
+more values than it has rows. kmeans_assign labels the distinct counts and
+takes the labels to the rows.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ L2 = 1e-4
 # a step at most this many times before it stops.
 LBFGS_MEMORY = 10
 _LBFGS_HALVINGS = 50
-# kmeans_assign labels rows in blocks whose (row, centroid, feature)
-# differences take at most this many bytes, so its temporaries do not grow
-# with the rows.
+# kmeans_assign labels rows, or the distinct values of a column that groups,
+# in blocks whose (row, centroid, feature) differences take at most this
+# many bytes, so its temporaries do not grow with the rows.
 _ASSIGN_BLOCK_BYTES = 2 ** 20
 
 
@@ -100,24 +104,50 @@ def _check_binary_labels(y) -> np.ndarray:
 # points: the distinct rows a fit computes on once, weighted by their rows
 
 
+def _value_groups(X):
+    """(values, inverse, counts) of X's one column when it groups by value,
+    else None: the distinct values in ascending order, each row's value and
+    each value's rows, in the dtypes of np.unique's triple.
+
+    A column groups when it holds integers whose absolute values sum below
+    2**53 and no -0.0. Such values are grouped by counting: when the column
+    spans fewer values than it has rows, one np.bincount over value - lowest
+    tallies them in a table no longer than the column, and every value is an
+    integer below 2**53, so the shift, its cast and the shift back are exact.
+    A wider column is sorted by np.unique, which gives the same triple.
+    """
+    if X.shape[1] != 1:
+        return None
+    col = X[:, 0]
+    if not (np.abs(col).sum() < 2.0 ** 53 and (np.floor(col) == col).all()
+            and not np.signbit(col[col == 0.0]).any()):
+        return None
+    lo, hi = (col.min(), col.max()) if len(col) else (0.0, 0.0)
+    if hi - lo < len(col):
+        idx = (col - lo).astype(np.intp)
+        full = np.bincount(idx)
+        present = np.flatnonzero(full)
+        inverse = (np.cumsum(full > 0) - 1)[idx]
+        return present + lo, inverse, full[present]
+    return np.unique(col, return_inverse=True, return_counts=True)
+
+
 def _points(X):
     """(points, inverse, counts) of X: the points Lloyd's sweeps run over, the
     point of each row, and each point's rows.
 
-    When X is one column of integers whose absolute values sum below 2**53,
-    the points are its distinct values as a column: every sum of such values
-    times their counts is an exact integer, so a mean over points is the same
-    division as the mean over their rows. A -0.0 keeps the rows: np.unique
-    merges it with 0.0, and the mean of -0.0 rows is -0.0. Any other X comes
-    back as its rows, each a point of weight 1.
+    When X is one column that groups by value (_value_groups), the points
+    are its distinct values as a column: every sum of such values times
+    their counts is an exact integer, so a mean over points is the same
+    division as the mean over their rows. A -0.0 keeps the rows: grouping
+    would merge it with 0.0, and the mean of -0.0 rows is -0.0. Any other X
+    comes back as its rows, each a point of weight 1.
     """
-    if X.shape[1] == 1:
-        col = X[:, 0]
-        if (np.abs(col).sum() < 2.0 ** 53 and (np.floor(col) == col).all()
-                and not np.signbit(col[col == 0.0]).any()):
-            values, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
-            return values[:, None], inverse, counts
-    return X, np.arange(len(X)), np.ones(len(X))
+    groups = _value_groups(X)
+    if groups is None:
+        return X, np.arange(len(X)), np.ones(len(X))
+    values, inverse, counts = groups
+    return values[:, None], inverse, counts
 
 
 def _labelled_points(Xs, y):
@@ -452,17 +482,27 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
 
 
 def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
-    """Nearest-centroid id per row, ties to the lowest id, a block of rows at a time."""
+    """Nearest-centroid id per row, ties to the lowest id, a block at a time.
+
+    A column that groups by value into fewer values than rows
+    (_value_groups) is labelled value by value and the labels taken to the
+    rows: with one feature a row's squared distance is one subtraction and
+    one square wherever the row sits, so the ids are those of the rows.
+    """
     X = as_matrix(X)
     k, d = model.centroids.shape
     if X.shape[1] != d:
         raise ContractViolation(f"model has {d} features, input has {X.shape[1]}")
+    rows, inverse = X, None
+    groups = _value_groups(X)
+    if groups is not None and len(groups[0]) < len(X):
+        rows, inverse = groups[0][:, None], groups[1]
     block = max(1, _ASSIGN_BLOCK_BYTES // (k * d * 8))
-    assign = np.empty(len(X), dtype=np.intp)
-    for start in range(0, len(X), block):
-        assign[start:start + block] = _sq_distances(X[start:start + block],
+    assign = np.empty(len(rows), dtype=np.intp)
+    for start in range(0, len(rows), block):
+        assign[start:start + block] = _sq_distances(rows[start:start + block],
                                                     model.centroids).argmin(axis=1)
-    return assign
+    return _per_row(assign, inverse)
 
 
 def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()

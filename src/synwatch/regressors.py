@@ -25,6 +25,10 @@ from .scaling import Scaler, as_matrix
 
 SMO_TOL = 1e-3
 SMO_ITER_FACTOR = 100
+# The most training rows a kernel fit takes. Its n x n float64 kernel is
+# 512 MiB at this bound, and an SVR fit holds about 3.1 times that (the
+# kernel, its curvature table and rbf_matrix's temporaries): about 1.7 GB.
+MAX_KERNEL_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,14 @@ def _shared_kernel(kernel: np.ndarray, n: int, caller: str) -> np.ndarray:
     return kernel
 
 
+def _check_kernel_rows(n: int, caller: str) -> None:
+    """Refuse more than MAX_KERNEL_ROWS training rows before any kernel is built."""
+    if n > MAX_KERNEL_ROWS:
+        raise ConfigError(f"{caller} on {n} training rows needs a {n}x{n} kernel of "
+                          f"{n * n * 8:,} bytes; at most MAX_KERNEL_ROWS={MAX_KERNEL_ROWS} "
+                          f"rows are fitted")
+
+
 def _check_param(name: str, value: float, positive: bool) -> None:
     """Refuse a NaN, infinite or negative value (or 0 when positive), naming it."""
     # each comparison is False for NaN, so NaN fails it too
@@ -131,7 +143,8 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
     an exactly singular system, or one whose residual stays above its bound
     after the refinement pass, raises NumericError. `_kernel`, private to
     grid search, is `rbf_matrix(X, X, gamma)` built by the caller; it is
-    copied, not changed.
+    copied, not changed. Without it, more than MAX_KERNEL_ROWS rows raise
+    ConfigError before the kernel is built.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -139,6 +152,7 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
     _check_param("lam", lam, positive=False)
     _check_param("gamma", gamma, positive=True)
     if _kernel is None:
+        _check_kernel_rows(n, "krr_fit")
         A = rbf_matrix(X, X, gamma)
     else:
         A = _shared_kernel(_kernel, n, "krr_fit").copy()
@@ -212,7 +226,8 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None) -> Sv
     and +epsilon for alpha* where the variable may move that way, -inf (up)
     or +inf (low) where it may not. A step changes only the offsets of the
     two variables it moved. `_kernel`, private to grid search, is
-    `_svr_kernel(X, gamma)` built by the caller.
+    `_svr_kernel(X, gamma)` built by the caller. Without it, more than
+    MAX_KERNEL_ROWS rows raise ConfigError before the kernel is built.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -223,6 +238,7 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None) -> Sv
     _check_param("epsilon", epsilon, positive=False)
     _check_param("gamma", gamma, positive=True)
     if _kernel is None:
+        _check_kernel_rows(n, "svr_fit")
         Kt, curv = _svr_kernel(X, gamma)
     else:
         Kt, curv = (_shared_kernel(k, n, "svr_fit") for k in _kernel)
@@ -344,13 +360,15 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
     The fits run gamma by gamma: each (gamma, fold) builds its training and
     validation kernels once, fits every cell with that gamma on them and
     drops them before the next is built. The table lists the cells in
-    iteration order all the same.
+    iteration order all the same. A largest training fold of more than
+    MAX_KERNEL_ROWS rows raises ConfigError before any kernel is built.
     """
     X = as_matrix(X)
     n = X.shape[0]
     y = _targets(y, n)
     if n < grid.folds:
         raise ConfigError(f"need at least folds={grid.folds} samples, got {n}")
+    _check_kernel_rows(n - n // grid.folds, "grid_search")  # its largest training fold
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     chunks = np.array_split(perm, grid.folds)

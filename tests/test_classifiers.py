@@ -465,6 +465,12 @@ def _kmeans_case(name):
     if name == "rare_kth_value":  # the 3rd and 4th values are rare: the drawn prefix must grow
         return np.concatenate([rng.integers(0, 2, size=2000), [2, 2, 2, 3]]
                               ).astype(np.float64).reshape(-1, 1)
+    if name == "range_just_inside":  # hi - lo = n - 1, so the values are counted
+        return np.concatenate([[-7, 32], rng.integers(-7, 33, size=38)]
+                              ).astype(np.float64).reshape(-1, 1)
+    if name == "range_just_outside":  # hi - lo = n, so the values are sorted
+        return np.concatenate([[-7, 33], rng.integers(-7, 34, size=38)]
+                              ).astype(np.float64).reshape(-1, 1)
     if name == "signed_zero_rows":  # repeated rows; [-0, 0] and [0, 0] differ only in bytes
         return np.array([[-0.0, 0.0], [0.0, 0.0], [3.0, 1.0]])[rng.integers(0, 3, size=40)]
     # "sum_at_2_53": integers whose absolute sum reaches 2**53, so sums may round
@@ -473,13 +479,14 @@ def _kmeans_case(name):
 
 
 _GROUPED = ("counts_ties", "counts_bimodal", "mid_run_reseed", "three_values",
-            "rare_kth_value")
+            "rare_kth_value", "range_just_inside", "range_just_outside")
 
 
 @pytest.mark.parametrize("name", ["counts_ties", "counts_bimodal", "mid_run_reseed",
                                   "three_values", "negative_zero", "non_integer",
                                   "two_columns", "sum_at_2_53", "rare_kth_value",
-                                  "signed_zero_rows"])
+                                  "signed_zero_rows", "range_just_inside",
+                                  "range_just_outside"])
 def test_kmeans_fit_matches_reference_bit_for_bit(name):
     X = _kmeans_case(name)
     points, inverse, _ = classifiers._points(X)
@@ -509,6 +516,96 @@ def test_kmeans_fit_matches_reference_bit_for_bit(name):
                     assert got_history == pytest.approx(want_history, rel=1e-12)
                 else:  # the row path sums the same rows
                     assert got_history == want_history
+
+
+@st.composite
+def _count_column(draw):
+    """A column of n integers spanning fewer, as many or more values than n,
+    some with a -0.0 row next to a 0.0 row, a non-integer, or an absolute sum
+    within 2n of 2**53 on either side."""
+    n = draw(st.integers(1, 60))
+    span = draw(st.sampled_from([0, 1, n - 1, n, n + 1, 3 * n, 10 ** 6]))
+    offsets = np.array(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)))
+    twist = draw(st.sampled_from(["none", "signed_zero", "fraction", "sum_near_2_53"]))
+    if twist == "sum_near_2_53":  # every value about 2**53 / n, so the sum is near 2**53
+        target = 2 ** 53 + draw(st.integers(-2 * n, 2 * n))
+        lo = (target - int(offsets.sum())) // n
+    else:
+        lo = draw(st.integers(-10 ** 6, 10 ** 6))
+    sign = draw(st.sampled_from([1, -1]))
+    col = sign * (offsets + lo).astype(np.float64)
+    if twist == "signed_zero":
+        i = draw(st.integers(0, n - 1))
+        col[i], col[(i + 1) % n] = 0.0, -0.0  # with n = 1 the row is -0.0
+    elif twist == "fraction":
+        col[draw(st.integers(0, n - 1))] += 0.5
+    return col
+
+
+@settings(max_examples=300, deadline=None)
+@given(col=_count_column())
+def test_points_group_as_np_unique_does(col):
+    X = col.reshape(-1, 1)
+    groups = (all(v == math.floor(v) for v in col.tolist())
+              and sum(abs(int(v)) for v in col.tolist()) < 2 ** 53
+              and not np.signbit(col[col == 0.0]).any())
+    points, inverse, counts = classifiers._points(X)
+    if groups:
+        values, want_inverse, want_counts = np.unique(col, return_inverse=True,
+                                                      return_counts=True)
+        want = (values[:, None], want_inverse, want_counts)
+    else:
+        want = (X, np.arange(len(X)), np.ones(len(X)))
+    for got_part, want_part in zip((points, inverse, counts), want):
+        assert got_part.dtype == want_part.dtype and got_part.shape == want_part.shape
+        assert got_part.tobytes() == want_part.tobytes()
+
+
+@pytest.mark.parametrize("name, counted", [("range_just_inside", True),
+                                           ("range_just_outside", False)])
+def test_values_are_counted_within_the_range_rule_and_sorted_past_it(monkeypatch, name,
+                                                                      counted):
+    calls = []
+    for fn in ("bincount", "unique"):
+        monkeypatch.setattr(np, fn, lambda *args, fn=fn, real=getattr(np, fn), **kwargs:
+                            calls.append(fn) or real(*args, **kwargs))
+    classifiers._points(_kmeans_case(name))
+    assert calls == (["bincount"] if counted else ["unique"])
+
+
+def test_points_of_counts_trace_at_most_two_and_a_half_columns():
+    """Counting keeps the shifted values and the inverse, two column-sized
+    arrays; np.unique's sort traced over five."""
+    X = np.random.default_rng(5).poisson(50.0, size=(200_000, 1)).astype(np.float64)
+    tracemalloc.start()
+    try:
+        classifiers._points(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(X) * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), data=st.data())
+def test_grouped_assign_matches_the_row_pass_bit_for_bit(k, data):
+    """Integer rows, among them every midpoint between two centroids, get
+    the ids of one pass over the rows, ties to the lowest id, whatever the
+    block size."""
+    centroids = np.array(data.draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k)),
+                         dtype=np.float64).reshape(-1, 1) / data.draw(st.sampled_from([1, 2]))
+    c = centroids[:, 0]
+    midpoints = ((c[:, None] + c[None, :]) / 2).ravel()
+    rows = data.draw(st.lists(st.integers(-25, 25), min_size=1, max_size=200))
+    X = np.concatenate([rows, midpoints[midpoints == np.floor(midpoints)]]).reshape(-1, 1)
+    X = np.concatenate([X, X])  # every value on two rows, so the column groups
+    model = KMeansModel(centroids=centroids, k=k, wcss=0.0)
+    want = classifiers._nearest(X, centroids)[0]
+    for block_bytes in (classifiers._ASSIGN_BLOCK_BYTES, k * 8):  # k * 8: one point a block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES", block_bytes)
+            got = kmeans_assign(model, X)
+        assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
 
 
 @pytest.mark.parametrize("restarts", [0, -3])

@@ -128,6 +128,32 @@ def test_refusals_exit_two_before_allocating(tmp_path, capsys, command, data, ar
     assert not out.exists()
 
 
+# case: (argv, the refusing call, its training rows)
+@pytest.mark.parametrize("argv, fit, rows", [
+    (["evaluate", "--model", "krr"], "krr_fit", 192),
+    (["evaluate", "--model", "svr"], "svr_fit", 192),
+    (["train", "--model", "krr", "--grid"], "grid_search", 160),
+    (["predict", "--model", "svr", "--grid"], "grid_search", 128),
+], ids=["evaluate_krr", "evaluate_svr", "train_krr_grid", "predict_svr_grid"])
+def test_kernel_fits_past_the_row_bound_exit_two_before_allocating(tmp_path, capsys,
+                                                                   monkeypatch, argv, fit,
+                                                                   rows):
+    """A kernel fit on more than MAX_KERNEL_ROWS training rows exits 2 naming
+    the rows and the kernel's bytes, and no kernel is built."""
+    series = _gen(tmp_path)  # 240 intervals: evaluate's head holds 192, train fits all 240
+    monkeypatch.setattr(regressors, "MAX_KERNEL_ROWS", 100)
+    monkeypatch.setattr(regressors, "rbf_matrix", lambda *args: pytest.fail("kernel built"))
+    out = tmp_path / "out"
+    outputs = {"evaluate": ["--report", str(out)], "train": ["--out", str(out)],
+               "predict": ["--report", str(out), "--out", str(tmp_path / "p.csv")]}
+    capsys.readouterr()
+    assert main([*argv, "--series", str(series), *outputs[argv[0]]]) == 2
+    assert (f"error: {fit} on {rows} training rows needs a {rows}x{rows} kernel of "
+            f"{rows * rows * 8:,} bytes; at most MAX_KERNEL_ROWS=100 rows are fitted"
+            ) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # generate / ingest / inject / frame / elbow
 

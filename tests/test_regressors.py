@@ -285,6 +285,39 @@ def test_non_finite_targets_are_refused_before_any_kernel(case, monkeypatch):
         _NON_FINITE_TARGET_FITS[case]()
 
 
+_ROW_BOUND_X = np.arange(5.0).reshape(-1, 1)
+_ROW_BOUND_Y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+# case: (the call, its training rows: grid_search's largest fold of 5 rows in 2 is 3)
+_ROW_BOUND_FITS = {
+    "krr_fit": (lambda: krr_fit(_ROW_BOUND_X, _ROW_BOUND_Y, lam=0.1, gamma=1.0), 5),
+    "svr_fit": (lambda: svr_fit(_ROW_BOUND_X, _ROW_BOUND_Y, C=1.0, epsilon=0.1, gamma=1.0), 5),
+    "grid_search": (lambda: grid_search(_ROW_BOUND_X, _ROW_BOUND_Y, "svr",
+                                        GridSpec(C_values=(1.0,), gamma_values=(1.0,),
+                                                 epsilon_values=(0.1,), folds=2)), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROW_BOUND_FITS))
+def test_kernel_fits_take_at_most_max_kernel_rows(case, monkeypatch):
+    call, rows = _ROW_BOUND_FITS[case]
+    monkeypatch.setattr(regressors, "MAX_KERNEL_ROWS", rows)
+    call()  # at the bound
+    monkeypatch.setattr(regressors, "MAX_KERNEL_ROWS", rows - 1)
+    monkeypatch.setattr(regressors, "rbf_matrix", lambda *args: pytest.fail("kernel built"))
+    with pytest.raises(ConfigError, match=f"^{case} on {rows} training rows needs a "
+                                          f"{rows}x{rows} kernel of {rows * rows * 8} bytes"):
+        call()
+
+
+def test_a_shared_kernel_is_not_held_to_the_row_bound(monkeypatch):
+    """grid_search checks its folds once; the fits it runs on their kernels do not."""
+    K = rbf_matrix(TOY_X, TOY_X, TOY_GAMMA)
+    Kt, curv = regressors._svr_kernel(TOY_X, TOY_GAMMA)
+    monkeypatch.setattr(regressors, "MAX_KERNEL_ROWS", 1)
+    krr_fit(TOY_X, TOY_Y, 0.1, TOY_GAMMA, _kernel=K)
+    svr_fit(TOY_X, TOY_Y, TOY_C, TOY_EPS, TOY_GAMMA, _kernel=(Kt, curv))
+
+
 def test_svr_input_validation():
     with pytest.raises(ContractViolation):
         svr_fit(np.zeros((1, 1)), np.zeros(1), 1.0, 0.1, 1.0)
