@@ -12,6 +12,11 @@ Packet counts are grouped by counting: one np.bincount over a table no
 longer than the column, with np.unique's sort only for a column that spans
 more values than it has rows. kmeans_assign labels the distinct counts and
 takes the labels to the rows.
+
+LGR and the MLP fit one-column rows the same way: over their distinct
+(value, label) points, each point's loss and gradient terms weighted by
+its rows and the sums divided by the rows. Rows of two or more columns are
+points of count 1, on which the weighted sums are the row means bit for bit.
 """
 
 from __future__ import annotations
@@ -151,44 +156,38 @@ def _points(X):
 
 
 def _labelled_points(Xs, y):
-    """(points, their labels, inverse) of the labelled rows: the distinct (bit
-    pattern, label) pairs of a single column, else the rows themselves with
-    inverse None.
+    """(points, their labels, counts) of the labelled rows: the distinct (bit
+    pattern, label) pairs of a single column and each pair's rows, else the
+    rows themselves, each at count 1.
 
-    An elementwise function of a point and its label, taken to the rows by the
-    inverse, has the bits it has on the rows. Bits, not values, so -0.0 and
-    0.0 stay apart. One column only: there a matrix-vector product is one
-    rounded product per row wherever the row sits, while OpenBLAS may round
-    the score of a row of two or more columns differently by where the row
-    sits in the matrix.
+    Bits, not values, so -0.0 and 0.0 stay apart. A fit weights each point's
+    terms by its count and divides their sum by the rows. At count 1 that is
+    the row mean bit for bit: `1.0 * term` is exact and np.mean is
+    np.add.reduce over the rows divided by their number. Over a column's
+    distinct points the sum is regrouped, and may differ in its last bits.
     """
     if Xs.shape[1] != 1:
-        return Xs, y, None
+        return Xs, y, np.ones(len(Xs))
     _, value = np.unique(Xs[:, 0].view(np.uint64), return_inverse=True)
     _, first, inverse = np.unique(2 * value + y.astype(np.intp), return_index=True,
                                   return_inverse=True)
-    return Xs[first], y[first], inverse
-
-
-def _per_row(values, inverse):
-    """The values of the points, one per row in row order."""
-    return values if inverse is None else values.take(inverse)
+    return Xs[first], y[first], np.bincount(inverse).astype(np.float64)
 
 
 # --------------------------------------------------------------------------
 # logistic regression
 
 
-def _lgr_loss(z, y, w, l2, inverse):
+def _lgr_loss(z, y, counts, n, w, l2):
     # log(1 + e^z) - y*z for the points' scores z = points @ w + b,
-    # evaluated stably, and averaged over the rows
-    bce = float(np.mean(_per_row(np.logaddexp(0.0, z) - y * z, inverse)))
+    # evaluated stably, weighted by the points' rows and averaged over the n rows
+    bce = float(np.add.reduce(counts * (np.logaddexp(0.0, z) - y * z)) / n)
     return bce + 0.5 * l2 * float(w @ w)
 
 
-def _lgr_grad(Xs, z, y, w, l2, inverse):
-    residual = _per_row(_sigmoid(z) - y, inverse)
-    return Xs.T @ residual / len(Xs) + l2 * w, float(np.mean(residual))
+def _lgr_grad(points, z, y, counts, n, w, l2):
+    residual = counts * (_sigmoid(z) - y)
+    return points.T @ residual / n + l2 * w, float(np.add.reduce(residual) / n)
 
 
 def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
@@ -202,9 +201,10 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
     RuntimeWarning names the cap and that gradient.
 
     Scores, loss terms and residuals are computed once per point of
-    _labelled_points and taken to the rows; the means and Xs.T @ residual
-    run over the rows in row order, so the fit is the fit over the rows,
-    bit for bit.
+    _labelled_points and weighted by its rows. On rows of two or more
+    columns every point is a row at count 1, and the fit is the fit over the
+    rows bit for bit; over a column's distinct points the sums may differ
+    from the row sums in their last bits.
     """
     X = as_matrix(X)
     y = _check_binary_labels(y)
@@ -212,23 +212,24 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
         raise ContractViolation("X and y row counts differ")
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
-    points, labels, inverse = _labelled_points(Xs, y)
+    points, labels, counts = _labelled_points(Xs, y)
+    n = len(Xs)
     w = np.zeros(Xs.shape[1])
     b = 0.0
     step = cfg.learning_rate
     z = points @ w + b
-    loss = _lgr_loss(z, labels, w, L2, inverse)
+    loss = _lgr_loss(z, labels, counts, n, w, L2)
     if loss_history is not None:
         loss_history.append(loss)
     for _ in range(cfg.max_epochs):
-        gw, gb = _lgr_grad(Xs, z, labels, w, L2, inverse)
+        gw, gb = _lgr_grad(points, z, labels, counts, n, w, L2)
         if max(np.abs(gw).max(), abs(gb)) <= TOLERANCE:
             break
         while True:
             w_new = w - step * gw
             b_new = b - step * gb
             z_new = points @ w_new + b_new
-            loss_new = _lgr_loss(z_new, labels, w_new, L2, inverse)
+            loss_new = _lgr_loss(z_new, labels, counts, n, w_new, L2)
             if loss_new <= loss or step < 1e-18:
                 break
             step *= 0.5
@@ -239,7 +240,7 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
         if loss_history is not None:
             loss_history.append(loss)
     else:  # every epoch ran: say so unless the last step happened to converge
-        gw, gb = _lgr_grad(Xs, z, labels, w, L2, inverse)
+        gw, gb = _lgr_grad(points, z, labels, counts, n, w, L2)
         grad_norm = max(np.abs(gw).max(), abs(gb))
         if grad_norm > TOLERANCE:
             warnings.warn(f"lgr_fit hit its cap of {cfg.max_epochs} epochs with gradient "
@@ -269,18 +270,23 @@ def _mlp_forward(W1, b1, W2, b2, Xs):
     return Z1, H, z2[:, 0]
 
 
-def mlp_loss_grads(W1, b1, W2, b2, X, y, l2=0.0):
+def mlp_loss_grads(W1, b1, W2, b2, X, y, l2=0.0, counts=None):
     """Batch binary cross-entropy and its analytic parameter gradients.
 
     Operates on X as given (no scaling), so finite-difference checks can
-    drive it directly; it is the objective mlp_fit minimizes.
+    drive it directly; it is the objective mlp_fit minimizes. Row i stands
+    for counts[i] rows (default 1 each): its terms are weighted by it and the
+    sums divided by counts.sum(). At the default that is the mean over the
+    rows bit for bit, since `1.0 * term` is exact.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=np.float64)
+    n = counts.sum()
     Z1, H, z2 = _mlp_forward(W1, b1, W2, b2, X)
-    loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
+    loss = float(np.add.reduce(counts * (np.logaddexp(0.0, z2) - y * z2)) / n)
     loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
-    dz2 = (_sigmoid(z2) - y) / len(y)
+    dz2 = counts * (_sigmoid(z2) - y) / n
     dW2 = dz2[None, :] @ H + l2 * W2
     dZ1 = (dz2[:, None] @ W2) * (Z1 > 0.0)
     dW1 = dZ1.T @ X + l2 * W1
@@ -332,9 +338,11 @@ def _lbfgs(fun, x0, max_iter):
 def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
     """Train the d-6-1 network by one full-batch L-BFGS solve from seeded weights.
 
-    Minimizes mlp_loss_grads over every row with the L2 penalty, for at most
-    cfg.max_epochs iterations. If it returns with a gradient max-norm above
-    TOLERANCE, a RuntimeWarning names its iterations and that gradient.
+    Minimizes mlp_loss_grads with the L2 penalty over the points of
+    _labelled_points, each weighted by its rows, for at most cfg.max_epochs
+    iterations; on rows of two or more columns the points are the rows. If
+    it returns with a gradient max-norm above TOLERANCE, a RuntimeWarning
+    names its iterations and that gradient.
     """
     X = as_matrix(X)
     y = _check_binary_labels(y)
@@ -342,7 +350,7 @@ def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
         raise ContractViolation("X and y row counts differ")
     d = X.shape[1]
     scaler = Scaler.fit(X)
-    Xs = scaler.transform(X)
+    points, labels, counts = _labelled_points(scaler.transform(X), y)
     rng = np.random.default_rng(cfg.seed)
     W1 = rng.uniform(-0.5, 0.5, size=(HIDDEN_WIDTH, d)) / np.sqrt(d)
     W2 = rng.uniform(-0.5, 0.5, size=(1, HIDDEN_WIDTH)) / np.sqrt(HIDDEN_WIDTH)
@@ -353,7 +361,7 @@ def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
                 params[k + HIDDEN_WIDTH:-1].reshape(1, HIDDEN_WIDTH), float(params[-1]))
 
     def objective(params):
-        loss, (dW1, db1, dW2, db2) = mlp_loss_grads(*unpack(params), Xs, y, L2)
+        loss, (dW1, db1, dW2, db2) = mlp_loss_grads(*unpack(params), points, labels, L2, counts)
         return loss, np.concatenate([dW1.ravel(), db1, dW2.ravel(), [db2]])
 
     start = np.concatenate([W1.ravel(), np.zeros(HIDDEN_WIDTH), W2.ravel(), [0.0]])
@@ -502,7 +510,7 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
     for start in range(0, len(rows), block):
         assign[start:start + block] = _sq_distances(rows[start:start + block],
                                                     model.centroids).argmin(axis=1)
-    return _per_row(assign, inverse)
+    return assign if inverse is None else assign.take(inverse)
 
 
 def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()

@@ -72,10 +72,11 @@ _FAMILIES = {
 SPLIT_RATIO = 0.8
 SMOTE_K = 5
 
-# smote_balance holds at most this many bytes of block temporaries at a time:
-# the (row, minority row, feature) differences and their sums over the
-# features, then the sums and their argsort order. That bounds its memory
-# whatever the minority size.
+# smote_balance holds at most this many bytes of neighbour search at a time:
+# the candidate minority rows' indices (and a copy of those rows when they are
+# not all of them), and a block's (row, candidate, feature) differences and
+# their sums over the features, then the sums and their argsort order. That
+# bounds its memory whatever the minority size.
 _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
 
 
@@ -201,27 +202,42 @@ def _neighbours(Xm, rows, k_eff):
     ranks them: by squared distance summed over the features, ties to the
     lowest row index, the row itself at (inf, its index).
 
-    Rows of equal value are equally far from every row, so each distinct
-    sampled row, a bounded block at a time, keeps its first k_eff + 1 rows.
-    Each row then puts itself at (inf, its index), in place of its own entry
-    or else of the last, which then lies behind k_eff rows at distance 0.
+    Rows of equal value are equally far from every row, so a row behind
+    k_eff + 1 rows of its value with lower indices is never among the first
+    k_eff + 1. The candidates are each point's (classifiers._points) first
+    k_eff + 1 rows: for packet counts each distinct count's, and otherwise,
+    each point being one row, every row. Each distinct sampled point, a
+    bounded block of them at a time, keeps its first k_eff + 1 candidates by
+    (squared distance, index). Each row then puts itself at (inf, its
+    index), in place of its own entry or else of the last, which then lies
+    behind k_eff rows at distance 0.
     """
-    reps, back = np.unique(Xm[rows], axis=0, return_inverse=True)
     k1 = k_eff + 1
+    points, inverse, counts = classifiers._points(Xm)
+    counts = counts.astype(np.intp)
+    by_point = np.argsort(inverse, kind="stable")
+    # each row's place among the rows of its point, in row order
+    rank = np.arange(len(Xm)) - (np.cumsum(counts) - counts)[inverse[by_point]]
+    pool = np.sort(by_point[rank < k1])
+    Xp = Xm[pool] if len(pool) < len(Xm) else Xm
+    ids, back = np.unique(inverse[rows], return_inverse=True)
+    reps = points[ids]
+    del inverse, counts, by_point, rank  # row-sized; gone before the blocks
     near = np.empty((len(reps), k1), dtype=np.intp)
     near_d2 = np.empty((len(reps), k1))
-    # per (block row, minority row): d differences and their sum, then the sum
-    # and its argsort index, so at most d + 1 values at once
-    block = max(1, _SMOTE_BLOCK_BYTES // (len(Xm) * (Xm.shape[1] + 1) * 8))
+    # per (block row, candidate): d differences and their sum, then the sum
+    # and its argsort index, so at most d + 1 values at once; the candidates'
+    # indices and any copy of their rows come out of the same bytes
+    spare = _SMOTE_BLOCK_BYTES - pool.nbytes - (Xp.nbytes if Xp is not Xm else 0)
+    block = max(1, spare // (len(Xp) * (Xp.shape[1] + 1) * 8))
     for start in range(0, len(reps), block):
-        diff = reps[start:start + block, None, :] - Xm[None, :, :]
+        diff = reps[start:start + block, None, :] - Xp[None, :, :]
         d2 = np.square(diff, out=diff).sum(axis=2)
         del diff
         order = np.argsort(d2, axis=1, kind="stable")[:, :k1]
-        near[start:start + len(d2)] = order
+        near[start:start + len(d2)] = pool[order]
         near_d2[start:start + len(d2)] = np.take_along_axis(d2, order, 1)
         del d2, order  # before the next block's arrays are made
-    back = back.reshape(-1)  # numpy 2.0.0 returns it as a column
     cand, cand_d2 = near[back], near_d2[back]
     own = cand == rows[:, None]
     own[:, -1] |= ~own.any(axis=1)
@@ -238,9 +254,10 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
 
     Neighbours are found only for the distinct minority rows actually
     sampled, a bounded block of them at a time, so memory does not grow with
-    the square of the minority size. The output is identical to computing
-    the full minority distance matrix: distances are the same sums of
-    squares, and ties still go to the lowest row index.
+    the square of the minority size. For packet counts they are searched
+    among each distinct count's first k + 1 rows (_neighbours). The output
+    is identical to computing the full minority distance matrix: distances
+    are the same sums of squares, and ties still go to the lowest row index.
     """
     y = np.asarray(train.y)
     counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}

@@ -29,6 +29,14 @@ SMO_ITER_FACTOR = 100
 # 512 MiB at this bound, and an SVR fit holds about 3.1 times that (the
 # kernel, its curvature table and rbf_matrix's temporaries): about 1.7 GB.
 MAX_KERNEL_ROWS = 8192
+# The most entries (rows to predict x training rows) of the kernel a
+# prediction builds at a time. It is 1 GiB at this bound, and rbf_matrix holds
+# an equal temporary: about 2.1 GB, near an SVR fit at MAX_KERNEL_ROWS. Up to
+# the bound the product is one call; past it, a loop over row blocks.
+# OpenBLAS rounds a row's kernel entries and its product with the weights
+# by where the row sits in the matrix, so blocked predictions may differ
+# from one call's in their last bits.
+MAX_PREDICT_ENTRIES = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -171,19 +179,26 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
     return KrrModel(alphas=alphas, train_inputs=X.copy(), lam=lam, gamma=gamma)
 
 
-def _kernel_inputs(model, X, caller: str) -> np.ndarray:
-    """X as the kernel sees it: standardized by the model's scaler, if it has one."""
+def _kernel_product(model, X, weights, caller: str) -> np.ndarray:
+    """The model's kernel between X, standardized by the model's scaler if it
+    has one, and its training rows, times `weights`: one product per block
+    of rows that holds at most MAX_PREDICT_ENTRIES entries (at least one
+    row), so a single block when the whole kernel fits the bound."""
     X = as_matrix(X)
     if model.scaler is not None:
         X = model.scaler.transform(X)
     if X.shape[1] != model.train_inputs.shape[1]:
         raise ContractViolation(f"{caller} arity mismatch")
-    return X
+    block = max(1, MAX_PREDICT_ENTRIES // max(1, len(model.train_inputs)))
+    out = np.empty(len(X))
+    for start in range(0, len(X), block):
+        out[start:start + block] = (
+            rbf_matrix(X[start:start + block], model.train_inputs, model.gamma) @ weights)
+    return out
 
 
 def krr_predict(model: KrrModel, X) -> np.ndarray:
-    X = _kernel_inputs(model, X, "krr_predict")
-    return rbf_matrix(X, model.train_inputs, model.gamma) @ model.alphas
+    return _kernel_product(model, X, model.alphas, "krr_predict")
 
 
 # --------------------------------------------------------------------------
@@ -311,8 +326,7 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None) -> Sv
 
 
 def svr_predict(model: SvrModel, X) -> np.ndarray:
-    X = _kernel_inputs(model, X, "svr_predict")
-    return rbf_matrix(X, model.train_inputs, model.gamma) @ model.dual_deltas + model.bias
+    return _kernel_product(model, X, model.dual_deltas, "svr_predict") + model.bias
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,13 @@ path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the RBF kernel
 built in one expression, the SVR step loop that rebuilds its arrays and the
 KKT values it reads from them, the grid search that builds a kernel for each
-cell's fold fit and predicts through the models, the LGR fit that computes each accepted
-step's scores twice, the K-Means fit that sweeps every row from centroids
-drawn a row at a time, the attack injectors that place and draw one burst
-at a time, and the series and frames writers that format one row at a
-time), which the optimized ones must match bit for bit.
+cell's fold fit and predicts through the models, the LGR fit and the MLP
+objective that average over every row, the K-Means fit that sweeps every row
+from centroids drawn a row at a time, the attack injectors that place and
+draw one burst at a time, and the series and frames writers that format one
+row at a time), which the optimized ones must match bit for bit. The one
+exception is LGR and the MLP on a single column, which sum over its distinct
+points and match the row means to within rounding.
 """
 
 import warnings
@@ -39,7 +41,24 @@ def frame_sigma(values) -> float:
     return float(np.sqrt(np.mean((v - v.mean()) ** 2)))
 
 
-def mlp_central_differences(W1, b1, W2, b2, X, y, l2, step: float = 1e-4):
+def mlp_loss_grads_reference(W1, b1, W2, b2, X, y, l2=0.0):
+    """mlp_loss_grads as it was before it took row counts: the mean over X's rows."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    Z1 = X @ W1.T + b1
+    H = np.maximum(Z1, 0.0)
+    z2 = (H @ W2.T + b2)[:, 0]
+    loss = float(np.mean(np.logaddexp(0.0, z2) - y * z2))
+    loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
+    with np.errstate(over="ignore"):  # the library's sigmoid expression, restated
+        dz2 = (1.0 / (1.0 + np.exp(-z2)) - y) / len(y)
+    dW2 = dz2[None, :] @ H + l2 * W2
+    dZ1 = (dz2[:, None] @ W2) * (Z1 > 0.0)
+    dW1 = dZ1.T @ X + l2 * W1
+    return loss, (dW1, dZ1.sum(axis=0), dW2, float(dz2.sum()))
+
+
+def mlp_central_differences(W1, b1, W2, b2, X, y, l2, step: float = 1e-4, counts=None):
     """Central-difference estimates of mlp_loss_grads' gradients, one parameter at a time."""
     params = [np.array(W1, dtype=np.float64), np.array(b1, dtype=np.float64),
               np.array(W2, dtype=np.float64), np.array([b2], dtype=np.float64)]
@@ -49,17 +68,18 @@ def mlp_central_differences(W1, b1, W2, b2, X, y, l2, step: float = 1e-4):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            lp, _ = mlp_loss_grads(*params[:3], params[3][0], X, y, l2)
+            lp, _ = mlp_loss_grads(*params[:3], params[3][0], X, y, l2, counts)
             flat[i] = orig - step
-            lm, _ = mlp_loss_grads(*params[:3], params[3][0], X, y, l2)
+            lm, _ = mlp_loss_grads(*params[:3], params[3][0], X, y, l2, counts)
             flat[i] = orig
             grad[i] = (lp - lm) / (2.0 * step)
         numeric.append(grad.reshape(arr.shape))
     return numeric[0], numeric[1], numeric[2], float(numeric[3][0])
 
 
-def mlp_gradcheck_worst(seed: int, step: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+def mlp_gradcheck_worst(seed: int, step: float = 1e-4, counts=None) -> float:
+    """Max relative error between analytic and central-difference gradients,
+    over five rows weighted by counts (default 1 each)."""
     rng = np.random.default_rng(seed)
     d = 5
     X = rng.normal(size=(5, d))
@@ -69,8 +89,8 @@ def mlp_gradcheck_worst(seed: int, step: float = 1e-4) -> float:
     W2 = rng.normal(scale=0.5, size=(1, 6))
     b2 = float(rng.normal(scale=0.1))
     l2 = 1e-3
-    _, analytic = mlp_loss_grads(W1, b1, W2, b2, X, y, l2)
-    numeric = mlp_central_differences(W1, b1, W2, b2, X, y, l2, step)
+    _, analytic = mlp_loss_grads(W1, b1, W2, b2, X, y, l2, counts)
+    numeric = mlp_central_differences(W1, b1, W2, b2, X, y, l2, step, counts)
     worst = 0.0
     for grad, estimate in zip(analytic, numeric):
         grad, estimate = np.ravel(grad), np.ravel(estimate)
@@ -365,7 +385,11 @@ def _lgr_grad(Xs, y, w, b, l2):
 
 def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
                       loss_history: Optional[list] = None) -> LgrModel:
-    """lgr_fit as it was before it reused the accepted step's z = Xs @ w + b.
+    """The row-mean ground truth for lgr_fit: lgr_fit as it was before it
+    reused the accepted step's z = Xs @ w + b and before it fitted one column
+    over its distinct points. Its loss and gradient are means over every
+    row. lgr_fit matches it bit for bit on rows of two or more columns, and
+    to about 1e-12 on one column, whose sums it regroups by point.
 
     Fit L2-regularized logistic regression by monotone gradient descent.
 

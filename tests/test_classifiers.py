@@ -1,14 +1,17 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (_distinct_row_init, exhaustive_wcss_1d, kmeans_fit_reference,
-                     lgr_fit_reference, mlp_central_differences, mlp_gradcheck_worst)
+                     lgr_fit_reference, mlp_central_differences, mlp_gradcheck_worst,
+                     mlp_loss_grads_reference)
 from synwatch import classifiers
 from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, MlpModel, TrainConfig,
                                   elbow_curve, kmeans_assign, kmeans_fit,
@@ -173,6 +176,17 @@ def _fit_recording(fit, X, y, cfg):
     return model, np.array(history), [str(w.message) for w in caught]
 
 
+def _assert_close_to_reference(got, history, warned, want, want_history, want_warned):
+    """lgr_fit over one column sums its terms over distinct points, which
+    regroups the reference's row sums: the weights, bias and losses agree to
+    1e-12, and the epochs and whether it warned agree exactly."""
+    assert len(history) == len(want_history)
+    assert bool(warned) == bool(want_warned)
+    for g, w in ((got.weights, want.weights), (got.bias, want.bias),
+                 (history, want_history)):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("case", ["monotone", "halving", "capped", "converged",
                                   "tied_counts"])
 def test_lgr_fit_matches_reference_bit_for_bit(case, monkeypatch):
@@ -183,10 +197,13 @@ def test_lgr_fit_matches_reference_bit_for_bit(case, monkeypatch):
     monkeypatch.setattr(classifiers, "_lgr_loss",
                         lambda *args: evaluations.append(1) or loss(*args))
     got, history, warned = _fit_recording(lgr_fit, X, y, cfg)
-    assert got.weights.tobytes() == want.weights.tobytes()
-    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
-    assert history.tobytes() == want_history.tobytes()
-    assert warned == want_warned
+    if X.shape[1] == 1:
+        _assert_close_to_reference(got, history, warned, want, want_history, want_warned)
+    else:
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+        assert history.tobytes() == want_history.tobytes()
+        assert warned == want_warned
     # each case reaches the regime it is named for
     capped = len(history) == cfg.max_epochs + 1
     assert capped == (case in ("monotone", "capped")) == bool(warned)
@@ -216,26 +233,65 @@ def test_lgr_fit_on_one_column_matches_reference_bit_for_bit(data, lr, max_epoch
     cfg = TrainConfig(learning_rate=lr, max_epochs=max_epochs)
     want, want_history, want_warned = _fit_recording(lgr_fit_reference, X, y, cfg)
     got, history, warned = _fit_recording(lgr_fit, X, y, cfg)
-    assert got.weights.tobytes() == want.weights.tobytes()
-    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
-    assert history.tobytes() == want_history.tobytes()
-    assert warned == want_warned
+    _assert_close_to_reference(got, history, warned, want, want_history, want_warned)
 
 
 def test_lgr_points_of_one_column_are_its_distinct_bits_and_labels():
     Xs = np.array([[1.5], [-0.0], [1.5], [0.0], [1.5], [-0.0], [0.0]])
     y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0])
-    points, labels, inverse = classifiers._labelled_points(Xs, y)
-    assert len(points) == 4  # (1.5, 0), (1.5, 1), (-0.0, 1), (0.0, 1)
-    assert points[inverse].tobytes() == Xs.tobytes()
-    assert labels[inverse].tobytes() == y.tobytes()
+    points, labels, counts = classifiers._labelled_points(Xs, y)
+    # (1.5, 0) twice, (1.5, 1) once, (-0.0, 1) twice and (0.0, 1) twice
+    want = Counter((x.tobytes(), label) for x, label in zip(Xs, y))
+    assert {(p.tobytes(), label): n for p, label, n in zip(points, labels, counts)} == want
+    assert counts.dtype == np.float64
 
 
 def test_lgr_points_of_two_or_more_columns_are_the_rows():
     Xs = np.ones((5, 2))
     y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-    points, labels, inverse = classifiers._labelled_points(Xs, y)
-    assert points is Xs and labels is y and inverse is None
+    points, labels, counts = classifiers._labelled_points(Xs, y)
+    assert points is Xs and labels is y and counts.tolist() == [1.0] * 5
+
+
+def _counted_rows(d, seed):
+    """200 standardized rows of d Poisson(6) counts, their labels, and their
+    labelled points: distinct (value, label) pairs for d = 1, else the rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.poisson(6, size=(200, d)).astype(np.float64)
+    Xs = Scaler.fit(X).transform(X)
+    y = (X[:, 0] + rng.normal(scale=2.0, size=200) > 7).astype(np.float64)
+    return Xs, y, classifiers._labelled_points(Xs, y)
+
+
+def _assert_row_mean(got, want, scale, one_column):
+    """got is want bit for bit on count-1 rows. Over a column's distinct
+    points it is within 32 ulps of `scale`, the mean absolute row term: a
+    little above the rounding bound of a pairwise sum of 200 terms."""
+    for g, w, sc in zip(got, want, scale):
+        g, w = np.asarray(g), np.asarray(w)
+        if one_column:
+            assert np.all(np.abs(g - w) <= 32 * np.spacing(np.asarray(sc)))
+        else:
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lgr_objective_over_counted_points_is_the_row_mean(d, seed):
+    Xs, y, (points, labels, counts) = _counted_rows(d, seed)
+    assert (len(points) < len(Xs)) == (d == 1)
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(size=d), float(rng.normal())
+    z = points @ w + b
+    loss = classifiers._lgr_loss(z, labels, counts, len(Xs), w, L2)
+    gw, gb = classifiers._lgr_grad(points, z, labels, counts, len(Xs), w, L2)
+    zr = Xs @ w + b
+    residual = classifiers._sigmoid(zr) - y
+    scale = (np.mean(np.logaddexp(0.0, zr) - y * zr),
+             np.mean(np.abs(Xs * residual[:, None]), axis=0), np.mean(np.abs(residual)))
+    _assert_row_mean((loss, gw, gb),
+                     (oracles._lgr_loss(Xs, y, w, b, L2), *oracles._lgr_grad(Xs, y, w, b, L2)),
+                     scale, d == 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -406,6 +462,59 @@ def test_mlp_fit_evaluates_its_objective_through_the_module_global(monkeypatch):
     iterations = solves[0][1]
     assert iterations > 0 and len(calls) >= iterations + 1
     assert set(calls) == {(100, 100)}
+
+
+def _mlp_weights(d, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(scale=0.5, size=(6, d)), rng.normal(scale=0.1, size=6),
+            rng.normal(scale=0.5, size=(1, 6)), float(rng.normal(scale=0.1)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mlp_objective_over_counted_points_is_the_row_mean(d, seed):
+    Xs, y, (points, labels, counts) = _counted_rows(d, seed)
+    weights = _mlp_weights(d, seed)
+    loss, grads = mlp_loss_grads(*weights, points, labels, L2, counts)
+    want_loss, want_grads = mlp_loss_grads_reference(*weights, Xs, y, L2)
+    # each gradient's scale: the same gradient over the rows' absolute terms
+    Z1 = Xs @ weights[0].T + weights[1]
+    H = np.maximum(Z1, 0.0)
+    z2 = (H @ weights[2].T)[:, 0] + weights[3]
+    dz2 = np.abs(classifiers._sigmoid(z2) - y) / len(y)
+    dZ1 = (dz2[:, None] @ np.abs(weights[2])) * (Z1 > 0.0)
+    scale = (np.mean(np.logaddexp(0.0, z2) + y * np.abs(z2)), dZ1.T @ np.abs(Xs),
+             dZ1.sum(axis=0), dz2[None, :] @ H, dz2.sum())
+    _assert_row_mean((loss, *grads), (want_loss, *want_grads), scale, d == 1)
+    # without counts every row counts once: the mean over the rows, bit for bit
+    loss, grads = mlp_loss_grads(*weights, Xs, y, L2)
+    _assert_row_mean((loss, *grads), (want_loss, *want_grads), scale, False)
+
+
+def test_mlp_gradients_with_counts_match_finite_differences():
+    assert mlp_gradcheck_worst(seed=0, counts=np.array([3.0, 1.0, 5.0, 2.0, 7.0])) <= 1e-4
+
+
+def test_mlp_fit_over_one_column_evaluates_its_objective_over_the_points(monkeypatch):
+    """The one-column form of the module-global test: every objective
+    evaluation goes through classifiers.mlp_loss_grads, over the column's
+    distinct (value, label) points and their counts."""
+    calls, solves = [], []
+    objective, solve = classifiers.mlp_loss_grads, classifiers._lbfgs
+    monkeypatch.setattr(classifiers, "mlp_loss_grads",
+                        lambda *args: calls.append(args) or objective(*args))
+    monkeypatch.setattr(classifiers, "_lbfgs",
+                        lambda *args: solves.append(solve(*args)) or solves[-1])
+    X, y = _two_class_rows(100, 1, 2)
+    points, labels, counts = classifiers._labelled_points(Scaler.fit(X).transform(X),
+                                                          y.astype(np.float64))
+    mlp_fit(X, y)
+    iterations = solves[0][1]
+    assert iterations > 0 and len(calls) >= iterations + 1
+    assert len(points) < len(X) and counts.sum() == len(X)
+    for args in calls:
+        assert args[4].tobytes() == points.tobytes() and args[5].tobytes() == labels.tobytes()
+        assert args[7].tobytes() == counts.tobytes()
 
 
 # --------------------------------------------------------------------------

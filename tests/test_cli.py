@@ -154,6 +154,33 @@ def test_kernel_fits_past_the_row_bound_exit_two_before_allocating(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["krr", "svr"])
+def test_scoring_a_kernel_model_past_the_entry_bound_works_in_row_blocks(
+        tmp_path, monkeypatch, kind):
+    """evaluate --model-file scores every row: 240 rows against the model's
+    240 training rows, with room for 100 rows' kernel entries, are scored in
+    blocks of 100, 100 and 40 rows into the same report as one kernel."""
+    series = _gen(tmp_path)
+    model_path = tmp_path / "model.txt"
+    assert main(["train", "--model", kind, "--series", str(series),
+                 "--out", str(model_path)]) == 0
+    reports, kernel = [], regressors.rbf_matrix
+    for bound in (240 * 240, 240 * 100):
+        built = []
+        def counting(A, B, gamma):
+            built.append(len(A))
+            return kernel(A, B, gamma)
+        monkeypatch.setattr(regressors, "MAX_PREDICT_ENTRIES", bound)
+        monkeypatch.setattr(regressors, "rbf_matrix", counting)
+        out = tmp_path / f"r{bound}.txt"
+        assert main(["evaluate", "--model", kind, "--series", str(series),
+                     "--model-file", str(model_path), "--report", str(out)]) == 0
+        assert built == ([240] if bound == 240 * 240 else [100, 100, 40])
+        reports.append([line for line in out.read_text().splitlines()
+                        if "seconds" not in line])
+    assert reports[0] == reports[1]
+
+
 # --------------------------------------------------------------------------
 # generate / ingest / inject / frame / elbow
 

@@ -309,6 +309,32 @@ def test_kernel_fits_take_at_most_max_kernel_rows(case, monkeypatch):
         call()
 
 
+@pytest.mark.parametrize("fit, predict", [
+    (lambda: krr_fit(_ROW_BOUND_X, _ROW_BOUND_Y, lam=0.1, gamma=1.0), krr_predict),
+    (lambda: svr_fit(_ROW_BOUND_X, _ROW_BOUND_Y, C=1.0, epsilon=0.1, gamma=1.0), svr_predict),
+], ids=["krr_predict", "svr_predict"])
+@pytest.mark.parametrize("bound, blocks", [(35, [7]), (34, [6, 1]), (10, [2, 2, 2, 1]),
+                                           (4, [1] * 7)])
+def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, bound, blocks,
+                                                              monkeypatch):
+    """7 rows against 5 training rows: one 35-entry kernel at the bound, bit
+    for bit today's product; below it, blocks of at most `bound` entries (at
+    least one row) whose predictions match the one-call product to rounding."""
+    model, X = fit(), np.linspace(-1.0, 5.0, 7).reshape(-1, 1)
+    want = predict(model, X)
+    built, kernel = [], regressors.rbf_matrix
+    def counting(A, B, gamma):
+        built.append(len(A))
+        return kernel(A, B, gamma)
+    monkeypatch.setattr(regressors, "MAX_PREDICT_ENTRIES", bound)
+    monkeypatch.setattr(regressors, "rbf_matrix", counting)
+    got = predict(model, X)
+    assert built == blocks
+    if blocks == [7]:
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_a_shared_kernel_is_not_held_to_the_row_bound(monkeypatch):
     """grid_search checks its folds once; the fits it runs on their kernels do not."""
     K = rbf_matrix(TOY_X, TOY_X, TOY_GAMMA)
