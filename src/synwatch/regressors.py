@@ -8,7 +8,9 @@ once per kernel.
 Grid search scores hyperparameter cells by k-fold validation RMSE. It builds
 the training and validation kernels once per (gamma, fold) and fits every
 cell with that gamma on them, through the private `_kernel` argument of
-`krr_fit` and `svr_fit`.
+`krr_fit` and `svr_fit`. Its SVR fits of one (gamma, fold, epsilon) run in
+ascending C, each starting from the previous one's solution through the
+private `_start` argument of `svr_fit`.
 """
 
 from __future__ import annotations
@@ -222,7 +224,19 @@ def _svr_kernel(X, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return Kt, curv
 
 
-def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None) -> SvrModel:
+def _seed_deltas(start, n: int, C: float) -> np.ndarray:
+    """A start passed in through `_start`, refused unless it is n deltas in [-C, C]."""
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (n,):
+        raise ContractViolation(f"svr_fit needs a _start of {n} deltas, got shape {start.shape}")
+    if not (np.abs(start) <= C).all():  # a NaN fails too
+        raise ContractViolation(f"svr_fit needs a _start with every delta in [-C, C] = "
+                                f"[{-C:g}, {C:g}]")
+    return start
+
+
+def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
+            _start=None) -> SvrModel:
     """Solve the epsilon-insensitive dual by second-order working-set selection.
 
     The dual is kept in split (alpha, alpha*) form, 2n box variables tied
@@ -243,6 +257,14 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None) -> Sv
     two variables it moved. `_kernel`, private to grid search, is
     `_svr_kernel(X, gamma)` built by the caller. Without it, more than
     MAX_KERNEL_ROWS rows raise ConfigError before the kernel is built.
+
+    `_start`, private to grid search, is the `dual_deltas` of a fit on the
+    same rows at a C no larger than this one (alpha seeding: DeCoste &
+    Wagstaff, KDD 2000). The steps start from alpha = max(delta, 0) and
+    alpha* = max(-delta, 0), which stay inside the box and keep
+    sum(alpha - alpha*), with u = K @ beta computed once. A start of zeros
+    is the cold start bit for bit. A start of another length, or with a
+    delta outside [-C, C], raises ContractViolation before any step.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -252,62 +274,77 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None) -> Sv
     _check_param("C", C, positive=True)
     _check_param("epsilon", epsilon, positive=False)
     _check_param("gamma", gamma, positive=True)
+    start = None if _start is None else _seed_deltas(_start, n, C)
     if _kernel is None:
         _check_kernel_rows(n, "svr_fit")
         Kt, curv = _svr_kernel(X, gamma)
     else:
         Kt, curv = (_shared_kernel(k, n, "svr_fit") for k in _kernel)
     theta = np.zeros(2 * n)  # [alpha | alpha*]
-    beta = np.zeros(n)
-    u = np.zeros(n)  # K @ beta
+    if start is not None:
+        np.copyto(theta[:n], start, where=start > 0.0)
+        np.negative(start, out=theta[n:], where=start < 0.0)
+    beta = theta[:n] - theta[n:]
+    u = Kt @ beta  # K @ beta, as K is symmetric: +0.0 throughout for a cold start
     g = np.empty(n)  # y - u
     kd = np.empty(n)  # t * (column ii - column jj)
     off = np.empty((2, 2, n))  # [up | low] offsets, each [alpha | alpha*]
     up_off, low_off = off[0].reshape(2 * n), off[1].reshape(2 * n)  # views
     eps = float(epsilon)  # so g + (-eps) is g - epsilon bit for bit, -0.0 included
-    up_off[:n], up_off[n:] = -eps, -np.inf  # theta = 0: alpha may rise, alpha* not fall
-    low_off[:n], low_off[n:] = np.inf, eps
+    # the step loop's rules for every variable: at theta = 0 alpha may only rise
+    # (-eps up, +inf low) and alpha* only rise (-inf up, +eps low)
+    up_off[:n] = np.where(theta[:n] < C, -eps, -np.inf)
+    low_off[:n] = np.where(theta[:n] > 0.0, -eps, np.inf)
+    up_off[n:] = np.where(theta[n:] > 0.0, eps, -np.inf)
+    low_off[n:] = np.where(theta[n:] < C, eps, np.inf)
     vals = np.empty((2, 2, n))
     up_vals, low_vals = vals[0].reshape(2 * n), vals[1].reshape(2 * n)  # views
-    gain = np.empty((2, n))  # over the low candidates, [alpha | alpha*]
+    gain = np.empty(2 * n)  # over the low candidates, [alpha | alpha*]
+    gain_a, gain_s = gain[:n], gain[n:]  # views, each divided by a curvature row
     max_iter = SMO_ITER_FACTOR * n
+    # the steps read and write theta, beta and the kernel diagonal as Python
+    # floats: a step touches four entries, and float arithmetic is float64
+    # arithmetic bit for bit without numpy's cost per scalar
+    th, be, diag = theta.tolist(), beta.tolist(), Kt.diagonal().tolist()
     for _ in range(max_iter):
         np.subtract(y, u, out=g)
         np.add(g, off, out=vals)
         i = int(up_vals.argmax())
-        m = up_vals[i]
-        np.subtract(m, vals[1], out=gain)
-        if gain.max() <= SMO_TOL:  # m - min(low_vals), bit for bit
+        m = up_vals.item(i)
+        np.subtract(m, low_vals, out=gain)
+        if gain[gain.argmax()] <= SMO_TOL:  # m - min(low_vals), bit for bit
             break
         # second-order choice of j: the largest gap^2 / curvature among positive gaps
         ii = i % n
         np.maximum(gain, 0.0, out=gain)
-        gain *= gain
-        gain /= curv[ii]
+        np.multiply(gain, gain, out=gain)
+        np.divide(gain_a, curv[ii], out=gain_a)
+        np.divide(gain_s, curv[ii], out=gain_s)
         j = int(gain.argmax())
-        gap = m - low_vals[j]
+        gap = m - low_vals.item(j)
         jj = j % n
-        q = Kt[ii, ii] + Kt[jj, jj] - 2.0 * Kt[jj, ii]  # K[ii, ii] + K[jj, jj] - 2 K[ii, jj]
+        q = diag[ii] + diag[jj] - 2.0 * Kt.item(jj, ii)  # K[ii, ii] + K[jj, jj] - 2 K[ii, jj]
         t = gap / max(q, 1e-12)
-        t = min(t, C - theta[i] if i < n else theta[i])
-        t = min(t, theta[j] if j < n else C - theta[j])
+        t = min(t, C - th[i] if i < n else th[i])
+        t = min(t, th[j] if j < n else C - th[j])
         if t <= 0.0:
             break
-        theta[i] += t if i < n else -t
-        theta[j] += -t if j < n else t
+        th[i] += t if i < n else -t
+        th[j] += -t if j < n else t
         for k in (i, j):
-            tk = theta[k]
+            tk = th[k]
             if k < n:  # alpha rises while below C and falls while above 0
                 up_off[k] = -eps if tk < C else -np.inf
                 low_off[k] = -eps if tk > 0.0 else np.inf
             else:  # alpha* the other way round
                 up_off[k] = eps if tk > 0.0 else -np.inf
                 low_off[k] = eps if tk < C else np.inf
-        beta[ii] += t
-        beta[jj] -= t
+        be[ii] += t
+        be[jj] -= t
         np.subtract(Kt[ii], Kt[jj], out=kd)
         kd *= t
         u += kd
+    theta, beta = np.array(th), np.array(be)
     # the KKT values at the final theta: the violation, and the bias averaged
     # over the free variables (the midpoint of the extremes if none is free)
     np.subtract(y, u, out=g)
@@ -342,17 +379,23 @@ def _grid_cells(kind: str, grid: GridSpec):
     raise ConfigError(f"unknown grid-search kind {kind!r}")
 
 
-def _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va):
+def _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va, starts: dict):
     """Validation predictions, and whether the fit converged (a KRR fit always does).
 
     K_tr is the fold's training kernel in the form the fit takes, K_va the
     validation rows' kernel against the training rows; K_va @ alphas is
     krr_predict's product and K_va @ dual_deltas + bias svr_predict's.
+    An SVR fit starts from `starts[epsilon]`, the deltas of the last fit
+    with its epsilon on these kernels (a cold start when there is none),
+    and leaves its own there for the next C.
     """
     if kind == "krr":
         model = krr_fit(X_tr, y_tr, params["lam"], params["gamma"], _kernel=K_tr)
         return K_va @ model.alphas, True
-    model = svr_fit(X_tr, y_tr, params["C"], params["epsilon"], params["gamma"], _kernel=K_tr)
+    eps = params["epsilon"]
+    model = svr_fit(X_tr, y_tr, params["C"], eps, params["gamma"], _kernel=K_tr,
+                    _start=starts.get(eps))
+    starts[eps] = model.dual_deltas
     return K_va @ model.dual_deltas + model.bias, model.converged
 
 
@@ -376,6 +419,13 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
     drops them before the next is built. The table lists the cells in
     iteration order all the same. A largest training fold of more than
     MAX_KERNEL_ROWS rows raises ConfigError before any kernel is built.
+
+    SVR cells come in ascending C (GridSpec refuses any other order), and
+    each (gamma, fold, epsilon) chains its fits along them: the fit at each
+    C after the first starts from the previous C's dual_deltas through
+    svr_fit's `_start`. A seeded fit stops at the same KKT tolerance as a
+    cold one but at another point inside it, so the table's floats are not
+    those of cold fits bit for bit. The refit of the chosen cell is cold.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -394,9 +444,10 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
             X_tr, y_tr = X[tr_idx], y[tr_idx]
             K_tr = _svr_kernel(X_tr, gamma) if kind == "svr" else rbf_matrix(X_tr, X_tr, gamma)
             K_va = rbf_matrix(X[va_idx], X_tr, gamma)
+            starts = {}
             for c, params in enumerate(cells):
                 if params["gamma"] == gamma:
-                    pred, converged = _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va)
+                    pred, converged = _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va, starts)
                     scores[c, f] = float(np.sqrt(np.mean((y[va_idx] - pred) ** 2))), converged
             del K_tr, K_va  # so that only one (gamma, fold) kernel set is alive at a time
     table, capped = [], []

@@ -6,7 +6,8 @@ path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the RBF kernel
 built in one expression, the SVR step loop that rebuilds its arrays and the
 KKT values it reads from them, the grid search that builds a kernel for each
-cell's fold fit and predicts through the models, the LGR fit and the MLP
+cell's fold fit, seeds it from the fit at the C before it and predicts
+through the models, the LGR fit and the MLP
 objective that average over every row, the K-Means fit that sweeps every row
 from centroids drawn a row at a time, the attack injectors that place and
 draw one burst at a time, and the series and frames writers that format one
@@ -227,7 +228,7 @@ def smote_balance_dense(train: DataSet, k: int, seed: int) -> DataSet:
 
 
 def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float,
-                      second_order: bool = False) -> SvrModel:
+                      second_order: bool = False, start=None) -> SvrModel:
     """The first-order SVR solver: svr_fit before it chose j by second-order gain.
 
     It solves the epsilon-insensitive dual by maximal-violating-pair updates
@@ -236,7 +237,9 @@ def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float,
     step, the two agree bit for bit; on larger problems this one may stop at
     the cap where svr_fit converges. With second_order=True it picks j as
     svr_fit documents it, from arrays built afresh, and so states svr_fit's
-    iterates bit for bit.
+    iterates bit for bit. `start`, svr_fit's `_start`, is a vector of deltas
+    the steps start from: alpha and alpha* are its positive and negative
+    parts, and u is K @ (alpha - alpha*).
 
     The dual is kept in split (alpha, alpha*) form, 2n box variables tied
     by one equality constraint. Each step picks the most violating pair,
@@ -255,8 +258,12 @@ def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float,
         raise ConfigError("require C > 0, epsilon >= 0, gamma > 0")
     K = rbf_matrix_reference(X, X, gamma)
     theta = np.zeros(2 * n)  # [alpha | alpha*]
-    beta = np.zeros(n)
-    u = np.zeros(n)  # K @ beta
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        theta = np.concatenate((np.where(start > 0.0, start, 0.0),
+                                np.where(start < 0.0, -start, 0.0)))
+    beta = theta[:n] - theta[n:]
+    u = K @ beta
     max_iter = SMO_ITER_FACTOR * n
     violation = np.inf
     for _ in range(max_iter):
@@ -322,13 +329,14 @@ def _svr_bias(theta, y, u, epsilon, C, n):
     return float((hi + lo) / 2.0)
 
 
-def _grid_fit_predict(kind, params, X_tr, y_tr, X_va):
-    """Predictions for X_va, and whether the fit converged (a KRR fit always does)."""
+def _grid_fit_predict(kind, params, X_tr, y_tr, X_va, start):
+    """Predictions for X_va, whether the fit converged (a KRR fit always does)
+    and the SVR fit's deltas (None for KRR)."""
     if kind == "krr":
         model = krr_fit(X_tr, y_tr, params["lam"], params["gamma"])
-        return krr_predict(model, X_va), True
-    model = svr_fit(X_tr, y_tr, params["C"], params["epsilon"], params["gamma"])
-    return svr_predict(model, X_va), model.converged
+        return krr_predict(model, X_va), True, None
+    model = svr_fit(X_tr, y_tr, params["C"], params["epsilon"], params["gamma"], _start=start)
+    return svr_predict(model, X_va), model.converged, model.dual_deltas
 
 
 def grid_search_reference(X, y, kind: str, grid: GridSpec, seed: int = 42
@@ -337,7 +345,10 @@ def grid_search_reference(X, y, kind: str, grid: GridSpec, seed: int = 42
 
     Each fit calls krr_fit or svr_fit without a shared kernel, and each
     prediction goes through krr_predict or svr_predict, so grid_search must
-    give the same best cell, table floats and warning bit for bit.
+    give the same best cell, table floats and warning bit for bit. An SVR
+    fit starts, through `_start`, from the deltas of the fit of the same
+    (gamma, fold, epsilon) at the C before it, which the cell order puts
+    earlier; the first C of each starts cold.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -349,11 +360,14 @@ def grid_search_reference(X, y, kind: str, grid: GridSpec, seed: int = 42
     chunks = np.array_split(perm, grid.folds)
     table, capped = [], []
     best_params, best_rmse = None, np.inf
+    starts = {}  # (gamma, fold, epsilon) -> the last SVR fit's deltas
     for params in _grid_cells(kind, grid):
         fold_rmses = []
         for f, va_idx in enumerate(chunks):
             tr_idx = np.concatenate([c for g, c in enumerate(chunks) if g != f])
-            pred, converged = _grid_fit_predict(kind, params, X[tr_idx], y[tr_idx], X[va_idx])
+            key = (params["gamma"], f, params.get("epsilon"))
+            pred, converged, starts[key] = _grid_fit_predict(
+                kind, params, X[tr_idx], y[tr_idx], X[va_idx], starts.get(key))
             if not converged:
                 capped.append(params)
             err = float(np.sqrt(np.mean((y[va_idx] - pred) ** 2)))

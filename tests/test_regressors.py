@@ -395,12 +395,43 @@ def test_svr_fit_matches_reference_bit_for_bit(case):
         assert got.converged
 
 
+def _svr_start(case, X, y, C, eps, gamma):
+    """The start of a seeded parity case: zeros, or the deltas of the fit at C / 10."""
+    if case == "seeded_zero":
+        return np.zeros(len(y))
+    if case == "seeded_lower_C":
+        return svr_fit(X, y, C / 10.0, eps, gamma).dual_deltas
+    return None
+
+
 @pytest.mark.parametrize("case", ["toy", "reference_capped", "at_box_bound", "zero_epsilon",
-                                  "constant_in_tube"])
+                                  "constant_in_tube", "seeded_zero", "seeded_lower_C"])
 def test_svr_fit_matches_second_order_reference_bit_for_bit(case):
-    X, y, C, eps, gamma = _svr_parity_case(case)
-    _assert_same_svr_bits(svr_fit(X, y, C, eps, gamma),
-                          svr_fit_reference(X, y, C, eps, gamma, second_order=True))
+    """The seeded cases start the 320-row capped case from their `_start`."""
+    X, y, C, eps, gamma = _svr_parity_case(
+        "reference_capped" if case.startswith("seeded") else case)
+    start = _svr_start(case, X, y, C, eps, gamma)
+    got = svr_fit(X, y, C, eps, gamma, _start=start)
+    _assert_same_svr_bits(got, svr_fit_reference(X, y, C, eps, gamma, second_order=True,
+                                                 start=start))
+    if case == "seeded_zero":  # a start of zeros is the cold start
+        _assert_same_svr_bits(got, svr_fit(X, y, C, eps, gamma))
+    elif case == "seeded_lower_C":  # a start that moves the steps, not a zero one
+        assert np.abs(start).max() > 0.0
+        assert got.dual_deltas.tobytes() != svr_fit(X, y, C, eps, gamma).dual_deltas.tobytes()
+
+
+@pytest.mark.parametrize("case", ["wrong_length", "above_C", "below_minus_C", "nan"])
+def test_a_bad_start_is_refused_before_the_kernel(case, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(regressors, "rbf_matrix", no_kernel)
+    start = {"wrong_length": np.zeros(3), "above_C": np.array([0.0, TOY_C * 1.5, 0.0, 0.0]),
+             "below_minus_C": np.array([0.0, 0.0, -TOY_C * 1.5, 0.0]),
+             "nan": np.array([0.0, np.nan, 0.0, 0.0])}[case]
+    with pytest.raises(ContractViolation, match="^svr_fit needs a _start"):
+        svr_fit(TOY_X, TOY_Y, TOY_C, TOY_EPS, TOY_GAMMA, _start=start)
 
 
 @pytest.mark.parametrize("case", ["toy", "reference_capped", "at_box_bound", "zero_epsilon",
@@ -532,6 +563,77 @@ def test_grid_search_reaches_fits_through_module_globals(monkeypatch):
     assert calls == {"svr": 3, "krr": 3}
 
 
+def _recording_fits(monkeypatch):
+    """Install recorders of every svr_fit and krr_fit call on the module; returns
+    the list of calls, each a dict of the call's kind, X, y, positional
+    hyperparameters, `_start` (None when not passed), whether it was passed,
+    and the model."""
+    calls = []
+
+    def recording(kind, fit):
+        def wrapper(X, y, *params, **kwargs):
+            model = fit(X, y, *params, **kwargs)
+            calls.append({"kind": kind, "X": X, "y": y, "params": params,
+                          "start": kwargs.get("_start"), "passed": "_start" in kwargs,
+                          "model": model})
+            return model
+        return wrapper
+
+    monkeypatch.setattr(regressors, "svr_fit", recording("svr", svr_fit))
+    monkeypatch.setattr(regressors, "krr_fit", recording("krr", krr_fit))
+    return calls
+
+
+def test_svr_grid_search_chains_each_gamma_fold_and_epsilon_along_c(monkeypatch,
+                                                                    periodic_series):
+    """Through the module global: the first C of a (gamma, fold, epsilon) starts
+    cold, each later C from the previous fit's deltas; the refit and KRR pass none."""
+    calls = _recording_fits(monkeypatch)
+    run_prediction(periodic_series, ExperimentConfig(model_kind="svr", grid=GridSpec()))
+    *grid_calls, refit = calls
+    assert len(grid_calls) == 72 and not refit["passed"]
+    last = {}  # (gamma, fold's training rows, epsilon) -> the chain's last call
+    for call in grid_calls:
+        C, eps, gamma = call["params"]
+        key = (gamma, call["X"].tobytes(), eps)
+        if key in last:
+            assert C > last[key]["params"][0]
+            assert call["start"] is last[key]["model"].dual_deltas
+        else:
+            assert call["passed"] and call["start"] is None
+        last[key] = call
+    assert len(last) == 3 * 3 * 2  # gamma x fold x epsilon chains of four C values
+    calls.clear()
+    run_prediction(periodic_series, ExperimentConfig(model_kind="krr", grid=GridSpec()))
+    assert len(calls) == 36 + 1
+    assert all(call["kind"] == "krr" and not call["passed"] for call in calls)
+
+
+def test_seeded_svr_grid_fits_satisfy_kkt_and_match_cold_objectives(monkeypatch,
+                                                                    periodic_series):
+    """Ground truth for the seeded fits of the periodic series' 3-fold default
+    grid: each meets the tube conditions within SMO_TOL, and its objective
+    exceeds the cold fit's by no more than its KKT violation allows.
+
+    By convexity f(cold) >= f(seeded) + grad . (cold - seeded), and a point
+    whose maximal violating pair differs by v has grad . d >= -v |d|_1 / 2
+    along every feasible direction d, so f(seeded) - f(cold) is at most
+    v |cold - seeded|_1 / 2 (the deltas' split parts, which differ by the
+    deltas' difference in 1-norm). No fixed share of |f| follows from the
+    tolerance: cold fits stop up to 3e-3 of |f| above the optimum here.
+    """
+    calls = _recording_fits(monkeypatch)
+    run_prediction(periodic_series, ExperimentConfig(model_kind="svr", grid=GridSpec()))
+    seeded = [call for call in calls if call["start"] is not None]
+    assert len(seeded) == 3 * 3 * 2 * 3  # gamma x fold x epsilon x the three larger C
+    for call in seeded:
+        X, y, model = call["X"], call["y"], call["model"]
+        cold = svr_fit(X, y, *call["params"])
+        assert svr_kkt_violations(model, X, y) <= regressors.SMO_TOL
+        allowed = model.violation * np.abs(cold.dual_deltas - model.dual_deltas).sum() / 2.0
+        assert model.objective - cold.objective <= allowed + 1e-9 * abs(cold.objective)
+
+
 def _grid_inputs(name, series):
     """(X, y) for the grid parity cases: d = 1, 2 and 3 columns over 30, 97 and 600 rows."""
     rng = np.random.default_rng(3)
@@ -574,8 +676,8 @@ def test_capped_grid_search_matches_reference_bit_for_bit(monkeypatch, periodic_
     X, y = _grid_inputs("d2-n97", periodic_series)
     got = _grid_bits("svr", X, y, GridSpec(), grid_search)
     assert got == _grid_bits("svr", X, y, GridSpec(), grid_search_reference)
-    assert got[2] == ["grid_search scored 42 of 72 fold fits that hit the SMO step cap, "
-                      "the first at C=1, epsilon=0.01, gamma=0.1"]
+    assert got[2] == ["grid_search scored 48 of 72 fold fits that hit the SMO step cap, "
+                      "the first at C=1, epsilon=0.01, gamma=0.01"]
 
 
 @pytest.mark.parametrize("kind", ["krr", "svr"])
