@@ -400,18 +400,21 @@ def _lgr_grad(Xs, y, w, b, l2):
 def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
                       loss_history: Optional[list] = None) -> LgrModel:
     """The row-mean ground truth for lgr_fit: lgr_fit as it was before it
-    reused the accepted step's z = Xs @ w + b and before it fitted one column
-    over its distinct points. Its loss and gradient are means over every
-    row. lgr_fit matches it bit for bit on rows of two or more columns, and
+    reused the accepted step's z = Xs @ w + b, before it fitted one column
+    over its distinct points, and before it accepted certified steps without
+    evaluating their loss: it evaluates the loss of every trial step. Its
+    loss and gradient are means over every row. lgr_fit matches it bit for
+    bit on rows of two or more columns, with or without a loss history, and
     to about 1e-12 on one column, whose sums it regroups by point.
 
     Fit L2-regularized logistic regression by monotone gradient descent.
 
     Steps that would raise the loss are halved until they do not, so the
     recorded loss sequence never increases. Stops when the gradient
-    max-norm falls below TOLERANCE or after cfg.max_epochs; in the
-    latter case, if the final gradient is still above the tolerance, a
-    RuntimeWarning names the cap and that gradient.
+    max-norm falls below TOLERANCE, after cfg.max_epochs, or when no step
+    down to 1e-18 lowers the loss; if it returns with a gradient max-norm
+    above the tolerance, a RuntimeWarning names the cap, or the stall, and
+    that gradient.
     """
     X = as_matrix(X)
     y = _check_binary_labels(y)
@@ -425,9 +428,10 @@ def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
     loss = _lgr_loss(Xs, y, w, b, L2)
     if loss_history is not None:
         loss_history.append(loss)
-    for _ in range(cfg.max_epochs):
+    for epoch in range(cfg.max_epochs):
         gw, gb = _lgr_grad(Xs, y, w, b, L2)
-        if max(np.abs(gw).max(), abs(gb)) <= TOLERANCE:
+        grad_norm = max(np.abs(gw).max(), abs(gb))
+        if grad_norm <= TOLERANCE:
             break
         while True:
             w_new = w - step * gw
@@ -437,6 +441,9 @@ def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
                 break
             step *= 0.5
         if step < 1e-18:
+            warnings.warn(f"lgr_fit stopped after {epoch} epochs: no step lowered the "
+                          f"loss, gradient max-norm {grad_norm:.3e} above tolerance "
+                          f"{TOLERANCE:g}", RuntimeWarning, stacklevel=2)
             break
         w, b, loss = w_new, b_new, loss_new
         step = min(step * 2.0, cfg.learning_rate)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -114,6 +115,34 @@ def test_train_config_refuses_a_non_finite_learning_rate_by_name(rate):
     # a NaN rate used to pass and make lgr_fit's step-halving loop run forever
     with pytest.raises(ConfigError, match="^learning_rate must be finite and > 0$"):
         TrainConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("epochs", [2.5, 3.0, np.float64(4.0), True, 0, -1, "5", None],
+                         ids=["2.5", "3.0", "np-4.0", "True", "0", "-1", "str", "None"])
+def test_train_config_refuses_a_max_epochs_that_is_not_a_positive_int(epochs):
+    # 2.5 used to pass: lgr_fit then failed in range() and mlp_fit ran 3 iterations
+    with pytest.raises(ConfigError, match=r"^max_epochs must be a positive int, got "):
+        TrainConfig(max_epochs=epochs)
+
+
+def test_lgr_warns_when_no_step_lowers_the_loss(monkeypatch):
+    # every trial loss after the first is inf, so the step halves below 1e-18 at the first
+    # epoch; a history makes every trial evaluate it
+    X, y, cfg = _lgr_parity_case("monotone")
+    evaluations = []
+    loss = classifiers._lgr_loss
+
+    def first_then_inf(*args):
+        evaluations.append(1)
+        return loss(*args) if len(evaluations) == 1 else math.inf
+
+    monkeypatch.setattr(classifiers, "_lgr_loss", first_then_inf)
+    with pytest.warns(RuntimeWarning) as caught:
+        model = lgr_fit(X, y, cfg, loss_history=[])
+    assert len(caught) == 1
+    assert re.fullmatch(r"lgr_fit stopped after 0 epochs: no step lowered the loss, gradient "
+                        r"max-norm \S+ above tolerance 1e-06", str(caught[0].message))
+    assert model.weights.tolist() == [0.0] * 3 and model.bias == 0.0
 
 
 def test_lgr_rejects_single_class():
@@ -234,6 +263,89 @@ def test_lgr_fit_on_one_column_matches_reference_bit_for_bit(data, lr, max_epoch
     want, want_history, want_warned = _fit_recording(lgr_fit_reference, X, y, cfg)
     got, history, warned = _fit_recording(lgr_fit, X, y, cfg)
     _assert_close_to_reference(got, history, warned, want, want_history, want_warned)
+
+
+@st.composite
+def _lgr_columns(draw):
+    """Two or three columns of small integers times a scale, with both labels."""
+    d, n = draw(st.integers(2, 3)), draw(st.integers(2, 40))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[0] = 1 - y[-1]
+    X = np.array(cells, dtype=np.float64).reshape(n, d)
+    return X * draw(st.sampled_from([1.0, 0.37, 1e-3, 1e6])), y
+
+
+def _fit_without_history(X, y, cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = lgr_fit(X, y, cfg)
+    return model, [str(w.message) for w in caught]
+
+
+def _assert_same_fit(got, got_warned, want, want_warned):
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert got_warned == want_warned
+
+
+def _assert_fit_without_history_is_exact(X, y, cfg, got, got_warned):
+    """A fit without a history is the fit with one byte for byte, warnings
+    included, and on two or more columns lgr_fit_reference's fit too."""
+    want, _, want_warned = _fit_recording(lgr_fit, X, y, cfg)
+    _assert_same_fit(got, got_warned, want, want_warned)
+    if X.shape[1] >= 2:
+        want, _, want_warned = _fit_recording(lgr_fit_reference, X, y, cfg)
+        _assert_same_fit(got, got_warned, want, want_warned)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(_lgr_one_column(), _lgr_columns()),
+       lr=st.sampled_from([0.01, 0.1, 1.0, 10.0, 50.0]), max_epochs=st.integers(1, 200))
+def test_lgr_fit_without_history_takes_the_same_steps(data, lr, max_epochs):
+    X, y = data
+    cfg = TrainConfig(learning_rate=lr, max_epochs=max_epochs)
+    _assert_fit_without_history_is_exact(X, y, cfg, *_fit_without_history(X, y, cfg))
+
+
+def _fit_counting_losses(X, y, cfg, monkeypatch):
+    evaluations = []
+    loss = classifiers._lgr_loss
+    monkeypatch.setattr(classifiers, "_lgr_loss",
+                        lambda *args: evaluations.append(1) or loss(*args))
+    got, warned = _fit_without_history(X, y, cfg)
+    return got, warned, len(evaluations)
+
+
+@pytest.mark.parametrize("case", ["monotone", "halving", "capped", "converged",
+                                  "tied_counts"])
+def test_lgr_fit_without_history_matches_the_recorded_fit_bit_for_bit(case, monkeypatch):
+    X, y, cfg = _lgr_parity_case(case)
+    got, warned, evaluations = _fit_counting_losses(X, y, cfg, monkeypatch)
+    _assert_fit_without_history_is_exact(X, y, cfg, got, warned)
+    # at rate 50 no step is certified: every trial is tested on its loss, and the
+    # rejected ones are halved; every step of the other cases is certified
+    assert (evaluations > 0) == (case == "halving")
+
+
+def test_lgr_fit_without_history_evaluates_no_loss_on_counts_at_rate_0_1(monkeypatch):
+    # the per-interval lgr kinds' rate, on one column of Poisson counts
+    X, y, _ = _lgr_parity_case("tied_counts")
+    cfg = TrainConfig(learning_rate=0.1, max_epochs=2000)
+    got, warned, evaluations = _fit_counting_losses(X, y, cfg, monkeypatch)
+    assert evaluations <= 1
+    _assert_fit_without_history_is_exact(X, y, cfg, got, warned)
+
+
+def test_lgr_certificate_refuses_what_it_cannot_prove():
+    # points -1 and 1, three rows each: S = 1, Q = 2 and L = 0.5 + L2
+    certified, grow = classifiers._lgr_certificate(np.array([[-1.0], [1.0]]),
+                                                   np.array([3.0, 3.0]), 6)
+    assert grow > 1.0
+    assert certified(1.0, 1.0, math.sqrt(2.0), 2.0)  # a decrease of about 0.75
+    assert not certified(4.0, 1.0, math.sqrt(2.0), 5.0)  # L eta / 2 > 1
+    assert not certified(1e-12, 1e-4, 1e-2, 2.0)  # 1e-16 is within the losses' rounding
+    assert not certified(1.0, math.nan, math.nan, 2.0)
 
 
 def test_lgr_points_of_one_column_are_its_distinct_bits_and_labels():
