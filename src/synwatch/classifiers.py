@@ -13,16 +13,13 @@ longer than the column, with np.unique's sort only for a column that spans
 more values than it has rows. kmeans_assign labels the distinct counts and
 takes the labels to the rows.
 
-LGR and the MLP fit one-column rows the same way: over their distinct
-(value, label) points, each point's loss and gradient terms weighted by
-its rows and the sums divided by the rows. Rows of two or more columns are
-points of count 1, on which the weighted sums are the row means bit for bit.
-
-lgr_fit evaluates its loss only when a loss history records it or a trial
-step must be tested on it. Otherwise a step whose decrease the descent lemma
-guarantees by more than every rounding error of the two losses is accepted
-unevaluated: comparing the losses could only have accepted it too, so the
-iterates are those of the evaluating fit bit for bit.
+LGR and the MLP share one front end, _fit_points, which validates,
+standardizes and groups their rows with one sort. One column is fitted over
+its distinct (value, label) points, each point's terms weighted by its rows
+and the sums divided by the rows; rows of two or more columns are points of
+count 1, whose weighted sums are the row means bit for bit. The three
+predictors share one input check, _input_rows. lgr_fit skips the loss of
+a step whose decrease it can prove (its docstring says how).
 """
 
 from __future__ import annotations
@@ -110,9 +107,17 @@ def _check_binary_labels(y) -> np.ndarray:
         raise ContractViolation("y must be 1-D")
     if not np.isin(y, (0, 1)).all():
         raise ContractViolation("labels must be 0 or 1")
-    if len(np.unique(y)) < 2:
+    if len(y) == 0 or y.min() == y.max():
         raise TrainingError("degenerate labels: both classes must be present")
-    return y.astype(np.float64)
+    return y
+
+
+def _input_rows(X, d: int) -> np.ndarray:
+    """X as a finite 2-D float64 matrix (as_matrix) of a model's d features."""
+    X = as_matrix(X)
+    if X.shape[1] != d:
+        raise ContractViolation(f"model has {d} features, input has {X.shape[1]}")
+    return X
 
 
 # --------------------------------------------------------------------------
@@ -170,18 +175,35 @@ def _labelled_points(Xs, y):
     pattern, label) pairs of a single column and each pair's rows, else the
     rows themselves, each at count 1.
 
-    Bits, not values, so -0.0 and 0.0 stay apart. A fit weights each point's
-    terms by its count and divides their sum by the rows. At count 1 that is
-    the row mean bit for bit: `1.0 * term` is exact and np.mean is
-    np.add.reduce over the rows divided by their number. Over a column's
-    distinct points the sum is regrouped, and may differ in its last bits.
+    Bits, not values, so -0.0 and 0.0 stay apart; one np.unique sorts them,
+    and the keys 2 * rank + label are counted, in ascending order. A fit
+    weights each point's terms by its count and divides their sum by the
+    rows: at count 1 the row mean bit for bit (`1.0 * term` is exact and
+    np.mean is np.add.reduce divided by the rows); over a column's distinct
+    points the sum is regrouped, and may differ in its last bits.
     """
     if Xs.shape[1] != 1:
         return Xs, y, np.ones(len(Xs))
-    _, value = np.unique(Xs[:, 0].view(np.uint64), return_inverse=True)
-    _, first, inverse = np.unique(2 * value + y.astype(np.intp), return_index=True,
-                                  return_inverse=True)
-    return Xs[first], y[first], np.bincount(inverse).astype(np.float64)
+    bits, keys = np.unique(Xs[:, 0].view(np.uint64), return_inverse=True)
+    keys *= 2
+    keys += y == 1
+    table = np.bincount(keys, minlength=2 * len(bits))
+    pairs = np.flatnonzero(table)
+    return (bits[pairs // 2].view(np.float64).reshape(-1, 1),
+            (pairs % 2).astype(y.dtype), table[pairs].astype(np.float64))
+
+
+def _fit_points(X, y):
+    """(scaler, points, labels, counts) for lgr_fit and mlp_fit: X checked by
+    as_matrix, one 0/1 label per row with both present, the Scaler fitted to
+    X and the standardized rows' _labelled_points, with float labels."""
+    X = as_matrix(X)
+    y = _check_binary_labels(y)
+    if len(y) != X.shape[0]:
+        raise ContractViolation("X and y row counts differ")
+    scaler = Scaler.fit(X)
+    points, labels, counts = _labelled_points(scaler.transform(X), y)
+    return scaler, points, labels.astype(np.float64), counts
 
 
 # --------------------------------------------------------------------------
@@ -285,20 +307,12 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
     certificate does not cover is tested on both losses.
 
     Scores, loss terms and residuals are computed once per point of
-    _labelled_points and weighted by its rows. On rows of two or more
-    columns every point is a row at count 1, and the fit is the fit over the
-    rows bit for bit; over a column's distinct points the sums may differ
-    from the row sums in their last bits.
+    _fit_points and weighted by its rows: bit for bit the fit over the rows
+    on two or more columns, and possibly not in the last bits on one.
     """
-    X = as_matrix(X)
-    y = _check_binary_labels(y)
-    if len(y) != X.shape[0]:
-        raise ContractViolation("X and y row counts differ")
-    scaler = Scaler.fit(X)
-    Xs = scaler.transform(X)
-    points, labels, counts = _labelled_points(Xs, y)
-    n = len(Xs)
-    w = np.zeros(Xs.shape[1])
+    scaler, points, labels, counts = _fit_points(X, y)
+    n = counts.sum()  # the rows: a sum of integers below 2**53, so exact
+    w = np.zeros(points.shape[1])
     b = 0.0
     step = cfg.learning_rate
     z = points @ w + b
@@ -307,7 +321,7 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
         loss = _lgr_loss(z, labels, counts, n, w, L2)
         loss_history.append(loss)
     certified, grow = _lgr_certificate(points, counts, n)
-    k = Xs.shape[1] + 1
+    k = len(w) + 1
     reach = 0.0  # at least |w|_1 + |b|
     with np.errstate(over="ignore"):
         for epoch in range(cfg.max_epochs):
@@ -352,10 +366,7 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
 
 def lgr_predict(model: LgrModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Return (probabilities, labels); ties at p == 0.5 go to attack."""
-    X = as_matrix(X)
-    if X.shape[1] != len(model.weights):
-        raise ContractViolation(
-            f"model has {len(model.weights)} features, input has {X.shape[1]}")
+    X = _input_rows(X, len(model.weights))
     p = _sigmoid(model.scaler.transform(X) @ model.weights + model.bias)
     return p, (p >= 0.5).astype(np.int64)
 
@@ -440,18 +451,13 @@ def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
     """Train the d-6-1 network by one full-batch L-BFGS solve from seeded weights.
 
     Minimizes mlp_loss_grads with the L2 penalty over the points of
-    _labelled_points, each weighted by its rows, for at most cfg.max_epochs
+    _fit_points, each weighted by its rows, for at most cfg.max_epochs
     iterations; on rows of two or more columns the points are the rows. If
     it returns with a gradient max-norm above TOLERANCE, a RuntimeWarning
     names its iterations and that gradient.
     """
-    X = as_matrix(X)
-    y = _check_binary_labels(y)
-    if len(y) != X.shape[0]:
-        raise ContractViolation("X and y row counts differ")
-    d = X.shape[1]
-    scaler = Scaler.fit(X)
-    points, labels, counts = _labelled_points(scaler.transform(X), y)
+    scaler, points, labels, counts = _fit_points(X, y)
+    d = points.shape[1]
     rng = np.random.default_rng(cfg.seed)
     W1 = rng.uniform(-0.5, 0.5, size=(HIDDEN_WIDTH, d)) / np.sqrt(d)
     W2 = rng.uniform(-0.5, 0.5, size=(1, HIDDEN_WIDTH)) / np.sqrt(HIDDEN_WIDTH)
@@ -477,13 +483,8 @@ def mlp_fit(X, y, cfg: TrainConfig = TrainConfig()) -> MlpModel:
 
 def mlp_predict(model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
     """Return (probabilities, labels); same 0.5 tie-break as lgr_predict."""
-    X = as_matrix(X)
-    if X.shape[1] != model.W1.shape[1]:
-        raise ContractViolation(
-            f"model has {model.W1.shape[1]} features, input has {X.shape[1]}")
-    Xs = model.scaler.transform(X)
-    _, _, z2 = _mlp_forward(model.W1, model.b1, model.W2, model.b2, Xs)
-    p = _sigmoid(z2)
+    Xs = model.scaler.transform(_input_rows(X, model.W1.shape[1]))
+    p = _sigmoid(_mlp_forward(model.W1, model.b1, model.W2, model.b2, Xs)[2])
     return p, (p >= 0.5).astype(np.int64)
 
 
@@ -598,10 +599,8 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
     rows: with one feature a row's squared distance is one subtraction and
     one square wherever the row sits, so the ids are those of the rows.
     """
-    X = as_matrix(X)
     k, d = model.centroids.shape
-    if X.shape[1] != d:
-        raise ContractViolation(f"model has {d} features, input has {X.shape[1]}")
+    X = _input_rows(X, d)
     rows, inverse = X, None
     groups = _value_groups(X)
     if groups is not None and len(groups[0]) < len(X):

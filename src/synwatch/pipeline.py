@@ -354,6 +354,7 @@ def _fit(train: DataSet, cfg: ExperimentConfig):
     if family in ("lgr", "mlp"):
         fit = classifiers.lgr_fit if family == "lgr" else classifiers.mlp_fit
         return fit(train.X, train.y, default_train_cfg(family, cfg.seed)), {}, None
+    regressors._check_kernel_rows(len(train.X), f"{kind}_fit")  # the refit's, before any grid fit
     scaler = Scaler.fit(train.X)
     X, y = scaler.transform(train.X), train.y.astype(np.float64)
     if cfg.grid is not None:
@@ -442,11 +443,18 @@ def score_model(model, series: IntervalSeries, cfg: ExperimentConfig) -> EvalRep
 def _split(kind: str, y, seed: int):
     """The (train, test) selectors of the kind's rows. K-Means fits and is
     scored on every row; detection trains on a seeded SPLIT_RATIO share of
-    each class; forecasting trains on the SPLIT_RATIO head, forecasts the tail."""
+    each class, and refuses a split with no test rows; forecasting trains on
+    the SPLIT_RATIO head, forecasts the tail."""
     if kind == "kmeans":
         return slice(None), slice(None)
     if _KINDS[kind].rows != "forecast":
-        return split_indices(y, SPLIT_RATIO, seed)
+        train, test = split_indices(y, SPLIT_RATIO, seed)
+        if len(test) == 0:
+            sizes = [int(np.count_nonzero(y == cls)) for cls in (0, 1)]
+            raise EmptyDatasetError(f"the {SPLIT_RATIO} detection split leaves no test rows: "
+                                    f"it sends all {sizes[0]} class-0 and {sizes[1]} class-1 "
+                                    f"rows to training")
+        return train, test
     if len(y) < 2:
         raise EmptyDatasetError("need at least 2 intervals to forecast")
     n_train = int(SPLIT_RATIO * len(y))  # in [1, n - 1] for n >= 2

@@ -8,12 +8,13 @@ built in one expression, the SVR step loop that rebuilds its arrays and the
 KKT values it reads from them, the grid search that builds a kernel for each
 cell's fold fit, seeds it from the fit at the C before it and predicts
 through the models, the LGR fit and the MLP
-objective that average over every row, the K-Means fit that sweeps every row
-from centroids drawn a row at a time, the attack injectors that place and
-draw one burst at a time, and the series and frames writers that format one
-row at a time), which the optimized ones must match bit for bit. The one
-exception is LGR and the MLP on a single column, which sum over its distinct
-points and match the row means to within rounding.
+objective that average over every row, the labelled points found by two
+sorts and a gather of each pair's first row, the K-Means fit that sweeps
+every row from centroids drawn a row at a time, the attack injectors that
+place and draw one burst at a time, and the series and frames writers that
+format one row at a time), which the optimized ones must match bit for bit.
+The one exception is LGR and the MLP on a single column, which sum over its
+distinct points and match the row means to within rounding.
 """
 
 import warnings
@@ -397,6 +398,23 @@ def _lgr_grad(Xs, y, w, b, l2):
     return Xs.T @ (p - y) / len(y) + l2 * w, float(np.mean(p - y))
 
 
+def labelled_points_reference(Xs, y):
+    """classifiers._labelled_points as it grouped by two np.unique sorts, the
+    second with return_index, and took each pair's first row and label: the
+    ground truth for the table of counted keys.
+
+    (points, their labels, counts) of the labelled rows: the distinct (bit
+    pattern, label) pairs of a single column and each pair's rows, else the
+    rows themselves, each at count 1.
+    """
+    if Xs.shape[1] != 1:
+        return Xs, y, np.ones(len(Xs))
+    _, value = np.unique(Xs[:, 0].view(np.uint64), return_inverse=True)
+    _, first, inverse = np.unique(2 * value + y.astype(np.intp), return_index=True,
+                                  return_inverse=True)
+    return Xs[first], y[first], np.bincount(inverse).astype(np.float64)
+
+
 def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
                       loss_history: Optional[list] = None) -> LgrModel:
     """The row-mean ground truth for lgr_fit: lgr_fit as it was before it
@@ -417,7 +435,7 @@ def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
     that gradient.
     """
     X = as_matrix(X)
-    y = _check_binary_labels(y)
+    y = _check_binary_labels(y).astype(np.float64)
     if len(y) != X.shape[0]:
         raise ContractViolation("X and y row counts differ")
     scaler = Scaler.fit(X)

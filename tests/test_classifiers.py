@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -148,6 +148,8 @@ def test_lgr_warns_when_no_step_lowers_the_loss(monkeypatch):
 def test_lgr_rejects_single_class():
     with pytest.raises(TrainingError):
         lgr_fit(np.ones((4, 1)), np.zeros(4, dtype=int))
+    with pytest.raises(TrainingError):  # no rows: no class is present
+        lgr_fit(np.empty((0, 1)), np.empty(0, dtype=int))
 
 
 def test_lgr_rejects_non_finite():
@@ -170,6 +172,17 @@ def test_lgr_predict_arity_mismatch():
     model = LgrModel(weights=np.zeros(2), bias=0.0, scaler=_identity_scaler(2))
     with pytest.raises(ContractViolation):
         lgr_predict(model, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("predict, model", [
+    (lgr_predict, LgrModel(weights=np.zeros(2), bias=0.0, scaler=_identity_scaler(2))),
+    (mlp_predict, MlpModel(W1=np.zeros((6, 2)), b1=np.zeros(6), W2=np.zeros((1, 6)), b2=0.0,
+                           scaler=_identity_scaler(2))),
+    (kmeans_assign, KMeansModel(centroids=np.zeros((2, 2)), k=2, wcss=0.0)),
+], ids=["lgr", "mlp", "kmeans"])
+def test_predictors_refuse_another_width_with_one_message(predict, model):
+    with pytest.raises(ContractViolation, match=r"^model has 2 features, input has 3$"):
+        predict(model, np.zeros((1, 3)))
 
 
 def _lgr_parity_case(name):
@@ -358,6 +371,85 @@ def test_lgr_points_of_one_column_are_its_distinct_bits_and_labels():
     assert counts.dtype == np.float64
 
 
+# values that repeat, that differ from 0.0 only in the sign bit, subnormals
+# and the extremes; hypothesis adds arbitrary finite floats
+_POINT_VALUES = [0.0, -0.0, 1.5, -1.5, 3.0, 5e-324, -5e-324, 1e-310, 2.5e-308, 1e300, -1e300]
+
+
+@st.composite
+def _labelled_rows(draw):
+    """n rows of one column (or two), values drawn mostly from _POINT_VALUES so
+    that they repeat, and 0/1 labels as floats (as the fits pass them) or ints."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.sampled_from([1, 1, 1, 2]))
+    value = st.sampled_from(_POINT_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return X, np.array(labels, dtype=draw(st.sampled_from([np.float64, np.int64])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_labelled_rows())
+@example((np.array([[2.0], [2.0], [2.0], [-1.0]]), np.array([1.0, 0.0, 1.0, 0.0])))
+@example((np.array([[0.0], [-0.0], [0.0], [-0.0]]), np.array([0.0, 1.0, 1.0, 0.0])))
+@example((np.array([[5e-324], [1e-310], [5e-324], [-5e-324]]), np.array([0.0, 1.0, 1.0, 1.0])))
+@example((np.array([[7.0]]), np.array([1.0])))
+@example((np.array([[1.0, -0.0], [1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 0.0, 0.0])))
+def test_labelled_points_match_the_sorting_reference_byte_for_byte(rows):
+    """The counted table gives the points, labels and counts of two sorts
+    and a gather: one column with repeated values, both labels on one value,
+    -0.0 beside 0.0, subnormals, a single row, and two-column rows."""
+    X, y = rows
+    got = classifiers._labelled_points(X, y)
+    for got_part, want_part in zip(got, oracles.labelled_points_reference(X, y)):
+        assert got_part.dtype == want_part.dtype and got_part.shape == want_part.shape
+        assert got_part.tobytes() == want_part.tobytes()
+
+
+@pytest.mark.parametrize("d, sorts", [(1, 1), (3, 0)])
+def test_fit_front_end_sorts_the_rows_at_most_once(monkeypatch, d, sorts):
+    """One column is sorted by one np.unique, over its bit patterns; the label
+    check sorts nothing, and wider rows are not grouped."""
+    calls = []
+    monkeypatch.setattr(np, "unique", lambda *args, real=np.unique, **kwargs:
+                        calls.append(1) or real(*args, **kwargs))
+    X, y = _two_class_rows(100, d, 4)
+    classifiers._fit_points(X, y)
+    assert len(calls) == sorts
+
+
+def test_fit_front_end_traces_at_most_seven_columns():
+    """The front end over 200k one-column rows holds the standardized column
+    and np.unique's copy, order, sorted copy and inverse of its bit patterns
+    (6.1 columns measured); float labels and a second np.unique, with
+    return_index, over the keys traced 9.8 on this input."""
+    rng = np.random.default_rng(5)
+    X = rng.poisson(50.0, size=(200_000, 1)).astype(np.float64)
+    y = (X[:, 0] + rng.normal(scale=5.0, size=len(X)) > 55.0).astype(np.int64)
+    tracemalloc.start()
+    try:
+        classifiers._fit_points(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * len(X) * 8
+
+
+@pytest.mark.parametrize("d", [1, 13])
+def test_lgr_and_mlp_fit_through_one_front_end(monkeypatch, d):
+    calls = []
+    front = classifiers._fit_points
+    monkeypatch.setattr(classifiers, "_fit_points",
+                        lambda X, y: calls.append((X.shape, len(y))) or front(X, y))
+    X, y = _two_class_rows(60, d, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # either may stop at its cap
+        lgr_fit(X, y, TrainConfig(learning_rate=0.1, max_epochs=20))
+        assert calls == [((60, d), 60)]
+        mlp_fit(X, y, TrainConfig(max_epochs=20))
+    assert calls == [((60, d), 60)] * 2
+
+
 def test_lgr_points_of_two_or_more_columns_are_the_rows():
     Xs = np.ones((5, 2))
     y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
@@ -422,6 +514,13 @@ def test_lgr_labels_row_order_invariant(rnd):
 
 # --------------------------------------------------------------------------
 # multilayer perceptron
+
+
+@pytest.mark.parametrize("labels", [np.zeros(4, dtype=int), np.ones(4, dtype=int),
+                                    np.empty(0, dtype=int)], ids=["zeros", "ones", "empty"])
+def test_mlp_rejects_single_class_and_empty_labels(labels):
+    with pytest.raises(TrainingError, match="both classes must be present"):
+        mlp_fit(np.ones((len(labels), 1)), labels)
 
 
 def test_zero_weight_mlp_outputs_half():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synwatch import regressors
+from synwatch import classifiers, regressors
 from synwatch.classifiers import kmeans_fit
 from synwatch.cli import main
 from synwatch.errors import NumericError
@@ -128,12 +128,13 @@ def test_refusals_exit_two_before_allocating(tmp_path, capsys, command, data, ar
     assert not out.exists()
 
 
-# case: (argv, the refusing call, its training rows)
+# case: (argv, the refusing call, its training rows). A grid run is refused
+# for its refit, whose rows outnumber any fold's, before its grid.
 @pytest.mark.parametrize("argv, fit, rows", [
     (["evaluate", "--model", "krr"], "krr_fit", 192),
     (["evaluate", "--model", "svr"], "svr_fit", 192),
-    (["train", "--model", "krr", "--grid"], "grid_search", 160),
-    (["predict", "--model", "svr", "--grid"], "grid_search", 128),
+    (["train", "--model", "krr", "--grid"], "krr_fit", 240),
+    (["predict", "--model", "svr", "--grid"], "svr_fit", 192),
 ], ids=["evaluate_krr", "evaluate_svr", "train_krr_grid", "predict_svr_grid"])
 def test_kernel_fits_past_the_row_bound_exit_two_before_allocating(tmp_path, capsys,
                                                                    monkeypatch, argv, fit,
@@ -152,6 +153,48 @@ def test_kernel_fits_past_the_row_bound_exit_two_before_allocating(tmp_path, cap
             f"{rows * rows * 8:,} bytes; at most MAX_KERNEL_ROWS=100 rows are fitted"
             ) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["krr", "svr"])
+def test_grid_whose_refit_passes_the_row_bound_exits_two_before_any_fit(
+        tmp_path, capsys, monkeypatch, periodic_series, kind):
+    """600 training rows past a bound of 500 are refused with the refit's
+    message, although every fold's 400 rows fit under it: no fold fit runs."""
+    series, out = tmp_path / "p.csv", tmp_path / "model.txt"
+    write_series(periodic_series, series)
+    monkeypatch.setattr(regressors, "MAX_KERNEL_ROWS", 500)
+    calls = []
+    for name in ("krr_fit", "svr_fit"):
+        fit = getattr(regressors, name)
+        monkeypatch.setattr(regressors, name, lambda *args, fit=fit, name=name, **kwargs:
+                            calls.append(name) or fit(*args, **kwargs))
+    capsys.readouterr()
+    assert main(["train", "--model", kind, "--grid", "--series", str(series),
+                 "--out", str(out)]) == 2
+    assert (f"error: {kind}_fit on 600 training rows needs a 600x600 kernel of 2,880,000 "
+            f"bytes; at most MAX_KERNEL_ROWS=500 rows are fitted") in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["lgr", "ann", "kmeans+lgr"])
+def test_detection_split_without_test_rows_exits_two_before_any_fit(tmp_path, capsys,
+                                                                    monkeypatch, kind):
+    """Classes of at most 4 rows send every row to training: the run is refused
+    naming the split and both class sizes, before LGR's 5,000 epochs."""
+    series, report = tmp_path / "four.csv", tmp_path / "r.txt"
+    assert main(["generate", "--intervals", "4", "--rate", "50", "--attack-fraction", "0.5",
+                 "--burst", "1", "--out", str(series)]) == 0
+    calls = []
+    for name in ("lgr_fit", "mlp_fit"):
+        fit = getattr(classifiers, name)
+        monkeypatch.setattr(classifiers, name, lambda *args, fit=fit, name=name, **kwargs:
+                            calls.append(name) or fit(*args, **kwargs))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", kind, "--series", str(series),
+                 "--report", str(report)]) == 2
+    assert ("error: the 0.8 detection split leaves no test rows: it sends all 2 class-0 "
+            "and 2 class-1 rows to training") in capsys.readouterr().err
+    assert calls == [] and not report.exists()
 
 
 @pytest.mark.parametrize("kind", ["krr", "svr"])
