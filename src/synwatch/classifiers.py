@@ -1,25 +1,25 @@
 """Detection models built from first principles on numpy.
 
 Three families: binary logistic regression trained by full-batch gradient
-descent, a fixed d-6-1 multilayer perceptron trained by full-batch L-BFGS,
-and Lloyd's K-Means with elbow-based k selection. K-Means has one entry
-point, kmeans_fit: it groups its input once into weighted points (distinct
-packet counts, or the rows at weight 1) and runs every seeded restart on
-those points. A restart draws its first centroids over those points too,
-with array operations and no loop over rows, and an emptied cluster is
-reseeded from them, so kmeans_fit reads its input only to group it.
-Packet counts are grouped by counting: one np.bincount over a table no
-longer than the column, with np.unique's sort only for a column that spans
-more values than it has rows. kmeans_assign labels the distinct counts and
-takes the labels to the rows.
+descent at one fixed step, a fixed d-6-1 multilayer perceptron trained by
+full-batch L-BFGS, and Lloyd's K-Means with elbow-based k selection.
+K-Means has one entry point, kmeans_fit: it groups its input once into
+weighted points (distinct packet counts, or the rows at weight 1) and runs
+every seeded restart on those points. A restart draws its first centroids
+over those points too, with array operations and no loop over rows, and an
+emptied cluster is reseeded from them, so kmeans_fit reads its input only
+to group it. Packet counts are grouped by counting: one np.bincount over a
+table no longer than the column, with np.unique's sort only for a column
+that spans more values than it has rows. kmeans_assign labels the distinct
+counts and takes the labels to the rows.
 
 LGR and the MLP share one front end, _fit_points, which validates,
 standardizes and groups their rows with one sort. One column is fitted over
 its distinct (value, label) points, each point's terms weighted by its rows
 and the sums divided by the rows; rows of two or more columns are points of
 count 1, whose weighted sums are the row means bit for bit. The three
-predictors share one input check, _input_rows. lgr_fit skips the loss of
-a step whose decrease it can prove (its docstring says how).
+predictors share one input check, _input_rows. lgr_fit's fixed step of at
+most 1/L (L bounds the loss's curvature) lowers the loss at every epoch.
 """
 
 from __future__ import annotations
@@ -223,88 +223,24 @@ def _lgr_grad(points, z, y, counts, n, w, l2):
     return points.T @ residual / n + l2 * w, float(np.add.reduce(residual) / n)
 
 
-# lgr_fit's step certificate. Write a = (p, 1) for a point p with its bias
-# column, k = d + 1 for its length, theta = (w, b), m for the points, c for
-# their counts, n = sum(c), and eps = 2**-52. The loss is
-# f(theta) = sum_i c_i l(a_i . theta, y_i) / n + L2/2 |w|^2 with
-# l(z, y) = log(1 + e^z) - y z >= 0, |l'| = |sigmoid(z) - y| <= 1 and
-# 0 <= l'' <= 1/4. Over the points, once per fit:
-#   S = max_j sum_i c_i |a_ij| / n (the bias column gives 1),
-#   Q = sum_i c_i |a_i|^2 / n and L = Q/4 + L2.
-# The Hessian of f is at most sum_i c_i a_i a_i^T / (4n) + L2 I, whose trace
-# is L, so f is L-smooth and, for any direction g (Nesterov 2004, 1.2.3),
-#   f(theta - eta g) <= f(theta) - eta grad f . g + L eta^2 |g|^2 / 2.
-# Let g be the computed gradient, G = |g|^2, G1 = sqrt(k G) >= |g|_1, and R
-# bound the 1-norm of theta, of the trial point and of the segment between
-# them; V = S + L2 R then bounds the max-norm of grad f on that segment. With
-# u = (m + k + 16) eps, rounding (Higham 2002, ch. 3-4: a sum or dot product
-# of m terms is off by at most about m eps times the sum of their absolute
-# values; exp, log1p and logaddexp are within a few eps) gives:
-# - the scores: |z_i - a_i . theta| <= k eps sum_j |a_ij theta_j|, whose
-#   average over the rows is at most k eps S R and, weighted by |a_ij|, at
-#   most k eps Q R (Cauchy-Schwarz);
-# - one _lgr_loss call: each term is at most log 2 + |z_i| and the L2 term at
-#   most L2 R^2 / 2, and as |l'| <= 1 the scores' error enters the loss once
-#   more, so the computed loss is within E = u (log 2 + 3 S R + L2 R^2) of f;
-# - the gradient: each residual is within a few eps of c_i (sigmoid - y),
-#   plus a quarter of its score's error as l'' <= 1/4, and the sum over m
-#   points adds m eps S, so |g_j - grad_j f| <= u (V + Q R / 4) + eps |g_j|
-#   and |(grad f - g) . g| <= u G1 (V + Q R / 4) + eps G;
-# - the step: w - eta * gw and b - eta * gb are each within
-#   eps (|theta_j| + eta |g_j|) of exact, at most eps R in 1-norm, which
-#   moves f by at most eps V R.
-# Chained, the two computed losses compare loss_new < loss whenever
-#   eta G (1 - L eta / 2) > 2 E + eta u G1 (V + Q R / 4) + eps V R + eta eps G.
-# The test is itself rounded: the computed L, S, Q, G and G1 are within
-# (m + k + 4) eps of exact, which moves its left side by less than
-# 2 u eta G and its right side by a few parts in 1/u. Taking eps as u,
-# doubling the right side and adding 2 u eta G covers both:
-#   B = 2 u (2 (log 2 + 3 S R + L2 R^2) + eta G1 (V + Q R / 4) + V R + 2 eta G).
-# A step with eta G (1 - L eta / 2) > B is certified; a false or NaN test
-# certifies nothing. R starts at 0 and each accepted step sets it to the
-# previous R plus eta G1, times 1 + u for its own rounding, so it bounds
-# |theta|_1 at every iterate.
-
-
-def _lgr_certificate(points, counts, n):
-    """(certified, grow) for lgr_fit over these points and counts:
-    certified(step, gg, g1, reach) is True when the step certificate above
-    holds for a trial of size step along a gradient with G = gg and G1 = g1,
-    ending within 1-norm reach; grow is its 1 + u."""
-    second = float(counts @ (points * points).sum(axis=1)) / n + 1.0
-    spread = max(float((counts @ np.abs(points)).max()) / n, 1.0)
-    smooth = 0.25 * second + L2
-    unit = (points.shape[0] + points.shape[1] + 17) * float(np.finfo(np.float64).eps)
-    log2 = math.log(2.0)
-
-    def certified(step, gg, g1, reach):
-        v = spread + L2 * reach
-        bound = 2.0 * unit * (2.0 * (log2 + 3.0 * spread * reach + L2 * reach * reach)
-                              + step * g1 * (v + 0.25 * second * reach) + v * reach
-                              + 2.0 * step * gg)
-        return step * gg * (1.0 - 0.5 * smooth * step) > bound
-
-    return certified, 1.0 + unit
+def _lgr_smoothness(points, counts, n) -> float:
+    """L, bounding lgr_fit's loss Hessian: the largest eigenvalue of sum_i c_i
+    a_i a_i^T / (4n), a_i a point and its bias column (np.einsum: no weighted
+    copy of the points), plus L2."""
+    a = np.column_stack([points, np.ones(len(points))])
+    return float(np.linalg.eigvalsh(np.einsum("i,ij,ik->jk", counts, a, a) / (4.0 * n))[-1]) + L2
 
 
 def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
             loss_history: Optional[list] = None) -> LgrModel:
-    """Fit L2-regularized logistic regression by monotone gradient descent.
+    """Fit L2-regularized logistic regression by gradient descent at one
+    fixed step, min(cfg.learning_rate, 1/L) with L from _lgr_smoothness.
 
-    Steps that would raise the loss are halved until they do not, so the
-    loss sequence never increases. Stops when the gradient max-norm falls
-    below TOLERANCE, after cfg.max_epochs, or when no step down to 1e-18
-    lowers the loss; if it returns with a gradient max-norm above the
-    tolerance, a RuntimeWarning names the cap, or the stall, and that
-    gradient.
-
-    The loss is evaluated only when loss_history records it or a step must
-    be tested. Without a history, a trial step whose decrease the descent
-    lemma guarantees beyond every rounding error of the two losses (the
-    certificate above _lgr_certificate) is accepted without evaluating
-    either: their comparison could only have accepted it too, so every
-    iterate is the same bit for bit as with a history. A step the
-    certificate does not cover is tested on both losses.
+    Any step of at most 1/L lowers an L-smooth loss (Nesterov 2004, 1.2.3),
+    so the losses loss_history records, at the start and after each step,
+    never rise; the loss is evaluated only to record it. Stops when the
+    gradient max-norm falls below TOLERANCE or after cfg.max_epochs, with a
+    RuntimeWarning naming the cap and the gradient if that is above it.
 
     Scores, loss terms and residuals are computed once per point of
     _fit_points and weighted by its rows: bit for bit the fit over the rows
@@ -312,48 +248,22 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
     """
     scaler, points, labels, counts = _fit_points(X, y)
     n = counts.sum()  # the rows: a sum of integers below 2**53, so exact
+    step = min(cfg.learning_rate, 1.0 / _lgr_smoothness(points, counts, n))
     w = np.zeros(points.shape[1])
     b = 0.0
-    step = cfg.learning_rate
     z = points @ w + b
-    loss = None  # the loss at (w, b), once evaluated
     if loss_history is not None:
-        loss = _lgr_loss(z, labels, counts, n, w, L2)
-        loss_history.append(loss)
-    certified, grow = _lgr_certificate(points, counts, n)
-    k = len(w) + 1
-    reach = 0.0  # at least |w|_1 + |b|
+        loss_history.append(_lgr_loss(z, labels, counts, n, w, L2))
     with np.errstate(over="ignore"):
-        for epoch in range(cfg.max_epochs):
+        for _ in range(cfg.max_epochs):
             gw, gb = _lgr_grad(points, z, labels, counts, n, w, L2)
-            grad_norm = max(np.abs(gw).max(), abs(gb))
-            if grad_norm <= TOLERANCE:
+            if max(np.abs(gw).max(), abs(gb)) <= TOLERANCE:
                 break
-            gg = float(gw @ gw) + gb * gb
-            g1 = math.sqrt(k * gg)  # at least |(gw, gb)|_1
-            while step >= 1e-18:
-                w_new = w - step * gw
-                b_new = b - step * gb
-                z_new = points @ w_new + b_new
-                reach_new = (reach + step * g1) * grow
-                if loss_history is None and certified(step, gg, g1, reach_new):
-                    loss_new = None
-                    break
-                if loss is None:
-                    loss = _lgr_loss(z, labels, counts, n, w, L2)
-                loss_new = _lgr_loss(z_new, labels, counts, n, w_new, L2)
-                if loss_new <= loss:
-                    break
-                step *= 0.5
-            else:
-                warnings.warn(f"lgr_fit stopped after {epoch} epochs: no step lowered the "
-                              f"loss, gradient max-norm {grad_norm:.3e} above tolerance "
-                              f"{TOLERANCE:g}", RuntimeWarning, stacklevel=2)
-                break
-            w, b, z, loss, reach = w_new, b_new, z_new, loss_new, reach_new
-            step = min(step * 2.0, cfg.learning_rate)
+            w -= step * gw
+            b -= step * gb
+            z = points @ w + b
             if loss_history is not None:
-                loss_history.append(loss)
+                loss_history.append(_lgr_loss(z, labels, counts, n, w, L2))
         else:  # every epoch ran: say so unless the last step happened to converge
             gw, gb = _lgr_grad(points, z, labels, counts, n, w, L2)
             grad_norm = max(np.abs(gw).max(), abs(gb))

@@ -15,8 +15,8 @@ import re
 import numpy as np
 
 from .classifiers import KMeansModel, LgrModel, MlpModel
-from .errors import FLOAT, NumericError, ParseError, header_fields, read_lines
-from .regressors import KrrModel, SvrModel
+from .errors import FLOAT, ConfigError, NumericError, ParseError, header_fields, read_lines
+from .regressors import KrrModel, SvrModel, _check_param
 from .scaling import Scaler
 
 FORMAT_VERSION = 1
@@ -40,6 +40,10 @@ _LAYOUT = {
                ("objective", "objective", "value")),
 }
 _CLASS_OF_FAMILY = {cls.family: cls for cls in _LAYOUT}
+# The kernel models' parameters, held to their fits' rules (regressors._check_param):
+# (line name, whether 0 is refused too)
+_PARAMS = {KrrModel: (("lambda", False), ("gamma", True)),
+           SvrModel: (("C", True), ("epsilon", False), ("gamma", True))}
 
 
 def _fmt(values) -> str:
@@ -156,13 +160,21 @@ def _load(cls, arrays, line_of):
         rows, width = f["train_inputs"].shape
         _sized(arrays, line_of, "alphas" if cls is KrrModel else "dual_deltas", rows,
                "training row")
+    for name, positive in _PARAMS.get(cls, ()):
+        try:
+            _check_param(name, arrays[name][0], positive)
+        except ConfigError as exc:
+            raise ParseError(line_of[name], f"{exc}, got {_fmt(arrays[name])}") from None
     if cls is SvrModel:
         if f["converged"] not in (0.0, 1.0):
             raise ParseError(line_of["converged"], "converged must be 0 or 1")
         f["converged"] = f["converged"] == 1.0
     if {"scaler_mean", "scaler_std"} & arrays.keys() or cls in (LgrModel, MlpModel):
-        f["scaler"] = Scaler(mean=_sized(arrays, line_of, "scaler_mean", width, "feature"),
-                             std=_sized(arrays, line_of, "scaler_std", width, "feature"))
+        mean = _sized(arrays, line_of, "scaler_mean", width, "feature")
+        std = _sized(arrays, line_of, "scaler_std", width, "feature")
+        if not (std > 0).all():  # Scaler.fit writes 1 for a constant column
+            raise ParseError(line_of["scaler_std"], f"scaler_std must be > 0, got {_fmt(std)}")
+        f["scaler"] = Scaler(mean=mean, std=std)
     return cls(**f)
 
 
@@ -170,7 +182,9 @@ def load_model(path):
     """Read a model file back into its model.
 
     A malformed file raises ParseError with the line at fault (1 for the
-    header and for a missing array).
+    header and for a missing array), and so does a value its fit would not
+    write: a kernel parameter that regressors._check_param refuses, or a
+    scaler_std that is not > 0.
     """
     lines = read_lines(path) or [""]  # an empty file has an empty header
     header = header_fields(lines[0], ("model", "version"), None)

@@ -106,8 +106,9 @@ class SynthesisConfig:
         if self.baseline_rate * self.attack_multiplier > MAX_POISSON_RATE:
             raise ConfigError(f"baseline_rate * attack_multiplier must be at most "
                               f"{MAX_POISSON_RATE:.6g}, the highest Poisson rate numpy draws")
-        if self.burst_length < 1:
-            raise ConfigError("burst_length must be >= 1")
+        if not 1 <= self.burst_length <= MAX_INTERVALS:
+            raise ConfigError(f"burst_length must be in [1, {MAX_INTERVALS}], "
+                              f"got {self.burst_length}")
 
 
 def parse_packet_log(stream: Union[str, TextIO, Iterable[str]]) -> list[PacketRecord]:
@@ -148,6 +149,9 @@ def bucketize(
     """
     if interval_seconds < 1:
         raise ConfigError("interval_seconds must be >= 1")
+    if interval_seconds * 1000 > np.iinfo(np.int64).max:
+        raise ConfigError(f"interval_seconds={interval_seconds} is past the int64 limit "
+                          f"in milliseconds")
     if dst_filter is not None:
         records = [r for r in records if r.dst == dst_filter]
     if not records:

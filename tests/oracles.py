@@ -419,11 +419,14 @@ def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
                       loss_history: Optional[list] = None) -> LgrModel:
     """The row-mean ground truth for lgr_fit: lgr_fit as it was before it
     reused the accepted step's z = Xs @ w + b, before it fitted one column
-    over its distinct points, and before it accepted certified steps without
-    evaluating their loss: it evaluates the loss of every trial step. Its
-    loss and gradient are means over every row. lgr_fit matches it bit for
-    bit on rows of two or more columns, with or without a loss history, and
-    to about 1e-12 on one column, whose sums it regroups by point.
+    over its distinct points, and before it took one fixed step of at most
+    1/L: it evaluates the loss of every trial step and halves a step that
+    would raise it. Its loss and gradient are means over every row. At a
+    learning_rate of at most 1/L (classifiers._lgr_smoothness) no step is
+    halved, and lgr_fit at that rate, or at a higher one clamped to 1/L
+    when this runs at 1/L, matches it bit for bit on rows of two or more
+    columns, with or without a loss history, and to about 1e-12 on one
+    column, whose sums it regroups by point.
 
     Fit L2-regularized logistic regression by monotone gradient descent.
 

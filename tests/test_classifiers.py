@@ -1,8 +1,8 @@
 import math
-import re
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,26 +125,6 @@ def test_train_config_refuses_a_max_epochs_that_is_not_a_positive_int(epochs):
         TrainConfig(max_epochs=epochs)
 
 
-def test_lgr_warns_when_no_step_lowers_the_loss(monkeypatch):
-    # every trial loss after the first is inf, so the step halves below 1e-18 at the first
-    # epoch; a history makes every trial evaluate it
-    X, y, cfg = _lgr_parity_case("monotone")
-    evaluations = []
-    loss = classifiers._lgr_loss
-
-    def first_then_inf(*args):
-        evaluations.append(1)
-        return loss(*args) if len(evaluations) == 1 else math.inf
-
-    monkeypatch.setattr(classifiers, "_lgr_loss", first_then_inf)
-    with pytest.warns(RuntimeWarning) as caught:
-        model = lgr_fit(X, y, cfg, loss_history=[])
-    assert len(caught) == 1
-    assert re.fullmatch(r"lgr_fit stopped after 0 epochs: no step lowered the loss, gradient "
-                        r"max-norm \S+ above tolerance 1e-06", str(caught[0].message))
-    assert model.weights.tolist() == [0.0] * 3 and model.bias == 0.0
-
-
 def test_lgr_rejects_single_class():
     with pytest.raises(TrainingError):
         lgr_fit(np.ones((4, 1)), np.zeros(4, dtype=int))
@@ -192,7 +172,7 @@ def _lgr_parity_case(name):
     y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
     if name == "monotone":  # the set of test_lgr_loss_monotone
         return X, y, TrainConfig(learning_rate=0.5, max_epochs=300)
-    if name == "halving":
+    if name == "clamped":  # 50 is past 1/L, so the step is 1/L
         return X, y, TrainConfig(learning_rate=50.0, max_epochs=300)
     if name == "capped":
         return X, y, TrainConfig(learning_rate=0.5, max_epochs=3)
@@ -229,11 +209,27 @@ def _assert_close_to_reference(got, history, warned, want, want_history, want_wa
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["monotone", "halving", "capped", "converged",
+def _lgr_step_bound(X, y):
+    """1/L for lgr_fit over these rows: its step is min(learning_rate, 1/L)."""
+    _, points, _, counts = classifiers._fit_points(X, y)
+    return 1.0 / classifiers._lgr_smoothness(points, counts, counts.sum())
+
+
+def _reference_at_step(X, y, cfg):
+    """lgr_fit_reference at lgr_fit's step, and whether that step is clamped
+    below cfg.learning_rate. At a rate of at most 1/L the reference never
+    halves its step, so it takes lgr_fit's fixed steps."""
+    bound = _lgr_step_bound(X, y)
+    step = min(cfg.learning_rate, bound)
+    return _fit_recording(lgr_fit_reference, X, y, replace(cfg, learning_rate=step)), \
+        cfg.learning_rate > bound
+
+
+@pytest.mark.parametrize("case", ["monotone", "clamped", "capped", "converged",
                                   "tied_counts"])
 def test_lgr_fit_matches_reference_bit_for_bit(case, monkeypatch):
     X, y, cfg = _lgr_parity_case(case)
-    want, want_history, want_warned = _fit_recording(lgr_fit_reference, X, y, cfg)
+    (want, want_history, want_warned), clamped = _reference_at_step(X, y, cfg)
     evaluations = []
     loss = classifiers._lgr_loss
     monkeypatch.setattr(classifiers, "_lgr_loss",
@@ -246,10 +242,26 @@ def test_lgr_fit_matches_reference_bit_for_bit(case, monkeypatch):
         assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
         assert history.tobytes() == want_history.tobytes()
         assert warned == want_warned
+    assert (np.diff(history) <= 0.0).all()
+    assert len(evaluations) == len(history)  # the loss is evaluated only to record it
     # each case reaches the regime it is named for
     capped = len(history) == cfg.max_epochs + 1
-    assert capped == (case in ("monotone", "capped")) == bool(warned)
-    assert (len(evaluations) > len(history)) == (case == "halving")  # rejected steps
+    assert capped == (case in ("monotone", "clamped", "capped")) == bool(warned)
+    assert clamped == (case == "clamped")
+    if clamped:  # a rate past 1/L gives the fit at 1/L, byte for byte
+        at_bound, _, at_bound_warned = _fit_recording(
+            lgr_fit, X, y, replace(cfg, learning_rate=_lgr_step_bound(X, y)))
+        _assert_same_fit(got, warned, at_bound, at_bound_warned)
+
+
+def test_lgr_smoothness_over_counted_points_is_that_of_the_rows():
+    """L over one column's distinct points, weighted by their rows, is the
+    largest eigenvalue of the rows' sum a a^T / 4n plus L2, to 1e-12."""
+    X, y, _ = _lgr_parity_case("tied_counts")
+    Xs = Scaler.fit(X).transform(X)
+    a = np.column_stack([Xs, np.ones(len(Xs))])
+    want = np.linalg.eigvalsh(a.T @ a / (4.0 * len(Xs))).max() + L2
+    assert 1.0 / _lgr_step_bound(X, y) == pytest.approx(want, rel=1e-12)
 
 
 @st.composite
@@ -273,9 +285,10 @@ def _lgr_one_column(draw):
 def test_lgr_fit_on_one_column_matches_reference_bit_for_bit(data, lr, max_epochs):
     X, y = data
     cfg = TrainConfig(learning_rate=lr, max_epochs=max_epochs)
-    want, want_history, want_warned = _fit_recording(lgr_fit_reference, X, y, cfg)
+    (want, want_history, want_warned), _ = _reference_at_step(X, y, cfg)
     got, history, warned = _fit_recording(lgr_fit, X, y, cfg)
     _assert_close_to_reference(got, history, warned, want, want_history, want_warned)
+    assert (np.diff(history) <= 0.0).all()
 
 
 @st.composite
@@ -304,12 +317,22 @@ def _assert_same_fit(got, got_warned, want, want_warned):
 
 def _assert_fit_without_history_is_exact(X, y, cfg, got, got_warned):
     """A fit without a history is the fit with one byte for byte, warnings
-    included, and on two or more columns lgr_fit_reference's fit too."""
+    included, and on two or more columns lgr_fit_reference's fit at its step
+    too."""
     want, _, want_warned = _fit_recording(lgr_fit, X, y, cfg)
     _assert_same_fit(got, got_warned, want, want_warned)
     if X.shape[1] >= 2:
-        want, _, want_warned = _fit_recording(lgr_fit_reference, X, y, cfg)
+        (want, _, want_warned), _ = _reference_at_step(X, y, cfg)
         _assert_same_fit(got, got_warned, want, want_warned)
+
+
+def _fit_counting_losses(X, y, cfg):
+    evaluations = []
+    loss = classifiers._lgr_loss
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifiers, "_lgr_loss", lambda *args: evaluations.append(1) or loss(*args))
+        got, warned = _fit_without_history(X, y, cfg)
+    return got, warned, len(evaluations)
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,47 +341,27 @@ def _assert_fit_without_history_is_exact(X, y, cfg, got, got_warned):
 def test_lgr_fit_without_history_takes_the_same_steps(data, lr, max_epochs):
     X, y = data
     cfg = TrainConfig(learning_rate=lr, max_epochs=max_epochs)
-    _assert_fit_without_history_is_exact(X, y, cfg, *_fit_without_history(X, y, cfg))
-
-
-def _fit_counting_losses(X, y, cfg, monkeypatch):
-    evaluations = []
-    loss = classifiers._lgr_loss
-    monkeypatch.setattr(classifiers, "_lgr_loss",
-                        lambda *args: evaluations.append(1) or loss(*args))
-    got, warned = _fit_without_history(X, y, cfg)
-    return got, warned, len(evaluations)
-
-
-@pytest.mark.parametrize("case", ["monotone", "halving", "capped", "converged",
-                                  "tied_counts"])
-def test_lgr_fit_without_history_matches_the_recorded_fit_bit_for_bit(case, monkeypatch):
-    X, y, cfg = _lgr_parity_case(case)
-    got, warned, evaluations = _fit_counting_losses(X, y, cfg, monkeypatch)
+    got, warned, evaluations = _fit_counting_losses(X, y, cfg)
+    assert evaluations == 0
     _assert_fit_without_history_is_exact(X, y, cfg, got, warned)
-    # at rate 50 no step is certified: every trial is tested on its loss, and the
-    # rejected ones are halved; every step of the other cases is certified
-    assert (evaluations > 0) == (case == "halving")
 
 
-def test_lgr_fit_without_history_evaluates_no_loss_on_counts_at_rate_0_1(monkeypatch):
+@pytest.mark.parametrize("case", ["monotone", "clamped", "capped", "converged",
+                                  "tied_counts"])
+def test_lgr_fit_without_history_matches_the_recorded_fit_bit_for_bit(case):
+    X, y, cfg = _lgr_parity_case(case)
+    got, warned, evaluations = _fit_counting_losses(X, y, cfg)
+    assert evaluations == 0
+    _assert_fit_without_history_is_exact(X, y, cfg, got, warned)
+
+
+def test_lgr_fit_without_history_evaluates_no_loss_on_counts_at_rate_0_1():
     # the per-interval lgr kinds' rate, on one column of Poisson counts
     X, y, _ = _lgr_parity_case("tied_counts")
     cfg = TrainConfig(learning_rate=0.1, max_epochs=2000)
-    got, warned, evaluations = _fit_counting_losses(X, y, cfg, monkeypatch)
-    assert evaluations <= 1
+    got, warned, evaluations = _fit_counting_losses(X, y, cfg)
+    assert evaluations == 0
     _assert_fit_without_history_is_exact(X, y, cfg, got, warned)
-
-
-def test_lgr_certificate_refuses_what_it_cannot_prove():
-    # points -1 and 1, three rows each: S = 1, Q = 2 and L = 0.5 + L2
-    certified, grow = classifiers._lgr_certificate(np.array([[-1.0], [1.0]]),
-                                                   np.array([3.0, 3.0]), 6)
-    assert grow > 1.0
-    assert certified(1.0, 1.0, math.sqrt(2.0), 2.0)  # a decrease of about 0.75
-    assert not certified(4.0, 1.0, math.sqrt(2.0), 5.0)  # L eta / 2 > 1
-    assert not certified(1e-12, 1e-4, 1e-2, 2.0)  # 1e-16 is within the losses' rounding
-    assert not certified(1.0, math.nan, math.nan, 2.0)
 
 
 def test_lgr_points_of_one_column_are_its_distinct_bits_and_labels():

@@ -100,12 +100,20 @@ def test_series_value_beyond_int64_exits_two(tmp_path, capsys, role, data, line)
     ("generate", None, ["--multiplier", "nan"], "attack_multiplier must be finite"),
     ("generate", None, ["--rate", "1e18"], "baseline_rate * attack_multiplier must be at most"),
     ("generate", None, ["--seed", "-1"], "--seed must be non-negative, got -1"),
+    ("ingest", b"0,a,h\n1000,a,h\n", ["--interval", "10000000000000000"],
+     "interval_seconds=10000000000000000 is past the int64 limit"),
+    ("generate", None, ["--burst", "100000000000000000000"],
+     "burst_length must be in [1, 134217728], got 100000000000000000000"),
+    ("inject", None, ["--burst", "100000000000000000000"],
+     "burst_length must be in [1, 134217728], got 100000000000000000000"),
 ], ids=["times_overflow_array_path", "times_overflow_crlf", "log_span", "intervals", "rate_nan",
-        "rate_inf", "multiplier_nan", "attack_rate_past_poisson", "seed_negative"])
+        "rate_inf", "multiplier_nan", "attack_rate_past_poisson", "seed_negative",
+        "interval_past_int64", "generate_burst_past_int64", "inject_burst_past_int64"])
 def test_refusals_exit_two_before_allocating(tmp_path, capsys, command, data, argv, message):
     """A series whose times pass int64, a span beyond MAX_INTERVALS, a
-    non-finite rate, an attack rate past numpy's Poisson limit and a negative
-    seed each exit 2 naming the header line, the span or the field."""
+    non-finite rate, an attack rate past numpy's Poisson limit, a negative
+    seed, an interval whose milliseconds pass int64 and a burst past
+    MAX_INTERVALS each exit 2 naming the header line, the span or the field."""
     out = tmp_path / "out"
     if command == "predict":
         lines = _gen(tmp_path).read_bytes().splitlines(keepends=True)
@@ -117,7 +125,9 @@ def test_refusals_exit_two_before_allocating(tmp_path, capsys, command, data, ar
     elif command == "ingest":
         log = tmp_path / "far.log"
         log.write_bytes(data)
-        argv = ["ingest", "--log", str(log), "--out", str(out)]
+        argv = ["ingest", "--log", str(log), *argv, "--out", str(out)]
+    elif command == "inject":
+        argv = ["inject", "--series", str(_gen(tmp_path)), *argv, "--out", str(out)]
     else:
         flags = {"--intervals": "600", "--rate": "50", "--multiplier": "10"}
         flags.update(zip(argv[::2], argv[1::2]))

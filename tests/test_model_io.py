@@ -1,5 +1,6 @@
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,45 @@ def test_evaluate_malformed_model_file_exits_two(tmp_path, capsys, small_series,
     assert main(["evaluate", "--model", kind, "--series", str(series),
                  "--model-file", str(path), "--report", str(tmp_path / "r.txt")]) == 2
     assert f"line {line_no}:" in capsys.readouterr().err
+
+
+# case: (model, evaluated as, edit of the saved lines, the message after "error: ")
+OUT_OF_RANGE = {
+    "krr_gamma_negative": (_KRR, "krr", _set("gamma", "-0.5"),
+                           "line 3: gamma must be finite and > 0, got -0.5"),
+    "krr_lambda_negative": (_KRR, "krr", _set("lambda", "-3"),
+                            "line 2: lambda must be finite and >= 0, got -3"),
+    "svr_c_zero": (_SVR, "svr", _set("C", "0"), "line 2: C must be finite and > 0, got 0"),
+    "svr_epsilon_negative": (_SVR, "svr", _set("epsilon", "-0.1"),
+                             "line 3: epsilon must be finite and >= 0, got -0.10000000000000001"),
+    "svr_gamma_zero": (_SVR, "svr", _set("gamma", "0"),
+                       "line 4: gamma must be finite and > 0, got 0"),
+    "lgr_scaler_std_zero": (_LGR, "lgr", _set("scaler_std", "0"),
+                            "line 5: scaler_std must be > 0, got 0"),
+    "mlp_scaler_std_negative": (_MLP, "ann", _set("scaler_std", "-2"),
+                                "line 9: scaler_std must be > 0, got -2"),
+    "krr_scaler_std_zero": (_KRR, "krr", _set("scaler_std", "700 0"),
+                            "line 8: scaler_std must be > 0, got 700 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_evaluate_model_file_with_a_value_no_fit_writes_exits_two(tmp_path, capsys,
+                                                                   small_series, case):
+    """A kernel parameter the fits refuse, or a scaler_std that is not > 0,
+    is a ParseError at its line naming the value: exit 2, no report."""
+    model, kind, edit, message = OUT_OF_RANGE[case]
+    path, series, report = tmp_path / "m.txt", tmp_path / "s.csv", tmp_path / "r.txt"
+    save_model(model, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    write_series(small_series, series)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero scale used to divide by zero, then exit 0
+        assert main(["evaluate", "--model", kind, "--series", str(series),
+                     "--model-file", str(path), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not report.exists()
 
 
 def test_evaluate_three_cluster_model_file_maps_every_cluster(tmp_path, small_series):

@@ -143,6 +143,21 @@ def test_series_length_is_bounded_before_allocating(monkeypatch):
         bucketize([PacketRecord(0, "a", "h"), PacketRecord(50_000, "a", "h")], 10)
 
 
+def test_interval_and_burst_past_their_bounds_are_refused_by_value():
+    # an interval whose milliseconds pass int64 used to raise OverflowError, and a
+    # burst past int64 a numpy TypeError while the bursts were written
+    records = [PacketRecord(0, "a", "h"), PacketRecord(1000, "a", "h")]
+    top = np.iinfo(np.int64).max // 1000
+    assert bucketize(records, top).counts.tolist() == [2]
+    with pytest.raises(ConfigError, match=f"^interval_seconds={top + 1} is past the int64 limit"):
+        bucketize(records, top + 1)
+    SynthesisConfig(n_intervals=10, baseline_rate=5.0, burst_length=MAX_INTERVALS)
+    for burst in (0, MAX_INTERVALS + 1, 10 ** 20):
+        with pytest.raises(ConfigError, match=rf"^burst_length must be in \[1, {MAX_INTERVALS}\], "
+                                              rf"got {burst}$"):
+            SynthesisConfig(n_intervals=10, baseline_rate=5.0, burst_length=burst)
+
+
 # --------------------------------------------------------------------------
 # generate_baseline / inject_attacks
 
