@@ -18,14 +18,12 @@ standardizes and groups their rows with one sort. One column is fitted over
 its distinct (value, label) points, each point's terms weighted by its rows
 and the sums divided by the rows; rows of two or more columns are points of
 count 1, whose weighted sums are the row means bit for bit. The three
-predictors share one input check, _input_rows. lgr_fit's fixed step of at
-most 1/L (L bounds the loss's curvature) lowers the loss at every epoch.
+predictors share one input check, _input_rows. lgr_fit's step, min(LGR_STEP,
+1/L) with L bounding the loss's curvature, lowers the loss at every epoch.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
@@ -33,7 +31,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, TrainingError
+from .errors import ConfigError, ContractViolation, TrainingError, check_count
 from .scaling import Scaler, as_matrix
 
 HIDDEN_WIDTH = 6
@@ -41,6 +39,7 @@ HIDDEN_WIDTH = 6
 # both penalize their weights by L2/2 times the squared norm.
 TOLERANCE = 1e-6
 L2 = 1e-4
+LGR_STEP = 0.1  # lgr_fit's gradient-descent step, unless 1/L is smaller
 # mlp_fit's L-BFGS keeps this many (step, gradient change) pairs, and halves
 # a step at most this many times before it stops.
 LBFGS_MEMORY = 10
@@ -53,19 +52,11 @@ _ASSIGN_BLOCK_BYTES = 2 ** 20
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.01
     max_epochs: int = 200
     seed: int = 42
 
-    def __post_init__(self):
-        # the comparison is False for NaN, so NaN fails it too
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ConfigError("learning_rate must be finite and > 0")
-        # a bool is an int to isinstance; a float would fail range() in lgr_fit and
-        # round up in mlp_fit's iteration count
-        if (isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, numbers.Integral)
-                or self.max_epochs <= 0):
-            raise ConfigError(f"max_epochs must be a positive int, got {self.max_epochs!r}")
+    def __post_init__(self):  # a float would fail lgr_fit's range()
+        check_count("max_epochs", self.max_epochs)
 
 
 @dataclass(frozen=True)
@@ -224,17 +215,17 @@ def _lgr_grad(points, z, y, counts, n, w, l2):
 
 
 def _lgr_smoothness(points, counts, n) -> float:
-    """L, bounding lgr_fit's loss Hessian: the largest eigenvalue of sum_i c_i
-    a_i a_i^T / (4n), a_i a point and its bias column (np.einsum: no weighted
-    copy of the points), plus L2."""
-    a = np.column_stack([points, np.ones(len(points))])
-    return float(np.linalg.eigvalsh(np.einsum("i,ij,ik->jk", counts, a, a) / (4.0 * n))[-1]) + L2
+    """L, bounding lgr_fit's loss Hessian sum_i c_i a_i a_i^T / (4n) (a_i a point p_i
+    and its bias column) by its trace, sum_i c_i (|p_i|^2 + 1) / (4n), plus L2: at
+    most (d + 1) / 4 + L2 on d standardized columns."""
+    return (float(np.einsum("i,ij,ij->", counts, points, points)) + n) / (4.0 * n) + L2
 
 
 def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
             loss_history: Optional[list] = None) -> LgrModel:
     """Fit L2-regularized logistic regression by gradient descent at one
-    fixed step, min(cfg.learning_rate, 1/L) with L from _lgr_smoothness.
+    fixed step, min(LGR_STEP, 1/L) with L from _lgr_smoothness: on
+    standardized rows of at most 38 columns, LGR_STEP.
 
     Any step of at most 1/L lowers an L-smooth loss (Nesterov 2004, 1.2.3),
     so the losses loss_history records, at the start and after each step,
@@ -248,7 +239,7 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
     """
     scaler, points, labels, counts = _fit_points(X, y)
     n = counts.sum()  # the rows: a sum of integers below 2**53, so exact
-    step = min(cfg.learning_rate, 1.0 / _lgr_smoothness(points, counts, n))
+    step = min(LGR_STEP, 1.0 / _lgr_smoothness(points, counts, n))
     w = np.zeros(points.shape[1])
     b = 0.0
     z = points @ w + b
@@ -457,14 +448,11 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     values, wcss_history holds sums over values, which may differ from the
     row sums in the last bits; the final wcss is always the row sum.
     """
+    check_count("k", k)
+    check_count("restarts", restarts)
     X = as_matrix(X)
-    n = X.shape[0]
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    if restarts < 1:
-        raise ConfigError("restarts must be >= 1")
-    if n < k:
-        raise TrainingError(f"need at least k={k} points, got {n}")
+    if X.shape[0] < k:
+        raise TrainingError(f"need at least k={k} points, got {X.shape[0]}")
     points, inverse, counts = _points(X)
     sums = points * counts[:, None]
     best = None
@@ -531,9 +519,8 @@ def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()
     The chosen k maximizes the discrete second difference of the wcss
     curve over interior k; with fewer than 3 candidate k it is k_max.
     """
+    check_count("k_max", k_max)
     X = as_matrix(X)
-    if k_max < 1:
-        raise ConfigError("k_max must be >= 1")
     if X.shape[0] < k_max:
         raise TrainingError(f"need at least k_max={k_max} points, got {X.shape[0]}")
     curve = [(k, kmeans_fit(X, k, cfg, restarts=5).wcss) for k in range(1, k_max + 1)]

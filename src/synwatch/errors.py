@@ -6,6 +6,7 @@ lines, header fields and numbers from the rules at the end, so a
 file that breaks their rules is a ParseError at its line.
 """
 
+import numbers
 import re
 
 
@@ -43,6 +44,13 @@ class EmptyDatasetError(ConfigError):
 
 class NumericError(ArithmeticError):
     """Numerical failure: singular system or solver non-convergence."""
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse, by name, a float (3.0 too), a bool or an int below minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        wanted = "a positive int" if minimum == 1 else f"an int >= {minimum}"
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
 
 
 # An integer field: ASCII digits, with a leading "-" only where allowed. An

@@ -15,6 +15,7 @@ place, which the runners, `fit_model` (every row) and `score_model` share.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -25,7 +26,7 @@ from . import classifiers, framing, metrics, regressors
 from .classifiers import TrainConfig
 from .errors import (BalancingError, ConfigError, ContractViolation,
                      DegenerateClusteringError, EmptyDatasetError, NumericError, ParseError,
-                     read_lines)
+                     check_count, read_lines)
 from .metrics import Confusion
 from .regressors import GridSpec
 from .scaling import Scaler
@@ -57,11 +58,11 @@ SUPERVISED_KINDS, SEMI_KINDS, PREDICTION_KINDS = (
 MODEL_KINDS = tuple(_KINDS)
 
 # Each trained family's defaults and the settings its fit reads, in the report's
-# order. LGR's gradient descent can reach its epoch cap first: on the reference
-# series it stops at 5000 epochs with gradient max-norm 1.746e-03, and warns.
+# order; LGR's learning_rate is classifiers.LGR_STEP. LGR can reach its epoch cap
+# first: on the reference series it stops at 5000 epochs and warns.
 # The network's L-BFGS converges well inside its default cap of 200 iterations.
 _FAMILIES = {
-    "lgr": (TrainConfig(learning_rate=0.1, max_epochs=5000),
+    "lgr": (TrainConfig(max_epochs=5000),
             ("learning_rate", "max_epochs", "tolerance", "l2")),
     "mlp": (TrainConfig(), ("max_epochs", "tolerance", "l2", "train_seed")),
     "kmeans": (TrainConfig(), ("max_epochs", "train_seed")),
@@ -87,7 +88,7 @@ def default_train_cfg(family: str, seed: int) -> TrainConfig:
 def _train_echo(family: str, seed: int, prefix: str = "") -> dict:
     """The training settings the family's fit reads, their keys prefixed."""
     train = default_train_cfg(family, seed)
-    every = dict(learning_rate=train.learning_rate, max_epochs=train.max_epochs,
+    every = dict(learning_rate=classifiers.LGR_STEP, max_epochs=train.max_epochs,
                  tolerance=classifiers.TOLERANCE, l2=classifiers.L2, train_seed=train.seed)
     return {prefix + key: every[key] for key in _FAMILIES[family][1]}
 
@@ -259,6 +260,7 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     is identical to computing the full minority distance matrix: distances
     are the same sums of squares, and ties still go to the lowest row index.
     """
+    check_count("k", k)
     y = np.asarray(train.y)
     counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}
     if counts[0] == counts[1]:
@@ -540,19 +542,22 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def read_report(path) -> dict:
-    """Parse a report file back into a flat dict (config keys prefixed config.)."""
-    out = {}
-    section = ""
+    """Parse a report file into a flat dict, keys of a [name] section prefixed name."""
+    out, line_of, section = {}, {}, ""
     for line_no, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         if line.startswith("["):
-            section = line.strip("[]") + "."
+            if re.fullmatch(r"\[\w+\]", line) is None:
+                raise ParseError(line_no, f"expected a [name] section line, got {line!r}")
+            section = line[1:-1] + "."
             continue
         if "=" not in line:
             raise ParseError(line_no, f"expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        out[section + key] = value
+        if section + key in out:
+            raise ParseError(line_no, f"key {key!r} repeats line {line_of[section + key]}")
+        out[section + key], line_of[section + key] = value, line_no
     return out
 
 

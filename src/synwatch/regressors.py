@@ -22,7 +22,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import ConfigError, ContractViolation, NumericError, check_count
 from .scaling import Scaler, as_matrix
 
 SMO_TOL = 1e-3
@@ -81,8 +81,7 @@ class GridSpec:
                     or any(a >= b for a, b in zip(vals, vals[1:]))):
                 raise ConfigError(f"{name} must be a non-empty strictly ascending list of "
                                   f"finite positive values")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
+        check_count("folds", self.folds, minimum=2)
 
 
 def rbf_matrix(A, B, gamma: float) -> np.ndarray:

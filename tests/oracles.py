@@ -416,16 +416,16 @@ def labelled_points_reference(Xs, y):
 
 
 def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
-                      loss_history: Optional[list] = None) -> LgrModel:
+                      loss_history: Optional[list] = None, *, step: float) -> LgrModel:
     """The row-mean ground truth for lgr_fit: lgr_fit as it was before it
     reused the accepted step's z = Xs @ w + b, before it fitted one column
     over its distinct points, and before it took one fixed step of at most
     1/L: it evaluates the loss of every trial step and halves a step that
-    would raise it. Its loss and gradient are means over every row. At a
-    learning_rate of at most 1/L (classifiers._lgr_smoothness) no step is
-    halved, and lgr_fit at that rate, or at a higher one clamped to 1/L
-    when this runs at 1/L, matches it bit for bit on rows of two or more
-    columns, with or without a loss history, and to about 1e-12 on one
+    would raise it, then doubles it back up to `step`. Its loss and gradient
+    are means over every row. At a step of at most 1/L
+    (classifiers._lgr_smoothness) no step is halved, and at lgr_fit's step,
+    min(LGR_STEP, 1/L), lgr_fit matches it bit for bit on rows of two or
+    more columns, with or without a loss history, and to about 1e-12 on one
     column, whose sums it regroups by point.
 
     Fit L2-regularized logistic regression by monotone gradient descent.
@@ -445,7 +445,7 @@ def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
     Xs = scaler.transform(X)
     w = np.zeros(Xs.shape[1])
     b = 0.0
-    step = cfg.learning_rate
+    rate = step
     loss = _lgr_loss(Xs, y, w, b, L2)
     if loss_history is not None:
         loss_history.append(loss)
@@ -467,7 +467,7 @@ def lgr_fit_reference(X, y, cfg: TrainConfig = TrainConfig(),
                           f"{TOLERANCE:g}", RuntimeWarning, stacklevel=2)
             break
         w, b, loss = w_new, b_new, loss_new
-        step = min(step * 2.0, cfg.learning_rate)
+        step = min(step * 2.0, rate)
         if loss_history is not None:
             loss_history.append(loss)
     else:  # every epoch ran: say so unless the last step happened to converge

@@ -1,8 +1,8 @@
+import functools
 import math
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from oracles import (_distinct_row_init, exhaustive_wcss_1d, kmeans_fit_referenc
                      lgr_fit_reference, mlp_central_differences, mlp_gradcheck_worst,
                      mlp_loss_grads_reference)
 from synwatch import classifiers
-from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, MlpModel, TrainConfig,
-                                  elbow_curve, kmeans_assign, kmeans_fit,
+from synwatch.classifiers import (L2, LGR_STEP, TOLERANCE, KMeansModel, LgrModel, MlpModel,
+                                  TrainConfig, elbow_curve, kmeans_assign, kmeans_fit,
                                   lgr_fit, lgr_predict, map_clusters_to_labels, mlp_fit,
                                   mlp_loss_grads, mlp_predict)
 from synwatch.errors import ConfigError, ContractViolation, TrainingError
@@ -81,7 +81,7 @@ def test_lgr_loss_monotone():
     X = rng.normal(size=(60, 3))
     y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
     history = []
-    lgr_fit(X, y, TrainConfig(learning_rate=0.5, max_epochs=300), loss_history=history)
+    lgr_fit(X, y, TrainConfig(max_epochs=300), loss_history=history)
     diffs = np.diff(history)
     assert (diffs <= 1e-12).all()
 
@@ -90,7 +90,7 @@ def test_lgr_warns_when_epoch_cap_is_hit():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(60, 3))
     y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
-    cfg = TrainConfig(learning_rate=0.5, max_epochs=3)
+    cfg = TrainConfig(max_epochs=3)
     with pytest.warns(RuntimeWarning, match="cap of 3 epochs"):
         capped = lgr_fit(X, y, cfg)
     with warnings.catch_warnings():
@@ -106,15 +106,8 @@ def test_lgr_converged_fit_does_not_warn():
     history = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lgr_fit(X, y, TrainConfig(learning_rate=1.0, max_epochs=5000), loss_history=history)
+        lgr_fit(X, y, TrainConfig(max_epochs=5000), loss_history=history)
     assert len(history) < 5000
-
-
-@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_train_config_refuses_a_non_finite_learning_rate_by_name(rate):
-    # a NaN rate used to pass and make lgr_fit's step-halving loop run forever
-    with pytest.raises(ConfigError, match="^learning_rate must be finite and > 0$"):
-        TrainConfig(learning_rate=rate)
 
 
 @pytest.mark.parametrize("epochs", [2.5, 3.0, np.float64(4.0), True, 0, -1, "5", None],
@@ -171,22 +164,24 @@ def _lgr_parity_case(name):
     X = rng.normal(size=(60, 3))
     y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
     if name == "monotone":  # the set of test_lgr_loss_monotone
-        return X, y, TrainConfig(learning_rate=0.5, max_epochs=300)
-    if name == "clamped":  # 50 is past 1/L, so the step is 1/L
-        return X, y, TrainConfig(learning_rate=50.0, max_epochs=300)
+        return X, y, TrainConfig(max_epochs=300)
+    if name == "clamped":  # 40 standardized columns: L is about 41/4, so the step is 1/L
+        X = rng.normal(size=(60, 40))
+        return X, (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int), \
+            TrainConfig(max_epochs=300)
     if name == "capped":
-        return X, y, TrainConfig(learning_rate=0.5, max_epochs=3)
+        return X, y, TrainConfig(max_epochs=3)
     if name == "converged":  # the set of test_lgr_converged_fit_does_not_warn
         rng = np.random.default_rng(1)
         X = rng.normal(size=(80, 2))
         return X, (X[:, 0] + rng.normal(size=80) > 0).astype(int), \
-            TrainConfig(learning_rate=1.0, max_epochs=5000)
+            TrainConfig(max_epochs=5000)
     if name == "tied_counts":  # d = 1 integer counts, 14 distinct values in 200 rows
         rng = np.random.default_rng(4)
         counts = rng.poisson(6, size=200)
         return counts[:, None].astype(float), \
             (counts + rng.normal(scale=2.0, size=200) > 7).astype(int), \
-            TrainConfig(learning_rate=1.0, max_epochs=2000)
+            TrainConfig(max_epochs=5000)
     raise ValueError(name)
 
 
@@ -210,19 +205,18 @@ def _assert_close_to_reference(got, history, warned, want, want_history, want_wa
 
 
 def _lgr_step_bound(X, y):
-    """1/L for lgr_fit over these rows: its step is min(learning_rate, 1/L)."""
+    """1/L for lgr_fit over these rows: its step is min(LGR_STEP, 1/L)."""
     _, points, _, counts = classifiers._fit_points(X, y)
     return 1.0 / classifiers._lgr_smoothness(points, counts, counts.sum())
 
 
 def _reference_at_step(X, y, cfg):
     """lgr_fit_reference at lgr_fit's step, and whether that step is clamped
-    below cfg.learning_rate. At a rate of at most 1/L the reference never
-    halves its step, so it takes lgr_fit's fixed steps."""
+    below LGR_STEP. At a step of at most 1/L the reference never halves it,
+    so it takes lgr_fit's fixed steps."""
     bound = _lgr_step_bound(X, y)
-    step = min(cfg.learning_rate, bound)
-    return _fit_recording(lgr_fit_reference, X, y, replace(cfg, learning_rate=step)), \
-        cfg.learning_rate > bound
+    reference = functools.partial(lgr_fit_reference, step=min(LGR_STEP, bound))
+    return _fit_recording(reference, X, y, cfg), LGR_STEP > bound
 
 
 @pytest.mark.parametrize("case", ["monotone", "clamped", "capped", "converged",
@@ -248,20 +242,58 @@ def test_lgr_fit_matches_reference_bit_for_bit(case, monkeypatch):
     capped = len(history) == cfg.max_epochs + 1
     assert capped == (case in ("monotone", "clamped", "capped")) == bool(warned)
     assert clamped == (case == "clamped")
-    if clamped:  # a rate past 1/L gives the fit at 1/L, byte for byte
-        at_bound, _, at_bound_warned = _fit_recording(
-            lgr_fit, X, y, replace(cfg, learning_rate=_lgr_step_bound(X, y)))
-        _assert_same_fit(got, warned, at_bound, at_bound_warned)
 
 
 def test_lgr_smoothness_over_counted_points_is_that_of_the_rows():
     """L over one column's distinct points, weighted by their rows, is the
-    largest eigenvalue of the rows' sum a a^T / 4n plus L2, to 1e-12."""
+    trace of the rows' sum a a^T / 4n plus L2, to 1e-12."""
     X, y, _ = _lgr_parity_case("tied_counts")
     Xs = Scaler.fit(X).transform(X)
     a = np.column_stack([Xs, np.ones(len(Xs))])
-    want = np.linalg.eigvalsh(a.T @ a / (4.0 * len(Xs))).max() + L2
+    want = np.trace(a.T @ a / (4.0 * len(Xs))) + L2
     assert 1.0 / _lgr_step_bound(X, y) == pytest.approx(want, rel=1e-12)
+
+
+def _largest_curvature(points, counts, n):
+    """The oracle for _lgr_smoothness: the largest eigenvalue of sum_i c_i a_i
+    a_i^T / (4n), a_i a point and its bias column, plus L2. It bounds the
+    loss Hessian, since each sigmoid slope is at most 1/4."""
+    a = np.column_stack([points, np.ones(len(points))])
+    return float(np.linalg.eigvalsh(np.einsum("i,ij,ik->jk", counts, a, a) / (4.0 * n))[-1]) + L2
+
+
+@st.composite
+def _standardized_points(draw):
+    """lgr_fit's points and counts: one column of few distinct integers times
+    a scale, counted by _fit_points, or rows of 2-13 or 14-38 such columns,
+    each a point of count 1. Both labels are present."""
+    d = draw(st.one_of(st.just(1), st.integers(2, 13), st.integers(14, 38)))
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.integers(-3, 4, size=(n, d)) * draw(st.sampled_from([1.0, 0.37, 1e-3, 1e6]))
+    y = rng.integers(0, 2, size=n)
+    y[0] = 1 - y[-1]
+    _, points, _, counts = classifiers._fit_points(X, y)
+    return points, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_standardized_points())
+def test_lgr_smoothness_bounds_the_curvature_and_keeps_lgr_step(fit_points):
+    """The trace is at least the largest eigenvalue (to rounding), and on
+    standardized points of at most 38 columns 1/L does not clamp LGR_STEP."""
+    points, counts = fit_points
+    n = counts.sum()
+    smoothness = classifiers._lgr_smoothness(points, counts, n)
+    assert smoothness >= _largest_curvature(points, counts, n) * (1.0 - 1e-12)
+    assert 1.0 / smoothness >= LGR_STEP
+
+
+@pytest.mark.parametrize("d", [38, 39])
+def test_lgr_step_is_clamped_from_39_standardized_columns(d):
+    X = np.random.default_rng(d).normal(size=(50, d))
+    y = (X[:, 0] > 0).astype(int)
+    assert (_lgr_step_bound(X, y) < LGR_STEP) == (d == 39)
 
 
 @st.composite
@@ -280,11 +312,10 @@ def _lgr_one_column(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=_lgr_one_column(), lr=st.sampled_from([0.01, 0.1, 1.0, 10.0, 50.0]),
-       max_epochs=st.integers(1, 60))
-def test_lgr_fit_on_one_column_matches_reference_bit_for_bit(data, lr, max_epochs):
+@given(data=_lgr_one_column(), max_epochs=st.integers(1, 60))
+def test_lgr_fit_on_one_column_matches_reference_bit_for_bit(data, max_epochs):
     X, y = data
-    cfg = TrainConfig(learning_rate=lr, max_epochs=max_epochs)
+    cfg = TrainConfig(max_epochs=max_epochs)
     (want, want_history, want_warned), _ = _reference_at_step(X, y, cfg)
     got, history, warned = _fit_recording(lgr_fit, X, y, cfg)
     _assert_close_to_reference(got, history, warned, want, want_history, want_warned)
@@ -336,11 +367,10 @@ def _fit_counting_losses(X, y, cfg):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.one_of(_lgr_one_column(), _lgr_columns()),
-       lr=st.sampled_from([0.01, 0.1, 1.0, 10.0, 50.0]), max_epochs=st.integers(1, 200))
-def test_lgr_fit_without_history_takes_the_same_steps(data, lr, max_epochs):
+@given(data=st.one_of(_lgr_one_column(), _lgr_columns()), max_epochs=st.integers(1, 200))
+def test_lgr_fit_without_history_takes_the_same_steps(data, max_epochs):
     X, y = data
-    cfg = TrainConfig(learning_rate=lr, max_epochs=max_epochs)
+    cfg = TrainConfig(max_epochs=max_epochs)
     got, warned, evaluations = _fit_counting_losses(X, y, cfg)
     assert evaluations == 0
     _assert_fit_without_history_is_exact(X, y, cfg, got, warned)
@@ -356,9 +386,9 @@ def test_lgr_fit_without_history_matches_the_recorded_fit_bit_for_bit(case):
 
 
 def test_lgr_fit_without_history_evaluates_no_loss_on_counts_at_rate_0_1():
-    # the per-interval lgr kinds' rate, on one column of Poisson counts
+    # the per-interval lgr kinds' step, on one column of Poisson counts, capped
     X, y, _ = _lgr_parity_case("tied_counts")
-    cfg = TrainConfig(learning_rate=0.1, max_epochs=2000)
+    cfg = TrainConfig(max_epochs=2000)
     got, warned, evaluations = _fit_counting_losses(X, y, cfg)
     assert evaluations == 0
     _assert_fit_without_history_is_exact(X, y, cfg, got, warned)
@@ -447,7 +477,7 @@ def test_lgr_and_mlp_fit_through_one_front_end(monkeypatch, d):
     X, y = _two_class_rows(60, d, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # either may stop at its cap
-        lgr_fit(X, y, TrainConfig(learning_rate=0.1, max_epochs=20))
+        lgr_fit(X, y, TrainConfig(max_epochs=20))
         assert calls == [((60, d), 60)]
         mlp_fit(X, y, TrainConfig(max_epochs=20))
     assert calls == [((60, d), 60)] * 2
@@ -617,16 +647,17 @@ def test_mlp_fit_stops_at_a_stationary_point(d, n):
 
 @pytest.mark.parametrize("d", [1, 12, 13])
 @pytest.mark.parametrize("n", [64, 100, 20])
-@pytest.mark.parametrize("learning_rate", [0.05, 1e100])
-def test_mlp_fit_matches_reference_bit_for_bit(d, n, learning_rate):
-    """The reference is the fit under the default config: the MLP reads no
-    learning rate, so any learning_rate, even one that would overflow a
-    gradient step, gives the same finite weights byte for byte."""
+@pytest.mark.parametrize("lgr_step", [0.05, 1e100])
+def test_mlp_fit_matches_reference_bit_for_bit(d, n, lgr_step, monkeypatch):
+    """The reference is the fit at the module's LGR_STEP: the MLP reads no
+    step, so any LGR_STEP, even one that would overflow a gradient step,
+    gives the same finite weights byte for byte."""
     X, y = _two_class_rows(n, d, 100 * d + n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # both fits converge
-        got = mlp_fit(X, y, TrainConfig(learning_rate=learning_rate, seed=d + n))
         want = mlp_fit(X, y, TrainConfig(seed=d + n))
+        monkeypatch.setattr(classifiers, "LGR_STEP", lgr_step)
+        got = mlp_fit(X, y, TrainConfig(seed=d + n))
     for g, w in zip((got.W1, got.b1, got.W2, got.b2), (want.W1, want.b1, want.W2, want.b2)):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
         assert np.isfinite(g).all()
@@ -933,7 +964,7 @@ def test_grouped_assign_matches_the_row_pass_bit_for_bit(k, data):
 
 @pytest.mark.parametrize("restarts", [0, -3])
 def test_kmeans_fit_needs_a_restart(restarts):
-    with pytest.raises(ConfigError, match="restarts must be >= 1"):
+    with pytest.raises(ConfigError, match=f"^restarts must be a positive int, got {restarts}$"):
         kmeans_fit(np.arange(6.0).reshape(-1, 1), 2, restarts=restarts)
 
 

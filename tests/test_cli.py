@@ -601,3 +601,13 @@ def test_report_pretty_printer(tmp_path, capsys):
     assert main(["report", str(r)]) == 0
     out = capsys.readouterr().out
     assert "model_kind" in out and "kmeans" in out
+
+
+
+def test_report_with_a_repeated_key_exits_two(tmp_path, capsys):
+    r = tmp_path / "r.txt"
+    r.write_text("model_kind=lgr\naccuracy_pct=99.000\naccuracy_pct=12.000\n")
+    assert main(["report", str(r)]) == 2
+    captured = capsys.readouterr()
+    assert "12.000" not in captured.out
+    assert "line 3: key 'accuracy_pct' repeats line 2" in captured.err

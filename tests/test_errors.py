@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from synwatch.errors import ParseError, header_fields, parse_int, read_lines, split_lines
+from synwatch.classifiers import TrainConfig, elbow_curve, kmeans_fit
+from synwatch.errors import (ConfigError, ParseError, check_count, header_fields, parse_int,
+                             read_lines, split_lines)
+from synwatch.pipeline import DataSet, smote_balance
+from synwatch.regressors import GridSpec
 
 
 def test_lines_end_only_at_newline():
@@ -43,3 +48,39 @@ def test_integer_fields_are_ascii_digits_within_int64():
     for text in ("--1", "+5", "- 1", str(-2 ** 63 - 1)):
         with pytest.raises(ParseError, match="line 5: origin_s"):
             parse_int(text, 5, "origin_s", signed=True)
+
+
+_ROWS = np.arange(8.0).reshape(-1, 1)
+_UNBALANCED = DataSet(_ROWS, np.array([0, 0, 0, 0, 0, 1, 1, 1]))
+# each count a caller takes, by the name its refusal gives and the least value
+_COUNTS = {
+    "max_epochs": (lambda v: TrainConfig(max_epochs=v), 1),
+    "kmeans_fit k": (lambda v: kmeans_fit(_ROWS, v), 1),
+    "kmeans_fit restarts": (lambda v: kmeans_fit(_ROWS, 2, restarts=v), 1),
+    "elbow_curve k_max": (lambda v: elbow_curve(_ROWS, v), 1),
+    "smote_balance k": (lambda v: smote_balance(_UNBALANCED, v, 1), 1),
+    "folds": (lambda v: GridSpec(folds=v), 2),
+}
+
+
+@pytest.mark.parametrize("caller", list(_COUNTS))
+@pytest.mark.parametrize("bad", ["float", "whole_float", "np_float", "bool", "too_small",
+                                 "negative", "str"])
+def test_every_count_is_refused_by_one_rule_that_names_it(caller, bad):
+    # kmeans_fit(X, 2.0) used to raise a bare TypeError, smote_balance(data, 0, 1)
+    # numpy's "high <= 0" and GridSpec(folds=2.5) nothing until grid time
+    call, minimum = _COUNTS[caller]
+    value = {"float": minimum + 0.5, "whole_float": float(minimum + 1),
+             "np_float": np.float64(minimum + 1), "bool": True, "too_small": minimum - 1,
+             "negative": -3, "str": "5"}[bad]
+    name = caller.split()[-1]
+    wanted = "a positive int" if minimum == 1 else f"an int >= {minimum}"
+    with pytest.raises(ConfigError, match=f"^{name} must be {wanted}, got "):
+        call(value)
+
+
+def test_a_count_at_its_minimum_and_a_numpy_int_pass():
+    check_count("k", 1)
+    check_count("folds", np.int64(2), minimum=2)
+    assert GridSpec(folds=np.int64(2)).folds == 2
+    assert kmeans_fit(_ROWS, np.int64(2), TrainConfig(seed=0)).k == 2

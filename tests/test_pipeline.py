@@ -17,7 +17,7 @@ import synwatch.pipeline as pipeline
 from oracles import frame_sigma, smote_balance_dense
 from synwatch.classifiers import TrainConfig, kmeans_assign, kmeans_fit, map_clusters_to_labels
 from synwatch.errors import (BalancingError, ConfigError, DegenerateClusteringError,
-                             EmptyDatasetError)
+                             EmptyDatasetError, ParseError)
 from synwatch.metrics import r_squared, rmse
 from synwatch.pipeline import (MODEL_KINDS, PREDICTION_KINDS, SEMI_KINDS, SUPERVISED_KINDS,
                                DataSet, ExperimentConfig, auto_label_series,
@@ -560,6 +560,25 @@ def test_report_file_round_trip(tmp_path, small_series):
 _REPORT = (b"model_kind=svr\ntp=12\ntn=100\nfp=0\nfn=3\naccuracy_pct=97.391\n"
            b"r2=0.998765\ntrain_seconds=0.012345\n[config]\nmodel_kind=svr\nseed=42\n"
            b"grid=-\n")
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    # a repeated key used to overwrite the first: 12.000 was read, with no error
+    (b"accuracy_pct=99.000\naccuracy_pct=12.000\n", 2, "key 'accuracy_pct' repeats line 1"),
+    (b"seed=1\n[config]\nseed=2\n\nseed=3\n", 5, "key 'seed' repeats line 3"),
+    (b"seed=1\n[config]\nseed=2\n[config]\nseed=3\n", 5, "key 'seed' repeats line 3"),
+    (b"tp=1\n[config\nseed=2\n", 2, "expected a [name] section line"),
+    (b"tp=1\n[]\n", 2, "expected a [name] section line"),
+    (b"tp=1\n[con]fig]\n", 2, "expected a [name] section line"),
+    (b"tp=1\n[config] \n", 2, "expected a [name] section line"),
+], ids=["top_level_key", "config_key", "config_twice", "open_bracket", "empty_name",
+        "inner_bracket", "trailing_space"])
+def test_report_refuses_a_repeated_key_or_a_bad_section_at_its_line(tmp_path, text, line_no,
+                                                                      message):
+    path = tmp_path / "r.txt"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match=re.escape(f"line {line_no}: {message}")):
+        read_report(path)
 
 
 @settings(max_examples=100, deadline=None,
