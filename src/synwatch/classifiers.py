@@ -8,10 +8,12 @@ weighted points (distinct packet counts, or the rows at weight 1) and runs
 every seeded restart on those points. A restart draws its first centroids
 over those points too, with array operations and no loop over rows, and an
 emptied cluster is reseeded from them, so kmeans_fit reads its input only
-to group it. Packet counts are grouped by counting: one np.bincount over a
-table no longer than the column, with np.unique's sort only for a column
-that spans more values than it has rows. kmeans_assign labels the distinct
-counts and takes the labels to the rows.
+to group it. Of each restart's permutation of the rows it keeps only what
+the draw reads (_draw), so elbow_curve groups its input once and draws
+each restart's permutation once for every k. Packet counts are grouped by
+counting: one np.bincount over a table no longer than the column, with
+np.unique's sort only for a column that spans more values than it has rows.
+kmeans_assign labels the distinct counts and takes the labels to the rows.
 
 LGR and the MLP share one front end, _fit_points, which validates,
 standardizes and groups their rows with one sort. One column is fitted over
@@ -27,7 +29,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,6 +59,7 @@ class TrainConfig:
 
     def __post_init__(self):  # a float would fail lgr_fit's range()
         check_count("max_epochs", self.max_epochs)
+        check_count("seed", self.seed, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -393,30 +396,62 @@ def mlp_predict(model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
 # K-Means
 
 
-def _seeded_centroids(points, inverse, k, rng):
-    """The k starting centroids of one run, as points: one rng.permutation of
-    the rows, the first k rows of distinct bytes in that order, then the
-    earliest of the others when there are fewer than k distinct rows.
+class _Starts(NamedTuple):
+    """Where kmeans_fit's restarts start, for any k up to k_max: the grouping
+    of the rows (_points) and one _draw per restart r, made with seed + r."""
+    points: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray
+    seed: int
+    k_max: int
+    draws: tuple
+
+
+def _draw(points, inverse, k_max, rng):
+    """What _seeded_centroids reads of one rng.permutation of the rows, for
+    any k up to k_max: (first, their points, head), the positions in that
+    order of its first k_max rows of distinct bytes (all of them, when there
+    are fewer), those rows' points, and the points of its first 2 * k_max
+    rows, from which a draw of more than the distinct rows is filled.
 
     The first row of each key is found in a prefix of the order that
-    doubles from 4k rows until it holds k keys. Fewer points than rows are
-    grouped and distinct, so a row's point is its key; as many points as
-    rows may repeat, so each row is keyed by its point's uint64 view, which
-    keeps -0.0 apart from 0.0.
+    doubles from 4 * k_max rows until it holds k_max keys. Fewer points than
+    rows are grouped and distinct, so a row's point is its key; as many
+    points as rows may repeat, so each row is keyed by its point's uint64
+    view, which keeps -0.0 apart from 0.0. The order itself is not kept.
     """
     n = len(inverse)
     order = rng.permutation(n)
-    m = 4 * k
+    m = 4 * k_max
     while True:
         rows = inverse[order[:m]]
         keys = rows if len(points) < n else points[rows].view(np.uint64)
-        first = np.sort(np.unique(keys, axis=0, return_index=True)[1])[:k]
-        if len(first) == k or m >= n:
+        first = np.sort(np.unique(keys, axis=0, return_index=True)[1])[:k_max]
+        if len(first) == k_max or m >= n:
             break
         m *= 2
-    spare = np.arange(min(n, 2 * k))  # fewer than k are chosen: the others fill the draw
-    chosen = np.concatenate([first, spare[~np.isin(spare, first)]])[:k]
-    return points[inverse[order[chosen]]]
+    return first, inverse[order[first]], inverse[order[:2 * k_max]]
+
+
+def _kmeans_starts(X, k_max: int, seed: int, restarts: int) -> _Starts:
+    """The _Starts of `restarts` runs on X: one grouping, and one permutation
+    of the rows at a time, dropped once its _draw is kept."""
+    points, inverse, counts = _points(X)
+    draws = tuple(_draw(points, inverse, k_max, np.random.default_rng(seed + r))
+                  for r in range(restarts))
+    return _Starts(points, inverse, counts, seed, k_max, draws)
+
+
+def _seeded_centroids(points, draw, k):
+    """The k starting centroids of one run, as points: the first k rows of
+    distinct bytes in the order of a _draw made for k or more, then, when
+    there are fewer than k distinct rows, the earliest of the others."""
+    first, first_points, head = draw
+    if len(first) >= k:
+        return points[first_points[:k]]
+    spare = np.arange(min(len(head), 2 * k))  # the order's first min(n, 2k) positions
+    fill = spare[~np.isin(spare, first)][:k - len(first)]
+    return points[np.concatenate([first_points, head[fill]])]
 
 
 def _sq_distances(X, centroids) -> np.ndarray:
@@ -431,7 +466,8 @@ def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
-               wcss_history: Optional[list] = None, restarts: int = 1) -> KMeansModel:
+               wcss_history: Optional[list] = None, restarts: int = 1,
+               _starts: Optional[_Starts] = None) -> KMeansModel:
     """Best (lowest wcss, ties to the earliest) of `restarts` runs of Lloyd's
     iterations, run r from k distinct data points drawn with seed cfg.seed + r.
 
@@ -447,17 +483,31 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     sums being exact, the same centroids as the rows), else the rows. Over
     values, wcss_history holds sums over values, which may differ from the
     row sums in the last bits; the final wcss is always the row sum.
+
+    _starts, which only elbow_curve passes, holds that grouping and each
+    restart's draw (_kmeans_starts) for any k up to its k_max, so that one
+    permutation per restart serves every k; the fit is the same bit for bit.
+    Starts made for another row count or seed, fewer restarts or a smaller
+    k_max are a ContractViolation. Without them the fit makes its own at k.
     """
     check_count("k", k)
     check_count("restarts", restarts)
     X = as_matrix(X)
     if X.shape[0] < k:
         raise TrainingError(f"need at least k={k} points, got {X.shape[0]}")
-    points, inverse, counts = _points(X)
+    if _starts is None:
+        _starts = _kmeans_starts(X, k, cfg.seed, restarts)
+    elif (len(_starts.inverse) != len(X) or _starts.seed != cfg.seed
+          or len(_starts.draws) < restarts or _starts.k_max < k):
+        raise ContractViolation(
+            f"starts drawn for {len(_starts.inverse)} rows, seed {_starts.seed}, "
+            f"{len(_starts.draws)} restarts and k up to {_starts.k_max} do not fit "
+            f"{len(X)} rows, seed {cfg.seed}, {restarts} restarts and k={k}")
+    points, inverse, counts = _starts.points, _starts.inverse, _starts.counts
     sums = points * counts[:, None]
     best = None
     for r in range(restarts):
-        centroids = _seeded_centroids(points, inverse, k, np.random.default_rng(cfg.seed + r))
+        centroids = _seeded_centroids(points, _starts.draws[r], k)
         prev_assign = None
         for _ in range(cfg.max_epochs):
             assign, own = _nearest(points, centroids)
@@ -513,17 +563,22 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
 
 def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()
                 ) -> tuple[list[tuple[int, float]], int]:
-    """WCSS over k = 1..k_max (best of 5 restarts each, one grouping of X per
-    k) plus the chosen k.
+    """WCSS over k = 1..k_max (best of 5 restarts each) plus the chosen k.
 
-    The chosen k maximizes the discrete second difference of the wcss
-    curve over interior k; with fewer than 3 candidate k it is k_max.
+    X is grouped once, and each restart's permutation of the rows is drawn
+    once for every k (_kmeans_starts at k_max); each k is still one
+    kmeans_fit call, whose wcss is that of kmeans_fit(X, k, cfg, restarts=5)
+    bit for bit. The chosen k maximizes the discrete second difference of
+    the wcss curve over interior k; with fewer than 3 candidate k it is k_max.
     """
     check_count("k_max", k_max)
     X = as_matrix(X)
     if X.shape[0] < k_max:
         raise TrainingError(f"need at least k_max={k_max} points, got {X.shape[0]}")
-    curve = [(k, kmeans_fit(X, k, cfg, restarts=5).wcss) for k in range(1, k_max + 1)]
+    restarts = 5
+    starts = _kmeans_starts(X, k_max, cfg.seed, restarts)
+    curve = [(k, kmeans_fit(X, k, cfg, restarts=restarts, _starts=starts).wcss)
+             for k in range(1, k_max + 1)]
     if k_max < 3:
         return curve, k_max
     wcss = [w for _, w in curve]

@@ -100,6 +100,7 @@ class ExperimentConfig:
     grid: Optional[GridSpec] = None
 
     def __post_init__(self):
+        check_count("seed", self.seed, minimum=0)
         if self.model_kind not in _KINDS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         if self.grid is not None and _KINDS[self.model_kind].family not in ("krr", "svr"):

@@ -426,6 +426,7 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
     cold one but at another point inside it, so the table's floats are not
     those of cold fits bit for bit. The refit of the chosen cell is cold.
     """
+    check_count("seed", seed, minimum=0)
     X = as_matrix(X)
     n = X.shape[0]
     y = _targets(y, n)

@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, decode_utf8,
-                     header_fields, int64, parse_int, split_lines)
+from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, check_count,
+                     decode_utf8, header_fields, int64, parse_int, split_lines)
 
 _ROW = re.compile(f"({DIGITS}),({DIGITS}),([01])")  # index,count,label
 # The most intervals a series may have: 1 GiB per int64 array, 42 years of 10 s.
@@ -109,6 +109,7 @@ class SynthesisConfig:
         if not 1 <= self.burst_length <= MAX_INTERVALS:
             raise ConfigError(f"burst_length must be in [1, {MAX_INTERVALS}], "
                               f"got {self.burst_length}")
+        check_count("seed", self.seed, minimum=0)
 
 
 def parse_packet_log(stream: Union[str, TextIO, Iterable[str]]) -> list[PacketRecord]:

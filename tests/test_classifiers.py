@@ -832,25 +832,28 @@ def _kmeans_case(name):
                           ).reshape(-1, 1)
 
 
+_KMEANS_CASES = ("counts_ties", "counts_bimodal", "mid_run_reseed", "three_values",
+                 "negative_zero", "non_integer", "two_columns", "sum_at_2_53",
+                 "rare_kth_value", "signed_zero_rows", "range_just_inside",
+                 "range_just_outside")
 _GROUPED = ("counts_ties", "counts_bimodal", "mid_run_reseed", "three_values",
             "rare_kth_value", "range_just_inside", "range_just_outside")
 
 
-@pytest.mark.parametrize("name", ["counts_ties", "counts_bimodal", "mid_run_reseed",
-                                  "three_values", "negative_zero", "non_integer",
-                                  "two_columns", "sum_at_2_53", "rare_kth_value",
-                                  "signed_zero_rows", "range_just_inside",
-                                  "range_just_outside"])
+@pytest.mark.parametrize("name", _KMEANS_CASES)
 def test_kmeans_fit_matches_reference_bit_for_bit(name):
     X = _kmeans_case(name)
     points, inverse, _ = classifiers._points(X)
     assert (points is not X) == (name in _GROUPED)
     for k in range(1, 5):
         for seed in range(4):
-            # the draw alone, whose fill rows a reseed replaces before any sweep counts
-            draw = classifiers._seeded_centroids(points, inverse, k, np.random.default_rng(seed))
+            # the draw alone, whose fill rows a reseed replaces before any sweep counts;
+            # a draw made for any k_max >= k starts the same k rows
             want = _distinct_row_init(X, k, np.random.default_rng(seed))
-            assert draw.tobytes() == want.tobytes()
+            for k_max in range(k, 5):
+                record = classifiers._draw(points, inverse, k_max, np.random.default_rng(seed))
+                draw = classifiers._seeded_centroids(points, record, k)
+                assert draw.tobytes() == want.tobytes()
             for restarts in (1, 3):
                 got_history = []
                 got = kmeans_fit(X, k, TrainConfig(seed=seed), wcss_history=got_history,
@@ -1079,7 +1082,94 @@ def test_elbow_groups_its_input_once_per_k(monkeypatch, name):
     monkeypatch.setattr(classifiers, "_points", counting_points)
     X = _kmeans_case(name)
     elbow_curve(X, 4)
-    assert calls == [X.shape] * 4  # one grouping per k, not one per restart
+    assert calls == [X.shape]  # one grouping for every k, not one per k or restart
+
+
+def test_elbow_draws_one_permutation_per_restart(monkeypatch):
+    orders = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def permutation(self, n):
+            orders.append(n)
+            return self.rng.permutation(n)
+
+    X = _kmeans_case("counts_bimodal")
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    elbow_curve(X, 6, TrainConfig(seed=0))
+    assert orders == [len(X)] * 5  # one per restart, not one per k and restart
+
+
+def test_elbow_holds_no_more_row_arrays_than_one_fit():
+    """The draws keep 3 * k_max entries of each restart's permutation, not
+    the permutation: besides the grouping's inverse, one order of the rows
+    (or one column of distances) is alive at a time."""
+    X = np.random.default_rng(5).poisson(50.0, size=(200_000, 1)).astype(np.float64)
+    cfg = TrainConfig(seed=0)
+    peaks = []
+    for run in (lambda: kmeans_fit(X, 6, cfg, restarts=5), lambda: elbow_curve(X, 6, cfg)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    fit_peak, elbow_peak = peaks
+    assert fit_peak <= 2.5 * len(X) * 8
+    assert elbow_peak <= fit_peak + 2 ** 16  # a second order of the rows is 1.6 MB
+
+
+def _elbow_choice(wcss):
+    """elbow_curve's chosen k for the wcss of k = 1, 2, ...: the first
+    interior k of the largest second difference, else the last k."""
+    if len(wcss) < 3:
+        return len(wcss)
+    bends = [wcss[k - 2] - 2.0 * wcss[k - 1] + wcss[k] for k in range(2, len(wcss))]
+    return 2 + bends.index(max(bends))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(_KMEANS_CASES), k_max=st.integers(1, 8), seed=st.integers(0, 5))
+@example(name="three_values", k_max=6, seed=0)  # fewer values than k: the draw is filled
+@example(name="two_columns", k_max=8, seed=1)
+@example(name="negative_zero", k_max=7, seed=2)
+@example(name="signed_zero_rows", k_max=8, seed=3)
+@example(name="non_integer", k_max=8, seed=4)
+@example(name="range_just_outside", k_max=8, seed=5)
+def test_elbow_equals_the_fits_without_shared_starts(name, k_max, seed):
+    X = _kmeans_case(name)
+    k_max = min(k_max, len(X))
+    cfg = TrainConfig(seed=seed)
+    curve, chosen = elbow_curve(X, k_max, cfg)
+    want = [kmeans_fit(X, k, cfg, restarts=5).wcss for k in range(1, k_max + 1)]
+    assert [k for k, _ in curve] == list(range(1, k_max + 1))
+    assert np.array([w for _, w in curve]).tobytes() == np.array(want).tobytes()
+    assert chosen == _elbow_choice(want)
+    # each restart's draw, made once at k_max, starts every k as the row loop does
+    points, inverse, _ = classifiers._points(X)
+    for r in range(5):
+        record = classifiers._draw(points, inverse, k_max, np.random.default_rng(seed + r))
+        for k in range(1, k_max + 1):
+            want_rows = _distinct_row_init(X, k, np.random.default_rng(seed + r))
+            assert classifiers._seeded_centroids(points, record, k).tobytes() == \
+                want_rows.tobytes()
+
+
+def test_kmeans_fit_refuses_starts_made_for_another_fit():
+    X = _kmeans_case("counts_ties")
+    starts = classifiers._kmeans_starts(X, 3, 0, 2)
+    # starts for a larger k_max and more restarts serve a smaller fit, bit for bit
+    got = kmeans_fit(X, 2, TrainConfig(seed=0), restarts=1, _starts=starts)
+    want = kmeans_fit(X, 2, TrainConfig(seed=0), restarts=1)
+    assert got.centroids.tobytes() == want.centroids.tobytes() and got.wcss == want.wcss
+    for rows, k, restarts, seed in [(X[:-1], 3, 2, 0), (X, 4, 2, 0), (X, 3, 3, 0),
+                                    (X, 3, 2, 1)]:
+        with pytest.raises(ContractViolation, match="^starts drawn for 600 rows, seed 0, "
+                                                    "2 restarts and k up to 3 do not fit"):
+            kmeans_fit(rows, k, TrainConfig(seed=seed), restarts=restarts, _starts=starts)
 
 
 def test_map_clusters_high_mean_is_attack():

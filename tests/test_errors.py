@@ -4,8 +4,9 @@ import pytest
 from synwatch.classifiers import TrainConfig, elbow_curve, kmeans_fit
 from synwatch.errors import (ConfigError, ParseError, check_count, header_fields, parse_int,
                              read_lines, split_lines)
-from synwatch.pipeline import DataSet, smote_balance
-from synwatch.regressors import GridSpec
+from synwatch.pipeline import DataSet, ExperimentConfig, smote_balance
+from synwatch.regressors import GridSpec, grid_search
+from synwatch.traffic import SynthesisConfig
 
 
 def test_lines_end_only_at_newline():
@@ -60,19 +61,26 @@ _COUNTS = {
     "elbow_curve k_max": (lambda v: elbow_curve(_ROWS, v), 1),
     "smote_balance k": (lambda v: smote_balance(_UNBALANCED, v, 1), 1),
     "folds": (lambda v: GridSpec(folds=v), 2),
+    "TrainConfig seed": (lambda v: TrainConfig(seed=v), 0),
+    "ExperimentConfig seed": (lambda v: ExperimentConfig(model_kind="kmeans", seed=v), 0),
+    "SynthesisConfig seed": (lambda v: SynthesisConfig(n_intervals=10, baseline_rate=5.0,
+                                                       seed=v), 0),
+    "grid_search seed": (lambda v: grid_search(_ROWS, _ROWS[:, 0], "krr", GridSpec(), seed=v),
+                         0),
 }
 
 
 @pytest.mark.parametrize("caller", list(_COUNTS))
 @pytest.mark.parametrize("bad", ["float", "whole_float", "np_float", "bool", "too_small",
-                                 "negative", "str"])
+                                 "negative", "str", "none"])
 def test_every_count_is_refused_by_one_rule_that_names_it(caller, bad):
     # kmeans_fit(X, 2.0) used to raise a bare TypeError, smote_balance(data, 0, 1)
-    # numpy's "high <= 0" and GridSpec(folds=2.5) nothing until grid time
+    # numpy's "high <= 0" and GridSpec(folds=2.5) nothing until grid time; a seed of
+    # -1 ended in numpy's ValueError, 1.5 in a TypeError, and None drew OS entropy
     call, minimum = _COUNTS[caller]
     value = {"float": minimum + 0.5, "whole_float": float(minimum + 1),
              "np_float": np.float64(minimum + 1), "bool": True, "too_small": minimum - 1,
-             "negative": -3, "str": "5"}[bad]
+             "negative": -3, "str": "5", "none": None}[bad]
     name = caller.split()[-1]
     wanted = "a positive int" if minimum == 1 else f"an int >= {minimum}"
     with pytest.raises(ConfigError, match=f"^{name} must be {wanted}, got "):
@@ -84,3 +92,5 @@ def test_a_count_at_its_minimum_and_a_numpy_int_pass():
     check_count("folds", np.int64(2), minimum=2)
     assert GridSpec(folds=np.int64(2)).folds == 2
     assert kmeans_fit(_ROWS, np.int64(2), TrainConfig(seed=0)).k == 2
+    assert TrainConfig(seed=np.int64(0)).seed == 0
+    assert ExperimentConfig(model_kind="kmeans", seed=0).seed == 0
