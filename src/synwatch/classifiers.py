@@ -22,6 +22,9 @@ and the sums divided by the rows; rows of two or more columns are points of
 count 1, whose weighted sums are the row means bit for bit. The three
 predictors share one input check, _input_rows. lgr_fit's step, min(LGR_STEP,
 1/L) with L bounding the loss's curvature, lowers the loss at every epoch.
+An epoch keeps the weights, bias and gradient in Python floats and the
+points' scores and residual in buffers allocated once per fit; its
+arithmetic is that of the whole-array form, bit for bit.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def _check_binary_labels(y) -> np.ndarray:
     y = np.asarray(y)
     if y.ndim != 1:
         raise ContractViolation("y must be 1-D")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ContractViolation("labels must be 0 or 1")
     if len(y) == 0 or y.min() == y.max():
         raise TrainingError("degenerate labels: both classes must be present")
@@ -211,17 +214,34 @@ def _lgr_loss(z, y, counts, n, w, l2):
     return bce + 0.5 * l2 * float(w @ w)
 
 
-def _lgr_grad(points, z, y, counts, n, w, l2):
-    # the _sigmoid expression without its np.errstate: lgr_fit sets it once per fit
-    residual = counts * (1.0 / (1.0 + np.exp(-z)) - y)
-    return points.T @ residual / n + l2 * w, float(np.add.reduce(residual) / n)
-
-
 def _lgr_smoothness(points, counts, n) -> float:
     """L, bounding lgr_fit's loss Hessian sum_i c_i a_i a_i^T / (4n) (a_i a point p_i
     and its bias column) by its trace, sum_i c_i (|p_i|^2 + 1) / (4n), plus L2: at
     most (d + 1) / 4 + L2 on d standardized columns."""
     return (float(np.einsum("i,ij,ij->", counts, points, points)) + n) / (4.0 * n) + L2
+
+
+def _lgr_gradient(points, y, counts, n):
+    """gradient(nz, w) -> (gw, gb), the loss gradient at the weights w and the
+    points' negated scores nz: gw a list of floats, gb a float.
+
+    The residual counts * (sigmoid(z) - y) is built in place in one buffer
+    (the _sigmoid expression, without its np.errstate: lgr_fit sets it once
+    per fit), and its products with the points are finished in Python floats.
+    """
+    r = np.empty(len(points))
+    grad, exp, add, divide, subtract, multiply, total = (
+        points.T.dot, np.exp, np.add, np.divide, np.subtract, np.multiply, np.add.reduce)
+
+    def gradient(nz, w):
+        exp(nz, out=r)
+        add(r, 1.0, out=r)
+        divide(1.0, r, out=r)
+        subtract(r, y, out=r)
+        multiply(r, counts, out=r)
+        return [gj / n + L2 * wj for gj, wj in zip(grad(r).tolist(), w)], float(total(r)) / n
+
+    return gradient
 
 
 def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
@@ -239,33 +259,41 @@ def lgr_fit(X, y, cfg: TrainConfig = TrainConfig(),
     Scores, loss terms and residuals are computed once per point of
     _fit_points and weighted by its rows: bit for bit the fit over the rows
     on two or more columns, and possibly not in the last bits on one.
+
+    The weights, bias and gradient are Python floats, whose arithmetic is
+    float64 arithmetic bit for bit without numpy's cost per call; only the
+    scores and the residual (_lgr_gradient) are arrays, buffers allocated
+    once per fit. The scores are kept negated, nz = points @ (-w) - b, so
+    that e^-z is np.exp(nz): negation is exact, and where it turns a zero
+    score's sign, e^(+-0) is 1 and log(1 + e^(+-0)) is log 2, so every
+    iterate and loss keeps its bits. Each iterate's gradient is computed
+    once, and the cap's warning names the last one.
     """
     scaler, points, labels, counts = _fit_points(X, y)
-    n = counts.sum()  # the rows: a sum of integers below 2**53, so exact
+    n = float(counts.sum())  # the rows: a sum of integers below 2**53, so exact
     step = min(LGR_STEP, 1.0 / _lgr_smoothness(points, counts, n))
-    w = np.zeros(points.shape[1])
-    b = 0.0
-    z = points @ w + b
-    if loss_history is not None:
-        loss_history.append(_lgr_loss(z, labels, counts, n, w, L2))
-    with np.errstate(over="ignore"):
-        for _ in range(cfg.max_epochs):
-            gw, gb = _lgr_grad(points, z, labels, counts, n, w, L2)
-            if max(np.abs(gw).max(), abs(gb)) <= TOLERANCE:
-                break
-            w -= step * gw
-            b -= step * gb
-            z = points @ w + b
+    w, b = [0.0] * points.shape[1], 0.0
+    nz, scores = np.empty(len(points)), points.dot
+    gradient = _lgr_gradient(points, labels, counts, n)
+    with np.errstate(over="ignore"):  # e^-z overflows to inf, and the sigmoid to 0
+        # one pass per iterate, the start's and each step's; the last may only warn
+        for epoch in range(cfg.max_epochs + 1):
+            scores([-wj for wj in w], out=nz)
+            nz -= b
             if loss_history is not None:
-                loss_history.append(_lgr_loss(z, labels, counts, n, w, L2))
-        else:  # every epoch ran: say so unless the last step happened to converge
-            gw, gb = _lgr_grad(points, z, labels, counts, n, w, L2)
-            grad_norm = max(np.abs(gw).max(), abs(gb))
-            if grad_norm > TOLERANCE:
+                loss_history.append(_lgr_loss(-nz, labels, counts, n, np.array(w), L2))
+            gw, gb = gradient(nz, w)
+            grad_norm = max(max(map(abs, gw)), abs(gb))
+            if grad_norm <= TOLERANCE:
+                break
+            if epoch == cfg.max_epochs:
                 warnings.warn(f"lgr_fit hit its cap of {cfg.max_epochs} epochs with gradient "
                               f"max-norm {grad_norm:.3e} above tolerance {TOLERANCE:g}",
                               RuntimeWarning, stacklevel=2)
-    return LgrModel(weights=w, bias=b, scaler=scaler)
+                break
+            w = [wj - step * gj for wj, gj in zip(w, gw)]
+            b -= step * gb
+    return LgrModel(weights=np.array(w), bias=b, scaler=scaler)
 
 
 def lgr_predict(model: LgrModel, X) -> tuple[np.ndarray, np.ndarray]:

@@ -145,7 +145,7 @@ def _load(cls, arrays, line_of):
         f["k"] = rows
         if "label_map" in arrays:
             values = _sized(arrays, line_of, "label_map", rows, "cluster")
-            if not np.isin(values, (0, 1)).all():
+            if not ((values == 0) | (values == 1)).all():
                 raise ParseError(line_of["label_map"], "label_map values must be 0 or 1")
             f["label_map"] = {c: int(v) for c, v in enumerate(values)}
     elif cls is LgrModel:

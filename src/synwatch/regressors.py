@@ -305,42 +305,61 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
     # floats: a step touches four entries, and float arithmetic is float64
     # arithmetic bit for bit without numpy's cost per scalar
     th, be, diag = theta.tolist(), beta.tolist(), Kt.diagonal().tolist()
+    # the ufuncs and bound methods a step calls, looked up once per fit
+    inf, subtract, add, maximum, multiply, divide = (np.inf, np.subtract, np.add, np.maximum,
+                                                     np.multiply, np.divide)
+    up_argmax, up_item, gain_argmax = up_vals.argmax, up_vals.item, gain.argmax
+    low_item, low_min, kernel_item = low_vals.item, low_vals.min, Kt.item
     for _ in range(max_iter):
-        np.subtract(y, u, out=g)
-        np.add(g, off, out=vals)
-        i = int(up_vals.argmax())
-        m = up_vals.item(i)
-        np.subtract(m, low_vals, out=gain)
-        if gain[gain.argmax()] <= SMO_TOL:  # m - min(low_vals), bit for bit
-            break
+        subtract(y, u, out=g)
+        add(g, off, out=vals)
+        i = int(up_argmax())
+        m = up_item(i)
         # second-order choice of j: the largest gap^2 / curvature among positive gaps
         ii = i % n
-        np.maximum(gain, 0.0, out=gain)
-        np.multiply(gain, gain, out=gain)
-        np.divide(gain_a, curv[ii], out=gain_a)
-        np.divide(gain_s, curv[ii], out=gain_s)
-        j = int(gain.argmax())
-        gap = m - low_vals.item(j)
+        row = curv[ii]
+        subtract(m, low_vals, out=gain)
+        maximum(gain, 0.0, out=gain)
+        multiply(gain, gain, out=gain)
+        divide(gain_a, row, out=gain_a)
+        divide(gain_s, row, out=gain_s)
+        j = int(gain_argmax())
+        gap = m - low_item(j)
+        # converged when the largest gap, m - min(low_vals), is at most SMO_TOL.
+        # The chosen gap is one of the gaps, so a chosen gap above SMO_TOL
+        # means the largest is too and the min is not needed; and x -> m - x
+        # is monotone, so m - min(low_vals) is max(m - low_vals) bit for bit
+        # and the loop stops at the step it stopped at when it tested first
+        if gap <= SMO_TOL and m - low_min() <= SMO_TOL:
+            break
         jj = j % n
-        q = diag[ii] + diag[jj] - 2.0 * Kt.item(jj, ii)  # K[ii, ii] + K[jj, jj] - 2 K[ii, jj]
+        q = diag[ii] + diag[jj] - 2.0 * kernel_item(jj, ii)  # K[ii, ii] + K[jj, jj] - 2 K[ii, jj]
         t = gap / max(q, 1e-12)
         t = min(t, C - th[i] if i < n else th[i])
         t = min(t, th[j] if j < n else C - th[j])
         if t <= 0.0:
             break
-        th[i] += t if i < n else -t
-        th[j] += -t if j < n else t
-        for k in (i, j):
-            tk = th[k]
-            if k < n:  # alpha rises while below C and falls while above 0
-                up_off[k] = -eps if tk < C else -np.inf
-                low_off[k] = -eps if tk > 0.0 else np.inf
-            else:  # alpha* the other way round
-                up_off[k] = eps if tk > 0.0 else -np.inf
-                low_off[k] = eps if tk < C else np.inf
+        # move the pair, and set its offsets: alpha rises while below C and
+        # falls while above 0, alpha* the other way round
+        if i < n:
+            ti = th[i] = th[i] + t
+            up_off[i] = -eps if ti < C else -inf
+            low_off[i] = -eps if ti > 0.0 else inf
+        else:
+            ti = th[i] = th[i] - t
+            up_off[i] = eps if ti > 0.0 else -inf
+            low_off[i] = eps if ti < C else inf
+        if j < n:
+            tj = th[j] = th[j] - t
+            up_off[j] = -eps if tj < C else -inf
+            low_off[j] = -eps if tj > 0.0 else inf
+        else:
+            tj = th[j] = th[j] + t
+            up_off[j] = eps if tj > 0.0 else -inf
+            low_off[j] = eps if tj < C else inf
         be[ii] += t
         be[jj] -= t
-        np.subtract(Kt[ii], Kt[jj], out=kd)
+        subtract(Kt[ii], Kt[jj], out=kd)
         kd *= t
         u += kd
     theta, beta = np.array(th), np.array(be)

@@ -71,7 +71,7 @@ class IntervalSeries:
             raise ContractViolation("counts and labels must be 1-D and equal length")
         if len(self.counts) and self.counts.min() < 0:
             raise ContractViolation("counts must be non-negative")
-        if len(self.labels) and not np.isin(self.labels, (0, 1)).all():
+        if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ContractViolation("labels must be 0 or 1")
 
     def __len__(self) -> int:

@@ -229,7 +229,8 @@ def smote_balance_dense(train: DataSet, k: int, seed: int) -> DataSet:
 
 
 def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float,
-                      second_order: bool = False, start=None) -> SvrModel:
+                      second_order: bool = False, start=None,
+                      gaps: Optional[list] = None) -> SvrModel:
     """The first-order SVR solver: svr_fit before it chose j by second-order gain.
 
     It solves the epsilon-insensitive dual by maximal-violating-pair updates
@@ -240,7 +241,9 @@ def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float,
     svr_fit documents it, from arrays built afresh, and so states svr_fit's
     iterates bit for bit. `start`, svr_fit's `_start`, is a vector of deltas
     the steps start from: alpha and alpha* are its positive and negative
-    parts, and u is K @ (alpha - alpha*).
+    parts, and u is K @ (alpha - alpha*). `gaps`, with second_order, gets
+    one (largest gap, chosen gap) pair per step that passed the convergence
+    test: m - min(low) and m - low[j].
 
     The dual is kept in split (alpha, alpha*) form, 2n box variables tied
     by one equality constraint. Each step picks the most violating pair,
@@ -284,6 +287,8 @@ def svr_fit_reference(X, y, C: float, epsilon: float, gamma: float,
             a = np.maximum(np.diag(K) + K[ii, ii] - 2.0 * K[ii], 1e-12)
             b = m - low_vals
             j = int(np.where(b > 0.0, b * b / np.concatenate((a, a)), -np.inf).argmax())
+            if gaps is not None:
+                gaps.append((violation, m - low_vals[j]))
             violation = m - low_vals[j]
         jj = j % n
         q = K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj]

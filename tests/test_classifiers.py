@@ -376,6 +376,49 @@ def test_lgr_fit_without_history_takes_the_same_steps(data, max_epochs):
     _assert_fit_without_history_is_exact(X, y, cfg, got, warned)
 
 
+@st.composite
+def _lgr_exact_rows(draw):
+    """Rows of 1-13 columns on which lgr_fit sums what lgr_fit_reference sums,
+    in the same order: integer cells times a power of two, a zero row among
+    them, mirrored by their negations with the labels flipped. Every column
+    mean is then exactly 0, and the classes are balanced, so the first
+    gradient's bias term is exactly 0 and the zero row scores exactly 0 at
+    the start and after the first step. One column holds distinct values,
+    put in ascending bit order, so that its points are its rows in order."""
+    d = draw(st.integers(1, 13))
+    if d == 1:
+        cells = [0] + draw(st.lists(st.integers(1, 30), max_size=20, unique=True))
+        X = np.array(cells, dtype=np.float64)[:, None]
+    else:
+        n = draw(st.integers(0, 20))
+        cells = draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+        X = np.vstack([np.zeros(d), np.array(cells, dtype=np.float64).reshape(n, d)])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    X, y = np.concatenate([X, -X]), np.concatenate([y, 1 - y])
+    if d == 1:
+        order = np.argsort(X[:, 0].view(np.uint64), kind="stable")
+        X, y = X[order], y[order]
+    return X * draw(st.sampled_from([1.0, 0.25, 2.0 ** -20, 2.0 ** 20])), y
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_lgr_exact_rows(), max_epochs=st.integers(1, 120))
+def test_lgr_fit_matches_reference_bit_for_bit_on_1_to_13_columns(data, max_epochs):
+    """With and without a loss history, the weights, bias, losses and
+    warnings are lgr_fit_reference's bit for bit at lgr_fit's step."""
+    X, y = data
+    scaler, points, _, counts = classifiers._fit_points(X, y)
+    assert points.tobytes() == scaler.transform(X).tobytes() and (counts == 1.0).all()
+    # balanced classes: the first step leaves the bias at 0, where the zero row scores 0
+    assert _fit_without_history(X, y, TrainConfig(max_epochs=1))[0].bias == 0.0
+    cfg = TrainConfig(max_epochs=max_epochs)
+    (want, want_history, want_warned), _ = _reference_at_step(X, y, cfg)
+    got, history, warned = _fit_recording(lgr_fit, X, y, cfg)
+    _assert_same_fit(got, warned, want, want_warned)
+    assert history.tobytes() == want_history.tobytes()
+    _assert_same_fit(*_fit_without_history(X, y, cfg), want, want_warned)
+
+
 @pytest.mark.parametrize("case", ["monotone", "clamped", "capped", "converged",
                                   "tied_counts"])
 def test_lgr_fit_without_history_matches_the_recorded_fit_bit_for_bit(case):
@@ -521,12 +564,12 @@ def test_lgr_objective_over_counted_points_is_the_row_mean(d, seed):
     w, b = rng.normal(size=d), float(rng.normal())
     z = points @ w + b
     loss = classifiers._lgr_loss(z, labels, counts, len(Xs), w, L2)
-    gw, gb = classifiers._lgr_grad(points, z, labels, counts, len(Xs), w, L2)
+    gw, gb = classifiers._lgr_gradient(points, labels, counts, float(len(Xs)))(-z, w.tolist())
     zr = Xs @ w + b
     residual = classifiers._sigmoid(zr) - y
     scale = (np.mean(np.logaddexp(0.0, zr) - y * zr),
              np.mean(np.abs(Xs * residual[:, None]), axis=0), np.mean(np.abs(residual)))
-    _assert_row_mean((loss, gw, gb),
+    _assert_row_mean((loss, np.array(gw), gb),
                      (oracles._lgr_loss(Xs, y, w, b, L2), *oracles._lgr_grad(Xs, y, w, b, L2)),
                      scale, d == 1)
 

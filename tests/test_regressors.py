@@ -421,6 +421,20 @@ def test_svr_fit_matches_second_order_reference_bit_for_bit(case):
         assert got.dual_deltas.tobytes() != svr_fit(X, y, C, eps, gamma).dual_deltas.tobytes()
 
 
+def test_svr_fit_steps_on_when_only_the_chosen_gap_is_within_tolerance():
+    """svr_fit tests convergence after it chooses the pair. Rows 1 and 2 are
+    one point whose targets differ by 1e-3, so their pair's curvature is
+    floored at 1e-12 and its gap of 1e-3 wins the second-order choice over
+    gaps near 1: a step where the chosen gap is within SMO_TOL and the
+    largest is not, at which the fit must step on as the loop that tested
+    the largest gap first did."""
+    X, y = np.array([[2.0], [0.0], [0.0]]), np.array([0.0, 1.001, 1.0])
+    gaps = []
+    want = svr_fit_reference(X, y, 1.0, 0.0, 1.0, second_order=True, gaps=gaps)
+    assert any(chosen <= regressors.SMO_TOL < largest for largest, chosen in gaps)
+    _assert_same_svr_bits(svr_fit(X, y, 1.0, 0.0, 1.0), want)
+
+
 @pytest.mark.parametrize("case", ["wrong_length", "above_C", "below_minus_C", "nan"])
 def test_a_bad_start_is_refused_before_the_kernel(case, monkeypatch):
     def no_kernel(*args):
