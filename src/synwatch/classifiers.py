@@ -9,11 +9,12 @@ every seeded restart on those points. A restart draws its first centroids
 over those points too, with array operations and no loop over rows, and an
 emptied cluster is reseeded from them, so kmeans_fit reads its input only
 to group it. Of each restart's permutation of the rows it keeps only what
-the draw reads (_draw), so elbow_curve groups its input once and draws
-each restart's permutation once for every k. Packet counts are grouped by
-counting: one np.bincount over a table no longer than the column, with
-np.unique's sort only for a column that spans more values than it has rows.
-kmeans_assign labels the distinct counts and takes the labels to the rows.
+the draw reads (_draw), so elbow_curve checks and groups its input once
+and draws each restart's permutation once for every k. Packet counts are
+grouped by counting: one np.bincount over a table no longer than the
+column, with np.unique's sort only for a column that spans more values than
+it has rows. kmeans_assign labels the distinct counts and takes the labels
+to the rows.
 
 LGR and the MLP share one front end, _fit_points, which validates,
 standardizes and groups their rows with one sort. One column is fitted over
@@ -32,7 +33,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -424,17 +425,6 @@ def mlp_predict(model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
 # K-Means
 
 
-class _Starts(NamedTuple):
-    """Where kmeans_fit's restarts start, for any k up to k_max: the grouping
-    of the rows (_points) and one _draw per restart r, made with seed + r."""
-    points: np.ndarray
-    inverse: np.ndarray
-    counts: np.ndarray
-    seed: int
-    k_max: int
-    draws: tuple
-
-
 def _draw(points, inverse, k_max, rng):
     """What _seeded_centroids reads of one rng.permutation of the rows, for
     any k up to k_max: (first, their points, head), the positions in that
@@ -461,13 +451,17 @@ def _draw(points, inverse, k_max, rng):
     return first, inverse[order[first]], inverse[order[:2 * k_max]]
 
 
-def _kmeans_starts(X, k_max: int, seed: int, restarts: int) -> _Starts:
-    """The _Starts of `restarts` runs on X: one grouping, and one permutation
-    of the rows at a time, dropped once its _draw is kept."""
+def _kmeans_starts(X, k_max: int, seed: int, restarts: int):
+    """(points, inverse, counts, draws), where `restarts` runs on X start for
+    any k up to k_max: X checked by as_matrix (k_max rows at least), grouped
+    once (_points), and the _draw of one permutation per restart r, seed + r."""
+    X = as_matrix(X)
+    if X.shape[0] < k_max:
+        raise TrainingError(f"need at least k={k_max} points, got {X.shape[0]}")
     points, inverse, counts = _points(X)
     draws = tuple(_draw(points, inverse, k_max, np.random.default_rng(seed + r))
                   for r in range(restarts))
-    return _Starts(points, inverse, counts, seed, k_max, draws)
+    return points, inverse, counts, draws
 
 
 def _seeded_centroids(points, draw, k):
@@ -495,7 +489,7 @@ def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
 
 def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
                wcss_history: Optional[list] = None, restarts: int = 1,
-               _starts: Optional[_Starts] = None) -> KMeansModel:
+               _starts: Optional[tuple] = None) -> KMeansModel:
     """Best (lowest wcss, ties to the earliest) of `restarts` runs of Lloyd's
     iterations, run r from k distinct data points drawn with seed cfg.seed + r.
 
@@ -512,30 +506,18 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     values, wcss_history holds sums over values, which may differ from the
     row sums in the last bits; the final wcss is always the row sum.
 
-    _starts, which only elbow_curve passes, holds that grouping and each
-    restart's draw (_kmeans_starts) for any k up to its k_max, so that one
-    permutation per restart serves every k; the fit is the same bit for bit.
-    Starts made for another row count or seed, fewer restarts or a smaller
-    k_max are a ContractViolation. Without them the fit makes its own at k.
+    Without _starts the fit checks X and makes its own at k (_kmeans_starts).
+    Only elbow_curve passes _starts, built once from this X, cfg.seed and its
+    5 restarts at a k_max of at least k, so that one permutation per restart
+    serves every k; the fit then reads only the starts, bit for bit the same.
     """
     check_count("k", k)
     check_count("restarts", restarts)
-    X = as_matrix(X)
-    if X.shape[0] < k:
-        raise TrainingError(f"need at least k={k} points, got {X.shape[0]}")
-    if _starts is None:
-        _starts = _kmeans_starts(X, k, cfg.seed, restarts)
-    elif (len(_starts.inverse) != len(X) or _starts.seed != cfg.seed
-          or len(_starts.draws) < restarts or _starts.k_max < k):
-        raise ContractViolation(
-            f"starts drawn for {len(_starts.inverse)} rows, seed {_starts.seed}, "
-            f"{len(_starts.draws)} restarts and k up to {_starts.k_max} do not fit "
-            f"{len(X)} rows, seed {cfg.seed}, {restarts} restarts and k={k}")
-    points, inverse, counts = _starts.points, _starts.inverse, _starts.counts
+    points, inverse, counts, draws = _starts or _kmeans_starts(X, k, cfg.seed, restarts)
     sums = points * counts[:, None]
     best = None
     for r in range(restarts):
-        centroids = _seeded_centroids(points, _starts.draws[r], k)
+        centroids = _seeded_centroids(points, draws[r], k)
         prev_assign = None
         for _ in range(cfg.max_epochs):
             assign, own = _nearest(points, centroids)
@@ -593,16 +575,13 @@ def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()
                 ) -> tuple[list[tuple[int, float]], int]:
     """WCSS over k = 1..k_max (best of 5 restarts each) plus the chosen k.
 
-    X is grouped once, and each restart's permutation of the rows is drawn
-    once for every k (_kmeans_starts at k_max); each k is still one
-    kmeans_fit call, whose wcss is that of kmeans_fit(X, k, cfg, restarts=5)
-    bit for bit. The chosen k maximizes the discrete second difference of
-    the wcss curve over interior k; with fewer than 3 candidate k it is k_max.
+    X is checked and grouped once, and each restart's permutation of the
+    rows is drawn once for every k (_kmeans_starts at k_max); each k is one
+    kmeans_fit call on those starts, whose wcss is that of kmeans_fit(X, k,
+    cfg, restarts=5) bit for bit. The chosen k maximizes the discrete second
+    difference of the wcss curve over interior k; with fewer than 3 it is k_max.
     """
     check_count("k_max", k_max)
-    X = as_matrix(X)
-    if X.shape[0] < k_max:
-        raise TrainingError(f"need at least k_max={k_max} points, got {X.shape[0]}")
     restarts = 5
     starts = _kmeans_starts(X, k_max, cfg.seed, restarts)
     curve = [(k, kmeans_fit(X, k, cfg, restarts=restarts, _starts=starts).wcss)

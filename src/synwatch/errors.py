@@ -8,6 +8,7 @@ file that breaks their rules is a ParseError at its line.
 
 import numbers
 import re
+from typing import Optional
 
 
 class ContractViolation(ValueError):
@@ -46,9 +47,14 @@ class NumericError(ArithmeticError):
     """Numerical failure: singular system or solver non-convergence."""
 
 
-def check_count(name: str, value, minimum: int = 1) -> None:
-    """Refuse, by name, a float (3.0 too), a bool or an int below minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+def check_count(name: str, value, minimum: int = 1, maximum: Optional[int] = None) -> None:
+    """Refuse, by name, a float (3.0 too), a bool or an int below minimum;
+    given a maximum, anything but an int in [minimum, maximum], naming that range."""
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if maximum is not None and not (is_int and minimum <= value <= maximum):
+        raise ConfigError(f"{name} must be {'' if is_int else 'an int '}in [{minimum}, "
+                          f"{maximum}], got {value!r}")
+    if not is_int or value < minimum:
         wanted = "a positive int" if minimum == 1 else f"an int >= {minimum}"
         raise ConfigError(f"{name} must be {wanted}, got {value!r}")
 

@@ -10,7 +10,7 @@ the training and validation kernels once per (gamma, fold) and fits every
 cell with that gamma on them, through the private `_kernel` argument of
 `krr_fit` and `svr_fit`. Its SVR fits of one (gamma, fold, epsilon) run in
 ascending C, each starting from the previous one's solution through the
-private `_start` argument of `svr_fit`.
+private `_start` argument of `svr_fit`. The fits take both as given.
 """
 
 from __future__ import annotations
@@ -119,13 +119,6 @@ def _targets(y, n: int) -> np.ndarray:
     return y
 
 
-def _shared_kernel(kernel: np.ndarray, n: int, caller: str) -> np.ndarray:
-    """A kernel passed in through `_kernel`, refused unless it is n x n."""
-    if kernel.shape != (n, n):
-        raise ContractViolation(f"{caller} needs a {n}x{n} kernel, got shape {kernel.shape}")
-    return kernel
-
-
 def _check_kernel_rows(n: int, caller: str) -> None:
     """Refuse more than MAX_KERNEL_ROWS training rows before any kernel is built."""
     if n > MAX_KERNEL_ROWS:
@@ -150,8 +143,8 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
 
     lam = 0 is allowed for pairwise-distinct inputs (pure interpolation);
     an exactly singular system, or one whose residual stays above its bound
-    after the refinement pass, raises NumericError. `_kernel`, private to
-    grid search, is `rbf_matrix(X, X, gamma)` built by the caller; it is
+    after the refinement pass, raises NumericError. `_kernel`, passed only
+    by grid search, is `rbf_matrix(X, X, gamma)` of its training fold; it is
     copied, not changed. Without it, more than MAX_KERNEL_ROWS rows raise
     ConfigError before the kernel is built.
     """
@@ -164,7 +157,7 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
         _check_kernel_rows(n, "krr_fit")
         A = rbf_matrix(X, X, gamma)
     else:
-        A = _shared_kernel(_kernel, n, "krr_fit").copy()
+        A = _kernel.copy()
     A.flat[::len(y) + 1] += lam  # K + lam*I, bit for bit: K has no -0.0 entry
     try:
         alphas = np.linalg.solve(A, y)
@@ -223,17 +216,6 @@ def _svr_kernel(X, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return Kt, curv
 
 
-def _seed_deltas(start, n: int, C: float) -> np.ndarray:
-    """A start passed in through `_start`, refused unless it is n deltas in [-C, C]."""
-    start = np.asarray(start, dtype=np.float64)
-    if start.shape != (n,):
-        raise ContractViolation(f"svr_fit needs a _start of {n} deltas, got shape {start.shape}")
-    if not (np.abs(start) <= C).all():  # a NaN fails too
-        raise ContractViolation(f"svr_fit needs a _start with every delta in [-C, C] = "
-                                f"[{-C:g}, {C:g}]")
-    return start
-
-
 def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
             _start=None) -> SvrModel:
     """Solve the epsilon-insensitive dual by second-order working-set selection.
@@ -253,17 +235,18 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
     (y - u) plus one offset per variable and direction: -epsilon for alpha
     and +epsilon for alpha* where the variable may move that way, -inf (up)
     or +inf (low) where it may not. A step changes only the offsets of the
-    two variables it moved. `_kernel`, private to grid search, is
-    `_svr_kernel(X, gamma)` built by the caller. Without it, more than
+    two variables it moved. `_kernel`, passed only by grid search, is
+    `_svr_kernel(X, gamma)` of its training fold. Without it, more than
     MAX_KERNEL_ROWS rows raise ConfigError before the kernel is built.
 
-    `_start`, private to grid search, is the `dual_deltas` of a fit on the
-    same rows at a C no larger than this one (alpha seeding: DeCoste &
-    Wagstaff, KDD 2000). The steps start from alpha = max(delta, 0) and
+    `_start`, passed only by grid search, is the `dual_deltas` of the fit
+    at the previous C on the same rows and kernel (alpha seeding: DeCoste &
+    Wagstaff, KDD 2000). GridSpec refuses C values that do not strictly
+    ascend, so that C is smaller than this one and every delta lies in
+    [-C, C]. The steps start from alpha = max(delta, 0) and
     alpha* = max(-delta, 0), which stay inside the box and keep
     sum(alpha - alpha*), with u = K @ beta computed once. A start of zeros
-    is the cold start bit for bit. A start of another length, or with a
-    delta outside [-C, C], raises ContractViolation before any step.
+    is the cold start bit for bit.
     """
     X = as_matrix(X)
     n = X.shape[0]
@@ -273,16 +256,15 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
     _check_param("C", C, positive=True)
     _check_param("epsilon", epsilon, positive=False)
     _check_param("gamma", gamma, positive=True)
-    start = None if _start is None else _seed_deltas(_start, n, C)
     if _kernel is None:
         _check_kernel_rows(n, "svr_fit")
         Kt, curv = _svr_kernel(X, gamma)
     else:
-        Kt, curv = (_shared_kernel(k, n, "svr_fit") for k in _kernel)
+        Kt, curv = _kernel
     theta = np.zeros(2 * n)  # [alpha | alpha*]
-    if start is not None:
-        np.copyto(theta[:n], start, where=start > 0.0)
-        np.negative(start, out=theta[n:], where=start < 0.0)
+    if _start is not None:
+        np.copyto(theta[:n], _start, where=_start > 0.0)
+        np.negative(_start, out=theta[n:], where=_start < 0.0)
     beta = theta[:n] - theta[n:]
     u = Kt @ beta  # K @ beta, as K is symmetric: +0.0 throughout for a cold start
     g = np.empty(n)  # y - u

@@ -67,6 +67,8 @@ class IntervalSeries:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.interval_seconds < 1:
             raise ContractViolation("interval_seconds must be >= 1")
+        check_count("interval_seconds", self.interval_seconds)
+        check_count("origin_s", self.origin_s, -2 ** 63, 2 ** 63 - 1)  # as a series file holds it
         if self.counts.shape != self.labels.shape or self.counts.ndim != 1:
             raise ContractViolation("counts and labels must be 1-D and equal length")
         if len(self.counts) and self.counts.min() < 0:
@@ -94,8 +96,7 @@ class SynthesisConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if not 0 <= self.n_intervals <= MAX_INTERVALS:
-            raise ConfigError(f"n_intervals must be in [0, {MAX_INTERVALS}]")
+        check_count("n_intervals", self.n_intervals, 0, MAX_INTERVALS)
         # each comparison is False for NaN, so NaN fails it too
         if not (self.baseline_rate > 0 and math.isfinite(self.baseline_rate)):
             raise ConfigError("baseline_rate must be finite and > 0")
@@ -106,9 +107,7 @@ class SynthesisConfig:
         if self.baseline_rate * self.attack_multiplier > MAX_POISSON_RATE:
             raise ConfigError(f"baseline_rate * attack_multiplier must be at most "
                               f"{MAX_POISSON_RATE:.6g}, the highest Poisson rate numpy draws")
-        if not 1 <= self.burst_length <= MAX_INTERVALS:
-            raise ConfigError(f"burst_length must be in [1, {MAX_INTERVALS}], "
-                              f"got {self.burst_length}")
+        check_count("burst_length", self.burst_length, 1, MAX_INTERVALS)
         check_count("seed", self.seed, minimum=0)
 
 
@@ -148,8 +147,7 @@ def bucketize(
     The origin snaps down to a multiple of interval_seconds so repeated
     captures of the same traffic bucket identically. Labels start at 0.
     """
-    if interval_seconds < 1:
-        raise ConfigError("interval_seconds must be >= 1")
+    check_count("interval_seconds", interval_seconds)
     if interval_seconds * 1000 > np.iinfo(np.int64).max:
         raise ConfigError(f"interval_seconds={interval_seconds} is past the int64 limit "
                           f"in milliseconds")
@@ -241,8 +239,7 @@ def inject_periodic_attacks(series: IntervalSeries, cfg: SynthesisConfig,
     Gives the temporally regular attack pattern the forecasting experiments
     train on; counts and labels are rewritten exactly as inject_attacks does.
     """
-    if period < cfg.burst_length + 1:
-        raise ConfigError("period must exceed burst_length")
+    check_count("period", period, minimum=cfg.burst_length + 1)  # longer than a burst
     if len(series) and series.labels.max() > 0:
         raise ContractViolation("inject_periodic_attacks requires an all-legitimate series")
     starts = np.arange(0, len(series) - cfg.burst_length + 1, period)

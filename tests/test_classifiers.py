@@ -19,7 +19,7 @@ from synwatch.classifiers import (L2, LGR_STEP, TOLERANCE, KMeansModel, LgrModel
                                   lgr_fit, lgr_predict, map_clusters_to_labels, mlp_fit,
                                   mlp_loss_grads, mlp_predict)
 from synwatch.errors import ConfigError, ContractViolation, TrainingError
-from synwatch.scaling import Scaler
+from synwatch.scaling import Scaler, as_matrix
 
 
 def _identity_scaler(d):
@@ -1201,18 +1201,32 @@ def test_elbow_equals_the_fits_without_shared_starts(name, k_max, seed):
                 want_rows.tobytes()
 
 
-def test_kmeans_fit_refuses_starts_made_for_another_fit():
+def test_starts_for_a_larger_k_max_and_more_restarts_serve_a_smaller_fit_bit_for_bit():
     X = _kmeans_case("counts_ties")
     starts = classifiers._kmeans_starts(X, 3, 0, 2)
-    # starts for a larger k_max and more restarts serve a smaller fit, bit for bit
     got = kmeans_fit(X, 2, TrainConfig(seed=0), restarts=1, _starts=starts)
     want = kmeans_fit(X, 2, TrainConfig(seed=0), restarts=1)
     assert got.centroids.tobytes() == want.centroids.tobytes() and got.wcss == want.wcss
-    for rows, k, restarts, seed in [(X[:-1], 3, 2, 0), (X, 4, 2, 0), (X, 3, 3, 0),
-                                    (X, 3, 2, 1)]:
-        with pytest.raises(ContractViolation, match="^starts drawn for 600 rows, seed 0, "
-                                                    "2 restarts and k up to 3 do not fit"):
-            kmeans_fit(rows, k, TrainConfig(seed=seed), restarts=restarts, _starts=starts)
+
+
+def test_elbow_and_kmeans_fit_check_their_rows_once(monkeypatch):
+    """elbow_curve checks X where it builds the starts that every k shares,
+    and a kmeans_fit given those starts does not check X again."""
+    calls = []
+
+    def counting(X):
+        calls.append(len(X))
+        return as_matrix(X)
+
+    monkeypatch.setattr(classifiers, "as_matrix", counting)
+    X = _kmeans_case("counts_ties")
+    elbow_curve(X, 6)
+    assert calls == [len(X)]
+    calls.clear()
+    kmeans_fit(X, 3)
+    assert calls == [len(X)]
+    with pytest.raises(TrainingError, match="^need at least k=6 points, got 4$"):
+        elbow_curve(X[:4], 6)
 
 
 def test_map_clusters_high_mean_is_attack():

@@ -6,7 +6,8 @@ from synwatch.errors import (ConfigError, ParseError, check_count, header_fields
                              read_lines, split_lines)
 from synwatch.pipeline import DataSet, ExperimentConfig, smote_balance
 from synwatch.regressors import GridSpec, grid_search
-from synwatch.traffic import SynthesisConfig
+from synwatch.traffic import (MAX_INTERVALS, PacketRecord, SynthesisConfig, bucketize,
+                              generate_baseline, inject_periodic_attacks)
 
 
 def test_lines_end_only_at_newline():
@@ -53,7 +54,9 @@ def test_integer_fields_are_ascii_digits_within_int64():
 
 _ROWS = np.arange(8.0).reshape(-1, 1)
 _UNBALANCED = DataSet(_ROWS, np.array([0, 0, 0, 0, 0, 1, 1, 1]))
-# each count a caller takes, by the name its refusal gives and the least value
+_BURSTS_OF_ONE = SynthesisConfig(n_intervals=10, baseline_rate=5.0, burst_length=1)
+# each count a caller takes, by the name its refusal gives, the least value
+# and the largest, where there is one
 _COUNTS = {
     "max_epochs": (lambda v: TrainConfig(max_epochs=v), 1),
     "kmeans_fit k": (lambda v: kmeans_fit(_ROWS, v), 1),
@@ -67,6 +70,14 @@ _COUNTS = {
                                                        seed=v), 0),
     "grid_search seed": (lambda v: grid_search(_ROWS, _ROWS[:, 0], "krr", GridSpec(), seed=v),
                          0),
+    "SynthesisConfig n_intervals": (lambda v: SynthesisConfig(n_intervals=v, baseline_rate=5.0),
+                                    0, MAX_INTERVALS),
+    "SynthesisConfig burst_length": (lambda v: SynthesisConfig(n_intervals=10, baseline_rate=5.0,
+                                                               burst_length=v), 1, MAX_INTERVALS),
+    "inject_periodic_attacks period": (
+        lambda v: inject_periodic_attacks(generate_baseline(_BURSTS_OF_ONE), _BURSTS_OF_ONE, v),
+        2),
+    "bucketize interval_seconds": (lambda v: bucketize([PacketRecord(0, "a", "h")], v), 1),
 }
 
 
@@ -76,13 +87,19 @@ _COUNTS = {
 def test_every_count_is_refused_by_one_rule_that_names_it(caller, bad):
     # kmeans_fit(X, 2.0) used to raise a bare TypeError, smote_balance(data, 0, 1)
     # numpy's "high <= 0" and GridSpec(folds=2.5) nothing until grid time; a seed of
-    # -1 ended in numpy's ValueError, 1.5 in a TypeError, and None drew OS entropy
-    call, minimum = _COUNTS[caller]
+    # -1 ended in numpy's ValueError, 1.5 in a TypeError, and None drew OS entropy.
+    # n_intervals=0.5 and burst_length=1.5 ended in numpy TypeErrors, period=2.5 in
+    # an IndexError and bucketize's interval_seconds=1.5 in a numpy TypeError
+    call, minimum, *maximum = _COUNTS[caller]
     value = {"float": minimum + 0.5, "whole_float": float(minimum + 1),
              "np_float": np.float64(minimum + 1), "bool": True, "too_small": minimum - 1,
              "negative": -3, "str": "5", "none": None}[bad]
     name = caller.split()[-1]
     wanted = "a positive int" if minimum == 1 else f"an int >= {minimum}"
+    if maximum:  # an int outside the range is told the range, anything else an int in it
+        wanted = rf"in \[{minimum}, {maximum[0]}\]"
+        if bad not in ("too_small", "negative"):
+            wanted = "an int " + wanted
     with pytest.raises(ConfigError, match=f"^{name} must be {wanted}, got "):
         call(value)
 

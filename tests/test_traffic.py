@@ -158,6 +158,23 @@ def test_interval_and_burst_past_their_bounds_are_refused_by_value():
             SynthesisConfig(n_intervals=10, baseline_rate=5.0, burst_length=burst)
 
 
+def test_a_series_refuses_a_non_int_interval_or_origin_by_value(tmp_path):
+    # IntervalSeries(interval_seconds=1.5, origin_s=0.5) used to be accepted, and
+    # write_series then wrote a header that read_series refuses at line 1
+    counts = np.array([5, 7])
+    for field, value in [("interval_seconds", 1.5), ("interval_seconds", 10.0),
+                         ("interval_seconds", True), ("origin_s", 0.5), ("origin_s", "0"),
+                         ("origin_s", 2 ** 63)]:
+        with pytest.raises(ConfigError, match=f"^{field} must be .*, got {value!r}$"):
+            IntervalSeries(counts, counts % 2, **{field: value})
+    with pytest.raises(ContractViolation, match="^interval_seconds must be >= 1$"):
+        IntervalSeries(counts, counts % 2, interval_seconds=0)
+    IntervalSeries(counts, counts % 2, origin_s=np.int64(2 ** 63 - 1))  # int64's bounds pass
+    path = tmp_path / "lowest.csv"
+    write_series(IntervalSeries(counts, counts % 2, interval_seconds=1, origin_s=-2 ** 63), path)
+    assert read_series(path).origin_s == -2 ** 63
+
+
 # --------------------------------------------------------------------------
 # generate_baseline / inject_attacks
 
