@@ -47,14 +47,19 @@ class NumericError(ArithmeticError):
     """Numerical failure: singular system or solver non-convergence."""
 
 
+def is_int(value) -> bool:
+    """Whether value counts as an int: any Integral but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, minimum: int = 1, maximum: Optional[int] = None) -> None:
     """Refuse, by name, a float (3.0 too), a bool or an int below minimum;
     given a maximum, anything but an int in [minimum, maximum], naming that range."""
-    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if maximum is not None and not (is_int and minimum <= value <= maximum):
-        raise ConfigError(f"{name} must be {'' if is_int else 'an int '}in [{minimum}, "
+    integral = is_int(value)
+    if maximum is not None and not (integral and minimum <= value <= maximum):
+        raise ConfigError(f"{name} must be {'' if integral else 'an int '}in [{minimum}, "
                           f"{maximum}], got {value!r}")
-    if not is_int or value < minimum:
+    if not integral or value < minimum:
         wanted = "a positive int" if minimum == 1 else f"an int >= {minimum}"
         raise ConfigError(f"{name} must be {wanted}, got {value!r}")
 

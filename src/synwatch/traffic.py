@@ -9,9 +9,11 @@ of both injectors with a single Poisson draw. A series has at most
 MAX_INTERVALS intervals.
 
 write_series writes any int64 count, rendering each block of rows as a
-matrix of decimal digits with numpy arithmetic. read_series parses a file
-in that form as arrays when its counts are below 10**18; a file with a
-larger count goes through the line loop.
+matrix of decimal digits with numpy arithmetic, in int32 for a column
+below 10**9. read_series parses a file in that form as arrays when its
+counts are below 10**18, computing each field from its digits with no
+parse call per value; a file with a larger count goes through the line
+loop.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, check_count,
-                     decode_utf8, header_fields, int64, parse_int, split_lines)
+                     decode_utf8, header_fields, int64, is_int, parse_int, split_lines)
 
 _ROW = re.compile(f"({DIGITS}),({DIGITS}),([01])")  # index,count,label
 # The most intervals a series may have: 1 GiB per int64 array, 42 years of 10 s.
@@ -65,7 +67,8 @@ class IntervalSeries:
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.interval_seconds < 1:
+        # an int below 1 is a contract breach; check_count names any other bad value
+        if is_int(self.interval_seconds) and self.interval_seconds < 1:
             raise ContractViolation("interval_seconds must be >= 1")
         check_count("interval_seconds", self.interval_seconds)
         check_count("origin_s", self.origin_s, -2 ** 63, 2 ** 63 - 1)  # as a series file holds it
@@ -73,7 +76,7 @@ class IntervalSeries:
             raise ContractViolation("counts and labels must be 1-D and equal length")
         if len(self.counts) and self.counts.min() < 0:
             raise ContractViolation("counts must be non-negative")
-        if not ((self.labels == 0) | (self.labels == 1)).all():
+        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() > 1):
             raise ContractViolation("labels must be 0 or 1")
 
     def __len__(self) -> int:
@@ -251,7 +254,6 @@ WRITE_BLOCK_ROWS = 1 << 14  # rows rendered as one digit matrix
 READ_BLOCK_BYTES = 1 << 16  # bytes of whole rows checked and parsed at once
 _FIELD_DIGITS = 18  # the longest field the array path reads: 10**18 - 1 fits int64
 _ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
-_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
 def write_series(series: IntervalSeries, path) -> None:
@@ -268,26 +270,27 @@ def write_series(series: IntervalSeries, path) -> None:
 def _decimal_lines(columns) -> bytes:
     """One `a,b,...\\n` line per row of equal-length columns: a non-negative
     int64 value in decimal with no leading zeros, as "%d" writes it, and a
-    bytes (`S`) value as its text.
+    row of a rows x width uint8 matrix as its bytes less any NULs.
 
     A rows x width uint8 matrix gets each int column's digits, right to left
-    by // 10, in as many places as the column's largest value has,
-    and each bytes column's NUL-padded text. The units digit is always
-    written; places above a value's leading digit stay NUL, and NULs are
-    deleted from the bytes.
+    by // 10, in as many places as the column's largest value has, and each
+    matrix column's bytes. A column of at most 9 places (below 10**9) is
+    divided in int32, whose // is about twice as fast as int64's. The units
+    digit is always written; places above a value's leading digit stay NUL,
+    and NULs are deleted from the bytes.
     """
     n = len(columns[0])
-    widths = [column.itemsize if column.dtype.kind == "S"
+    widths = [column.shape[1] if column.ndim == 2
               else len(str(int(column.max(initial=0)))) for column in columns]
     text = np.zeros((n, sum(widths) + len(widths)), np.uint8)
     end = -1
     for column, width in zip(columns, widths):
         end += width + 1  # the separator after this column
         text[:, end] = ord(",")
-        if column.dtype.kind == "S":
-            text[:, end - width:end] = column.view(np.uint8).reshape(n, width)
+        if column.ndim == 2:
+            text[:, end - width:end] = column
             continue
-        rest = column
+        rest = column.astype(np.int32) if width < 10 else column
         for place in range(1, width + 1):
             higher = rest // 10  # by a scalar, // is several times faster than %
             digits = rest - 10 * higher + ord("0")
@@ -333,14 +336,16 @@ def _read_canonical(data: bytes) -> Optional[IntervalSeries]:
     That body is `index,count,label\\n` rows with indices 0, 1, ..., fields
     of 1 to 18 ASCII digits (so no int64 overflow) and a one-digit label, 0
     or 1. The line loop accepts every such file and reads the same series,
-    so this path only decides sooner. It checks and parses blocks of whole
-    rows with array operations, so it makes no Python object per row and
-    its temporaries do not grow with the file.
+    so this path only decides sooner. It checks blocks of whole rows and
+    computes their fields from the digits with array operations, so it
+    makes no Python object or parse call per row and its temporaries do not
+    grow with the file.
     """
     start = data.find(b"\n") + 1
     if not start or not data.endswith(b"\n"):
         return None
-    if np.frombuffer(data, np.uint8, offset=start).max(initial=0) > ord("9"):
+    text = np.frombuffer(data, np.uint8)
+    if text[start:].max(initial=0) > ord("9"):
         return None
     # The body is ASCII, so the line loop, too, would fail at the header first.
     interval_seconds, origin_s = _series_header(split_lines(decode_utf8(data[:start]))[0])
@@ -349,27 +354,42 @@ def _read_canonical(data: bytes) -> Optional[IntervalSeries]:
     row = 0
     while start < len(data):
         stop = data.find(b"\n", start + READ_BLOCK_BYTES - 1) + 1 or len(data)
-        fields = _canonical_rows(data[start:stop])
-        if fields is None or (fields[:, 0] != np.arange(row, row + len(fields))).any():
+        fields = _canonical_rows(text[start:stop], row)
+        if fields is None:
             return None
-        counts[row:row + len(fields)] = fields[:, 1]
-        labels[row:row + len(fields)] = fields[:, 2]
-        row, start = row + len(fields), stop
+        count, label = fields
+        counts[row:row + len(count)], labels[row:row + len(label)] = count, label
+        row, start = row + len(count), stop
     return IntervalSeries(counts, labels, interval_seconds=interval_seconds, origin_s=origin_s)
 
 
-def _canonical_rows(block: bytes) -> Optional[np.ndarray]:
-    """The (index, count, label) rows of block, bytes <= "9" that end in a
-    newline, when every row has write_series' form, else None."""
-    body = np.frombuffer(block, np.uint8)
+def _canonical_rows(body: np.ndarray, first: int) -> Optional[tuple]:
+    """The count and label columns of body, bytes <= "9" that end in a
+    newline, when every row has write_series' form and the indices count
+    up from first, else None."""
     ends = np.flatnonzero(body < ord("0"))  # field ends, which must be "," "," "\n"
     if len(ends) % 3 or (body[ends].reshape(-1, 3) != _ROW_SEPARATORS).any():
         return None
-    gaps = np.diff(ends, prepend=-1)  # a field's length plus one
-    if gaps.min() < 2 or gaps.max() > _FIELD_DIGITS + 1 or (gaps[2::3] != 2).any():
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > _FIELD_DIGITS or (lengths[2::3] != 1).any():
         return None
-    fields = np.fromstring(block.translate(_NEWLINE_TO_COMMA), np.int64, sep=",").reshape(-1, 3)
-    return None if (fields[:, 2] > 1).any() else fields
+    label = body[ends[2::3] - 1] - ord("0")
+    index = _field_values(body, ends[0::3], lengths[0::3])
+    if (label > 1).any() or (index != np.arange(first, first + len(index))).any():
+        return None
+    return _field_values(body, ends[1::3], lengths[1::3]), label
+
+
+def _field_values(body: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The int64 value of each field of 1 to 18 digits that ends before ends,
+    of its length: place p's digit is gathered at end - p, masked by the
+    field's length and scaled by 10**(p - 1) in int64."""
+    value = body[ends - 1].astype(np.int64) - ord("0")
+    for place in range(2, int(lengths.max()) + 1):
+        digit = body[ends - place] - ord("0")
+        digit *= lengths >= place
+        value += digit.astype(np.int64) * 10 ** (place - 1)  # uint8 * 10**p would wrap
+    return value
 
 
 def _read_series_lines(data: bytes) -> IntervalSeries:

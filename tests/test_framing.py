@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import frame_sigma, write_frames_lines
 from synwatch.errors import ConfigError, ContractViolation
 from synwatch.framing import (FRAME_WIDTH, WRITE_BLOCK_FRAMES, Frame, Frames, FramingConfig,
-                              make_frames, write_frames)
+                              _sigma_text, make_frames, write_frames)
 from synwatch.traffic import IntervalSeries
 
 
@@ -223,3 +224,53 @@ def test_written_frames_match_the_row_loop(tmp_path_factory, rows, with_sigma):
     write_frames(frames, d / "blocks.csv")
     write_frames_lines(list(frames), d / "rows.csv")
     assert (d / "blocks.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+
+def _texts(sigma) -> list:
+    return [bytes(row).replace(b"\0", b"") for row in _sigma_text(np.asarray(sigma, float))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=20))
+def test_sigma_text_is_17g_for_any_float(values):
+    # st.floats() draws NaN, both infinities, -0.0 and subnormals
+    assert _texts(values) == [b"%.17g" % v for v in values]
+
+
+_POWERS = [float(f"1e{e}") for e in range(-5, 18)]
+_SIGMA_CASES = {
+    # 1.00000762939453125 has a 5 after 17 digits: a tie, which "%.17g" rounds to
+    # the even 1.0000076293945312
+    "half_way_tie": [131073 / 131072],
+    "powers_of_ten": _POWERS,
+    "below_powers_of_ten": [np.nextafter(p, 0) for p in _POWERS],
+    "above_powers_of_ten": [np.nextafter(p, math.inf) for p in _POWERS],
+    "range_edges": [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0)],
+    "frame_sigmas": np.sqrt(np.random.default_rng(7).integers(0, 2 ** 40, 5000) / 144),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIGMA_CASES))
+def test_sigma_text_is_17g_at_ties_powers_of_ten_and_range_edges(case):
+    values = np.asarray(_SIGMA_CASES[case], float)
+    assert _texts(values) == [b"%.17g" % v for v in values.tolist()]
+
+
+def test_write_frames_temporaries_stay_within_one_block(tmp_path):
+    n = 80_000
+    rng = np.random.default_rng(3)
+    frames = Frames(rng.integers(0, 100, (n, FRAME_WIDTH)), np.sqrt(rng.integers(1, 10 ** 6, n)),
+                    rng.integers(0, 2, n))
+    tracemalloc.start()
+    try:
+        write_frames(frames, tmp_path / "frames.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a row is 12 counts of up to 2 digits, 38 sigma slots and the label, each with
+    # its separator; one block's digit matrix, its bytes and those bytes without
+    # NULs, its 38 sigma slots and 16 float64 or int64 sigma temporaries
+    row_bytes = FRAME_WIDTH * 3 + 39 + 2
+    bound = WRITE_BLOCK_FRAMES * (3 * row_bytes + 38 + 16 * 8) + 2 ** 16
+    assert peak <= bound < n * 24  # below one %.17g text of every frame
+    assert (tmp_path / "frames.csv").read_bytes().count(b"\n") == n

@@ -175,6 +175,14 @@ def test_a_series_refuses_a_non_int_interval_or_origin_by_value(tmp_path):
     assert read_series(path).origin_s == -2 ** 63
 
 
+@pytest.mark.parametrize("interval, error", [("5", ConfigError), (None, ConfigError),
+                                             (1.5, ConfigError), (0, ContractViolation)])
+def test_a_series_checks_the_interval_type_before_comparing_it(interval, error):
+    message = "must be >= 1" if error is ContractViolation else f"must be .*, got {interval!r}"
+    with pytest.raises(error, match=f"^interval_seconds {message}$"):
+        IntervalSeries([1], [0], interval_seconds=interval)
+
+
 # --------------------------------------------------------------------------
 # generate_baseline / inject_attacks
 
@@ -449,6 +457,16 @@ def test_array_path_reads_a_file_of_many_blocks(tmp_path):
     assert np.array_equal(back.counts, counts) and np.array_equal(back.labels, series.labels)
 
 
+def test_array_path_reads_every_place_of_a_short_series(tmp_path):
+    # a digit times 10**p fits uint8, uint16 or uint32 for small p: every product
+    # must still be taken in int64, under any numpy's type promotion
+    counts = [300, 70000, 2 ** 31, *(9 * 10 ** p for p in range(18)), 10 ** 18 - 1]
+    series = IntervalSeries(counts, [0] * len(counts))
+    write_series(series, tmp_path / "s.csv")
+    back = _read_canonical((tmp_path / "s.csv").read_bytes())
+    assert back is not None and back.counts.tolist() == counts
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=damaged(_CANONICAL))
@@ -565,3 +583,25 @@ def test_write_series_temporaries_stay_within_one_block(tmp_path):
     assert peak <= bound < n * row_bytes
     write_series_lines(series, tmp_path / "rows.csv")
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_read_series_temporaries_stay_within_a_few_blocks(tmp_path):
+    n = 600_000
+    # short rows hold the most fields, and so the largest int64 temporaries, per block
+    series = IntervalSeries(np.arange(n) % 100, np.arange(n) % 2)
+    path = tmp_path / "s.csv"
+    write_series(series, path)
+    file_bytes = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = read_series(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, the count and label arrays, and block-sized temporaries:
+    # a block's field ends and lengths are 8 bytes per field, and a row of up to 12
+    # bytes holds 3 fields; temporaries of 2 bytes per row would pass the bound
+    bound = file_bytes + 2 * 8 * n + 12 * READ_BLOCK_BYTES
+    assert peak <= bound < file_bytes + 2 * 8 * n + 2 * n
+    assert np.array_equal(back.counts, series.counts)
+    assert np.array_equal(back.labels, series.labels)
