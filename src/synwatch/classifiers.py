@@ -14,7 +14,8 @@ and draws each restart's permutation once for every k. Packet counts are
 grouped by counting: one np.bincount over a table no longer than the
 column, with np.unique's sort only for a column that spans more values than
 it has rows. kmeans_assign labels the distinct counts and takes the labels
-to the rows.
+to the rows. Its squared distances, and SMOTE's, come from one kernel,
+_sq_distances: numpy's 3-D sum bit for bit, made a feature at a time.
 
 LGR and the MLP share one front end, _fit_points, which validates,
 standardizes and groups their rows with one sort. One column is fitted over
@@ -51,8 +52,9 @@ LGR_STEP = 0.1  # lgr_fit's gradient-descent step, unless 1/L is smaller
 LBFGS_MEMORY = 10
 _LBFGS_HALVINGS = 50
 # kmeans_assign labels rows, or the distinct values of a column that groups,
-# in blocks whose (row, centroid, feature) differences take at most this
-# many bytes, so its temporaries do not grow with the rows.
+# in blocks whose squared distances take at most this many bytes: the
+# _sq_arrays(d) row x centroid arrays _sq_distances holds at once, so its
+# temporaries do not grow with the rows.
 _ASSIGN_BLOCK_BYTES = 2 ** 20
 
 
@@ -476,9 +478,67 @@ def _seeded_centroids(points, draw, k):
     return points[np.concatenate([first_points, head[fill]])]
 
 
-def _sq_distances(X, centroids) -> np.ndarray:
-    """Squared distance of every row to every centroid, rows x centroids."""
-    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+def _sq_distances(A, B) -> np.ndarray:
+    """Squared distance of every row of A to every row of B, |A| x |B|.
+
+    Bit for bit np.square(A[:, None] - B[None]).sum(axis=2), without its
+    |A| x |B| x d array: each feature's squares are one np.subtract.outer
+    squared in place, added in the order np.add.reduce sums d contiguous
+    values (Higham 1993's pairwise summation, as numpy unrolls it): fewer
+    than 8 left to right; up to 128 as 8 strided partial sums, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left to
+    right; above 128 the sums of the two halves, split at half the count
+    rounded down to a multiple of 8. Each sum is finished before the next
+    starts, so at most _sq_arrays(d) |A| x |B| arrays are alive at once.
+    """
+    def square(f):
+        diff = np.subtract.outer(A[:, f], B[:, f])
+        return np.square(diff, out=diff)
+
+    def total(lo, n):  # the sum of the squares of features lo .. lo + n - 1
+        if n < 8:  # numpy adds to 0.0, which changes no square's bits; no features sum to 0
+            acc = square(lo) if n else np.zeros((len(A), len(B)))
+            for f in range(lo + 1, lo + n):
+                acc += square(f)
+            return acc
+        if n <= 128:
+            end = lo + n - n % 8
+
+            def partial(j):  # r_j: features lo + j, lo + j + 8, ... before end
+                acc = square(lo + j)
+                for f in range(lo + j + 8, end, 8):
+                    acc += square(f)
+                return acc
+
+            def combine(j, width):  # r_j .. r_(j + width - 1), paired as numpy pairs them
+                if width == 1:
+                    return partial(j)
+                acc = combine(j, width // 2)
+                acc += combine(j + width // 2, width // 2)
+                return acc
+
+            acc = combine(0, 8)
+            for f in range(end, lo + n):
+                acc += square(f)
+            return acc
+        half = n // 2 - n // 2 % 8
+        acc = total(lo, half)
+        acc += total(lo + half, n - half)
+        return acc
+
+    return total(0, A.shape[1])
+
+
+def _sq_arrays(d: int) -> int:
+    """A bound on the |A| x |B| arrays _sq_distances holds at once over d
+    features, its result among them: five up to 128 features (four sums,
+    finished or in progress, and one feature's squares), and one more, a
+    finished first half, per halving above that."""
+    arrays = 5
+    while d > 128:
+        d -= d // 2 - d // 2 % 8  # the second half, never the shorter
+        arrays += 1
+    return arrays
 
 
 def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
@@ -507,9 +567,11 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     row sums in the last bits; the final wcss is always the row sum.
 
     Without _starts the fit checks X and makes its own at k (_kmeans_starts).
-    Only elbow_curve passes _starts, built once from this X, cfg.seed and its
-    5 restarts at a k_max of at least k, so that one permutation per restart
-    serves every k; the fit then reads only the starts, bit for bit the same.
+    Callers that need the grouping too pass _starts, built once from this X,
+    cfg.seed and `restarts` at a k_max of at least k: elbow_curve, so that
+    one permutation per restart serves every k, and the pipeline's two-cluster
+    fit, whose pseudo-labelling labels the starts' points. The fit then reads
+    only the starts, bit for bit the same.
     """
     check_count("k", k)
     check_count("restarts", restarts)
@@ -563,7 +625,7 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
     groups = _value_groups(X)
     if groups is not None and len(groups[0]) < len(X):
         rows, inverse = groups[0][:, None], groups[1]
-    block = max(1, _ASSIGN_BLOCK_BYTES // (k * d * 8))
+    block = max(1, _ASSIGN_BLOCK_BYTES // (k * _sq_arrays(d) * 8))
     assign = np.empty(len(rows), dtype=np.intp)
     for start in range(0, len(rows), block):
         assign[start:start + block] = _sq_distances(rows[start:start + block],

@@ -75,9 +75,10 @@ SMOTE_K = 5
 
 # smote_balance holds at most this many bytes of neighbour search at a time:
 # the candidate minority rows' indices (and a copy of those rows when they are
-# not all of them), and a block's (row, candidate, feature) differences and
-# their sums over the features, then the sums and their argsort order. That
-# bounds its memory whatever the minority size.
+# not all of them), and a block's (row, candidate) arrays: the
+# classifiers._sq_arrays(d) that classifiers._sq_distances holds at once, its
+# squared distances among them, and beside those the distances' argsort order.
+# That bounds its memory whatever the minority size.
 _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
 
 
@@ -210,9 +211,11 @@ def _neighbours(Xm, rows, k_eff):
     k_eff + 1 rows: for packet counts each distinct count's, and otherwise,
     each point being one row, every row. Each distinct sampled point, a
     bounded block of them at a time, keeps its first k_eff + 1 candidates by
-    (squared distance, index). Each row then puts itself at (inf, its
-    index), in place of its own entry or else of the last, which then lies
-    behind k_eff rows at distance 0.
+    (squared distance, index). A block's distances are
+    classifiers._sq_distances', the dense search's sums bit for bit, made a
+    feature at a time with no (row, candidate, feature) array. Each row then
+    puts itself at (inf, its index), in place of its own entry or else of
+    the last, which then lies behind k_eff rows at distance 0.
     """
     k1 = k_eff + 1
     points, inverse, counts = classifiers._points(Xm)
@@ -227,15 +230,13 @@ def _neighbours(Xm, rows, k_eff):
     del inverse, counts, by_point, rank  # row-sized; gone before the blocks
     near = np.empty((len(reps), k1), dtype=np.intp)
     near_d2 = np.empty((len(reps), k1))
-    # per (block row, candidate): d differences and their sum, then the sum
-    # and its argsort index, so at most d + 1 values at once; the candidates'
-    # indices and any copy of their rows come out of the same bytes
+    # per (block row, candidate): the kernel's arrays, the sums among them,
+    # and the sums' argsort index; the candidates' indices and any copy of
+    # their rows come out of the same bytes
     spare = _SMOTE_BLOCK_BYTES - pool.nbytes - (Xp.nbytes if Xp is not Xm else 0)
-    block = max(1, spare // (len(Xp) * (Xp.shape[1] + 1) * 8))
+    block = max(1, spare // (len(Xp) * (classifiers._sq_arrays(Xp.shape[1]) + 1) * 8))
     for start in range(0, len(reps), block):
-        diff = reps[start:start + block, None, :] - Xp[None, :, :]
-        d2 = np.square(diff, out=diff).sum(axis=2)
-        del diff
+        d2 = classifiers._sq_distances(reps[start:start + block], Xp)
         order = np.argsort(d2, axis=1, kind="stable")[:, :k1]
         near[start:start + len(d2)] = pool[order]
         near_d2[start:start + len(d2)] = np.take_along_axis(d2, order, 1)
@@ -290,11 +291,17 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
 
 
 def auto_label_series(series: IntervalSeries, train_cfg: TrainConfig) -> np.ndarray:
-    """K-Means (k=2) pseudo-labels for every interval of the series."""
+    """K-Means (k=2) pseudo-labels for every interval of the series.
+
+    The counts are grouped once, for the fit (_fit_kmeans); the distinct
+    counts are labelled and the labels taken to the rows, as kmeans_assign
+    would label the rows.
+    """
     if len(series) == 0:
         raise EmptyDatasetError("series has no intervals")
     X = series.counts.astype(np.float64).reshape(-1, 1)
-    return _predict("kmeans", _fit_kmeans(X, train_cfg), X)[1]
+    model, (points, inverse, _, _) = _fit_kmeans(X, train_cfg)
+    return _predict("kmeans", model, points)[1][inverse]
 
 
 # --------------------------------------------------------------------------
@@ -335,10 +342,14 @@ def _fit_rows(series: IntervalSeries, cfg: ExperimentConfig) -> tuple[DataSet, n
 
 
 def _fit_kmeans(X: np.ndarray, train_cfg: TrainConfig):
-    """Two clusters, the higher-count one mapped to the attack label."""
+    """Two clusters, the higher-count one mapped to the attack label, and the
+    starts the fit ran on (classifiers._kmeans_starts): X's points, each
+    row's point, the points' counts and the seeded draw."""
     if np.all(X == X[0]):
         raise DegenerateClusteringError("all counts identical; cluster mapping undefined")
-    return classifiers.map_clusters_to_labels(classifiers.kmeans_fit(X, 2, train_cfg))
+    starts = classifiers._kmeans_starts(X, 2, train_cfg.seed, 1)
+    model = classifiers.kmeans_fit(X, 2, train_cfg, _starts=starts)
+    return classifiers.map_clusters_to_labels(model), starts
 
 
 def _fit(train: DataSet, cfg: ExperimentConfig):
@@ -353,7 +364,7 @@ def _fit(train: DataSet, cfg: ExperimentConfig):
     if _balances(kind):
         train = smote_balance(train, SMOTE_K, cfg.seed + 1)
     if family == "kmeans":
-        return _fit_kmeans(train.X, default_train_cfg(family, cfg.seed)), {}, None
+        return _fit_kmeans(train.X, default_train_cfg(family, cfg.seed))[0], {}, None
     if family in ("lgr", "mlp"):
         fit = classifiers.lgr_fit if family == "lgr" else classifiers.mlp_fit
         return fit(train.X, train.y, default_train_cfg(family, cfg.seed)), {}, None

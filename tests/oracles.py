@@ -10,9 +10,11 @@ cell's fold fit, seeds it from the fit at the C before it and predicts
 through the models, the LGR fit and the MLP
 objective that average over every row, the labelled points found by two
 sorts and a gather of each pair's first row, the K-Means fit that sweeps
-every row from centroids drawn a row at a time, the attack injectors that
-place and draw one burst at a time, and the series and frames writers that
-format one row at a time), which the optimized ones must match bit for bit.
+every row from centroids drawn a row at a time, the squared distances and
+nearest centroids summed over one (row, centroid, feature) array, the attack
+injectors that place and draw one burst at a time, and the series and
+frames writers that format one row at a time), which the optimized ones
+must match bit for bit.
 The one exception is LGR and the MLP on a single column, which sum over its
 distinct points and match the row means to within rounding.
 """
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from synwatch.classifiers import (L2, TOLERANCE, KMeansModel, LgrModel, TrainConfig,
-                                  _check_binary_labels, _nearest, mlp_loss_grads)
+                                  _check_binary_labels, mlp_loss_grads)
 from synwatch.errors import (BalancingError, ConfigError, ContractViolation,
                              TrainingError)
 from synwatch.framing import FRAME_WIDTH, Frame
@@ -504,6 +506,17 @@ def _distinct_row_init(X, k, rng):
     return X[np.array(chosen[:k])].copy()
 
 
+def sq_distances_reference(X, centroids) -> np.ndarray:
+    """Squared distance of every row to every centroid, rows x centroids."""
+    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def nearest_reference(X, centroids) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid id per row, ties to the lowest id, and its squared distance."""
+    d2 = sq_distances_reference(X, centroids)
+    return d2.argmin(axis=1), d2.min(axis=1)
+
+
 def kmeans_fit_reference(X, k: int, cfg: TrainConfig = TrainConfig(),
                          wcss_history: Optional[list] = None) -> KMeansModel:
     """kmeans_fit as it was before its sweeps ran over distinct values.
@@ -523,7 +536,7 @@ def kmeans_fit_reference(X, k: int, cfg: TrainConfig = TrainConfig(),
     centroids = _distinct_row_init(X, k, rng)
     prev_assign = None
     for _ in range(cfg.max_epochs):
-        assign, own = _nearest(X, centroids)
+        assign, own = nearest_reference(X, centroids)
         empty = [c for c in range(k) if not (assign == c).any()]
         if empty:
             for c in empty:
@@ -538,7 +551,7 @@ def kmeans_fit_reference(X, k: int, cfg: TrainConfig = TrainConfig(),
         prev_assign = assign
         for c in range(k):
             centroids[c] = X[assign == c].mean(axis=0)
-    wcss = float(_nearest(X, centroids)[1].sum())
+    wcss = float(nearest_reference(X, centroids)[1].sum())
     return KMeansModel(centroids=centroids, k=k, wcss=wcss)
 
 

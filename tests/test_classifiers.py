@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (_distinct_row_init, exhaustive_wcss_1d, kmeans_fit_reference,
                      lgr_fit_reference, mlp_central_differences, mlp_gradcheck_worst,
-                     mlp_loss_grads_reference)
+                     mlp_loss_grads_reference, nearest_reference, sq_distances_reference)
 from synwatch import classifiers
 from synwatch.classifiers import (L2, LGR_STEP, TOLERANCE, KMeansModel, LgrModel, MlpModel,
                                   TrainConfig, elbow_curve, kmeans_assign, kmeans_fit,
@@ -1000,7 +1000,7 @@ def test_grouped_assign_matches_the_row_pass_bit_for_bit(k, data):
     X = np.concatenate([rows, midpoints[midpoints == np.floor(midpoints)]]).reshape(-1, 1)
     X = np.concatenate([X, X])  # every value on two rows, so the column groups
     model = KMeansModel(centroids=centroids, k=k, wcss=0.0)
-    want = classifiers._nearest(X, centroids)[0]
+    want = nearest_reference(X, centroids)[0]
     for block_bytes in (classifiers._ASSIGN_BLOCK_BYTES, k * 8):  # k * 8: one point a block
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES", block_bytes)
@@ -1066,12 +1066,48 @@ def test_assign_in_row_blocks_matches_one_pass(monkeypatch, d):
     offsets = np.concatenate([half, -half, np.zeros((len(half), d % 2))], axis=1)
     X[3::7] = centroids[0] + 1.0 + rng.permuted(offsets, axis=1)
     model = KMeansModel(centroids=centroids, k=3, wcss=0.0)
-    want = classifiers._nearest(X, centroids)[0]
+    want = nearest_reference(X, centroids)[0]
     for block_rows in (1, 7, 64, 1000, 5000):
-        monkeypatch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES", block_rows * 3 * d * 8)
+        monkeypatch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES",
+                            block_rows * 3 * classifiers._sq_arrays(d) * 8)
         got = kmeans_assign(model, X)
         assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
     assert (want[::7] == 0).all()
+
+
+# every branch of numpy's pairwise summation: left to right below 8 features (none
+# at d = 0), 8 strided partial sums up to 128, and halvings above (two at 257 and 300)
+@pytest.mark.parametrize("d", [*range(0, 18), 24, 127, 128, 129, 130, 136, 256, 257, 300])
+def test_sq_distances_matches_the_3d_sum_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    counts = rng.poisson(1.0, size=(40, d)).astype(np.float64)
+    counts[::5] = 0.0  # all-zero rows
+    counts[1::5] = counts[2::5]  # tied rows
+    counts[(counts == 0.0) & (rng.random(counts.shape) < 0.5)] = -0.0
+    # magnitudes 1e-160 to 1e160: squares that overflow and squares that go subnormal
+    wide = rng.normal(size=(40, d)) * 10.0 ** rng.integers(-160, 161, size=(40, d))
+    tiny = rng.normal(size=(40, d)) * 1e-160  # sums of subnormal squares only
+    reals = rng.normal(size=(40, d))  # sums that round, so their order shows
+    cases = [(counts[:13], counts), (wide[:9], wide), (wide, counts), (tiny[:9], tiny),
+             (reals[:9], reals)]
+    cases += [(X, X[:k]) for X in (counts, wide, reals) for k in range(1, 7)]  # K-Means' centroids
+    with np.errstate(over="ignore"):
+        for A, B in cases:
+            got = classifiers._sq_distances(A, B)
+            want = sq_distances_reference(A, B)
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 8, 13, 16, 128, 129, 300])
+def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
+    A, B = np.ones((64, d)), np.zeros((4096, d))
+    tracemalloc.start()
+    try:
+        classifiers._sq_distances(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= classifiers._sq_arrays(d) * A.shape[0] * B.shape[0] * 8 + 2 ** 16
 
 
 def test_assign_temporaries_stay_within_one_block():

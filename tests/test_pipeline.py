@@ -15,6 +15,7 @@ from mutations import check_reader, damaged
 import synwatch
 import synwatch.pipeline as pipeline
 from oracles import frame_sigma, smote_balance_dense
+from synwatch import classifiers
 from synwatch.classifiers import TrainConfig, kmeans_assign, kmeans_fit, map_clusters_to_labels
 from synwatch.errors import (BalancingError, ConfigError, DegenerateClusteringError,
                              EmptyDatasetError, ParseError)
@@ -190,12 +191,13 @@ def _smote_case(name):
 @pytest.mark.parametrize("block_rows", [None, 1, 7])
 @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
     data = _smote_case(name)
     if block_rows is not None:  # force several row blocks, the last one partial
         n_min = int(min(np.sum(data.y == 0), np.sum(data.y == 1)))
-        monkeypatch.setattr(pipeline, "_SMOTE_BLOCK_BYTES",
-                            block_rows * n_min * (data.X.shape[1] + 1) * 8)
+        per_candidate = (classifiers._sq_arrays(data.X.shape[1]) + 1) * 8
+        monkeypatch.setattr(pipeline, "_SMOTE_BLOCK_BYTES", block_rows * n_min * per_candidate)
     for seed in (0, 1, 2):
         got = smote_balance(data, 5, seed)
         want = smote_balance_dense(data, 5, seed)
@@ -225,6 +227,7 @@ def _smote_inputs(draw):
        block_bytes=st.sampled_from([1, 8, 200, 32 * 2 ** 20]))
 @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 def test_smote_matches_dense_oracle_on_random_inputs(data, k, seed, block_bytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_SMOTE_BLOCK_BYTES", block_bytes)
@@ -248,6 +251,20 @@ def test_smote_block_temporaries_stay_within_the_bound(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= bound + 2 ** 16
+
+
+def test_smote_block_holds_no_row_candidate_feature_array():
+    # 72 sampled rows of 3,300 x 13 frame-like minority rows, one block: a
+    # (row, candidate, feature) difference array alone would be 13 x 1.8 MiB
+    Xm = np.random.default_rng(5).normal(size=(3300, 13))
+    rows = np.arange(72) * 45
+    tracemalloc.start()
+    try:
+        pipeline._neighbours(Xm, rows, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(rows) * len(Xm) * 8
 
 
 def test_smote_memory_is_bounded_in_minority_size():
