@@ -8,14 +8,16 @@ weighted points (distinct packet counts, or the rows at weight 1) and runs
 every seeded restart on those points. A restart draws its first centroids
 over those points too, with array operations and no loop over rows, and an
 emptied cluster is reseeded from them, so kmeans_fit reads its input only
-to group it. Of each restart's permutation of the rows it keeps only what
-the draw reads (_draw), so elbow_curve checks and groups its input once
-and draws each restart's permutation once for every k. Packet counts are
+to group it. Of each restart's permutation of the rows it keeps only one
+start sequence of point ids (_draw), whose first k start a run at any k up
+to the k_max it was drawn for, so elbow_curve checks and groups its input
+once and draws each restart's permutation once for every k. Packet counts are
 grouped by counting: one np.bincount over a table no longer than the
 column, with np.unique's sort only for a column that spans more values than
 it has rows. kmeans_assign labels the distinct counts and takes the labels
 to the rows. Its squared distances, and SMOTE's, come from one kernel,
-_sq_distances: numpy's 3-D sum bit for bit, made a feature at a time.
+_sq_distances: numpy's 3-D sum bit for bit up to 128 features, made a
+feature at a time.
 
 LGR and the MLP share one front end, _fit_points, which validates,
 standardizes and groups their rows with one sort. One column is fitted over
@@ -53,7 +55,7 @@ LBFGS_MEMORY = 10
 _LBFGS_HALVINGS = 50
 # kmeans_assign labels rows, or the distinct values of a column that groups,
 # in blocks whose squared distances take at most this many bytes: the
-# _sq_arrays(d) row x centroid arrays _sq_distances holds at once, so its
+# _SQ_ARRAYS row x centroid arrays _sq_distances holds at once, so its
 # temporaries do not grow with the rows.
 _ASSIGN_BLOCK_BYTES = 2 ** 20
 
@@ -428,11 +430,11 @@ def mlp_predict(model: MlpModel, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw(points, inverse, k_max, rng):
-    """What _seeded_centroids reads of one rng.permutation of the rows, for
-    any k up to k_max: (first, their points, head), the positions in that
-    order of its first k_max rows of distinct bytes (all of them, when there
-    are fewer), those rows' points, and the points of its first 2 * k_max
-    rows, from which a draw of more than the distinct rows is filled.
+    """The point ids a run at any k up to k_max starts from, for one
+    rng.permutation of the rows: the points of the order's first k_max rows
+    of distinct bytes (all of them, when there are fewer), then those of its
+    earliest other rows among its first 2 * k_max. A run at k starts at the
+    first k; with fewer than k distinct rows, those fill it.
 
     The first row of each key is found in a prefix of the order that
     doubles from 4 * k_max rows until it holds k_max keys. Fewer points than
@@ -450,7 +452,8 @@ def _draw(points, inverse, k_max, rng):
         if len(first) == k_max or m >= n:
             break
         m *= 2
-    return first, inverse[order[first]], inverse[order[:2 * k_max]]
+    rest = np.arange(min(n, 2 * k_max))
+    return inverse[order[np.concatenate([first, rest[~np.isin(rest, first)]])]]
 
 
 def _kmeans_starts(X, k_max: int, seed: int, restarts: int):
@@ -466,79 +469,55 @@ def _kmeans_starts(X, k_max: int, seed: int, restarts: int):
     return points, inverse, counts, draws
 
 
-def _seeded_centroids(points, draw, k):
-    """The k starting centroids of one run, as points: the first k rows of
-    distinct bytes in the order of a _draw made for k or more, then, when
-    there are fewer than k distinct rows, the earliest of the others."""
-    first, first_points, head = draw
-    if len(first) >= k:
-        return points[first_points[:k]]
-    spare = np.arange(min(len(head), 2 * k))  # the order's first min(n, 2k) positions
-    fill = spare[~np.isin(spare, first)][:k - len(first)]
-    return points[np.concatenate([first_points, head[fill]])]
-
-
 def _sq_distances(A, B) -> np.ndarray:
     """Squared distance of every row of A to every row of B, |A| x |B|.
 
-    Bit for bit np.square(A[:, None] - B[None]).sum(axis=2), without its
-    |A| x |B| x d array: each feature's squares are one np.subtract.outer
-    squared in place, added in the order np.add.reduce sums d contiguous
-    values (Higham 1993's pairwise summation, as numpy unrolls it): fewer
-    than 8 left to right; up to 128 as 8 strided partial sums, combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest left to
-    right; above 128 the sums of the two halves, split at half the count
-    rounded down to a multiple of 8. Each sum is finished before the next
-    starts, so at most _sq_arrays(d) |A| x |B| arrays are alive at once.
+    Up to 128 features, bit for bit np.square(A[:, None] - B[None]).sum(axis=2),
+    without its |A| x |B| x d array: each feature's squares are one
+    np.subtract.outer squared in place, added in the order np.add.reduce
+    sums d contiguous values (Higham 1993's pairwise summation, as numpy
+    unrolls it): fewer than 8 left to right; else as 8 strided partial sums,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    rest left to right. numpy first halves a sum of more than 128 values,
+    which no caller has: counts are 1 feature, frames 12 and sigma frames 13.
+    Each sum is finished before the next starts, so at most _SQ_ARRAYS
+    |A| x |B| arrays are alive at once.
     """
+    d = A.shape[1]
+
     def square(f):
         diff = np.subtract.outer(A[:, f], B[:, f])
         return np.square(diff, out=diff)
 
-    def total(lo, n):  # the sum of the squares of features lo .. lo + n - 1
-        if n < 8:  # numpy adds to 0.0, which changes no square's bits; no features sum to 0
-            acc = square(lo) if n else np.zeros((len(A), len(B)))
-            for f in range(lo + 1, lo + n):
-                acc += square(f)
-            return acc
-        if n <= 128:
-            end = lo + n - n % 8
+    if d < 8:  # numpy adds to 0.0, which changes no square's bits; no features sum to 0
+        acc = square(0) if d else np.zeros((len(A), len(B)))
+        for f in range(1, d):
+            acc += square(f)
+        return acc
+    end = d - d % 8
 
-            def partial(j):  # r_j: features lo + j, lo + j + 8, ... before end
-                acc = square(lo + j)
-                for f in range(lo + j + 8, end, 8):
-                    acc += square(f)
-                return acc
-
-            def combine(j, width):  # r_j .. r_(j + width - 1), paired as numpy pairs them
-                if width == 1:
-                    return partial(j)
-                acc = combine(j, width // 2)
-                acc += combine(j + width // 2, width // 2)
-                return acc
-
-            acc = combine(0, 8)
-            for f in range(end, lo + n):
-                acc += square(f)
-            return acc
-        half = n // 2 - n // 2 % 8
-        acc = total(lo, half)
-        acc += total(lo + half, n - half)
+    def partial(j):  # r_j: features j, j + 8, ... before end
+        acc = square(j)
+        for f in range(j + 8, end, 8):
+            acc += square(f)
         return acc
 
-    return total(0, A.shape[1])
+    def combine(j, width):  # r_j .. r_(j + width - 1), paired as numpy pairs them
+        if width == 1:
+            return partial(j)
+        acc = combine(j, width // 2)
+        acc += combine(j + width // 2, width // 2)
+        return acc
+
+    acc = combine(0, 8)
+    for f in range(end, d):
+        acc += square(f)
+    return acc
 
 
-def _sq_arrays(d: int) -> int:
-    """A bound on the |A| x |B| arrays _sq_distances holds at once over d
-    features, its result among them: five up to 128 features (four sums,
-    finished or in progress, and one feature's squares), and one more, a
-    finished first half, per halving above that."""
-    arrays = 5
-    while d > 128:
-        d -= d // 2 - d // 2 % 8  # the second half, never the shorter
-        arrays += 1
-    return arrays
+# the |A| x |B| arrays _sq_distances holds at once at any d, its result among
+# them: four sums, finished or in progress, and one feature's squares
+_SQ_ARRAYS = 5
 
 
 def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
@@ -571,7 +550,8 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     cfg.seed and `restarts` at a k_max of at least k: elbow_curve, so that
     one permutation per restart serves every k, and the pipeline's two-cluster
     fit, whose pseudo-labelling labels the starts' points. The fit then reads
-    only the starts, bit for bit the same.
+    only the starts. Run r starts at the points of the first k ids of draw
+    r, the same ids at any k_max of at least k, so it is bit for bit the same.
     """
     check_count("k", k)
     check_count("restarts", restarts)
@@ -579,7 +559,7 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
     sums = points * counts[:, None]
     best = None
     for r in range(restarts):
-        centroids = _seeded_centroids(points, draws[r], k)
+        centroids = points[draws[r][:k]]
         prev_assign = None
         for _ in range(cfg.max_epochs):
             assign, own = _nearest(points, centroids)
@@ -625,7 +605,7 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
     groups = _value_groups(X)
     if groups is not None and len(groups[0]) < len(X):
         rows, inverse = groups[0][:, None], groups[1]
-    block = max(1, _ASSIGN_BLOCK_BYTES // (k * _sq_arrays(d) * 8))
+    block = max(1, _ASSIGN_BLOCK_BYTES // (k * _SQ_ARRAYS * 8))
     assign = np.empty(len(rows), dtype=np.intp)
     for start in range(0, len(rows), block):
         assign[start:start + block] = _sq_distances(rows[start:start + block],

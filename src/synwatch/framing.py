@@ -14,7 +14,7 @@ sigma in a block is rendered once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,25 +24,18 @@ from .traffic import IntervalSeries, _decimal_lines
 FRAME_WIDTH = 12
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One frame as Python values: the row view of Frames."""
+class Frame(NamedTuple):
+    """One frame as Python values: the row view that iterating Frames gives."""
 
     values: tuple[int, ...]
     sigma: Optional[float]
     label: int
 
-    def __post_init__(self):
-        if len(self.values) != FRAME_WIDTH:
-            raise ContractViolation(f"a frame holds exactly {FRAME_WIDTH} counts")
-        if self.label not in (0, 1):
-            raise ContractViolation("frame label must be 0 or 1")
-
 
 @dataclass(frozen=True, eq=False)
 class Frames:
     """Frames as arrays: counts is n x 12 int64, sigma n float64 or None,
-    labels n int64 of 0/1 values. len(), frames[i] and iteration give Frame rows."""
+    labels n int64 of 0/1 values. len() counts them; iteration gives Frame rows."""
 
     counts: np.ndarray
     sigma: Optional[np.ndarray]
@@ -69,11 +62,6 @@ class Frames:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, i: int) -> Frame:
-        return Frame(tuple(self.counts[i].tolist()),
-                     None if self.sigma is None else self.sigma[i].item(),
-                     self.labels[i].item())
 
     def __iter__(self) -> Iterator[Frame]:
         sigmas = [None] * len(self) if self.sigma is None else self.sigma.tolist()

@@ -76,7 +76,7 @@ SMOTE_K = 5
 # smote_balance holds at most this many bytes of neighbour search at a time:
 # the candidate minority rows' indices (and a copy of those rows when they are
 # not all of them), and a block's (row, candidate) arrays: the
-# classifiers._sq_arrays(d) that classifiers._sq_distances holds at once, its
+# classifiers._SQ_ARRAYS that classifiers._sq_distances holds at once, its
 # squared distances among them, and beside those the distances' argsort order.
 # That bounds its memory whatever the minority size.
 _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
@@ -234,7 +234,7 @@ def _neighbours(Xm, rows, k_eff):
     # and the sums' argsort index; the candidates' indices and any copy of
     # their rows come out of the same bytes
     spare = _SMOTE_BLOCK_BYTES - pool.nbytes - (Xp.nbytes if Xp is not Xm else 0)
-    block = max(1, spare // (len(Xp) * (classifiers._sq_arrays(Xp.shape[1]) + 1) * 8))
+    block = max(1, spare // (len(Xp) * (classifiers._SQ_ARRAYS + 1) * 8))
     for start in range(0, len(reps), block):
         d2 = classifiers._sq_distances(reps[start:start + block], Xp)
         order = np.argsort(d2, axis=1, kind="stable")[:, :k1]

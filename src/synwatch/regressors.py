@@ -23,6 +23,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericError, check_count
+from .metrics import rmse
 from .scaling import Scaler, as_matrix
 
 SMO_TOL = 1e-3
@@ -449,7 +450,7 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
             for c, params in enumerate(cells):
                 if params["gamma"] == gamma:
                     pred, converged = _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va, starts)
-                    scores[c, f] = float(np.sqrt(np.mean((y[va_idx] - pred) ** 2))), converged
+                    scores[c, f] = rmse(y[va_idx], pred), converged
             del K_tr, K_va  # so that only one (gamma, fold) kernel set is alive at a time
     table, capped = [], []
     best_params, best_rmse = None, np.inf

@@ -895,8 +895,7 @@ def test_kmeans_fit_matches_reference_bit_for_bit(name):
             want = _distinct_row_init(X, k, np.random.default_rng(seed))
             for k_max in range(k, 5):
                 record = classifiers._draw(points, inverse, k_max, np.random.default_rng(seed))
-                draw = classifiers._seeded_centroids(points, record, k)
-                assert draw.tobytes() == want.tobytes()
+                assert points[record[:k]].tobytes() == want.tobytes()
             for restarts in (1, 3):
                 got_history = []
                 got = kmeans_fit(X, k, TrainConfig(seed=seed), wcss_history=got_history,
@@ -1069,15 +1068,15 @@ def test_assign_in_row_blocks_matches_one_pass(monkeypatch, d):
     want = nearest_reference(X, centroids)[0]
     for block_rows in (1, 7, 64, 1000, 5000):
         monkeypatch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES",
-                            block_rows * 3 * classifiers._sq_arrays(d) * 8)
+                            block_rows * 3 * classifiers._SQ_ARRAYS * 8)
         got = kmeans_assign(model, X)
         assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
     assert (want[::7] == 0).all()
 
 
-# every branch of numpy's pairwise summation: left to right below 8 features (none
-# at d = 0), 8 strided partial sums up to 128, and halvings above (two at 257 and 300)
-@pytest.mark.parametrize("d", [*range(0, 18), 24, 127, 128, 129, 130, 136, 256, 257, 300])
+# numpy's pairwise summation up to 128 values: left to right below 8 features (none
+# at d = 0), else 8 strided partial sums
+@pytest.mark.parametrize("d", [*range(0, 18), 24, 127, 128])
 def test_sq_distances_matches_the_3d_sum_bit_for_bit(d):
     rng = np.random.default_rng(d)
     counts = rng.poisson(1.0, size=(40, d)).astype(np.float64)
@@ -1098,6 +1097,21 @@ def test_sq_distances_matches_the_3d_sum_bit_for_bit(d):
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
+# past 128 values numpy first halves the sum and the kernel does not: integer squares
+# sum exactly in any order, and other sums differ only by rounding
+@pytest.mark.parametrize("d", [129, 300])
+def test_sq_distances_past_128_features_differ_only_by_rounding(d):
+    rng = np.random.default_rng(d)
+    counts = rng.poisson(1.0, size=(40, d)).astype(np.float64)
+    reals = rng.normal(size=(40, d))
+    for A, B in [(counts[:13], counts), (counts, counts[:3])]:
+        got, want = classifiers._sq_distances(A, B), sq_distances_reference(A, B)
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    for A, B in [(reals[:9], reals), (reals, reals[:3])]:
+        np.testing.assert_allclose(classifiers._sq_distances(A, B),
+                                   sq_distances_reference(A, B), rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("d", [1, 8, 13, 16, 128, 129, 300])
 def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
     A, B = np.ones((64, d)), np.zeros((4096, d))
@@ -1107,7 +1121,7 @@ def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= classifiers._sq_arrays(d) * A.shape[0] * B.shape[0] * 8 + 2 ** 16
+    assert peak <= classifiers._SQ_ARRAYS * A.shape[0] * B.shape[0] * 8 + 2 ** 16
 
 
 def test_assign_temporaries_stay_within_one_block():
@@ -1233,8 +1247,7 @@ def test_elbow_equals_the_fits_without_shared_starts(name, k_max, seed):
         record = classifiers._draw(points, inverse, k_max, np.random.default_rng(seed + r))
         for k in range(1, k_max + 1):
             want_rows = _distinct_row_init(X, k, np.random.default_rng(seed + r))
-            assert classifiers._seeded_centroids(points, record, k).tobytes() == \
-                want_rows.tobytes()
+            assert points[record[:k]].tobytes() == want_rows.tobytes()
 
 
 def test_starts_for_a_larger_k_max_and_more_restarts_serve_a_smaller_fit_bit_for_bit():
