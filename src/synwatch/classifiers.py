@@ -313,10 +313,23 @@ def lgr_predict(model: LgrModel, X) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mlp_forward(W1, b1, W2, b2, Xs):
-    Z1 = Xs @ W1.T + b1
-    H = np.maximum(Z1, 0.0)
-    z2 = H @ W2.T + b2
-    return Z1, H, z2[:, 0]
+    """(mask, H, z2): which hidden pre-activations are positive, the ReLU
+    layer and the output logits, over the rows of Xs.
+
+    The hidden layer is Xs @ W1.T + b1. Over two or more rows, BLAS gemm gives
+    the same bits with W1.T made contiguous as through the transposed view, in
+    about two thirds of the time; one row goes through gemv, whose kernels for
+    the two layouts round differently, so it keeps the view. The bias, the
+    mask and the ReLU are then taken in place in that one buffer. H @ W2.T
+    keeps its operand layout: W2 @ H.T rounds differently.
+    """
+    H = Xs @ (W1.T if len(Xs) == 1 else np.ascontiguousarray(W1.T))
+    H += b1
+    mask = H > 0.0
+    np.maximum(H, 0.0, out=H)
+    z2 = H @ W2.T
+    z2 += b2
+    return mask, H, z2[:, 0]
 
 
 def mlp_loss_grads(W1, b1, W2, b2, X, y, l2=0.0, counts=None):
@@ -327,19 +340,42 @@ def mlp_loss_grads(W1, b1, W2, b2, X, y, l2=0.0, counts=None):
     for counts[i] rows (default 1 each): its terms are weighted by it and the
     sums divided by counts.sum(). At the default that is the mean over the
     rows bit for bit, since `1.0 * term` is exact.
+
+    Every value is the float64 arithmetic of counts * (logaddexp(0, z2) -
+    y * z2), counts * (sigmoid(z2) - y) / n, (dz2[:, None] @ W2) * mask,
+    dZ1.T @ X and dZ1.sum(axis=0), bit for bit, in faster forms: the
+    elementwise passes are the same operations done in place in two row
+    buffers, and db1 is np.einsum("ij->j", dZ1), which adds each column's
+    rows in sequence from 0.0 as sum(axis=0) does. The BLAS products keep
+    their operand layouts (dz2[None, :] @ H, dz2[:, None] @ W2, dZ1.T @ X):
+    transposed or copied forms of them round differently. The k = 1 product
+    is also faster than the broadcast dz2[:, None] * W2, which gives -0.0
+    where it gives +0.0.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=np.float64)
     n = counts.sum()
-    Z1, H, z2 = _mlp_forward(W1, b1, W2, b2, X)
-    loss = float(np.add.reduce(counts * (np.logaddexp(0.0, z2) - y * z2)) / n)
+    mask, H, z2 = _mlp_forward(W1, b1, W2, b2, X)
+    terms = np.logaddexp(0.0, z2)
+    dz2 = y * z2  # the second row buffer: y * z2 for the loss, then dz2
+    terms -= dz2
+    terms *= counts
+    loss = float(np.add.reduce(terms) / n)
     loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
-    dz2 = counts * (_sigmoid(z2) - y) / n
+    np.negative(z2, out=dz2)  # dz2 = counts * (_sigmoid(z2) - y) / n, in place
+    with np.errstate(over="ignore"):
+        np.exp(dz2, out=dz2)
+    dz2 += 1.0
+    np.divide(1.0, dz2, out=dz2)
+    dz2 -= y
+    dz2 *= counts
+    dz2 /= n
     dW2 = dz2[None, :] @ H + l2 * W2
-    dZ1 = (dz2[:, None] @ W2) * (Z1 > 0.0)
+    dZ1 = dz2[:, None] @ W2
+    dZ1 *= mask
     dW1 = dZ1.T @ X + l2 * W1
-    return loss, (dW1, dZ1.sum(axis=0), dW2, float(dz2.sum()))
+    return loss, (dW1, np.einsum("ij->j", dZ1), dW2, float(dz2.sum()))
 
 
 # A numpy L-BFGS, not scipy.optimize: synwatch imports no scipy at all.

@@ -349,13 +349,21 @@ def _read_canonical(data: bytes) -> Optional[IntervalSeries]:
         return None
     # The body is ASCII, so the line loop, too, would fail at the header first.
     interval_seconds, origin_s = _series_header(split_lines(decode_utf8(data[:start]))[0])
-    n = data.count(b"\n", start)
+    # The columns are sized from the last row's index. A row takes at least 6
+    # bytes ("0,0,0\n"), so an index past what the body can hold declines, as
+    # does a block that would fill rows past it; the last block's index check
+    # ends the rows exactly at it.
+    last = data.rfind(b"\n", start, len(data) - 1) + 1 or start
+    index = data[last:data.find(b",", last)]
+    n = int(index) + 1 if 0 < len(index) <= _FIELD_DIGITS and index.isdigit() else 0
+    if 6 * n > len(data) - start:
+        return None
     counts, labels = np.empty(n, np.int64), np.empty(n, np.int64)
     row = 0
     while start < len(data):
         stop = data.find(b"\n", start + READ_BLOCK_BYTES - 1) + 1 or len(data)
         fields = _canonical_rows(text[start:stop], row)
-        if fields is None:
+        if fields is None or row + len(fields[0]) > n:
             return None
         count, label = fields
         counts[row:row + len(count)], labels[row:row + len(label)] = count, label

@@ -8,7 +8,8 @@ built in one expression, the SVR step loop that rebuilds its arrays and the
 KKT values it reads from them, the grid search that builds a kernel for each
 cell's fold fit, seeds it from the fit at the C before it and predicts
 through the models, the LGR fit and the MLP
-objective that average over every row, the labelled points found by two
+objective that average over every row, the MLP objective in numpy's plain
+forms, one fresh array per step, the labelled points found by two
 sorts and a gather of each pair's first row, the K-Means fit that sweeps
 every row from centroids drawn a row at a time, the squared distances and
 nearest centroids summed over one (row, centroid, feature) array, the attack
@@ -56,6 +57,26 @@ def mlp_loss_grads_reference(W1, b1, W2, b2, X, y, l2=0.0):
     loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
     with np.errstate(over="ignore"):  # the library's sigmoid expression, restated
         dz2 = (1.0 / (1.0 + np.exp(-z2)) - y) / len(y)
+    dW2 = dz2[None, :] @ H + l2 * W2
+    dZ1 = (dz2[:, None] @ W2) * (Z1 > 0.0)
+    dW1 = dZ1.T @ X + l2 * W1
+    return loss, (dW1, dZ1.sum(axis=0), dW2, float(dz2.sum()))
+
+
+def mlp_loss_grads_plain(W1, b1, W2, b2, X, y, l2=0.0, counts=None):
+    """mlp_loss_grads in numpy's plain forms: X @ W1.T through the transposed
+    view, a fresh array for each elementwise step and db1 as dZ1.sum(axis=0)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=np.float64)
+    n = counts.sum()
+    Z1 = X @ W1.T + b1
+    H = np.maximum(Z1, 0.0)
+    z2 = (H @ W2.T + b2)[:, 0]
+    loss = float(np.add.reduce(counts * (np.logaddexp(0.0, z2) - y * z2)) / n)
+    loss += 0.5 * l2 * (float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
+    with np.errstate(over="ignore"):  # the library's sigmoid expression, restated
+        dz2 = counts * (1.0 / (1.0 + np.exp(-z2)) - y) / n
     dW2 = dz2[None, :] @ H + l2 * W2
     dZ1 = (dz2[:, None] @ W2) * (Z1 > 0.0)
     dW1 = dZ1.T @ X + l2 * W1

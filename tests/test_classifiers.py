@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (_distinct_row_init, exhaustive_wcss_1d, kmeans_fit_reference,
                      lgr_fit_reference, mlp_central_differences, mlp_gradcheck_worst,
-                     mlp_loss_grads_reference, nearest_reference, sq_distances_reference)
+                     mlp_loss_grads_plain, mlp_loss_grads_reference, nearest_reference,
+                     sq_distances_reference)
 from synwatch import classifiers
 from synwatch.classifiers import (L2, LGR_STEP, TOLERANCE, KMeansModel, LgrModel, MlpModel,
                                   TrainConfig, elbow_curve, kmeans_assign, kmeans_fit,
@@ -777,6 +778,36 @@ def test_mlp_objective_over_counted_points_is_the_row_mean(d, seed):
     # without counts every row counts once: the mean over the rows, bit for bit
     loss, grads = mlp_loss_grads(*weights, Xs, y, L2)
     _assert_row_mean((loss, *grads), (want_loss, *want_grads), scale, False)
+
+
+@pytest.mark.parametrize("d", [1, 12, 13])
+# one row goes through gemv, not gemm; 682 and 6,740 rows are frame fits' sizes,
+# and 9,000 rows of 6 pass einsum's 8,192-element buffer
+@pytest.mark.parametrize("n", [1, 7, 682, 6740, 9000])
+@pytest.mark.parametrize("saturated", [False, True], ids=["mixed", "saturated"])
+def test_mlp_objective_matches_its_plain_forms_bit_for_bit(d, n, saturated):
+    """The in-place passes, the contiguous W1.T and the einsum column sum give
+    the loss and every gradient of numpy's plain forms byte for byte: with
+    and without counts, with hidden unit 0 dead on every row and -0.0 among
+    the inputs. Saturated, the outputs of the rows labelled 1 round to
+    exactly 1, so their dz2 is exactly 0."""
+    rng = np.random.default_rng(1000 * d + n)
+    X = rng.normal(size=(n, d))
+    X[rng.random(size=(n, d)) < 0.2] = -0.0
+    y = rng.integers(0, 2, n).astype(np.float64)
+    W1, b1, W2, b2 = _mlp_weights(d, n)
+    b1[0] = -1e3  # unit 0 is dead on every row
+    if saturated:
+        b2, y[0] = 1e3, 1.0
+    for counts in (None, rng.integers(1, 9, n).astype(np.float64)):
+        got_loss, got = mlp_loss_grads(W1, b1, W2, b2, X, y, L2, counts)
+        want_loss, want = mlp_loss_grads_plain(W1, b1, W2, b2, X, y, L2, counts)
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    if saturated:  # the case holds what it says: a zero dz2 on every row labelled 1
+        z2 = classifiers._mlp_forward(W1, b1, W2, b2, X)[2]
+        assert (classifiers._sigmoid(z2)[y == 1.0] == 1.0).all()
 
 
 def test_mlp_gradients_with_counts_match_finite_differences():

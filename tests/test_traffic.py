@@ -490,6 +490,15 @@ PATH_SPLITS = {
     "index_007": (_HEADER + b"".join(b"%d,1,0\n" % i for i in range(7)) + b"007,5,1\n",
                   "reads"),
     "index_out_of_order": (_HEADER + b"1,5,0\n", "declines"),
+    # the columns are sized from the last row's index: past the body's bytes, over
+    # 18 digits, or short of rows the blocks already filled, the array path declines
+    "last_index_past_the_body": (_HEADER + _ROWS + b"9,5,1\n", "declines"),
+    "last_index_of_18_digits": (_HEADER + _ROWS + b"999999999999999999,5,1\n", "declines"),
+    "last_index_beyond_int64": (_HEADER + _ROWS + b"99999999999999999999,5,1\n", "declines"),
+    "last_index_short_of_the_first_block": (
+        _HEADER + b"".join(b"%d,1,0\n" % i for i in range(READ_BLOCK_BYTES // 6)) + b"3,5,1\n",
+        "declines"),
+    "last_row_without_a_comma": (_HEADER + _ROWS + b"2\n", "declines"),
     "empty_field": (_HEADER + b"0,,0\n", "declines"),
     "header_only": (_HEADER, "reads"),
     "header_only_no_newline": (_HEADER[:-1], "declines"),
