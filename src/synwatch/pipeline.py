@@ -73,14 +73,6 @@ _FAMILIES = {
 SPLIT_RATIO = 0.8
 SMOTE_K = 5
 
-# smote_balance holds at most this many bytes of neighbour search at a time:
-# the candidate minority rows' indices (and a copy of those rows when they are
-# not all of them), and a block's (row, candidate) arrays: the
-# classifiers._SQ_ARRAYS that classifiers._sq_distances holds at once, its
-# squared distances among them, and beside those the distances' argsort order.
-# That bounds its memory whatever the minority size.
-_SMOTE_BLOCK_BYTES = 32 * 2 ** 20
-
 
 def default_train_cfg(family: str, seed: int) -> TrainConfig:
     return replace(_FAMILIES[family][0], seed=seed)
@@ -200,54 +192,6 @@ def split_indices(y, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(train_parts), np.concatenate(test_parts)
 
 
-def _neighbours(Xm, rows, k_eff):
-    """The k_eff nearest minority rows of each of `rows`, as the dense search
-    ranks them: by squared distance summed over the features, ties to the
-    lowest row index, the row itself at (inf, its index).
-
-    Rows of equal value are equally far from every row, so a row behind
-    k_eff + 1 rows of its value with lower indices is never among the first
-    k_eff + 1. The candidates are each point's (classifiers._points) first
-    k_eff + 1 rows: for packet counts each distinct count's, and otherwise,
-    each point being one row, every row. Each distinct sampled point, a
-    bounded block of them at a time, keeps its first k_eff + 1 candidates by
-    (squared distance, index). A block's distances are
-    classifiers._sq_distances', the dense search's sums bit for bit, made a
-    feature at a time with no (row, candidate, feature) array. Each row then
-    puts itself at (inf, its index), in place of its own entry or else of
-    the last, which then lies behind k_eff rows at distance 0.
-    """
-    k1 = k_eff + 1
-    points, inverse, counts = classifiers._points(Xm)
-    counts = counts.astype(np.intp)
-    by_point = np.argsort(inverse, kind="stable")
-    # each row's place among the rows of its point, in row order
-    rank = np.arange(len(Xm)) - (np.cumsum(counts) - counts)[inverse[by_point]]
-    pool = np.sort(by_point[rank < k1])
-    Xp = Xm[pool] if len(pool) < len(Xm) else Xm
-    ids, back = np.unique(inverse[rows], return_inverse=True)
-    reps = points[ids]
-    del inverse, counts, by_point, rank  # row-sized; gone before the blocks
-    near = np.empty((len(reps), k1), dtype=np.intp)
-    near_d2 = np.empty((len(reps), k1))
-    # per (block row, candidate): the kernel's arrays, the sums among them,
-    # and the sums' argsort index; the candidates' indices and any copy of
-    # their rows come out of the same bytes
-    spare = _SMOTE_BLOCK_BYTES - pool.nbytes - (Xp.nbytes if Xp is not Xm else 0)
-    block = max(1, spare // (len(Xp) * (classifiers._SQ_ARRAYS + 1) * 8))
-    for start in range(0, len(reps), block):
-        d2 = classifiers._sq_distances(reps[start:start + block], Xp)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k1]
-        near[start:start + len(d2)] = pool[order]
-        near_d2[start:start + len(d2)] = np.take_along_axis(d2, order, 1)
-        del d2, order  # before the next block's arrays are made
-    cand, cand_d2 = near[back], near_d2[back]
-    own = cand == rows[:, None]
-    own[:, -1] |= ~own.any(axis=1)
-    cand[own], cand_d2[own] = rows, np.inf
-    return np.take_along_axis(cand, np.lexsort((cand, cand_d2), axis=-1)[:, :k_eff], 1)
-
-
 def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     """Oversample the minority class to parity with synthetic interpolants.
 
@@ -258,9 +202,9 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     Neighbours are found only for the distinct minority rows actually
     sampled, a bounded block of them at a time, so memory does not grow with
     the square of the minority size. For packet counts they are searched
-    among each distinct count's first k + 1 rows (_neighbours). The output
-    is identical to computing the full minority distance matrix: distances
-    are the same sums of squares, and ties still go to the lowest row index.
+    among each distinct count's first k + 1 rows (classifiers._neighbours).
+    The output is that of the full minority distance matrix: distances are
+    the same sums of squares, and ties still go to the lowest row index.
     """
     check_count("k", k)
     y = np.asarray(train.y)
@@ -282,7 +226,7 @@ def smote_balance(train: DataSet, k: int, seed: int) -> DataSet:
     column = rng.integers(0, k_eff, size=n_new)
     u = rng.random(size=n_new)
     rows = np.unique(base)
-    neighbours = _neighbours(Xm, rows, k_eff)
+    neighbours = classifiers._neighbours(Xm, rows, k_eff)
     picks = neighbours[np.searchsorted(rows, base), column]
     synth = Xm[base] + u[:, None] * (Xm[picks] - Xm[base])
     X_out = np.vstack([train.X, synth])

@@ -380,26 +380,6 @@ def _grid_cells(kind: str, grid: GridSpec):
     raise ConfigError(f"unknown grid-search kind {kind!r}")
 
 
-def _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va, starts: dict):
-    """Validation predictions, and whether the fit converged (a KRR fit always does).
-
-    K_tr is the fold's training kernel in the form the fit takes, K_va the
-    validation rows' kernel against the training rows; K_va @ alphas is
-    krr_predict's product and K_va @ dual_deltas + bias svr_predict's.
-    An SVR fit starts from `starts[epsilon]`, the deltas of the last fit
-    with its epsilon on these kernels (a cold start when there is none),
-    and leaves its own there for the next C.
-    """
-    if kind == "krr":
-        model = krr_fit(X_tr, y_tr, params["lam"], params["gamma"], _kernel=K_tr)
-        return K_va @ model.alphas, True
-    eps = params["epsilon"]
-    model = svr_fit(X_tr, y_tr, params["C"], eps, params["gamma"], _kernel=K_tr,
-                    _start=starts.get(eps))
-    starts[eps] = model.dual_deltas
-    return K_va @ model.dual_deltas + model.bias, model.converged
-
-
 def format_cell(params: dict) -> str:
     """`C=.., epsilon=.., gamma=..` (or `gamma=.., lam=..`) for a grid cell."""
     return ", ".join(f"{key}={params[key]:g}" for key in sorted(params))
@@ -446,11 +426,21 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
             X_tr, y_tr = X[tr_idx], y[tr_idx]
             K_tr = _svr_kernel(X_tr, gamma) if kind == "svr" else rbf_matrix(X_tr, X_tr, gamma)
             K_va = rbf_matrix(X[va_idx], X_tr, gamma)
-            starts = {}
+            starts = {}  # epsilon -> the deltas of its last SVR fit on these kernels
             for c, params in enumerate(cells):
-                if params["gamma"] == gamma:
-                    pred, converged = _fit_predict(kind, params, X_tr, y_tr, K_tr, K_va, starts)
-                    scores[c, f] = rmse(y[va_idx], pred), converged
+                if params["gamma"] != gamma:
+                    continue
+                # K_va @ alphas is krr_predict's product, K_va @ deltas + bias svr_predict's
+                if kind == "krr":
+                    model = krr_fit(X_tr, y_tr, params["lam"], gamma, _kernel=K_tr)
+                    pred, converged = K_va @ model.alphas, True
+                else:  # each epsilon's fit starts from the previous C's (the first cold)
+                    eps = params["epsilon"]
+                    model = svr_fit(X_tr, y_tr, params["C"], eps, gamma, _kernel=K_tr,
+                                    _start=starts.get(eps))
+                    starts[eps] = model.dual_deltas
+                    pred, converged = K_va @ model.dual_deltas + model.bias, model.converged
+                scores[c, f] = rmse(y[va_idx], pred), converged
             del K_tr, K_va  # so that only one (gamma, fold) kernel set is alive at a time
     table, capped = [], []
     best_params, best_rmse = None, np.inf

@@ -1155,6 +1155,28 @@ def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
     assert peak <= classifiers._SQ_ARRAYS * A.shape[0] * B.shape[0] * 8 + 2 ** 16
 
 
+@pytest.mark.parametrize("d", [1, 12, 13])
+@pytest.mark.parametrize("budget_rows", ["below one", "one", "five", "above all"])
+def test_distance_blocks_cover_the_rows_within_their_budget(d, budget_rows):
+    rng = np.random.default_rng(d)
+    A, B = rng.normal(size=(23, d)), rng.normal(size=(17, d))
+    row_bytes = (classifiers._SQ_ARRAYS + 1) * len(B) * 8  # one block row's arrays
+    budget = {"below one": row_bytes - 1, "one": row_bytes, "five": 5 * row_bytes + 7,
+              "above all": len(A) * row_bytes + 1}[budget_rows]
+    starts, blocks = [], []
+    for start, d2 in classifiers._distance_blocks(A, B, budget):
+        starts.append(start)
+        blocks.append(d2)
+    sizes = [len(block) for block in blocks]
+    assert min(sizes) >= 1 and sum(sizes) == len(A)
+    assert starts == [sum(sizes[:i]) for i in range(len(sizes))]  # in order, no gaps
+    assert all(size == 1 or size * row_bytes <= budget for size in sizes)
+    full = max(1, budget // row_bytes)  # every block but the last is as large as fits
+    assert sizes[:-1] == [full] * (len(sizes) - 1) and sizes[-1] <= full
+    want = classifiers._sq_distances(A, B)
+    assert np.concatenate(blocks).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
 def test_assign_temporaries_stay_within_one_block():
     X = np.random.default_rng(2).normal(size=(200_000, 1))
     model = KMeansModel(centroids=np.array([[-1.0], [1.0]]), k=2, wcss=0.0)

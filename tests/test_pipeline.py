@@ -197,7 +197,7 @@ def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
     if block_rows is not None:  # force several row blocks, the last one partial
         n_min = int(min(np.sum(data.y == 0), np.sum(data.y == 1)))
         per_candidate = (classifiers._SQ_ARRAYS + 1) * 8
-        monkeypatch.setattr(pipeline, "_SMOTE_BLOCK_BYTES", block_rows * n_min * per_candidate)
+        monkeypatch.setattr(classifiers, "_SMOTE_BLOCK_BYTES", block_rows * n_min * per_candidate)
     for seed in (0, 1, 2):
         got = smote_balance(data, 5, seed)
         want = smote_balance_dense(data, 5, seed)
@@ -230,7 +230,7 @@ def _smote_inputs(draw):
 @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 def test_smote_matches_dense_oracle_on_random_inputs(data, k, seed, block_bytes):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_SMOTE_BLOCK_BYTES", block_bytes)
+        mp.setattr(classifiers, "_SMOTE_BLOCK_BYTES", block_bytes)
         got = smote_balance(data, k, seed)
     want = smote_balance_dense(data, k, seed)
     assert got.X.tobytes() == want.X.tobytes()
@@ -243,10 +243,10 @@ def test_smote_block_temporaries_stay_within_the_bound(monkeypatch):
     Xm = np.random.default_rng(3).normal(size=(20_000, 3))
     rows = np.arange(0, 20_000, 400)
     bound = 4 * 2 ** 20
-    monkeypatch.setattr(pipeline, "_SMOTE_BLOCK_BYTES", bound)
+    monkeypatch.setattr(classifiers, "_SMOTE_BLOCK_BYTES", bound)
     tracemalloc.start()
     try:
-        pipeline._neighbours(Xm, rows, 5)
+        classifiers._neighbours(Xm, rows, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -260,7 +260,7 @@ def test_smote_block_holds_no_row_candidate_feature_array():
     rows = np.arange(72) * 45
     tracemalloc.start()
     try:
-        pipeline._neighbours(Xm, rows, 5)
+        classifiers._neighbours(Xm, rows, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
