@@ -1,5 +1,8 @@
 """Forecasting models: kernel ridge regression and epsilon-SVR, RBF kernel.
 
+The kernel is built on the package's one distance kernel, _sq_distances, and
+each product of a kernel with weights sums every row alone (einsum), so a
+forecast has the same bits whether it is predicted alone or in a batch.
 KRR solves its dense regularized kernel system by one LU solve and one
 refinement pass; SVR runs a dual optimizer that picks each pair by
 second-order gain (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
@@ -22,6 +25,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
+from .distances import _sq_distances
 from .errors import ConfigError, ContractViolation, NumericError, check_count
 from .metrics import rmse
 from .scaling import Scaler, as_matrix
@@ -29,16 +33,14 @@ from .scaling import Scaler, as_matrix
 SMO_TOL = 1e-3
 SMO_ITER_FACTOR = 100
 # The most training rows a kernel fit takes. Its n x n float64 kernel is
-# 512 MiB at this bound, and an SVR fit holds about 3.1 times that (the
-# kernel, its curvature table and rbf_matrix's temporaries): about 1.7 GB.
+# 512 MiB at this bound. An SVR fit on fewer than 8 features (the forecast's
+# 2) peaks at 2.03 times that, traced: the kernel and its curvature table.
+# From 8 features, _sq_distances holds up to _SQ_ARRAYS such arrays. einsum
+# sums a row of at most 8192 entries (its buffer) in one piece.
 MAX_KERNEL_ROWS = 8192
 # The most entries (rows to predict x training rows) of the kernel a
-# prediction builds at a time. It is 1 GiB at this bound, and rbf_matrix holds
-# an equal temporary: about 2.1 GB, near an SVR fit at MAX_KERNEL_ROWS. Up to
-# the bound the product is one call; past it, a loop over row blocks.
-# OpenBLAS rounds a row's kernel entries and its product with the weights
-# by where the row sits in the matrix, so blocked predictions may differ
-# from one call's in their last bits.
+# prediction builds at a time: 1 GiB, and on fewer than 8 features one equal
+# temporary, about 2.1 GB. Past it, a loop over row blocks, bit for bit one call.
 MAX_PREDICT_ENTRIES = 2 ** 27
 
 
@@ -86,17 +88,14 @@ class GridSpec:
 
 
 def rbf_matrix(A, B, gamma: float) -> np.ndarray:
-    """Pairwise RBF kernel matrix between row sets A and B."""
-    A = as_matrix(A)
-    B = as_matrix(B)
+    """exp(-gamma * d2) of the squared distances (_sq_distances) of rows A and B,
+    in one buffer. As fl(a - b) = -fl(b - a), rbf_matrix(X, X, gamma) is
+    exactly symmetric, and its diagonal is exp(-0.0) = 1."""
+    A, B = as_matrix(A), as_matrix(B)
     if A.shape[1] != B.shape[1]:
         raise ContractViolation("rbf_matrix arity mismatch")
-    # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), built in one buffer
-    G = A @ B.T
-    G *= 2.0
-    d2 = (A * A).sum(1)[:, None] + (B * B).sum(1)[None, :]
-    d2 -= G
-    np.maximum(d2, 0.0, out=d2)
+    _check_param("gamma", gamma, positive=True)
+    d2 = _sq_distances(A, B)
     d2 *= -gamma
     return np.exp(d2, out=d2)
 
@@ -153,7 +152,6 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
     n = X.shape[0]
     y = _targets(y, n)
     _check_param("lam", lam, positive=False)
-    _check_param("gamma", gamma, positive=True)
     if _kernel is None:
         _check_kernel_rows(n, "krr_fit")
         A = rbf_matrix(X, X, gamma)
@@ -175,10 +173,10 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
 
 
 def _kernel_product(model, X, weights, caller: str) -> np.ndarray:
-    """The model's kernel between X, standardized by the model's scaler if it
-    has one, and its training rows, times `weights`: one product per block
-    of rows that holds at most MAX_PREDICT_ENTRIES entries (at least one
-    row), so a single block when the whole kernel fits the bound."""
+    """The model's kernel between X (standardized by the model's scaler if it
+    has one) and its training rows, times `weights`, a block of at most
+    MAX_PREDICT_ENTRIES entries (at least one row) at a time. einsum, not
+    BLAS, sums each row alone, so a row's bits do not depend on its block."""
     X = as_matrix(X)
     if model.scaler is not None:
         X = model.scaler.transform(X)
@@ -187,8 +185,8 @@ def _kernel_product(model, X, weights, caller: str) -> np.ndarray:
     block = max(1, MAX_PREDICT_ENTRIES // max(1, len(model.train_inputs)))
     out = np.empty(len(X))
     for start in range(0, len(X), block):
-        out[start:start + block] = (
-            rbf_matrix(X[start:start + block], model.train_inputs, model.gamma) @ weights)
+        K = rbf_matrix(X[start:start + block], model.train_inputs, model.gamma)
+        out[start:start + block] = np.einsum("ij,j->i", K, weights)
     return out
 
 
@@ -201,20 +199,15 @@ def krr_predict(model: KrrModel, X) -> np.ndarray:
 
 
 def _svr_kernel(X, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Kt, curv) for svr_fit: the kernel and its pair curvature table.
-
-    Kt is K transposed, so that Kt[c], column c of K, is contiguous.
-    curv[ii, t] is K[ii, ii] + K[t, t] - 2 K[t, ii], floored at 1e-12: the
-    curvature of a step that moves a variable of row ii against one of row t.
-    """
-    Kt = np.ascontiguousarray(rbf_matrix(X, X, gamma).T)
-    diag = Kt.diagonal()
-    # the diagonal sum first, then the doubled kernel: svr_fit_reference's order,
-    # so that both divide the gains by the same bits and pick the same pairs
-    curv = diag[:, None] + diag
-    curv -= Kt * 2.0
+    """(K, curv) for svr_fit: the kernel, exactly symmetric (K[c] is column c)
+    with a unit diagonal, and curv = max(2 - 2K, 1e-12) in one buffer, whose
+    curv[ii, t] is K[ii, ii] + K[t, t] - 2 K[ii, t] floored at 1e-12 bit for
+    bit: the curvature of a step that moves a variable of row ii against one of row t."""
+    K = rbf_matrix(X, X, gamma)
+    curv = np.multiply(K, -2.0)  # 2K is exact, so -2K + 2 rounds as 2 - 2K
+    curv += 2.0
     np.maximum(curv, 1e-12, out=curv)
-    return Kt, curv
+    return K, curv
 
 
 def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
@@ -256,18 +249,17 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
         raise ContractViolation("svr_fit needs at least two samples")
     _check_param("C", C, positive=True)
     _check_param("epsilon", epsilon, positive=False)
-    _check_param("gamma", gamma, positive=True)
     if _kernel is None:
         _check_kernel_rows(n, "svr_fit")
-        Kt, curv = _svr_kernel(X, gamma)
+        K, curv = _svr_kernel(X, gamma)
     else:
-        Kt, curv = _kernel
+        K, curv = _kernel
     theta = np.zeros(2 * n)  # [alpha | alpha*]
     if _start is not None:
         np.copyto(theta[:n], _start, where=_start > 0.0)
         np.negative(_start, out=theta[n:], where=_start < 0.0)
     beta = theta[:n] - theta[n:]
-    u = Kt @ beta  # K @ beta, as K is symmetric: +0.0 throughout for a cold start
+    u = K @ beta  # +0.0 throughout for a cold start
     g = np.empty(n)  # y - u
     kd = np.empty(n)  # t * (column ii - column jj)
     off = np.empty((2, 2, n))  # [up | low] offsets, each [alpha | alpha*]
@@ -284,15 +276,15 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
     gain = np.empty(2 * n)  # over the low candidates, [alpha | alpha*]
     gain_a, gain_s = gain[:n], gain[n:]  # views, each divided by a curvature row
     max_iter = SMO_ITER_FACTOR * n
-    # the steps read and write theta, beta and the kernel diagonal as Python
-    # floats: a step touches four entries, and float arithmetic is float64
-    # arithmetic bit for bit without numpy's cost per scalar
-    th, be, diag = theta.tolist(), beta.tolist(), Kt.diagonal().tolist()
+    # the steps read and write theta and beta as Python floats: a step touches
+    # four entries, and float arithmetic is float64 arithmetic bit for bit
+    # without numpy's cost per scalar
+    th, be = theta.tolist(), beta.tolist()
     # the ufuncs and bound methods a step calls, looked up once per fit
     inf, subtract, add, maximum, multiply, divide = (np.inf, np.subtract, np.add, np.maximum,
                                                      np.multiply, np.divide)
     up_argmax, up_item, gain_argmax = up_vals.argmax, up_vals.item, gain.argmax
-    low_item, low_min, kernel_item = low_vals.item, low_vals.min, Kt.item
+    low_item, low_min = low_vals.item, low_vals.min
     for _ in range(max_iter):
         subtract(y, u, out=g)
         add(g, off, out=vals)
@@ -316,8 +308,7 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
         if gap <= SMO_TOL and m - low_min() <= SMO_TOL:
             break
         jj = j % n
-        q = diag[ii] + diag[jj] - 2.0 * kernel_item(jj, ii)  # K[ii, ii] + K[jj, jj] - 2 K[ii, jj]
-        t = gap / max(q, 1e-12)
+        t = gap / row.item(jj)  # the pair's curvature, floored at 1e-12
         t = min(t, C - th[i] if i < n else th[i])
         t = min(t, th[j] if j < n else C - th[j])
         if t <= 0.0:
@@ -342,7 +333,7 @@ def svr_fit(X, y, C: float, epsilon: float, gamma: float, *, _kernel=None,
             low_off[j] = eps if tj < C else inf
         be[ii] += t
         be[jj] -= t
-        subtract(Kt[ii], Kt[jj], out=kd)
+        subtract(K[ii], K[jj], out=kd)
         kd *= t
         u += kd
     theta, beta = np.array(th), np.array(be)
@@ -430,16 +421,17 @@ def grid_search(X, y, kind: str, grid: GridSpec, seed: int = 42
             for c, params in enumerate(cells):
                 if params["gamma"] != gamma:
                     continue
-                # K_va @ alphas is krr_predict's product, K_va @ deltas + bias svr_predict's
+                # krr_predict's product, and svr_predict's plus the bias, bit for bit
                 if kind == "krr":
                     model = krr_fit(X_tr, y_tr, params["lam"], gamma, _kernel=K_tr)
-                    pred, converged = K_va @ model.alphas, True
+                    pred, converged = np.einsum("ij,j->i", K_va, model.alphas), True
                 else:  # each epsilon's fit starts from the previous C's (the first cold)
                     eps = params["epsilon"]
                     model = svr_fit(X_tr, y_tr, params["C"], eps, gamma, _kernel=K_tr,
                                     _start=starts.get(eps))
                     starts[eps] = model.dual_deltas
-                    pred, converged = K_va @ model.dual_deltas + model.bias, model.converged
+                    pred = np.einsum("ij,j->i", K_va, model.dual_deltas) + model.bias
+                    converged = model.converged
                 scores[c, f] = rmse(y[va_idx], pred), converged
             del K_tr, K_va  # so that only one (gamma, fold) kernel set is alive at a time
     table, capped = [], []

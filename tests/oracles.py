@@ -4,10 +4,10 @@ Most of it is deliberately brute force: exhaustive enumeration, central
 finite differences and projected-gradient optimization, sharing no code
 path with the implementations under test. The rest are the plain versions
 of optimized functions (dense SMOTE, the sigma of one frame, the RBF kernel
-built in one expression, the SVR step loop that rebuilds its arrays and the
-KKT values it reads from them, the grid search that builds a kernel for each
-cell's fold fit, seeds it from the fit at the C before it and predicts
-through the models, the LGR fit and the MLP
+built in one expression on the 3-D distance sum, the SVR step loop that
+rebuilds its arrays and the KKT values it reads from them, the grid search
+that builds a kernel for each cell's fold fit, seeds it from the fit at the
+C before it and predicts through the models, the LGR fit and the MLP
 objective that average over every row, the MLP objective in numpy's plain
 forms, one fresh array per step, the labelled points found by two
 sorts and a gather of each pair's first row, the K-Means fit that sweeps
@@ -138,11 +138,9 @@ def exhaustive_wcss_1d(values) -> float:
 
 
 def rbf_matrix_reference(A, B, gamma: float) -> np.ndarray:
-    """rbf_matrix as it was before it built the kernel in one buffer."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    d2 = (A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2.0 * (A @ B.T)
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    """The RBF kernel in one expression, on the squared distances summed over
+    one (row, row, feature) array (sq_distances_reference)."""
+    return np.exp(-gamma * sq_distances_reference(as_matrix(A), as_matrix(B)))
 
 
 def project_box_hyperplane(z, s, C):

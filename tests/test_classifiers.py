@@ -14,7 +14,7 @@ from oracles import (_distinct_row_init, exhaustive_wcss_1d, kmeans_fit_referenc
                      lgr_fit_reference, mlp_central_differences, mlp_gradcheck_worst,
                      mlp_loss_grads_plain, mlp_loss_grads_reference, nearest_reference,
                      sq_distances_reference)
-from synwatch import classifiers
+from synwatch import classifiers, distances
 from synwatch.classifiers import (L2, LGR_STEP, TOLERANCE, KMeansModel, LgrModel, MlpModel,
                                   TrainConfig, elbow_curve, kmeans_assign, kmeans_fit,
                                   lgr_fit, lgr_predict, map_clusters_to_labels, mlp_fit,
@@ -1099,7 +1099,7 @@ def test_assign_in_row_blocks_matches_one_pass(monkeypatch, d):
     want = nearest_reference(X, centroids)[0]
     for block_rows in (1, 7, 64, 1000, 5000):
         monkeypatch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES",
-                            block_rows * 3 * classifiers._SQ_ARRAYS * 8)
+                            block_rows * 3 * distances._SQ_ARRAYS * 8)
         got = kmeans_assign(model, X)
         assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
     assert (want[::7] == 0).all()
@@ -1123,7 +1123,7 @@ def test_sq_distances_matches_the_3d_sum_bit_for_bit(d):
     cases += [(X, X[:k]) for X in (counts, wide, reals) for k in range(1, 7)]  # K-Means' centroids
     with np.errstate(over="ignore"):
         for A, B in cases:
-            got = classifiers._sq_distances(A, B)
+            got = distances._sq_distances(A, B)
             want = sq_distances_reference(A, B)
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
@@ -1136,10 +1136,10 @@ def test_sq_distances_past_128_features_differ_only_by_rounding(d):
     counts = rng.poisson(1.0, size=(40, d)).astype(np.float64)
     reals = rng.normal(size=(40, d))
     for A, B in [(counts[:13], counts), (counts, counts[:3])]:
-        got, want = classifiers._sq_distances(A, B), sq_distances_reference(A, B)
+        got, want = distances._sq_distances(A, B), sq_distances_reference(A, B)
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
     for A, B in [(reals[:9], reals), (reals, reals[:3])]:
-        np.testing.assert_allclose(classifiers._sq_distances(A, B),
+        np.testing.assert_allclose(distances._sq_distances(A, B),
                                    sq_distances_reference(A, B), rtol=1e-14, atol=0.0)
 
 
@@ -1148,11 +1148,11 @@ def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
     A, B = np.ones((64, d)), np.zeros((4096, d))
     tracemalloc.start()
     try:
-        classifiers._sq_distances(A, B)
+        distances._sq_distances(A, B)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= classifiers._SQ_ARRAYS * A.shape[0] * B.shape[0] * 8 + 2 ** 16
+    assert peak <= distances._SQ_ARRAYS * A.shape[0] * B.shape[0] * 8 + 2 ** 16
 
 
 @pytest.mark.parametrize("d", [1, 12, 13])
@@ -1160,11 +1160,11 @@ def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
 def test_distance_blocks_cover_the_rows_within_their_budget(d, budget_rows):
     rng = np.random.default_rng(d)
     A, B = rng.normal(size=(23, d)), rng.normal(size=(17, d))
-    row_bytes = (classifiers._SQ_ARRAYS + 1) * len(B) * 8  # one block row's arrays
+    row_bytes = (distances._SQ_ARRAYS + 1) * len(B) * 8  # one block row's arrays
     budget = {"below one": row_bytes - 1, "one": row_bytes, "five": 5 * row_bytes + 7,
               "above all": len(A) * row_bytes + 1}[budget_rows]
     starts, blocks = [], []
-    for start, d2 in classifiers._distance_blocks(A, B, budget):
+    for start, d2 in distances._distance_blocks(A, B, budget):
         starts.append(start)
         blocks.append(d2)
     sizes = [len(block) for block in blocks]
@@ -1173,7 +1173,7 @@ def test_distance_blocks_cover_the_rows_within_their_budget(d, budget_rows):
     assert all(size == 1 or size * row_bytes <= budget for size in sizes)
     full = max(1, budget // row_bytes)  # every block but the last is as large as fits
     assert sizes[:-1] == [full] * (len(sizes) - 1) and sizes[-1] <= full
-    want = classifiers._sq_distances(A, B)
+    want = distances._sq_distances(A, B)
     assert np.concatenate(blocks).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 

@@ -212,12 +212,16 @@ def test_scoring_a_kernel_model_past_the_entry_bound_works_in_row_blocks(
         tmp_path, monkeypatch, kind):
     """evaluate --model-file scores every row: 240 rows against the model's
     240 training rows, with room for 100 rows' kernel entries, are scored in
-    blocks of 100, 100 and 40 rows into the same report as one kernel."""
+    blocks of 100, 100 and 40 rows into the same predictions, bit for bit,
+    and the same report as one kernel."""
     series = _gen(tmp_path)
     model_path = tmp_path / "model.txt"
     assert main(["train", "--model", kind, "--series", str(series),
                  "--out", str(model_path)]) == 0
-    reports, kernel = [], regressors.rbf_matrix
+    reports, outputs, kernel = [], [], regressors.rbf_matrix
+    predict = getattr(regressors, f"{kind}_predict")
+    monkeypatch.setattr(regressors, f"{kind}_predict",
+                        lambda *args: outputs.append(predict(*args)) or outputs[-1])
     for bound in (240 * 240, 240 * 100):
         built = []
         def counting(A, B, gamma):
@@ -232,6 +236,7 @@ def test_scoring_a_kernel_model_past_the_entry_bound_works_in_row_blocks(
         reports.append([line for line in out.read_text().splitlines()
                         if "seconds" not in line])
     assert reports[0] == reports[1]
+    assert len(outputs) == 2 and outputs[0].tobytes() == outputs[1].tobytes()
 
 
 # --------------------------------------------------------------------------

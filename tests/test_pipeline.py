@@ -15,7 +15,7 @@ from mutations import check_reader, damaged
 import synwatch
 import synwatch.pipeline as pipeline
 from oracles import frame_sigma, smote_balance_dense
-from synwatch import classifiers
+from synwatch import classifiers, distances
 from synwatch.classifiers import TrainConfig, kmeans_assign, kmeans_fit, map_clusters_to_labels
 from synwatch.errors import (BalancingError, ConfigError, DegenerateClusteringError,
                              EmptyDatasetError, ParseError)
@@ -196,7 +196,7 @@ def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
     data = _smote_case(name)
     if block_rows is not None:  # force several row blocks, the last one partial
         n_min = int(min(np.sum(data.y == 0), np.sum(data.y == 1)))
-        per_candidate = (classifiers._SQ_ARRAYS + 1) * 8
+        per_candidate = (distances._SQ_ARRAYS + 1) * 8
         monkeypatch.setattr(classifiers, "_SMOTE_BLOCK_BYTES", block_rows * n_min * per_candidate)
     for seed in (0, 1, 2):
         got = smote_balance(data, 5, seed)

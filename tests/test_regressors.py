@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (grid_search_reference, rbf_matrix_reference, svr_fit_reference,
                      svr_kkt_violations, svr_objective, svr_qp_oracle)
@@ -46,7 +48,7 @@ def _kernel_case(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "n1":
         return rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
-    if name == "coincident":  # repeated rows, whose d2 may round below 0 before the clip
+    if name == "coincident":  # repeated rows, at distance exactly 0
         A = np.repeat(rng.normal(size=(4, 13)), 3, axis=0)
         return A, A[::-1].copy()
     d = int(name[1:])
@@ -97,8 +99,8 @@ def test_kernel_matrix_is_positive_definite():
         n = int(rng.integers(2, 12))
         X = rng.uniform(-5.0, 5.0, size=(n, 2)) + 1e-3 * rng.normal(size=(n, 2))
         K = rbf_matrix(X, X, gamma=0.5)
-        assert np.allclose(K, K.T)
-        assert np.allclose(np.diag(K), 1.0)
+        assert K.tobytes() == K.T.tobytes()
+        assert (np.diag(K) == 1.0).all()
         np.linalg.cholesky(K + 1e-12 * np.eye(n))  # raises if not PD
 
 
@@ -246,6 +248,7 @@ _NON_FINITE_FITS = {
     "svr_fit-C": ("C", lambda v: svr_fit(TOY_X, TOY_Y, C=v, epsilon=0.1, gamma=1.0)),
     "svr_fit-epsilon": ("epsilon", lambda v: svr_fit(TOY_X, TOY_Y, C=1.0, epsilon=v, gamma=1.0)),
     "svr_fit-gamma": ("gamma", lambda v: svr_fit(TOY_X, TOY_Y, C=1.0, epsilon=0.1, gamma=v)),
+    "rbf_matrix-gamma": ("gamma", lambda v: rbf_matrix(TOY_X, TOY_X, v)),
     **{f"GridSpec-{field}": (field, lambda v, field=field: GridSpec(**{field: (0.5, v)}))
        for field in ("C_values", "gamma_values", "epsilon_values", "lambda_values")},
 }
@@ -257,6 +260,13 @@ def test_non_finite_kernel_hyperparameters_are_refused_by_name(case, value):
     field, call = _NON_FINITE_FITS[case]
     with pytest.raises(ConfigError, match=f"^{field} must be .*finite"):
         call(value)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0])
+def test_rbf_matrix_refuses_a_gamma_that_is_not_positive(gamma):
+    """A negative gamma would give entries above 1 and gamma = 0 all ones."""
+    with pytest.raises(ConfigError, match=r"^gamma must be finite and > 0$"):
+        rbf_matrix(TOY_X, TOY_X, gamma)
 
 
 @pytest.mark.parametrize("field", ["C_values", "gamma_values", "epsilon_values",
@@ -317,9 +327,9 @@ def test_kernel_fits_take_at_most_max_kernel_rows(case, monkeypatch):
                                            (4, [1] * 7)])
 def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, bound, blocks,
                                                               monkeypatch):
-    """7 rows against 5 training rows: one 35-entry kernel at the bound, bit
-    for bit today's product; below it, blocks of at most `bound` entries (at
-    least one row) whose predictions match the one-call product to rounding."""
+    """7 rows against 5 training rows: one 35-entry kernel at the bound;
+    below it, blocks of at most `bound` entries (at least one row). Every
+    block size gives the one-call predictions bit for bit."""
     model, X = fit(), np.linspace(-1.0, 5.0, 7).reshape(-1, 1)
     want = predict(model, X)
     built, kernel = [], regressors.rbf_matrix
@@ -330,18 +340,40 @@ def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, boun
     monkeypatch.setattr(regressors, "rbf_matrix", counting)
     got = predict(model, X)
     assert built == blocks
-    if blocks == [7]:
-        assert got.tobytes() == want.tobytes()
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _forecast_problems(draw):
+    """(X_train, y, X) of 1, 2 or 13 features at a drawn scale: 2-40 training
+    rows, and 1-30 new rows mixed with up to 10 training rows to predict."""
+    d = draw(st.sampled_from([1, 2, 13]))
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    X_train = rng.normal(scale=scale, size=(n, d))
+    X = np.vstack([rng.normal(scale=scale, size=(m, d)), X_train[:m // 3]])
+    return X_train, rng.normal(size=n), rng.permutation(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_forecast_problems(), gamma=st.sampled_from([0.01, 0.37, 4.0]))
+def test_a_forecast_has_the_same_bits_alone_as_in_a_batch(problem, gamma):
+    X_train, y, X = problem
+    for model, predict in ((krr_fit(X_train, y, 0.1, gamma), krr_predict),
+                           (svr_fit(X_train, y, 1.0, 0.1, gamma), svr_predict)):
+        batch = predict(model, X)
+        for i in range(len(X)):
+            assert predict(model, X[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
 
 
 def test_a_shared_kernel_is_not_held_to_the_row_bound(monkeypatch):
     """grid_search checks its folds once; the fits it runs on their kernels do not."""
     K = rbf_matrix(TOY_X, TOY_X, TOY_GAMMA)
-    Kt, curv = regressors._svr_kernel(TOY_X, TOY_GAMMA)
+    shared = regressors._svr_kernel(TOY_X, TOY_GAMMA)
     monkeypatch.setattr(regressors, "MAX_KERNEL_ROWS", 1)
     krr_fit(TOY_X, TOY_Y, 0.1, TOY_GAMMA, _kernel=K)
-    svr_fit(TOY_X, TOY_Y, TOY_C, TOY_EPS, TOY_GAMMA, _kernel=(Kt, curv))
+    svr_fit(TOY_X, TOY_Y, TOY_C, TOY_EPS, TOY_GAMMA, _kernel=shared)
 
 
 def test_svr_input_validation():
@@ -450,15 +482,17 @@ def test_fits_on_a_shared_kernel_match_their_own_bit_for_bit(case):
 
 @pytest.mark.parametrize("case", ["toy", "reference_capped", "at_box_bound"])
 def test_svr_curvature_table_rows_are_the_per_step_rows_bit_for_bit(case):
-    """Row ii is (diag + diag[ii]) - Kt[ii] * 2 floored at 1e-12, in that order of operations."""
+    """K is rbf_matrix's kernel, exactly symmetric with a unit diagonal, so row
+    ii of the table, max(2 - 2 K[ii], 1e-12), is the reference's per-step row
+    (diag + K[ii, ii]) - 2 K[ii] floored at 1e-12, bit for bit."""
     X, _, _, _, gamma = _svr_parity_case(case)
-    Kt, curv = regressors._svr_kernel(X, gamma)
-    assert Kt.tobytes() == np.ascontiguousarray(rbf_matrix(X, X, gamma).T).tobytes()
-    diag = Kt.diagonal().copy()
+    K, curv = regressors._svr_kernel(X, gamma)
+    assert K.tobytes() == rbf_matrix(X, X, gamma).tobytes()
+    assert K.tobytes() == K.T.tobytes() and (K.diagonal() == 1.0).all()
     for ii in range(len(X)):
-        row = np.add(diag, diag[ii])
-        row -= np.multiply(Kt[ii], 2.0)
-        assert np.maximum(row, 1e-12).tobytes() == curv[ii].tobytes()
+        assert np.maximum(2.0 - 2.0 * K[ii], 1e-12).tobytes() == curv[ii].tobytes()
+        per_step = np.maximum(K.diagonal() + K[ii, ii] - 2.0 * K[ii], 1e-12)
+        assert per_step.tobytes() == curv[ii].tobytes()
 
 
 def test_svr_fit_converges_where_reference_hits_cap():
