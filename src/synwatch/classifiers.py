@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import ClassVar, Optional
+from typing import Optional
 
 import numpy as np
 
 from .distances import _distance_blocks, _sq_distances
-from .errors import ConfigError, ContractViolation, TrainingError, check_count
+from .errors import ConfigError, ContractViolation, FrozenRecord, TrainingError, check_count
 from .scaling import Scaler, as_matrix
 
 HIDDEN_WIDTH = 6
@@ -59,47 +58,43 @@ _LBFGS_HALVINGS = 50
 # opposite traffic. kmeans_assign labels many rows against at most k
 # centroids, and its 1 MiB blocks were measured faster than one pass (90 -> 76
 # ms over 1M rows). _neighbours ranks few sampled points against thousands of
-# candidates, whose indices and any copy of their rows its budget also pays
+# candidates, whose indices and any copies of their rows (a gather, and the
+# transpose _distance_blocks takes of several columns) its budget also pays
 # for; at 1 MiB a 1M-interval frames search would run one row per block.
 _ASSIGN_BLOCK_BYTES = 2 ** 20
 _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    max_epochs: int = 200
-    seed: int = 42
-
-    def __post_init__(self):  # a float would fail lgr_fit's range()
-        check_count("max_epochs", self.max_epochs)
-        check_count("seed", self.seed, minimum=0)
+class TrainConfig(FrozenRecord):
+    def __init__(self, max_epochs: int = 200, seed: int = 42):
+        check_count("max_epochs", max_epochs)  # a float would fail lgr_fit's range()
+        check_count("seed", seed, minimum=0)
+        self._set(max_epochs=max_epochs, seed=seed)
 
 
-@dataclass(frozen=True)
-class LgrModel:
-    family: ClassVar[str] = "lgr"
-    weights: np.ndarray
-    bias: float
-    scaler: Scaler
+class LgrModel(FrozenRecord):
+    family = "lgr"
+
+    def __init__(self, weights: np.ndarray, bias: float, scaler: Scaler):
+        self._set(weights=weights, bias=bias, scaler=scaler)
 
 
-@dataclass(frozen=True)
-class MlpModel:
-    family: ClassVar[str] = "mlp"
-    W1: np.ndarray  # (6, d)
-    b1: np.ndarray  # (6,)
-    W2: np.ndarray  # (1, 6)
-    b2: float
-    scaler: Scaler
+class MlpModel(FrozenRecord):
+    family = "mlp"
+
+    def __init__(self, W1: np.ndarray,  # (6, d)
+                 b1: np.ndarray,  # (6,)
+                 W2: np.ndarray,  # (1, 6)
+                 b2: float, scaler: Scaler):
+        self._set(W1=W1, b1=b1, W2=W2, b2=b2, scaler=scaler)
 
 
-@dataclass(frozen=True)
-class KMeansModel:
-    family: ClassVar[str] = "kmeans"
-    centroids: np.ndarray  # (k, d)
-    k: int
-    wcss: float
-    label_map: Optional[dict[int, int]] = None
+class KMeansModel(FrozenRecord):
+    family = "kmeans"
+
+    def __init__(self, centroids: np.ndarray,  # (k, d)
+                 k: int, wcss: float, label_map: Optional[dict[int, int]] = None):
+        self._set(centroids=centroids, k=k, wcss=wcss, label_map=label_map)
 
 
 def _sigmoid(z):
@@ -528,7 +523,7 @@ def _neighbours(Xm, rows, k_eff):
     rows: for packet counts each distinct count's, and otherwise, each point
     being one row, every row. Each distinct sampled point, a block of them
     at a time (_distance_blocks, within _SMOTE_BLOCK_BYTES less the
-    candidates' indices and any copy of their rows), keeps its first
+    candidates' indices and any copies of their rows), keeps its first
     k_eff + 1 candidates by (squared distance, index): the block's stable
     argsort is the one array beside the kernel's. The distances are the
     dense search's sums bit for bit, made a feature at a time with no (row,
@@ -549,7 +544,8 @@ def _neighbours(Xm, rows, k_eff):
     del inverse, counts, by_point, rank  # row-sized; gone before the blocks
     near = np.empty((len(reps), k1), dtype=np.intp)
     near_d2 = np.empty((len(reps), k1))
-    spare = _SMOTE_BLOCK_BYTES - pool.nbytes - (Xp.nbytes if Xp is not Xm else 0)
+    copies = (Xp is not Xm) + (not Xp.T.flags.c_contiguous)  # _distance_blocks' transpose
+    spare = _SMOTE_BLOCK_BYTES - pool.nbytes - copies * Xp.nbytes
     for start, d2 in _distance_blocks(reps, Xp, spare):
         order = np.argsort(d2, axis=1, kind="stable")[:, :k1]
         near[start:start + len(d2)] = pool[order]
@@ -682,4 +678,4 @@ def map_clusters_to_labels(model: KMeansModel) -> KMeansModel:
         raise ConfigError(f"label mapping is defined for k = 2, got k = {model.k}")
     means = model.centroids.mean(axis=1)
     attack = 1 if means[1] >= means[0] else 0
-    return replace(model, label_map={attack: 1, 1 - attack: 0})
+    return model.replace(label_map={attack: 1, 1 - attack: 0})

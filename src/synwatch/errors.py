@@ -1,4 +1,5 @@
-"""Error taxonomy, and the text-file grammar every reader shares.
+"""Error taxonomy, the record base classes, and the text-file grammar every
+reader shares.
 
 The CLI maps these onto exit codes: usage errors exit 1, ConfigError and
 its subclasses exit 2, NumericError exits 3. Every file reader takes its
@@ -45,6 +46,57 @@ class EmptyDatasetError(ConfigError):
 
 class NumericError(ArithmeticError):
     """Numerical failure: singular system or solver non-convergence."""
+
+
+class Record:
+    """Base of the package's record types. A record's fields are its
+    __init__'s parameters, in order; __init__ checks them and stores them
+    with _set. Two records are equal when they are of one class and their
+    fields are equal in order; replace(**changes) builds a new record
+    through __init__, so every check runs again. Plain classes, not
+    dataclasses: a dataclass generates and compiles its methods when its
+    module is imported."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, **fields) -> None:
+        vars(self).update(fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked as __init__ checks them."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class FrozenRecord(Record):
+    """A Record whose attributes cannot be assigned or deleted after __init__;
+    it hashes by its fields."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def is_int(value) -> bool:

@@ -13,12 +13,11 @@ sigma in a block is rendered once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, FrozenRecord
 from .traffic import IntervalSeries, _decimal_lines
 
 FRAME_WIDTH = 12
@@ -32,18 +31,17 @@ class Frame(NamedTuple):
     label: int
 
 
-@dataclass(frozen=True, eq=False)
-class Frames:
+class Frames(FrozenRecord):
     """Frames as arrays: counts is n x 12 int64, sigma n float64 or None,
-    labels n int64 of 0/1 values. len() counts them; iteration gives Frame rows."""
+    labels n int64 of 0/1 values. len() counts them; iteration gives Frame rows.
+    Two Frames are equal only if they are one object."""
 
-    counts: np.ndarray
-    sigma: Optional[np.ndarray]
-    labels: np.ndarray
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+    def __init__(self, counts: np.ndarray, sigma: Optional[np.ndarray], labels: np.ndarray):
+        counts = np.asarray(counts, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[1] != FRAME_WIDTH:
             raise ContractViolation(f"frame counts must be n x {FRAME_WIDTH}")
         if labels.shape != (len(counts),):
@@ -52,13 +50,11 @@ class Frames:
             raise ContractViolation("frame counts must be non-negative")
         if len(labels) and not ((labels == 0) | (labels == 1)).all():
             raise ContractViolation("frame label must be 0 or 1")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "labels", labels)
-        if self.sigma is not None:
-            sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
+        if sigma is not None:
+            sigma = np.ascontiguousarray(sigma, dtype=np.float64)
             if sigma.shape != labels.shape:
                 raise ContractViolation("frame sigma must be 1-D, one per frame")
-            object.__setattr__(self, "sigma", sigma)
+        self._set(counts=counts, sigma=sigma, labels=labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -70,9 +66,9 @@ class Frames:
             yield Frame(tuple(row.tolist()), s, label)
 
 
-@dataclass(frozen=True)
-class FramingConfig:
-    with_sigma: bool = False
+class FramingConfig(FrozenRecord):
+    def __init__(self, with_sigma: bool = False):
+        self._set(with_sigma=with_sigma)
 
 
 def frame_labels(labels: np.ndarray) -> np.ndarray:

@@ -8,20 +8,18 @@ with the result tables this toolkit reproduces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, FrozenRecord
 
 
-@dataclass(frozen=True)
-class Confusion:
-    tp: int
-    tn: int
-    fp: int  # attacks predicted legitimate
-    fn: int  # legitimate predicted attack
+class Confusion(FrozenRecord):
+    def __init__(self, tp: int, tn: int,
+                 fp: int,  # attacks predicted legitimate
+                 fn: int):  # legitimate predicted attack
+        self._set(tp=tp, tn=tn, fp=fp, fn=fn)
 
     @property
     def total(self) -> int:

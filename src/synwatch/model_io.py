@@ -16,7 +16,7 @@ import numpy as np
 
 from .classifiers import KMeansModel, LgrModel, MlpModel
 from .errors import FLOAT, ConfigError, NumericError, ParseError, header_fields, read_lines
-from .regressors import KrrModel, SvrModel, _check_param
+from .regressors import MAX_KERNEL_ROWS, KrrModel, SvrModel, _check_param
 from .scaling import Scaler
 
 FORMAT_VERSION = 1
@@ -158,6 +158,11 @@ def _load(cls, arrays, line_of):
         _sized(arrays, line_of, "b1", rows, "w1 row")
     else:
         rows, width = f["train_inputs"].shape
+        # no fit writes more, and einsum sums a longer kernel row in pieces that start
+        # where the batch puts them, so its forecasts would depend on their batch
+        if rows > MAX_KERNEL_ROWS:
+            raise ParseError(line_of["train_inputs"], f"train_inputs has {rows} rows; a "
+                             f"kernel model has at most MAX_KERNEL_ROWS={MAX_KERNEL_ROWS}")
         _sized(arrays, line_of, "alphas" if cls is KrrModel else "dual_deltas", rows,
                "training row")
     for name, positive in _PARAMS.get(cls, ()):
@@ -183,8 +188,9 @@ def load_model(path):
 
     A malformed file raises ParseError with the line at fault (1 for the
     header and for a missing array), and so does a value its fit would not
-    write: a kernel parameter that regressors._check_param refuses, or a
-    scaler_std that is not > 0.
+    write: a kernel parameter that regressors._check_param refuses, more
+    than regressors.MAX_KERNEL_ROWS training rows, or a scaler_std that is
+    not > 0.
     """
     lines = read_lines(path) or [""]  # an empty file has an empty header
     header = header_fields(lines[0], ("model", "version"), None)

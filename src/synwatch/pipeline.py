@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -25,8 +24,8 @@ import numpy as np
 from . import classifiers, framing, metrics, regressors
 from .classifiers import TrainConfig
 from .errors import (BalancingError, ConfigError, ContractViolation,
-                     DegenerateClusteringError, EmptyDatasetError, NumericError, ParseError,
-                     check_count, read_lines)
+                     DegenerateClusteringError, EmptyDatasetError, FrozenRecord, NumericError,
+                     ParseError, Record, check_count, read_lines)
 from .metrics import Confusion
 from .regressors import GridSpec
 from .scaling import Scaler
@@ -75,7 +74,7 @@ SMOTE_K = 5
 
 
 def default_train_cfg(family: str, seed: int) -> TrainConfig:
-    return replace(_FAMILIES[family][0], seed=seed)
+    return _FAMILIES[family][0].replace(seed=seed)
 
 
 def _train_echo(family: str, seed: int, prefix: str = "") -> dict:
@@ -86,18 +85,14 @@ def _train_echo(family: str, seed: int, prefix: str = "") -> dict:
     return {prefix + key: every[key] for key in _FAMILIES[family][1]}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model_kind: str
-    seed: int = 42
-    grid: Optional[GridSpec] = None
-
-    def __post_init__(self):
-        check_count("seed", self.seed, minimum=0)
-        if self.model_kind not in _KINDS:
-            raise ConfigError(f"unknown model kind {self.model_kind!r}")
-        if self.grid is not None and _KINDS[self.model_kind].family not in ("krr", "svr"):
-            raise ConfigError(f"grid search does not apply to {self.model_kind}")
+class ExperimentConfig(FrozenRecord):
+    def __init__(self, model_kind: str, seed: int = 42, grid: Optional[GridSpec] = None):
+        check_count("seed", seed, minimum=0)
+        if model_kind not in _KINDS:
+            raise ConfigError(f"unknown model kind {model_kind!r}")
+        if grid is not None and _KINDS[model_kind].family not in ("krr", "svr"):
+            raise ConfigError(f"grid search does not apply to {model_kind}")
+        self._set(model_kind=model_kind, seed=seed, grid=grid)
 
     def echo(self) -> dict:
         """The report's [config] block: the settings the kind's run reads."""
@@ -116,41 +111,34 @@ class ExperimentConfig:
         return items
 
 
-@dataclass
-class DataSet:
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y)
-        if self.X.ndim != 2 or len(self.y) != self.X.shape[0]:
+class DataSet(Record):
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y)
+        if X.ndim != 2 or len(y) != X.shape[0]:
             raise ContractViolation("DataSet X must be 2-D with one label per row")
-        if not np.isfinite(self.X).all():
+        if not np.isfinite(X).all():
             raise ContractViolation("DataSet contains non-finite values")
+        self._set(X=X, y=y)
 
 
-@dataclass
-class PredictionSeries:
-    times_s: np.ndarray
-    actual: np.ndarray
-    predicted_raw: np.ndarray
-    predicted_label: np.ndarray
+class PredictionSeries(Record):
+    def __init__(self, times_s: np.ndarray, actual: np.ndarray, predicted_raw: np.ndarray,
+                 predicted_label: np.ndarray):
+        self._set(times_s=times_s, actual=actual, predicted_raw=predicted_raw,
+                  predicted_label=predicted_label)
 
 
-@dataclass
-class EvalReport:
-    model_kind: str
-    confusion: Confusion
-    accuracy_pct: float
-    fp_pct: float
-    fn_pct: float
-    f1: float
-    train_seconds: float
-    infer_seconds: float
-    r2: Optional[float] = None
-    rmse: Optional[float] = None
-    config: dict = field(default_factory=dict)
+class EvalReport(Record):
+    def __init__(self, model_kind: str, confusion: Confusion, accuracy_pct: float,
+                 fp_pct: float, fn_pct: float, f1: float, train_seconds: float,
+                 infer_seconds: float, r2: Optional[float] = None,
+                 rmse: Optional[float] = None,
+                 config: Optional[dict] = None):  # None: a new empty dict
+        self._set(model_kind=model_kind, confusion=confusion, accuracy_pct=accuracy_pct,
+                  fp_pct=fp_pct, fn_pct=fn_pct, f1=f1, train_seconds=train_seconds,
+                  infer_seconds=infer_seconds, r2=r2, rmse=rmse,
+                  config={} if config is None else config)
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +315,7 @@ def _fit(train: DataSet, cfg: ExperimentConfig):
         if not model.converged:
             raise NumericError(f"SVR failed to converge (KKT violation {model.violation:.3e}) "
                                f"at {regressors.format_cell(best)}")
-    return replace(model, scaler=scaler), best, table
+    return model.replace(scaler=scaler), best, table
 
 
 def _predict(kind: str, model, X) -> tuple[np.ndarray, np.ndarray]:

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import Optional
 
 import numpy as np
 
-from .distances import _sq_distances
-from .errors import ConfigError, ContractViolation, NumericError, check_count
+from .distances import _SQ_ARRAYS, _sq_distances
+from .errors import ConfigError, ContractViolation, FrozenRecord, NumericError, check_count
 from .metrics import rmse
 from .scaling import Scaler, as_matrix
 
@@ -39,52 +38,51 @@ SMO_ITER_FACTOR = 100
 # sums a row of at most 8192 entries (its buffer) in one piece.
 MAX_KERNEL_ROWS = 8192
 # The most entries (rows to predict x training rows) of the kernel a
-# prediction builds at a time: 1 GiB, and on fewer than 8 features one equal
-# temporary, about 2.1 GB. Past it, a loop over row blocks, bit for bit one call.
+# prediction builds at a time on fewer than 8 features: 1 GiB, with one equal
+# temporary, about 2.1 GB. From 8 features _sq_distances holds up to _SQ_ARRAYS
+# such arrays, so the blocks hold 2 / _SQ_ARRAYS as many entries, within the
+# same 2.1 GB. Past it, a loop over row blocks, bit for bit one call.
 MAX_PREDICT_ENTRIES = 2 ** 27
 
 
-@dataclass(frozen=True)
-class KrrModel:
-    family: ClassVar[str] = "krr"
-    alphas: np.ndarray
-    train_inputs: np.ndarray
-    lam: float
-    gamma: float
-    scaler: Optional[Scaler] = None  # applied to predict inputs when set
+class KrrModel(FrozenRecord):
+    family = "krr"
+
+    def __init__(self, alphas: np.ndarray, train_inputs: np.ndarray, lam: float,
+                 gamma: float,
+                 scaler: Optional[Scaler] = None):  # applied to predict inputs when set
+        self._set(alphas=alphas, train_inputs=train_inputs, lam=lam, gamma=gamma,
+                  scaler=scaler)
 
 
-@dataclass(frozen=True)
-class SvrModel:
-    family: ClassVar[str] = "svr"
-    dual_deltas: np.ndarray  # alpha_i - alpha*_i, in [-C, C]
-    bias: float
-    train_inputs: np.ndarray
-    C: float
-    epsilon: float
-    gamma: float
-    converged: bool = True
-    violation: float = 0.0
-    objective: float = 0.0
-    scaler: Optional[Scaler] = None  # applied to predict inputs when set
+class SvrModel(FrozenRecord):
+    family = "svr"
+
+    def __init__(self, dual_deltas: np.ndarray,  # alpha_i - alpha*_i, in [-C, C]
+                 bias: float, train_inputs: np.ndarray, C: float, epsilon: float,
+                 gamma: float, converged: bool = True, violation: float = 0.0,
+                 objective: float = 0.0,
+                 scaler: Optional[Scaler] = None):  # applied to predict inputs when set
+        self._set(dual_deltas=dual_deltas, bias=bias, train_inputs=train_inputs, C=C,
+                  epsilon=epsilon, gamma=gamma, converged=converged, violation=violation,
+                  objective=objective, scaler=scaler)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    C_values: tuple = (0.1, 1.0, 10.0, 100.0)
-    gamma_values: tuple = (0.01, 0.1, 1.0)
-    epsilon_values: tuple = (0.01, 0.1)
-    lambda_values: tuple = (0.001, 0.01, 0.1, 1.0)
-    folds: int = 3
-
-    def __post_init__(self):
-        for name in ("C_values", "gamma_values", "epsilon_values", "lambda_values"):
-            vals = getattr(self, name)
+class GridSpec(FrozenRecord):
+    def __init__(self, C_values: tuple = (0.1, 1.0, 10.0, 100.0),
+                 gamma_values: tuple = (0.01, 0.1, 1.0),
+                 epsilon_values: tuple = (0.01, 0.1),
+                 lambda_values: tuple = (0.001, 0.01, 0.1, 1.0), folds: int = 3):
+        for name, vals in (("C_values", C_values), ("gamma_values", gamma_values),
+                           ("epsilon_values", epsilon_values),
+                           ("lambda_values", lambda_values)):
             if (not vals or any(not (v > 0 and math.isfinite(v)) for v in vals)
                     or any(a >= b for a, b in zip(vals, vals[1:]))):
                 raise ConfigError(f"{name} must be a non-empty strictly ascending list of "
                                   f"finite positive values")
-        check_count("folds", self.folds, minimum=2)
+        check_count("folds", folds, minimum=2)
+        self._set(C_values=C_values, gamma_values=gamma_values,
+                  epsilon_values=epsilon_values, lambda_values=lambda_values, folds=folds)
 
 
 def rbf_matrix(A, B, gamma: float) -> np.ndarray:
@@ -175,18 +173,21 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
 def _kernel_product(model, X, weights, caller: str) -> np.ndarray:
     """The model's kernel between X (standardized by the model's scaler if it
     has one) and its training rows, times `weights`, a block of at most
-    MAX_PREDICT_ENTRIES entries (at least one row) at a time. einsum, not
-    BLAS, sums each row alone, so a row's bits do not depend on its block."""
+    MAX_PREDICT_ENTRIES entries (2 / _SQ_ARRAYS of that from 8 features; at
+    least one row) at a time. einsum, not BLAS, sums each row alone, so a
+    row's bits do not depend on its block."""
     X = as_matrix(X)
     if model.scaler is not None:
         X = model.scaler.transform(X)
     if X.shape[1] != model.train_inputs.shape[1]:
         raise ContractViolation(f"{caller} arity mismatch")
-    block = max(1, MAX_PREDICT_ENTRIES // max(1, len(model.train_inputs)))
+    arrays = 2 if X.shape[1] < 8 else _SQ_ARRAYS  # kernel-sized arrays alive at once
+    block = max(1, 2 * MAX_PREDICT_ENTRIES // arrays // max(1, len(model.train_inputs)))
     out = np.empty(len(X))
     for start in range(0, len(X), block):
         K = rbf_matrix(X[start:start + block], model.train_inputs, model.gamma)
         out[start:start + block] = np.einsum("ij,j->i", K, weights)
+        del K  # gone before the next block is built
     return out
 
 

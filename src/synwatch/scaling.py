@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, FrozenRecord
 
 
-@dataclass(frozen=True)
-class Scaler:
+class Scaler(FrozenRecord):
     """Frozen per-feature mean/std; constant features keep std 1."""
 
-    mean: np.ndarray
-    std: np.ndarray
+    def __init__(self, mean: np.ndarray, std: np.ndarray):
+        self._set(mean=mean, std=std)
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Scaler":

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import (DIGITS, ConfigError, ContractViolation, ParseError, check_count,
-                     decode_utf8, header_fields, int64, is_int, parse_int, split_lines)
+from .errors import (DIGITS, ConfigError, ContractViolation, FrozenRecord, ParseError, Record,
+                     check_count, decode_utf8, header_fields, int64, is_int, parse_int,
+                     split_lines)
 
 _ROW = re.compile(f"({DIGITS}),({DIGITS}),([01])")  # index,count,label
 # The most intervals a series may have: 1 GiB per int64 array, 42 years of 10 s.
@@ -36,48 +36,41 @@ MAX_INTERVALS = 2 ** 27
 MAX_POISSON_RATE = float(2 ** 63 - 1) - 10 * math.sqrt(2 ** 63 - 1)
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(FrozenRecord):
     """One observed packet arrival."""
 
-    timestamp_ms: int
-    src: str
-    dst: str
-
-    def __post_init__(self):
-        if self.timestamp_ms < 0:
+    def __init__(self, timestamp_ms: int, src: str, dst: str):
+        if timestamp_ms < 0:
             raise ContractViolation("timestamp_ms must be >= 0")
-        if not self.src or not self.dst:
+        if not src or not dst:
             raise ContractViolation("src and dst must be non-empty")
+        self._set(timestamp_ms=timestamp_ms, src=src, dst=dst)
 
 
-@dataclass
-class IntervalSeries:
+class IntervalSeries(Record):
     """Per-interval packet counts with 0/1 attack labels.
 
     counts[i] covers wall-clock [origin_s + i*interval_seconds,
     origin_s + (i+1)*interval_seconds).
     """
 
-    counts: np.ndarray
-    labels: np.ndarray
-    interval_seconds: int = 10
-    origin_s: int = 0
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+    def __init__(self, counts: np.ndarray, labels: np.ndarray, interval_seconds: int = 10,
+                 origin_s: int = 0):
+        counts = np.asarray(counts, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
         # an int below 1 is a contract breach; check_count names any other bad value
-        if is_int(self.interval_seconds) and self.interval_seconds < 1:
+        if is_int(interval_seconds) and interval_seconds < 1:
             raise ContractViolation("interval_seconds must be >= 1")
-        check_count("interval_seconds", self.interval_seconds)
-        check_count("origin_s", self.origin_s, -2 ** 63, 2 ** 63 - 1)  # as a series file holds it
-        if self.counts.shape != self.labels.shape or self.counts.ndim != 1:
+        check_count("interval_seconds", interval_seconds)
+        check_count("origin_s", origin_s, -2 ** 63, 2 ** 63 - 1)  # as a series file holds it
+        if counts.shape != labels.shape or counts.ndim != 1:
             raise ContractViolation("counts and labels must be 1-D and equal length")
-        if len(self.counts) and self.counts.min() < 0:
+        if len(counts) and counts.min() < 0:
             raise ContractViolation("counts must be non-negative")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() > 1):
+        if len(labels) and (labels.min() < 0 or labels.max() > 1):
             raise ContractViolation("labels must be 0 or 1")
+        self._set(counts=counts, labels=labels, interval_seconds=interval_seconds,
+                  origin_s=origin_s)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -87,31 +80,27 @@ class IntervalSeries:
         return self.origin_s + np.arange(len(self.counts)) * self.interval_seconds
 
 
-@dataclass(frozen=True)
-class SynthesisConfig:
+class SynthesisConfig(FrozenRecord):
     """Knobs for the synthetic baseline + attack-injection generator."""
 
-    n_intervals: int
-    baseline_rate: float
-    attack_fraction: float = 0.2
-    attack_multiplier: float = 10.0
-    burst_length: int = 6
-    seed: int = 42
-
-    def __post_init__(self):
-        check_count("n_intervals", self.n_intervals, 0, MAX_INTERVALS)
+    def __init__(self, n_intervals: int, baseline_rate: float, attack_fraction: float = 0.2,
+                 attack_multiplier: float = 10.0, burst_length: int = 6, seed: int = 42):
+        check_count("n_intervals", n_intervals, 0, MAX_INTERVALS)
         # each comparison is False for NaN, so NaN fails it too
-        if not (self.baseline_rate > 0 and math.isfinite(self.baseline_rate)):
+        if not (baseline_rate > 0 and math.isfinite(baseline_rate)):
             raise ConfigError("baseline_rate must be finite and > 0")
-        if not 0.0 <= self.attack_fraction <= 1.0:
+        if not 0.0 <= attack_fraction <= 1.0:
             raise ConfigError("attack_fraction must be in [0, 1]")
-        if not (self.attack_multiplier > 1.0 and math.isfinite(self.attack_multiplier)):
+        if not (attack_multiplier > 1.0 and math.isfinite(attack_multiplier)):
             raise ConfigError("attack_multiplier must be finite and > 1")
-        if self.baseline_rate * self.attack_multiplier > MAX_POISSON_RATE:
+        if baseline_rate * attack_multiplier > MAX_POISSON_RATE:
             raise ConfigError(f"baseline_rate * attack_multiplier must be at most "
                               f"{MAX_POISSON_RATE:.6g}, the highest Poisson rate numpy draws")
-        check_count("burst_length", self.burst_length, 1, MAX_INTERVALS)
-        check_count("seed", self.seed, minimum=0)
+        check_count("burst_length", burst_length, 1, MAX_INTERVALS)
+        check_count("seed", seed, minimum=0)
+        self._set(n_intervals=n_intervals, baseline_rate=baseline_rate,
+                  attack_fraction=attack_fraction, attack_multiplier=attack_multiplier,
+                  burst_length=burst_length, seed=seed)
 
 
 def parse_packet_log(stream: Union[str, TextIO, Iterable[str]]) -> list[PacketRecord]:

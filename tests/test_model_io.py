@@ -318,6 +318,13 @@ def test_evaluate_malformed_model_file_exits_two(tmp_path, capsys, small_series,
     assert f"line {line_no}:" in capsys.readouterr().err
 
 
+def _kernel_rows(weights, n):
+    """Edit that gives a kernel model n training rows of 2 zeros, and n zero
+    values of array `weights`."""
+    return lambda lines: _set("train_inputs", " ".join(["0"] * 2 * n))(
+        _set("train_inputs_shape", f"{n} 2")(_set(weights, " ".join(["0"] * n))(lines)))
+
+
 # case: (model, evaluated as, edit of the saved lines, the message after "error: ")
 OUT_OF_RANGE = {
     "krr_gamma_negative": (_KRR, "krr", _set("gamma", "-0.5"),
@@ -335,7 +342,21 @@ OUT_OF_RANGE = {
                                 "line 9: scaler_std must be > 0, got -2"),
     "krr_scaler_std_zero": (_KRR, "krr", _set("scaler_std", "700 0"),
                             "line 8: scaler_std must be > 0, got 700 0"),
+    "krr_rows_past_max": (_KRR, "krr", _kernel_rows("alphas", 8193),
+                          "line 6: train_inputs has 8193 rows; a kernel model has at most "
+                          "MAX_KERNEL_ROWS=8192"),
+    "svr_rows_past_max": (_SVR, "svr", _kernel_rows("dual_deltas", 8193),
+                          "line 8: train_inputs has 8193 rows; a kernel model has at most "
+                          "MAX_KERNEL_ROWS=8192"),
 }
+
+
+@pytest.mark.parametrize("model, weights", [(_KRR, "alphas"), (_SVR, "dual_deltas")])
+def test_kernel_model_file_of_max_kernel_rows_loads(tmp_path, model, weights):
+    path = tmp_path / "m.txt"
+    save_model(model, path)
+    path.write_text("\n".join(_kernel_rows(weights, 8192)(path.read_text().splitlines())) + "\n")
+    assert load_model(path).train_inputs.shape == (8192, 2)
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import pathlib
 import re
@@ -39,7 +38,7 @@ def _series(counts, labels):
 
 def _report_key(report):
     """Everything deterministic about a report (timing fields excluded)."""
-    return (report.model_kind, dataclasses.astuple(report.confusion),
+    return (report.model_kind, report.confusion,
             report.accuracy_pct, report.fp_pct, report.fn_pct, report.f1,
             report.r2, report.rmse)
 
@@ -365,7 +364,7 @@ def test_semi_supervised_equals_supervised_when_labels_agree(small_series, monke
                         lambda series, cfg: series.labels.copy())
     semi = run_semi_supervised(small_series, ExperimentConfig(model_kind="kmeans+lgr"))
     sup = run_supervised(small_series, ExperimentConfig(model_kind="lgr"))
-    assert dataclasses.astuple(semi.confusion) == dataclasses.astuple(sup.confusion)
+    assert semi.confusion == sup.confusion
     assert semi.accuracy_pct == sup.accuracy_pct
     assert semi.f1 == sup.f1
 

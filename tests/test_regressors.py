@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -176,9 +175,9 @@ def test_kernel_models_standardize_inputs_with_their_scaler():
     krr = krr_fit(Xs, TOY_Y.repeat(2), 0.1, 0.5)
     svr = svr_fit(Xs, TOY_Y.repeat(2), TOY_C, TOY_EPS, 0.5)
     assert krr.scaler is None and svr.scaler is None
-    assert np.array_equal(krr_predict(dataclasses.replace(krr, scaler=scaler), X),
+    assert np.array_equal(krr_predict(krr.replace(scaler=scaler), X),
                           krr_predict(krr, Xs))
-    assert np.array_equal(svr_predict(dataclasses.replace(svr, scaler=scaler), X),
+    assert np.array_equal(svr_predict(svr.replace(scaler=scaler), X),
                           svr_predict(svr, Xs))
 
 
@@ -341,6 +340,29 @@ def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, boun
     got = predict(model, X)
     assert built == blocks
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("predict", [krr_predict, svr_predict])
+@pytest.mark.parametrize("d", [2, 8, 16])
+def test_kernel_predictions_stay_within_two_blocks_of_entries_at_any_width(predict, d,
+                                                                          monkeypatch):
+    """A prediction's kernel arrays stay within two blocks of
+    MAX_PREDICT_ENTRIES at any width: each block is dropped before the next
+    is built, and from 8 features a block holds 2 / _SQ_ARRAYS as many."""
+    rng = np.random.default_rng(d)
+    X_train, X, y = rng.normal(size=(512, d)), rng.normal(size=(2048, d)), rng.normal(size=512)
+    model = krr_fit(X_train, y, 0.1, 0.5) if predict is krr_predict else \
+        svr_fit(X_train, y, 1.0, 0.1, 0.5)
+    bound = 2 ** 18
+    monkeypatch.setattr(regressors, "MAX_PREDICT_ENTRIES", bound)
+    tracemalloc.start()
+    try:
+        predict(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two blocks of entries, the predictions and numpy's ufunc buffers
+    assert peak <= 2 * bound * 8 + len(X) * 8 + 2 ** 18
 
 
 @st.composite
