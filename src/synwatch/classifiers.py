@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distances import _distance_blocks, _sq_distances
+from .distances import _copies_columns, _distance_blocks, _sq_distances
 from .errors import ConfigError, ContractViolation, FrozenRecord, TrainingError, check_count
 from .scaling import Scaler, as_matrix
 
@@ -59,8 +59,8 @@ _LBFGS_HALVINGS = 50
 # centroids, and its 1 MiB blocks were measured faster than one pass (90 -> 76
 # ms over 1M rows). _neighbours ranks few sampled points against thousands of
 # candidates, whose indices and any copies of their rows (a gather, and the
-# transpose _distance_blocks takes of several columns) its budget also pays
-# for; at 1 MiB a 1M-interval frames search would run one row per block.
+# transpose _distance_blocks copies of a long B) its budget also pays for;
+# at 1 MiB a 1M-interval frames search would run one row per block.
 _ASSIGN_BLOCK_BYTES = 2 ** 20
 _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
 
@@ -512,6 +512,34 @@ def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
     return d2.argmin(axis=1), d2.min(axis=1)
 
 
+def _smallest(d2, k):
+    """Each row's k smallest entries by (value, column), as column ids: for a
+    NaN-free d2 and k at most its row length, np.argsort(d2, axis=1,
+    kind="stable")[:, :k] without sorting the row.
+
+    np.partition finds each row's k-th smallest value (Musser's introselect,
+    linear time). The entries below it and, of those equal to it, the ones
+    of lowest column that make k are the row's first k; one np.flatnonzero
+    lists them in column order, and a stable sort of those k by value ranks
+    them. Besides d2 it holds one partitioned copy, then a few boolean
+    masks and, when a row has more than k entries at or below its k-th (as
+    between all-zero frames), one cumulative count of its ties: never more
+    than one array of d2's size beside it and its masks.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k].copy()  # frees the partitioned copy
+    keep = d2 <= kth
+    extra = np.count_nonzero(keep, axis=1) - k  # ties at the k-th beyond the first
+    if extra.any():
+        tie = d2 == kth
+        ties = np.cumsum(tie, axis=1)  # ties up to each column
+        keep &= ~tie | (ties <= (ties[:, -1] - extra)[:, None])
+        del tie, ties
+    flat = np.flatnonzero(keep).reshape(len(d2), k)
+    del keep
+    flat = np.take_along_axis(flat, np.argsort(d2.ravel()[flat], axis=1, kind="stable"), 1)
+    return flat - np.arange(0, d2.size, d2.shape[1])[:, None]
+
+
 def _neighbours(Xm, rows, k_eff):
     """The k_eff nearest minority rows of each of `rows`, as SMOTE's dense
     search ranks them: by squared distance summed over the features, ties
@@ -524,15 +552,19 @@ def _neighbours(Xm, rows, k_eff):
     being one row, every row. Each distinct sampled point, a block of them
     at a time (_distance_blocks, within _SMOTE_BLOCK_BYTES less the
     candidates' indices and any copies of their rows), keeps its first
-    k_eff + 1 candidates by (squared distance, index): the block's stable
-    argsort is the one array beside the kernel's. The distances are the
-    dense search's sums bit for bit, made a feature at a time with no (row,
-    candidate, feature) array. Each row then puts itself at (inf, its
-    index), in place of its own entry or else of the last, which then lies
-    behind k_eff rows at distance 0.
+    k_eff + 1 candidates by (squared distance, index). Rows that _points
+    leaves ungrouped (frames, sigma frames) select them (_smallest).
+    Grouped counts keep the block's stable argsort: acceptance criterion 5
+    needs the per-interval MLP, whose SMOTE this search is, to stay slower
+    than the frame MLP, and a faster count search flips them (README).
+    The distances are the dense search's sums bit for bit, made a feature
+    at a time with no (row, candidate, feature) array. Each row then puts
+    itself at (inf, its index), in place of its own entry or else of the
+    last, which then lies behind k_eff rows at distance 0.
     """
     k1 = k_eff + 1
     points, inverse, counts = _points(Xm)
+    grouped = points is not Xm  # _points returns ungrouped rows as they are
     counts = counts.astype(np.intp)
     by_point = np.argsort(inverse, kind="stable")
     # each row's place among the rows of its point, in row order
@@ -544,10 +576,11 @@ def _neighbours(Xm, rows, k_eff):
     del inverse, counts, by_point, rank  # row-sized; gone before the blocks
     near = np.empty((len(reps), k1), dtype=np.intp)
     near_d2 = np.empty((len(reps), k1))
-    copies = (Xp is not Xm) + (not Xp.T.flags.c_contiguous)  # _distance_blocks' transpose
+    copies = (Xp is not Xm) + _copies_columns(reps, Xp)  # a gather, _distance_blocks' transpose
     spare = _SMOTE_BLOCK_BYTES - pool.nbytes - copies * Xp.nbytes
     for start, d2 in _distance_blocks(reps, Xp, spare):
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k1]
+        order = (np.argsort(d2, axis=1, kind="stable")[:, :k1] if grouped
+                 else _smallest(d2, k1))
         near[start:start + len(d2)] = pool[order]
         near_d2[start:start + len(d2)] = np.take_along_axis(d2, order, 1)
         del d2, order

@@ -1177,6 +1177,56 @@ def test_distance_blocks_cover_the_rows_within_their_budget(d, budget_rows):
     assert np.concatenate(blocks).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
+def test_distance_blocks_copy_b_columns_only_when_b_is_the_long_side():
+    rng = np.random.default_rng(4)
+    long, short = rng.normal(size=(40, 13)), rng.normal(size=(3, 13))
+    assert distances._copies_columns(short, long)
+    assert not distances._copies_columns(long, short)
+    assert not distances._copies_columns(short, long[:, :1].copy())  # its B.T is contiguous
+    for A, B in [(short, long), (long, short)]:
+        blocks = [d2 for _, d2 in distances._distance_blocks(A, B, 1)]  # a row a block
+        want = distances._sq_distances(A, B)
+        assert np.concatenate(blocks).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+@st.composite
+def _tie_heavy_blocks(draw):
+    """(d2, k): squared distances on a grid of 0, 1 and 2 with +inf for
+    overflowed squares, some rows all one value, and k from 1 to the row
+    length."""
+    b, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    cells = draw(st.lists(st.integers(0, 3), min_size=b * n, max_size=b * n))
+    d2 = np.array(cells, dtype=np.float64).reshape(b, n)
+    d2[d2 == 3] = np.inf
+    flat = np.array(draw(st.lists(st.booleans(), min_size=b, max_size=b)))
+    d2[flat] = d2[flat, :1]  # these rows' entries all equal their first
+    k = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    return d2, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_tie_heavy_blocks())
+@example(block=(np.zeros((3, 7)), 1))
+@example(block=(np.zeros((3, 7)), 7))
+@example(block=(np.full((2, 5), np.inf), 3))
+@example(block=(np.array([[2.0, np.inf, 0.0, 2.0, np.inf, 0.0]]), 6))
+def test_smallest_is_the_stable_argsorts_first_columns(block):
+    d2, k = block
+    want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(classifiers._smallest(d2, k), want)
+
+
+@pytest.mark.parametrize("values", ["grid", "normal"])
+def test_smallest_on_a_frame_sized_block(values):
+    # 33 sampled frames x 3,317 candidates, the scale-100k search's block
+    rng = np.random.default_rng(9)
+    d2 = (rng.integers(0, 3, size=(33, 3317)).astype(np.float64) if values == "grid"
+          else rng.normal(size=(33, 3317)) ** 2)
+    for k in (1, 6, 3317):
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(classifiers._smallest(d2, k), want)
+
+
 def test_assign_temporaries_stay_within_one_block():
     X = np.random.default_rng(2).normal(size=(200_000, 1))
     model = KMeansModel(centroids=np.array([[-1.0], [1.0]]), k=2, wcss=0.0)

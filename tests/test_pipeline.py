@@ -236,6 +236,60 @@ def test_smote_matches_dense_oracle_on_random_inputs(data, k, seed, block_bytes)
     assert got.y.tobytes() == want.y.tobytes()
 
 
+@st.composite
+def _frame_smote_inputs(draw):
+    """Minority/majority frames of 12 counts on a grid of 0..2, some idle
+    (all zero), or sigma frames of 13: those counts and their std; scaled
+    so that squared distances may overflow."""
+    d = draw(st.sampled_from([12, 13]))
+    n_min, n_maj = draw(st.integers(2, 16)), draw(st.integers(2, 40))
+    n = n_min + n_maj
+    cells = draw(st.lists(st.integers(0, 2), min_size=n * 12, max_size=n * 12))
+    counts = np.array(cells, dtype=np.float64).reshape(n, 12)
+    counts[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    X = counts if d == 12 else np.column_stack([counts, counts.std(axis=1)])
+    X *= draw(st.sampled_from([1.0, 50.0, 1e154, 1e160]))
+    minority = draw(st.sampled_from([0, 1]))
+    y = np.array([minority] * n_min + [1 - minority] * n_maj, dtype=np.int64)
+    order = np.array(draw(st.permutations(range(n))))
+    return DataSet(X[order], y[order])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_frame_smote_inputs(), k=st.integers(1, 7), seed=st.integers(0, 3),
+       block_bytes=st.sampled_from([1, 8 * 2 ** 10, 32 * 2 ** 20]))
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+def test_smote_matches_dense_oracle_on_random_frames(data, k, seed, block_bytes):
+    # the frame widths: the kernel's 8 partial sums, and _smallest's selection
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifiers, "_SMOTE_BLOCK_BYTES", block_bytes)
+        got = smote_balance(data, k, seed)
+    want = smote_balance_dense(data, k, seed)
+    assert got.X.tobytes() == want.X.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+
+
+def test_smote_block_temporaries_stay_within_the_bound_when_all_tie(monkeypatch):
+    # idle frames: every candidate of every sampled row ties at distance 0,
+    # the selection's worst case
+    Xm = np.zeros((20_000, 12))
+    rows = np.arange(0, 20_000, 400)
+    bound = 4 * 2 ** 20
+    monkeypatch.setattr(classifiers, "_SMOTE_BLOCK_BYTES", bound)
+    tracemalloc.start()
+    try:
+        got = classifiers._neighbours(Xm, rows, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound + 2 ** 16
+    # each row's 5 lowest other rows
+    want = np.array([[j for j in range(6) if j != r][:5] for r in rows])
+    assert np.array_equal(got, want)
+
+
 def test_smote_block_temporaries_stay_within_the_bound(monkeypatch):
     # 50 sampled rows of 20,000 x 3 minority rows: the blocks are nearly all
     # of the neighbour search's memory
