@@ -15,10 +15,10 @@ once and draws each restart's permutation once for every k. Packet counts are
 grouped by counting: one np.bincount over a table no longer than the
 column, with np.unique's sort only for a column that spans more values than
 it has rows. kmeans_assign labels the distinct counts and takes the labels
-to the rows. It and SMOTE's neighbour search, _neighbours, rank rows in
-blocks of one loop, distances._distance_blocks, each within its own budget;
-their squared distances, kmeans_fit's and the RBF kernel's come from one
-kernel, _sq_distances: numpy's 3-D sum bit for bit up to 128 features.
+to the rows. kmeans_fit and kmeans_assign share one nearest-centroid pass,
+_nearest; it and SMOTE's neighbour search, _neighbours, rank rows in blocks
+of distances._distance_blocks, each within its own byte budget, by squared
+distances bit for bit numpy's 3-D sum up to 128 features.
 
 LGR and the MLP share one front end, _fit_points, which validates,
 standardizes and groups their rows with one sort. One column is fitted over
@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distances import _copies_columns, _distance_blocks, _sq_distances
+from .distances import _distance_blocks
 from .errors import ConfigError, ContractViolation, FrozenRecord, TrainingError, check_count
 from .scaling import Scaler, as_matrix
 
@@ -55,12 +55,11 @@ LGR_STEP = 0.1  # lgr_fit's gradient-descent step, unless 1/L is smaller
 LBFGS_MEMORY = 10
 _LBFGS_HALVINGS = 50
 # The byte budgets of the two blocked searches (_distance_blocks), for
-# opposite traffic. kmeans_assign labels many rows against at most k
-# centroids, and its 1 MiB blocks were measured faster than one pass (90 -> 76
-# ms over 1M rows). _neighbours ranks few sampled points against thousands of
-# candidates, whose indices and any copies of their rows (a gather, and the
-# transpose _distance_blocks copies of a long B) its budget also pays for;
-# at 1 MiB a 1M-interval frames search would run one row per block.
+# opposite traffic. _nearest ranks many rows against at most k centroids in
+# 1 MiB blocks, measured faster than one pass (90 -> 76 ms over 1M rows), and
+# as large at any k. _neighbours ranks few sampled points against thousands
+# of candidates, whose indices and gather its budget also pays for; at 1 MiB
+# a 1M-interval frames search would run one row per block.
 _ASSIGN_BLOCK_BYTES = 2 ** 20
 _SMOTE_BLOCK_BYTES = 32 * 2 ** 20
 
@@ -507,9 +506,14 @@ def _kmeans_starts(X, k_max: int, seed: int, restarts: int):
 
 def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid id per row, ties to the lowest id, and its squared
-    distance, in one unblocked pass: kmeans_fit's sweeps are many and small."""
-    d2 = _sq_distances(X, centroids)
-    return d2.argmin(axis=1), d2.min(axis=1)
+    distance, a block of rows at a time within _ASSIGN_BLOCK_BYTES."""
+    ids, own = np.empty(len(X), dtype=np.intp), np.empty(len(X))
+    for start, d2 in _distance_blocks(X, centroids, _ASSIGN_BLOCK_BYTES):
+        near = d2.argmin(axis=1)  # its entries read faster than a second min pass
+        ids[start:start + len(d2)] = near
+        own[start:start + len(d2)] = np.take_along_axis(d2, near[:, None], 1)[:, 0]
+        del d2
+    return ids, own
 
 
 def _smallest(d2, k):
@@ -551,7 +555,7 @@ def _neighbours(Xm, rows, k_eff):
     rows: for packet counts each distinct count's, and otherwise, each point
     being one row, every row. Each distinct sampled point, a block of them
     at a time (_distance_blocks, within _SMOTE_BLOCK_BYTES less the
-    candidates' indices and any copies of their rows), keeps its first
+    candidates' indices and any gather of their rows), keeps its first
     k_eff + 1 candidates by (squared distance, index). Rows that _points
     leaves ungrouped (frames, sigma frames) select them (_smallest).
     Grouped counts keep the block's stable argsort: acceptance criterion 5
@@ -576,8 +580,7 @@ def _neighbours(Xm, rows, k_eff):
     del inverse, counts, by_point, rank  # row-sized; gone before the blocks
     near = np.empty((len(reps), k1), dtype=np.intp)
     near_d2 = np.empty((len(reps), k1))
-    copies = (Xp is not Xm) + _copies_columns(reps, Xp)  # a gather, _distance_blocks' transpose
-    spare = _SMOTE_BLOCK_BYTES - pool.nbytes - copies * Xp.nbytes
+    spare = _SMOTE_BLOCK_BYTES - pool.nbytes - (Xp is not Xm) * Xp.nbytes  # less the gather
     for start, d2 in _distance_blocks(reps, Xp, spare):
         order = (np.argsort(d2, axis=1, kind="stable")[:, :k1] if grouped
                  else _smallest(d2, k1))
@@ -657,7 +660,7 @@ def kmeans_fit(X, k: int, cfg: TrainConfig = TrainConfig(),
 
 
 def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
-    """Nearest-centroid id per row, ties to the lowest id, a block at a time.
+    """Nearest-centroid id per row, ties to the lowest id (_nearest).
 
     A column that groups by value into fewer values than rows
     (_value_groups) is labelled value by value and the labels taken to the
@@ -665,15 +668,10 @@ def kmeans_assign(model: KMeansModel, X) -> np.ndarray:
     one square wherever the row sits, so the ids are those of the rows.
     """
     X = _input_rows(X, model.centroids.shape[1])
-    rows, inverse = X, None
     groups = _value_groups(X)
     if groups is not None and len(groups[0]) < len(X):
-        rows, inverse = groups[0][:, None], groups[1]
-    assign = np.empty(len(rows), dtype=np.intp)
-    for start, d2 in _distance_blocks(rows, model.centroids, _ASSIGN_BLOCK_BYTES):
-        assign[start:start + len(d2)] = d2.argmin(axis=1)
-        del d2
-    return assign if inverse is None else assign.take(inverse)
+        return _nearest(groups[0][:, None], model.centroids)[0].take(groups[1])
+    return _nearest(X, model.centroids)[0]
 
 
 def elbow_curve(X, k_max: int, cfg: TrainConfig = TrainConfig()

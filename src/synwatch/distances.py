@@ -1,6 +1,7 @@
 """The one pairwise squared-distance kernel, _sq_distances, of K-Means, SMOTE's
 neighbour search and the RBF kernel: an entry depends on its two rows alone.
-_distance_blocks runs it over blocks of rows within a byte budget."""
+Every caller but rbf_matrix runs it through _distance_blocks, which alone
+counts a block's memory: a caller gives only a byte budget."""
 
 import numpy as np
 
@@ -79,9 +80,10 @@ def _distance_blocks(A, B, budget):
     x |B| arrays fit in `budget` bytes: the kernel's own and one more for
     the caller's reduction of them. A caller drops each block before asking
     for the next, so that only one is alive at a time. The kernel reads B.T,
-    copied once for all the blocks when _copies_columns(A, B); the caller's
-    budget pays for that copy."""
-    Bt = np.ascontiguousarray(B.T) if _copies_columns(A, B) else B.T
-    block = max(1, budget // (len(B) * (_SQ_ARRAYS + 1) * 8))
+    copied once for all the blocks when _copies_columns(A, B); the copy is
+    alive beside every block, so it is taken from `budget` first."""
+    copy = _copies_columns(A, B)
+    Bt = np.ascontiguousarray(B.T) if copy else B.T
+    block = max(1, (budget - copy * Bt.nbytes) // (max(1, len(B)) * (_SQ_ARRAYS + 1) * 8))
     for start in range(0, len(A), block):
         yield start, _sq_columns(A[start:start + block], Bt)

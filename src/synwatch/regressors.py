@@ -1,8 +1,9 @@
 """Forecasting models: kernel ridge regression and epsilon-SVR, RBF kernel.
 
-The kernel is built on the package's one distance kernel, _sq_distances, and
-each product of a kernel with weights sums every row alone (einsum), so a
-forecast has the same bits whether it is predicted alone or in a batch.
+The kernel is made in place (_rbf) from the package's one distance kernel:
+whole (rbf_matrix), or for a forecast in the blocks of _distance_blocks. A
+kernel times weights sums every row alone (einsum), so a forecast has the
+same bits alone, in a batch or in any block.
 KRR solves its dense regularized kernel system by one LU solve and one
 refinement pass; SVR runs a dual optimizer that picks each pair by
 second-order gain (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
@@ -24,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distances import _SQ_ARRAYS, _sq_distances
+from .distances import _distance_blocks, _sq_distances
 from .errors import ConfigError, ContractViolation, FrozenRecord, NumericError, check_count
 from .metrics import rmse
 from .scaling import Scaler, as_matrix
@@ -34,15 +35,13 @@ SMO_ITER_FACTOR = 100
 # The most training rows a kernel fit takes. Its n x n float64 kernel is
 # 512 MiB at this bound. An SVR fit on fewer than 8 features (the forecast's
 # 2) peaks at 2.03 times that, traced: the kernel and its curvature table.
-# From 8 features, _sq_distances holds up to _SQ_ARRAYS such arrays. einsum
-# sums a row of at most 8192 entries (its buffer) in one piece.
+# From 8 features, _sq_distances holds up to five such arrays. einsum sums a
+# row of at most 8192 entries (its buffer) in one piece.
 MAX_KERNEL_ROWS = 8192
-# The most entries (rows to predict x training rows) of the kernel a
-# prediction builds at a time on fewer than 8 features: 1 GiB, with one equal
-# temporary, about 2.1 GB. From 8 features _sq_distances holds up to _SQ_ARRAYS
-# such arrays, so the blocks hold 2 / _SQ_ARRAYS as many entries, within the
-# same 2.1 GB. Past it, a loop over row blocks, bit for bit one call.
-MAX_PREDICT_ENTRIES = 2 ** 27
+# The bytes a prediction's blocks of kernel rows (_distance_blocks) may hold
+# at once, at any width: 2 GiB, about 2.1 GB. Past one block, a loop over
+# blocks of rows, bit for bit one call.
+PREDICT_BLOCK_BYTES = 2 ** 31
 
 
 class KrrModel(FrozenRecord):
@@ -93,7 +92,11 @@ def rbf_matrix(A, B, gamma: float) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise ContractViolation("rbf_matrix arity mismatch")
     _check_param("gamma", gamma, positive=True)
-    d2 = _sq_distances(A, B)
+    return _rbf(_sq_distances(A, B), gamma)
+
+
+def _rbf(d2, gamma: float) -> np.ndarray:
+    """exp(-gamma * d2) of squared distances d2, in d2's own buffer."""
     d2 *= -gamma
     return np.exp(d2, out=d2)
 
@@ -172,22 +175,19 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
 
 def _kernel_product(model, X, weights, caller: str) -> np.ndarray:
     """The model's kernel between X (standardized by the model's scaler if it
-    has one) and its training rows, times `weights`, a block of at most
-    MAX_PREDICT_ENTRIES entries (2 / _SQ_ARRAYS of that from 8 features; at
-    least one row) at a time. einsum, not BLAS, sums each row alone, so a
-    row's bits do not depend on its block."""
+    has one) and its training rows, times `weights`, a block of rows
+    (_distance_blocks within PREDICT_BLOCK_BYTES) at a time. einsum, not
+    BLAS, sums each row alone, so a row's bits do not depend on its block."""
     X = as_matrix(X)
     if model.scaler is not None:
         X = model.scaler.transform(X)
     if X.shape[1] != model.train_inputs.shape[1]:
         raise ContractViolation(f"{caller} arity mismatch")
-    arrays = 2 if X.shape[1] < 8 else _SQ_ARRAYS  # kernel-sized arrays alive at once
-    block = max(1, 2 * MAX_PREDICT_ENTRIES // arrays // max(1, len(model.train_inputs)))
+    _check_param("gamma", model.gamma, positive=True)
     out = np.empty(len(X))
-    for start in range(0, len(X), block):
-        K = rbf_matrix(X[start:start + block], model.train_inputs, model.gamma)
-        out[start:start + block] = np.einsum("ij,j->i", K, weights)
-        del K  # gone before the next block is built
+    for start, d2 in _distance_blocks(X, model.train_inputs, PREDICT_BLOCK_BYTES):
+        out[start:start + len(d2)] = np.einsum("ij,j->i", _rbf(d2, model.gamma), weights)
+        del d2  # gone before the next block is built
     return out
 
 

@@ -89,7 +89,7 @@ def test_criterion_05_framing_speed(supervised_reports):
     t_frames = frames.train_seconds + frames.infer_seconds
     ok = t_frames < t_ann
     _criterion(5, "framing is faster than per-interval ann", ok,
-               f"ann_frames={t_frames:.2f}s < ann={t_ann:.2f}s")
+               f"ann_frames={t_frames * 1e3:.2f}ms < ann={t_ann * 1e3:.2f}ms")
 
 
 def test_criterion_06_prediction_trend(periodic_series):

@@ -1096,13 +1096,32 @@ def test_assign_in_row_blocks_matches_one_pass(monkeypatch, d):
     offsets = np.concatenate([half, -half, np.zeros((len(half), d % 2))], axis=1)
     X[3::7] = centroids[0] + 1.0 + rng.permuted(offsets, axis=1)
     model = KMeansModel(centroids=centroids, k=3, wcss=0.0)
-    want = nearest_reference(X, centroids)[0]
+    want, want_d2 = nearest_reference(X, centroids)
     for block_rows in (1, 7, 64, 1000, 5000):
         monkeypatch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES",
-                            block_rows * 3 * distances._SQ_ARRAYS * 8)
+                            block_rows * 3 * (distances._SQ_ARRAYS + 1) * 8)
         got = kmeans_assign(model, X)
         assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+        ids, d2 = classifiers._nearest(X, centroids)  # kmeans_fit's sweeps and wcss
+        assert ids.tobytes() == want.tobytes() and ids.dtype == want.dtype
+        assert d2.view(np.uint64).tobytes() == want_d2.view(np.uint64).tobytes()
     assert (want[::7] == 0).all()
+
+
+def test_kmeans_fit_peak_does_not_grow_with_k():
+    """Ungrouped rows are swept a block at a time, so the distances alive at
+    once fit _ASSIGN_BLOCK_BYTES at any k; an unblocked sweep held rows x k."""
+    X = np.random.default_rng(11).normal(size=(200_000, 2))
+    peaks = {}
+    for k in (2, 6):
+        tracemalloc.start()
+        try:
+            with pytest.warns(RuntimeWarning, match="kmeans_fit hit its cap of 2 sweeps"):
+                kmeans_fit(X, k, TrainConfig(max_epochs=2, seed=0))
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[6] <= peaks[2] + classifiers._ASSIGN_BLOCK_BYTES
 
 
 # numpy's pairwise summation up to 128 values: left to right below 8 features (none
@@ -1158,23 +1177,27 @@ def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
 @pytest.mark.parametrize("d", [1, 12, 13])
 @pytest.mark.parametrize("budget_rows", ["below one", "one", "five", "above all"])
 def test_distance_blocks_cover_the_rows_within_their_budget(d, budget_rows):
+    """Blocks fit their budget, less the copy of B.T made for a long B of
+    two or more columns (23 rows against 17, and 3 against 40)."""
     rng = np.random.default_rng(d)
-    A, B = rng.normal(size=(23, d)), rng.normal(size=(17, d))
-    row_bytes = (distances._SQ_ARRAYS + 1) * len(B) * 8  # one block row's arrays
-    budget = {"below one": row_bytes - 1, "one": row_bytes, "five": 5 * row_bytes + 7,
-              "above all": len(A) * row_bytes + 1}[budget_rows]
-    starts, blocks = [], []
-    for start, d2 in distances._distance_blocks(A, B, budget):
-        starts.append(start)
-        blocks.append(d2)
-    sizes = [len(block) for block in blocks]
-    assert min(sizes) >= 1 and sum(sizes) == len(A)
-    assert starts == [sum(sizes[:i]) for i in range(len(sizes))]  # in order, no gaps
-    assert all(size == 1 or size * row_bytes <= budget for size in sizes)
-    full = max(1, budget // row_bytes)  # every block but the last is as large as fits
-    assert sizes[:-1] == [full] * (len(sizes) - 1) and sizes[-1] <= full
-    want = distances._sq_distances(A, B)
-    assert np.concatenate(blocks).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    for A, B in [(rng.normal(size=(23, d)), rng.normal(size=(17, d))),
+                 (rng.normal(size=(3, d)), rng.normal(size=(40, d)))]:
+        row_bytes = (distances._SQ_ARRAYS + 1) * len(B) * 8  # one block row's arrays
+        copy = B.nbytes if len(B) > len(A) and d > 1 else 0  # alive beside every block
+        budget = {"below one": row_bytes - 1, "one": row_bytes, "five": 5 * row_bytes + 7,
+                  "above all": len(A) * row_bytes + 1}[budget_rows] + copy
+        starts, blocks = [], []
+        for start, d2 in distances._distance_blocks(A, B, budget):
+            starts.append(start)
+            blocks.append(d2)
+        sizes = [len(block) for block in blocks]
+        assert min(sizes) >= 1 and sum(sizes) == len(A)
+        assert starts == [sum(sizes[:i]) for i in range(len(sizes))]  # in order, no gaps
+        assert all(size == 1 or copy + size * row_bytes <= budget for size in sizes)
+        full = max(1, (budget - copy) // row_bytes)  # every block but the last is as large as fits
+        assert sizes[:-1] == [full] * (len(sizes) - 1) and sizes[-1] <= full
+        want = distances._sq_distances(A, B)
+        assert np.concatenate(blocks).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 def test_distance_blocks_copy_b_columns_only_when_b_is_the_long_side():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synwatch import classifiers, regressors
+from synwatch import classifiers, distances, regressors
 from synwatch.classifiers import kmeans_fit
 from synwatch.cli import main
 from synwatch.errors import NumericError
@@ -211,28 +211,30 @@ def test_detection_split_without_test_rows_exits_two_before_any_fit(tmp_path, ca
 def test_scoring_a_kernel_model_past_the_entry_bound_works_in_row_blocks(
         tmp_path, monkeypatch, kind):
     """evaluate --model-file scores every row: 240 rows against the model's
-    240 training rows, with room for 100 rows' kernel entries, are scored in
-    blocks of 100, 100 and 40 rows into the same predictions, bit for bit,
-    and the same report as one kernel."""
+    240 training rows, with PREDICT_BLOCK_BYTES room for 100 rows' kernel
+    arrays, are scored in blocks of 100, 100 and 40 rows into the same
+    predictions, bit for bit, and the same report as one kernel."""
     series = _gen(tmp_path)
     model_path = tmp_path / "model.txt"
     assert main(["train", "--model", kind, "--series", str(series),
                  "--out", str(model_path)]) == 0
-    reports, outputs, kernel = [], [], regressors.rbf_matrix
+    reports, outputs, blocks = [], [], regressors._distance_blocks
     predict = getattr(regressors, f"{kind}_predict")
     monkeypatch.setattr(regressors, f"{kind}_predict",
                         lambda *args: outputs.append(predict(*args)) or outputs[-1])
-    for bound in (240 * 240, 240 * 100):
+    row_bytes = 240 * (distances._SQ_ARRAYS + 1) * 8  # one row's kernel arrays
+    for rows in (240, 100):
         built = []
-        def counting(A, B, gamma):
-            built.append(len(A))
-            return kernel(A, B, gamma)
-        monkeypatch.setattr(regressors, "MAX_PREDICT_ENTRIES", bound)
-        monkeypatch.setattr(regressors, "rbf_matrix", counting)
-        out = tmp_path / f"r{bound}.txt"
+        def counting(A, B, budget):
+            for start, d2 in blocks(A, B, budget):
+                built.append(len(d2))
+                yield start, d2
+        monkeypatch.setattr(regressors, "PREDICT_BLOCK_BYTES", rows * row_bytes)
+        monkeypatch.setattr(regressors, "_distance_blocks", counting)
+        out = tmp_path / f"r{rows}.txt"
         assert main(["evaluate", "--model", kind, "--series", str(series),
                      "--model-file", str(model_path), "--report", str(out)]) == 0
-        assert built == ([240] if bound == 240 * 240 else [100, 100, 40])
+        assert built == ([240] if rows == 240 else [100, 100, 40])
         reports.append([line for line in out.read_text().splitlines()
                         if "seconds" not in line])
     assert reports[0] == reports[1]

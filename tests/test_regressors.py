@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (grid_search_reference, rbf_matrix_reference, svr_fit_reference,
                      svr_kkt_violations, svr_objective, svr_qp_oracle)
-from synwatch import regressors
+from synwatch import distances, regressors
 from synwatch.errors import ConfigError, ContractViolation, NumericError
 from synwatch.pipeline import ExperimentConfig, run_prediction
 from synwatch.regressors import (GridSpec, KrrModel, SvrModel, default_gamma,
@@ -318,25 +318,35 @@ def test_kernel_fits_take_at_most_max_kernel_rows(case, monkeypatch):
         call()
 
 
+def _counted_blocks(monkeypatch):
+    """The row counts of the blocks _kernel_product takes from _distance_blocks."""
+    built, blocks = [], regressors._distance_blocks
+    def counting(A, B, budget):
+        for start, d2 in blocks(A, B, budget):
+            built.append(len(d2))
+            yield start, d2
+    monkeypatch.setattr(regressors, "_distance_blocks", counting)
+    return built
+
+
 @pytest.mark.parametrize("fit, predict", [
     (lambda: krr_fit(_ROW_BOUND_X, _ROW_BOUND_Y, lam=0.1, gamma=1.0), krr_predict),
     (lambda: svr_fit(_ROW_BOUND_X, _ROW_BOUND_Y, C=1.0, epsilon=0.1, gamma=1.0), svr_predict),
 ], ids=["krr_predict", "svr_predict"])
-@pytest.mark.parametrize("bound, blocks", [(35, [7]), (34, [6, 1]), (10, [2, 2, 2, 1]),
-                                           (4, [1] * 7)])
-def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, bound, blocks,
+@pytest.mark.parametrize("entries, blocks", [(35, [7]), (34, [6, 1]), (10, [2, 2, 2, 1]),
+                                             (4, [1] * 7)])
+def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, entries, blocks,
                                                               monkeypatch):
-    """7 rows against 5 training rows: one 35-entry kernel at the bound;
-    below it, blocks of at most `bound` entries (at least one row). Every
-    block size gives the one-call predictions bit for bit."""
+    """7 rows against 5 training rows, with PREDICT_BLOCK_BYTES room for
+    `entries` kernel entries (each with the distance kernel's arrays): one
+    35-entry kernel at 35; below it, blocks of at most `entries` entries (at
+    least one row). Every block size gives the one-call predictions bit for
+    bit."""
     model, X = fit(), np.linspace(-1.0, 5.0, 7).reshape(-1, 1)
     want = predict(model, X)
-    built, kernel = [], regressors.rbf_matrix
-    def counting(A, B, gamma):
-        built.append(len(A))
-        return kernel(A, B, gamma)
-    monkeypatch.setattr(regressors, "MAX_PREDICT_ENTRIES", bound)
-    monkeypatch.setattr(regressors, "rbf_matrix", counting)
+    built = _counted_blocks(monkeypatch)
+    monkeypatch.setattr(regressors, "PREDICT_BLOCK_BYTES",
+                        entries * (distances._SQ_ARRAYS + 1) * 8)
     got = predict(model, X)
     assert built == blocks
     assert got.tobytes() == want.tobytes()
@@ -346,23 +356,25 @@ def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, boun
 @pytest.mark.parametrize("d", [2, 8, 16])
 def test_kernel_predictions_stay_within_two_blocks_of_entries_at_any_width(predict, d,
                                                                           monkeypatch):
-    """A prediction's kernel arrays stay within two blocks of
-    MAX_PREDICT_ENTRIES at any width: each block is dropped before the next
-    is built, and from 8 features a block holds 2 / _SQ_ARRAYS as many."""
+    """A prediction's kernel arrays stay within PREDICT_BLOCK_BYTES at any
+    width: each block is dropped before the next is built, and a block holds
+    as many rows as the distance kernel's arrays at that width leave room for."""
     rng = np.random.default_rng(d)
     X_train, X, y = rng.normal(size=(512, d)), rng.normal(size=(2048, d)), rng.normal(size=512)
     model = krr_fit(X_train, y, 0.1, 0.5) if predict is krr_predict else \
         svr_fit(X_train, y, 1.0, 0.1, 0.5)
-    bound = 2 ** 18
-    monkeypatch.setattr(regressors, "MAX_PREDICT_ENTRIES", bound)
+    budget = 2 ** 22
+    monkeypatch.setattr(regressors, "PREDICT_BLOCK_BYTES", budget)
+    built = _counted_blocks(monkeypatch)
     tracemalloc.start()
     try:
         predict(model, X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the two blocks of entries, the predictions and numpy's ufunc buffers
-    assert peak <= 2 * bound * 8 + len(X) * 8 + 2 ** 18
+    assert len(built) > 1  # the budget holds a block of rows, not all of them
+    # the blocks' arrays, the predictions and numpy's ufunc buffers
+    assert peak <= budget + len(X) * 8 + 2 ** 18
 
 
 @st.composite
