@@ -16,9 +16,9 @@ grouped by counting: one np.bincount over a table no longer than the
 column, with np.unique's sort only for a column that spans more values than
 it has rows. kmeans_assign labels the distinct counts and takes the labels
 to the rows. kmeans_fit and kmeans_assign share one nearest-centroid pass,
-_nearest; it and SMOTE's neighbour search, _neighbours, rank rows in blocks
-of distances._distance_blocks, each within its own byte budget, by squared
-distances bit for bit numpy's 3-D sum up to 128 features.
+_nearest; it and SMOTE's neighbour search, _neighbours, rank rows in the
+blocks of distances._distance_blocks, which sizes them, by squared distances
+bit for bit numpy's 3-D sum up to 128 features.
 
 LGR and the MLP share one front end, _fit_points, which validates,
 standardizes and groups their rows with one sort. One column is fitted over
@@ -54,14 +54,6 @@ LGR_STEP = 0.1  # lgr_fit's gradient-descent step, unless 1/L is smaller
 # a step at most this many times before it stops.
 LBFGS_MEMORY = 10
 _LBFGS_HALVINGS = 50
-# The byte budgets of the two blocked searches (_distance_blocks), for
-# opposite traffic. _nearest ranks many rows against at most k centroids in
-# 1 MiB blocks, measured faster than one pass (90 -> 76 ms over 1M rows), and
-# as large at any k. _neighbours ranks few sampled points against thousands
-# of candidates, whose indices and gather its budget also pays for; at 1 MiB
-# a 1M-interval frames search would run one row per block.
-_ASSIGN_BLOCK_BYTES = 2 ** 20
-_SMOTE_BLOCK_BYTES = 32 * 2 ** 20
 
 
 class TrainConfig(FrozenRecord):
@@ -506,9 +498,9 @@ def _kmeans_starts(X, k_max: int, seed: int, restarts: int):
 
 def _nearest(X, centroids) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid id per row, ties to the lowest id, and its squared
-    distance, a block of rows at a time within _ASSIGN_BLOCK_BYTES."""
+    distance, a block of rows (_distance_blocks) at a time."""
     ids, own = np.empty(len(X), dtype=np.intp), np.empty(len(X))
-    for start, d2 in _distance_blocks(X, centroids, _ASSIGN_BLOCK_BYTES):
+    for start, d2 in _distance_blocks(X, centroids):
         near = d2.argmin(axis=1)  # its entries read faster than a second min pass
         ids[start:start + len(d2)] = near
         own[start:start + len(d2)] = np.take_along_axis(d2, near[:, None], 1)[:, 0]
@@ -554,8 +546,8 @@ def _neighbours(Xm, rows, k_eff):
     k_eff + 1. The candidates are each point's (_points) first k_eff + 1
     rows: for packet counts each distinct count's, and otherwise, each point
     being one row, every row. Each distinct sampled point, a block of them
-    at a time (_distance_blocks, within _SMOTE_BLOCK_BYTES less the
-    candidates' indices and any gather of their rows), keeps its first
+    at a time (_distance_blocks, which counts the candidates' indices and
+    any gather of their rows as held beside its blocks), keeps its first
     k_eff + 1 candidates by (squared distance, index). Rows that _points
     leaves ungrouped (frames, sigma frames) select them (_smallest).
     Grouped counts keep the block's stable argsort: acceptance criterion 5
@@ -580,8 +572,8 @@ def _neighbours(Xm, rows, k_eff):
     del inverse, counts, by_point, rank  # row-sized; gone before the blocks
     near = np.empty((len(reps), k1), dtype=np.intp)
     near_d2 = np.empty((len(reps), k1))
-    spare = _SMOTE_BLOCK_BYTES - pool.nbytes - (Xp is not Xm) * Xp.nbytes  # less the gather
-    for start, d2 in _distance_blocks(reps, Xp, spare):
+    held = pool.nbytes + (Xp is not Xm) * Xp.nbytes  # the gather, if any
+    for start, d2 in _distance_blocks(reps, Xp, held):
         order = (np.argsort(d2, axis=1, kind="stable")[:, :k1] if grouped
                  else _smallest(d2, k1))
         near[start:start + len(d2)] = pool[order]

@@ -1,15 +1,15 @@
-"""The one pairwise squared-distance kernel, _sq_distances, of K-Means, SMOTE's
+"""The one pairwise squared-distance kernel, _sq_columns, of K-Means, SMOTE's
 neighbour search and the RBF kernel: an entry depends on its two rows alone.
-Every caller but rbf_matrix runs it through _distance_blocks, which alone
-counts a block's memory: a caller gives only a byte budget."""
+Every caller runs it through _distance_blocks, which alone sizes and counts
+a block's memory, within the one budget _BLOCK_BYTES: a caller gives only
+the bytes of the arrays it keeps alive beside the blocks."""
 
 import numpy as np
 
-
-def _sq_distances(A, B) -> np.ndarray:
-    """Squared distance of every row of A to every row of B, |A| x |B|: the
-    kernel _sq_columns over the view B.T, which copies nothing."""
-    return _sq_columns(A, B.T)
+# The bytes a block's arrays, any copy of B.T and the caller's held arrays
+# may take, for every caller: blocks that stay in cache, measured as fast as
+# larger ones or faster for each caller (README).
+_BLOCK_BYTES = 2 ** 20
 
 
 def _sq_columns(A, Bt) -> np.ndarray:
@@ -60,30 +60,33 @@ def _sq_columns(A, Bt) -> np.ndarray:
     return acc
 
 
-# the |A| x |B| arrays _sq_distances holds at once at any d, its result among
+# the |A| x |B| arrays _sq_columns holds at once at any d, its result among
 # them: four sums, finished or in progress, and one feature's squares
 _SQ_ARRAYS = 5
 
 
 def _copies_columns(A, B) -> bool:
-    """Whether _distance_blocks(A, B, ...) copies B.T into contiguous rows:
-    only when B is the long side and B.T is not contiguous already (B of one
+    """Whether _distance_blocks(A, B) copies B.T into contiguous rows: only
+    when B is the long side and B.T is not contiguous already (B of one
     column is). A long row of Bt is the kernel's inner loop, faster
-    contiguous (33 x 3,317 frames: 3.2 -> 2.7 ms); a short one is faster
-    through the view (8,333 x 13 rows against 2 centroids: 1.3 -> 1.0 ms)."""
+    contiguous (33 x 3,317 frames: 2.0 -> 1.5 ms; 217 x 33,225: 325 -> 89
+    ms); a short one is faster through the view (8,333 x 13 rows against 2
+    centroids: 1.4 -> 1.1 ms)."""
     return len(B) > len(A) and not B.T.flags.c_contiguous
 
 
-def _distance_blocks(A, B, budget):
-    """(start, _sq_distances(A[start:start + block], B)) for blocks of A's
+def _distance_blocks(A, B, held=0):
+    """(start, _sq_columns(A[start:start + block], B.T)) for blocks of A's
     rows in order, at least one row each, sized so that _SQ_ARRAYS + 1 block
-    x |B| arrays fit in `budget` bytes: the kernel's own and one more for
-    the caller's reduction of them. A caller drops each block before asking
-    for the next, so that only one is alive at a time. The kernel reads B.T,
-    copied once for all the blocks when _copies_columns(A, B); the copy is
-    alive beside every block, so it is taken from `budget` first."""
+    x |B| arrays fit in _BLOCK_BYTES: the kernel's own and one more for the
+    caller's reduction of them. A caller drops each block before asking for
+    the next, so that only one is alive at a time. The kernel reads B.T,
+    copied once for all the blocks when _copies_columns(A, B); the copy, and
+    the `held` bytes of the caller's own arrays, are alive beside every
+    block, so they are taken from the budget first."""
     copy = _copies_columns(A, B)
     Bt = np.ascontiguousarray(B.T) if copy else B.T
-    block = max(1, (budget - copy * Bt.nbytes) // (max(1, len(B)) * (_SQ_ARRAYS + 1) * 8))
+    spare = _BLOCK_BYTES - held - copy * Bt.nbytes
+    block = max(1, spare // (max(1, len(B)) * (_SQ_ARRAYS + 1) * 8))
     for start in range(0, len(A), block):
         yield start, _sq_columns(A[start:start + block], Bt)

@@ -1,9 +1,9 @@
 """Forecasting models: kernel ridge regression and epsilon-SVR, RBF kernel.
 
-The kernel is made in place (_rbf) from the package's one distance kernel:
-whole (rbf_matrix), or for a forecast in the blocks of _distance_blocks. A
-kernel times weights sums every row alone (einsum), so a forecast has the
-same bits alone, in a batch or in any block.
+The kernel is made (_rbf) from the package's one distance kernel, in the
+blocks of _distance_blocks: whole into one buffer (rbf_matrix), or for a
+forecast one block at a time. A kernel times weights sums every row alone
+(einsum), so a forecast has the same bits alone, in a batch or in any block.
 KRR solves its dense regularized kernel system by one LU solve and one
 refinement pass; SVR runs a dual optimizer that picks each pair by
 second-order gain (Fan, Chen & Lin, JMLR 6, 2005, as in LIBSVM) and
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distances import _distance_blocks, _sq_distances
+from .distances import _distance_blocks
 from .errors import ConfigError, ContractViolation, FrozenRecord, NumericError, check_count
 from .metrics import rmse
 from .scaling import Scaler, as_matrix
@@ -33,15 +33,11 @@ from .scaling import Scaler, as_matrix
 SMO_TOL = 1e-3
 SMO_ITER_FACTOR = 100
 # The most training rows a kernel fit takes. Its n x n float64 kernel is
-# 512 MiB at this bound. An SVR fit on fewer than 8 features (the forecast's
-# 2) peaks at 2.03 times that, traced: the kernel and its curvature table.
-# From 8 features, _sq_distances holds up to five such arrays. einsum sums a
-# row of at most 8192 entries (its buffer) in one piece.
+# 512 MiB at this bound. An SVR fit peaks at 2.03 (2 features) to 2.05 (13)
+# times that, traced at 1,000 rows: the kernel, built a block of rows at a
+# time, and its curvature table. einsum sums a row of at most 8192 entries
+# (its buffer) in one piece.
 MAX_KERNEL_ROWS = 8192
-# The bytes a prediction's blocks of kernel rows (_distance_blocks) may hold
-# at once, at any width: 2 GiB, about 2.1 GB. Past one block, a loop over
-# blocks of rows, bit for bit one call.
-PREDICT_BLOCK_BYTES = 2 ** 31
 
 
 class KrrModel(FrozenRecord):
@@ -85,20 +81,26 @@ class GridSpec(FrozenRecord):
 
 
 def rbf_matrix(A, B, gamma: float) -> np.ndarray:
-    """exp(-gamma * d2) of the squared distances (_sq_distances) of rows A and B,
-    in one buffer. As fl(a - b) = -fl(b - a), rbf_matrix(X, X, gamma) is
-    exactly symmetric, and its diagonal is exp(-0.0) = 1."""
+    """exp(-gamma * d2) of the squared distances d2 of rows A and B, filled
+    into one buffer a block of rows (_distance_blocks) at a time. An entry
+    depends on its two rows alone, and fl(a - b) = -fl(b - a), so
+    rbf_matrix(X, X, gamma) is exactly symmetric, and its diagonal is
+    exp(-0.0) = 1."""
     A, B = as_matrix(A), as_matrix(B)
     if A.shape[1] != B.shape[1]:
         raise ContractViolation("rbf_matrix arity mismatch")
     _check_param("gamma", gamma, positive=True)
-    return _rbf(_sq_distances(A, B), gamma)
+    K = np.empty((len(A), len(B)))
+    for start, d2 in _distance_blocks(A, B):
+        _rbf(d2, gamma, K[start:start + len(d2)])
+        del d2
+    return K
 
 
-def _rbf(d2, gamma: float) -> np.ndarray:
-    """exp(-gamma * d2) of squared distances d2, in d2's own buffer."""
+def _rbf(d2, gamma: float, out) -> np.ndarray:
+    """exp(-gamma * d2) of squared distances d2 into `out`; d2 is overwritten."""
     d2 *= -gamma
-    return np.exp(d2, out=d2)
+    return np.exp(d2, out=out)
 
 
 def default_gamma(X) -> float:
@@ -176,8 +178,8 @@ def krr_fit(X, y, lam: float, gamma: float, *, _kernel=None) -> KrrModel:
 def _kernel_product(model, X, weights, caller: str) -> np.ndarray:
     """The model's kernel between X (standardized by the model's scaler if it
     has one) and its training rows, times `weights`, a block of rows
-    (_distance_blocks within PREDICT_BLOCK_BYTES) at a time. einsum, not
-    BLAS, sums each row alone, so a row's bits do not depend on its block."""
+    (_distance_blocks) at a time. einsum, not BLAS, sums each row alone, so
+    a row's bits do not depend on its block."""
     X = as_matrix(X)
     if model.scaler is not None:
         X = model.scaler.transform(X)
@@ -185,8 +187,8 @@ def _kernel_product(model, X, weights, caller: str) -> np.ndarray:
         raise ContractViolation(f"{caller} arity mismatch")
     _check_param("gamma", model.gamma, positive=True)
     out = np.empty(len(X))
-    for start, d2 in _distance_blocks(X, model.train_inputs, PREDICT_BLOCK_BYTES):
-        out[start:start + len(d2)] = np.einsum("ij,j->i", _rbf(d2, model.gamma), weights)
+    for start, d2 in _distance_blocks(X, model.train_inputs):
+        out[start:start + len(d2)] = np.einsum("ij,j->i", _rbf(d2, model.gamma, d2), weights)
         del d2  # gone before the next block is built
     return out
 

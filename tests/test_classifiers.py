@@ -1031,9 +1031,9 @@ def test_grouped_assign_matches_the_row_pass_bit_for_bit(k, data):
     X = np.concatenate([X, X])  # every value on two rows, so the column groups
     model = KMeansModel(centroids=centroids, k=k, wcss=0.0)
     want = nearest_reference(X, centroids)[0]
-    for block_bytes in (classifiers._ASSIGN_BLOCK_BYTES, k * 8):  # k * 8: one point a block
+    for block_bytes in (distances._BLOCK_BYTES, k * 8):  # k * 8: one point a block
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES", block_bytes)
+            patch.setattr(distances, "_BLOCK_BYTES", block_bytes)
             got = kmeans_assign(model, X)
         assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
 
@@ -1098,7 +1098,7 @@ def test_assign_in_row_blocks_matches_one_pass(monkeypatch, d):
     model = KMeansModel(centroids=centroids, k=3, wcss=0.0)
     want, want_d2 = nearest_reference(X, centroids)
     for block_rows in (1, 7, 64, 1000, 5000):
-        monkeypatch.setattr(classifiers, "_ASSIGN_BLOCK_BYTES",
+        monkeypatch.setattr(distances, "_BLOCK_BYTES",
                             block_rows * 3 * (distances._SQ_ARRAYS + 1) * 8)
         got = kmeans_assign(model, X)
         assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
@@ -1110,7 +1110,7 @@ def test_assign_in_row_blocks_matches_one_pass(monkeypatch, d):
 
 def test_kmeans_fit_peak_does_not_grow_with_k():
     """Ungrouped rows are swept a block at a time, so the distances alive at
-    once fit _ASSIGN_BLOCK_BYTES at any k; an unblocked sweep held rows x k."""
+    once fit distances._BLOCK_BYTES at any k; an unblocked sweep held rows x k."""
     X = np.random.default_rng(11).normal(size=(200_000, 2))
     peaks = {}
     for k in (2, 6):
@@ -1121,7 +1121,7 @@ def test_kmeans_fit_peak_does_not_grow_with_k():
             peaks[k] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[6] <= peaks[2] + classifiers._ASSIGN_BLOCK_BYTES
+    assert peaks[6] <= peaks[2] + distances._BLOCK_BYTES
 
 
 # numpy's pairwise summation up to 128 values: left to right below 8 features (none
@@ -1142,7 +1142,7 @@ def test_sq_distances_matches_the_3d_sum_bit_for_bit(d):
     cases += [(X, X[:k]) for X in (counts, wide, reals) for k in range(1, 7)]  # K-Means' centroids
     with np.errstate(over="ignore"):
         for A, B in cases:
-            got = distances._sq_distances(A, B)
+            got = distances._sq_columns(A, B.T)
             want = sq_distances_reference(A, B)
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
@@ -1155,10 +1155,10 @@ def test_sq_distances_past_128_features_differ_only_by_rounding(d):
     counts = rng.poisson(1.0, size=(40, d)).astype(np.float64)
     reals = rng.normal(size=(40, d))
     for A, B in [(counts[:13], counts), (counts, counts[:3])]:
-        got, want = distances._sq_distances(A, B), sq_distances_reference(A, B)
+        got, want = distances._sq_columns(A, B.T), sq_distances_reference(A, B)
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
     for A, B in [(reals[:9], reals), (reals, reals[:3])]:
-        np.testing.assert_allclose(distances._sq_distances(A, B),
+        np.testing.assert_allclose(distances._sq_columns(A, B.T),
                                    sq_distances_reference(A, B), rtol=1e-14, atol=0.0)
 
 
@@ -1167,7 +1167,7 @@ def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
     A, B = np.ones((64, d)), np.zeros((4096, d))
     tracemalloc.start()
     try:
-        distances._sq_distances(A, B)
+        distances._sq_columns(A, B.T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1176,9 +1176,10 @@ def test_sq_distances_holds_at_most_its_bound_of_arrays(d):
 
 @pytest.mark.parametrize("d", [1, 12, 13])
 @pytest.mark.parametrize("budget_rows", ["below one", "one", "five", "above all"])
-def test_distance_blocks_cover_the_rows_within_their_budget(d, budget_rows):
-    """Blocks fit their budget, less the copy of B.T made for a long B of
-    two or more columns (23 rows against 17, and 3 against 40)."""
+def test_distance_blocks_cover_the_rows_within_their_budget(monkeypatch, d, budget_rows):
+    """Blocks fit _BLOCK_BYTES, less the copy of B.T made for a long B of
+    two or more columns (23 rows against 17, and 3 against 40) and the
+    bytes the caller holds beside them."""
     rng = np.random.default_rng(d)
     for A, B in [(rng.normal(size=(23, d)), rng.normal(size=(17, d))),
                  (rng.normal(size=(3, d)), rng.normal(size=(40, d)))]:
@@ -1186,29 +1187,34 @@ def test_distance_blocks_cover_the_rows_within_their_budget(d, budget_rows):
         copy = B.nbytes if len(B) > len(A) and d > 1 else 0  # alive beside every block
         budget = {"below one": row_bytes - 1, "one": row_bytes, "five": 5 * row_bytes + 7,
                   "above all": len(A) * row_bytes + 1}[budget_rows] + copy
-        starts, blocks = [], []
-        for start, d2 in distances._distance_blocks(A, B, budget):
-            starts.append(start)
-            blocks.append(d2)
-        sizes = [len(block) for block in blocks]
-        assert min(sizes) >= 1 and sum(sizes) == len(A)
-        assert starts == [sum(sizes[:i]) for i in range(len(sizes))]  # in order, no gaps
-        assert all(size == 1 or copy + size * row_bytes <= budget for size in sizes)
-        full = max(1, (budget - copy) // row_bytes)  # every block but the last is as large as fits
-        assert sizes[:-1] == [full] * (len(sizes) - 1) and sizes[-1] <= full
-        want = distances._sq_distances(A, B)
-        assert np.concatenate(blocks).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        for held in (0, 3 * row_bytes + 5):
+            monkeypatch.setattr(distances, "_BLOCK_BYTES", budget + held)
+            starts, blocks = [], []
+            for start, d2 in distances._distance_blocks(A, B, held):
+                starts.append(start)
+                blocks.append(d2)
+            sizes = [len(block) for block in blocks]
+            assert min(sizes) >= 1 and sum(sizes) == len(A)
+            assert starts == [sum(sizes[:i]) for i in range(len(sizes))]  # in order, no gaps
+            assert all(size == 1 or copy + size * row_bytes <= budget for size in sizes)
+            # every block but the last is as large as fits
+            full = max(1, (budget - copy) // row_bytes)
+            assert sizes[:-1] == [full] * (len(sizes) - 1) and sizes[-1] <= full
+            want = distances._sq_columns(A, B.T)
+            assert (np.concatenate(blocks).view(np.uint64).tobytes()
+                    == want.view(np.uint64).tobytes())
 
 
-def test_distance_blocks_copy_b_columns_only_when_b_is_the_long_side():
+def test_distance_blocks_copy_b_columns_only_when_b_is_the_long_side(monkeypatch):
     rng = np.random.default_rng(4)
     long, short = rng.normal(size=(40, 13)), rng.normal(size=(3, 13))
     assert distances._copies_columns(short, long)
     assert not distances._copies_columns(long, short)
     assert not distances._copies_columns(short, long[:, :1].copy())  # its B.T is contiguous
+    monkeypatch.setattr(distances, "_BLOCK_BYTES", 1)  # a row a block
     for A, B in [(short, long), (long, short)]:
-        blocks = [d2 for _, d2 in distances._distance_blocks(A, B, 1)]  # a row a block
-        want = distances._sq_distances(A, B)
+        blocks = [d2 for _, d2 in distances._distance_blocks(A, B)]
+        want = distances._sq_columns(A, B.T)
         assert np.concatenate(blocks).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
@@ -1260,7 +1266,7 @@ def test_assign_temporaries_stay_within_one_block():
     finally:
         tracemalloc.stop()
     # the labels, and one block's differences, their squares and their sums
-    assert peak <= len(X) * 8 + 3 * classifiers._ASSIGN_BLOCK_BYTES + 2 ** 16
+    assert peak <= len(X) * 8 + 3 * distances._BLOCK_BYTES + 2 ** 16
 
 
 def test_assign_arity_mismatch():

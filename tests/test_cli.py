@@ -211,7 +211,7 @@ def test_detection_split_without_test_rows_exits_two_before_any_fit(tmp_path, ca
 def test_scoring_a_kernel_model_past_the_entry_bound_works_in_row_blocks(
         tmp_path, monkeypatch, kind):
     """evaluate --model-file scores every row: 240 rows against the model's
-    240 training rows, with PREDICT_BLOCK_BYTES room for 100 rows' kernel
+    240 training rows, with distances._BLOCK_BYTES room for 100 rows' kernel
     arrays, are scored in blocks of 100, 100 and 40 rows into the same
     predictions, bit for bit, and the same report as one kernel."""
     series = _gen(tmp_path)
@@ -225,11 +225,11 @@ def test_scoring_a_kernel_model_past_the_entry_bound_works_in_row_blocks(
     row_bytes = 240 * (distances._SQ_ARRAYS + 1) * 8  # one row's kernel arrays
     for rows in (240, 100):
         built = []
-        def counting(A, B, budget):
-            for start, d2 in blocks(A, B, budget):
+        def counting(A, B, held=0):
+            for start, d2 in blocks(A, B, held):
                 built.append(len(d2))
                 yield start, d2
-        monkeypatch.setattr(regressors, "PREDICT_BLOCK_BYTES", rows * row_bytes)
+        monkeypatch.setattr(distances, "_BLOCK_BYTES", rows * row_bytes)
         monkeypatch.setattr(regressors, "_distance_blocks", counting)
         out = tmp_path / f"r{rows}.txt"
         assert main(["evaluate", "--model", kind, "--series", str(series),

@@ -196,7 +196,7 @@ def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
     if block_rows is not None:  # force several row blocks, the last one partial
         n_min = int(min(np.sum(data.y == 0), np.sum(data.y == 1)))
         per_candidate = (distances._SQ_ARRAYS + 1) * 8
-        monkeypatch.setattr(classifiers, "_SMOTE_BLOCK_BYTES", block_rows * n_min * per_candidate)
+        monkeypatch.setattr(distances, "_BLOCK_BYTES", block_rows * n_min * per_candidate)
     for seed in (0, 1, 2):
         got = smote_balance(data, 5, seed)
         want = smote_balance_dense(data, 5, seed)
@@ -229,7 +229,7 @@ def _smote_inputs(draw):
 @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 def test_smote_matches_dense_oracle_on_random_inputs(data, k, seed, block_bytes):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classifiers, "_SMOTE_BLOCK_BYTES", block_bytes)
+        mp.setattr(distances, "_BLOCK_BYTES", block_bytes)
         got = smote_balance(data, k, seed)
     want = smote_balance_dense(data, k, seed)
     assert got.X.tobytes() == want.X.tobytes()
@@ -264,7 +264,7 @@ def _frame_smote_inputs(draw):
 def test_smote_matches_dense_oracle_on_random_frames(data, k, seed, block_bytes):
     # the frame widths: the kernel's 8 partial sums, and _smallest's selection
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classifiers, "_SMOTE_BLOCK_BYTES", block_bytes)
+        mp.setattr(distances, "_BLOCK_BYTES", block_bytes)
         got = smote_balance(data, k, seed)
     want = smote_balance_dense(data, k, seed)
     assert got.X.tobytes() == want.X.tobytes()
@@ -277,7 +277,7 @@ def test_smote_block_temporaries_stay_within_the_bound_when_all_tie(monkeypatch)
     Xm = np.zeros((20_000, 12))
     rows = np.arange(0, 20_000, 400)
     bound = 4 * 2 ** 20
-    monkeypatch.setattr(classifiers, "_SMOTE_BLOCK_BYTES", bound)
+    monkeypatch.setattr(distances, "_BLOCK_BYTES", bound)
     tracemalloc.start()
     try:
         got = classifiers._neighbours(Xm, rows, 5)
@@ -296,7 +296,7 @@ def test_smote_block_temporaries_stay_within_the_bound(monkeypatch):
     Xm = np.random.default_rng(3).normal(size=(20_000, 3))
     rows = np.arange(0, 20_000, 400)
     bound = 4 * 2 ** 20
-    monkeypatch.setattr(classifiers, "_SMOTE_BLOCK_BYTES", bound)
+    monkeypatch.setattr(distances, "_BLOCK_BYTES", bound)
     tracemalloc.start()
     try:
         classifiers._neighbours(Xm, rows, 5)
@@ -304,6 +304,23 @@ def test_smote_block_temporaries_stay_within_the_bound(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= bound + 2 ** 16
+
+
+def test_smote_frame_search_stays_within_the_default_budget():
+    # 50 sampled frames of 5,000 x 12: the candidates' indices (40 KB) and
+    # their contiguous copy of B.T (480 KB) are held beside every block,
+    # all within distances._BLOCK_BYTES
+    rng = np.random.default_rng(8)
+    Xm = rng.poisson(2.0, size=(5000, 12)).astype(np.float64)
+    Xm[rng.random(5000) < 0.3] = 0.0
+    rows = np.arange(0, 5000, 100)
+    tracemalloc.start()
+    try:
+        classifiers._neighbours(Xm, rows, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= distances._BLOCK_BYTES + 2 ** 16
 
 
 def test_smote_block_holds_no_row_candidate_feature_array():

@@ -65,6 +65,27 @@ def test_kernel_matches_the_one_expression_reference_bit_for_bit(name):
             assert got.tobytes() == want.tobytes()
 
 
+def test_kernel_is_built_in_row_blocks_within_the_budget(monkeypatch):
+    """rbf_matrix fills its n x n result a block of rows at a time: beside
+    the result it holds one block's distance arrays, within _BLOCK_BYTES
+    (a whole 13-feature kernel held up to five n x n arrays), and a row a
+    block or the default block gives the reference's bits."""
+    X = np.random.default_rng(13).normal(size=(1000, 13))
+    # the reference's (row, row, feature) array, 100 rows at a time
+    want = np.vstack([rbf_matrix_reference(X[i:i + 100], X, 0.37)
+                      for i in range(0, len(X), 100)])
+    tracemalloc.start()
+    try:
+        got = rbf_matrix(X, X, 0.37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + distances._BLOCK_BYTES + 2 ** 16
+    assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(distances, "_BLOCK_BYTES", 1)  # a row a block
+    assert rbf_matrix(X, X, 0.37).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", ["d1", "d2", "d13", "coincident", "n1"])
 def test_krr_solves_the_reference_system_matrix_bit_for_bit(name, monkeypatch):
     X = _kernel_case(name)[0]
@@ -321,8 +342,8 @@ def test_kernel_fits_take_at_most_max_kernel_rows(case, monkeypatch):
 def _counted_blocks(monkeypatch):
     """The row counts of the blocks _kernel_product takes from _distance_blocks."""
     built, blocks = [], regressors._distance_blocks
-    def counting(A, B, budget):
-        for start, d2 in blocks(A, B, budget):
+    def counting(A, B, held=0):
+        for start, d2 in blocks(A, B, held):
             built.append(len(d2))
             yield start, d2
     monkeypatch.setattr(regressors, "_distance_blocks", counting)
@@ -337,7 +358,7 @@ def _counted_blocks(monkeypatch):
                                              (4, [1] * 7)])
 def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, entries, blocks,
                                                               monkeypatch):
-    """7 rows against 5 training rows, with PREDICT_BLOCK_BYTES room for
+    """7 rows against 5 training rows, with distances._BLOCK_BYTES room for
     `entries` kernel entries (each with the distance kernel's arrays): one
     35-entry kernel at 35; below it, blocks of at most `entries` entries (at
     least one row). Every block size gives the one-call predictions bit for
@@ -345,8 +366,7 @@ def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, entr
     model, X = fit(), np.linspace(-1.0, 5.0, 7).reshape(-1, 1)
     want = predict(model, X)
     built = _counted_blocks(monkeypatch)
-    monkeypatch.setattr(regressors, "PREDICT_BLOCK_BYTES",
-                        entries * (distances._SQ_ARRAYS + 1) * 8)
+    monkeypatch.setattr(distances, "_BLOCK_BYTES", entries * (distances._SQ_ARRAYS + 1) * 8)
     got = predict(model, X)
     assert built == blocks
     assert got.tobytes() == want.tobytes()
@@ -356,25 +376,27 @@ def test_kernel_predictions_build_at_most_max_predict_entries(fit, predict, entr
 @pytest.mark.parametrize("d", [2, 8, 16])
 def test_kernel_predictions_stay_within_two_blocks_of_entries_at_any_width(predict, d,
                                                                           monkeypatch):
-    """A prediction's kernel arrays stay within PREDICT_BLOCK_BYTES at any
-    width: each block is dropped before the next is built, and a block holds
-    as many rows as the distance kernel's arrays at that width leave room for."""
+    """A prediction's kernel arrays stay within distances._BLOCK_BYTES at any
+    width, forced to 4 MiB or at its default: each block is dropped before
+    the next is built, and a block holds as many rows as the distance
+    kernel's arrays at that width leave room for."""
     rng = np.random.default_rng(d)
     X_train, X, y = rng.normal(size=(512, d)), rng.normal(size=(2048, d)), rng.normal(size=512)
     model = krr_fit(X_train, y, 0.1, 0.5) if predict is krr_predict else \
         svr_fit(X_train, y, 1.0, 0.1, 0.5)
-    budget = 2 ** 22
-    monkeypatch.setattr(regressors, "PREDICT_BLOCK_BYTES", budget)
     built = _counted_blocks(monkeypatch)
-    tracemalloc.start()
-    try:
-        predict(model, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(built) > 1  # the budget holds a block of rows, not all of them
-    # the blocks' arrays, the predictions and numpy's ufunc buffers
-    assert peak <= budget + len(X) * 8 + 2 ** 18
+    for budget in (2 ** 22, distances._BLOCK_BYTES):
+        monkeypatch.setattr(distances, "_BLOCK_BYTES", budget)
+        built.clear()
+        tracemalloc.start()
+        try:
+            predict(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(built) > 1  # the budget holds a block of rows, not all of them
+        # the blocks' arrays, the predictions and numpy's ufunc buffers
+        assert peak <= budget + len(X) * 8 + 2 ** 18
 
 
 @st.composite
