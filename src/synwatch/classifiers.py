@@ -18,7 +18,7 @@ it has rows. kmeans_assign labels the distinct counts and takes the labels
 to the rows. kmeans_fit and kmeans_assign share one nearest-centroid pass,
 _nearest; it and SMOTE's neighbour search, _neighbours, rank rows in the
 blocks of distances._distance_blocks, which sizes them, by squared distances
-bit for bit numpy's 3-D sum up to 128 features.
+whose features are added left to right, at most 2 arrays alive at any width.
 
 LGR and the MLP share one front end, _fit_points, which validates,
 standardizes and groups their rows with one sort. One column is fitted over
@@ -553,8 +553,9 @@ def _neighbours(Xm, rows, k_eff):
     Grouped counts keep the block's stable argsort: acceptance criterion 5
     needs the per-interval MLP, whose SMOTE this search is, to stay slower
     than the frame MLP, and a faster count search flips them (README).
-    The distances are the dense search's sums bit for bit, made a feature
-    at a time with no (row, candidate, feature) array. Each row then puts
+    The distances are the dense search's sums bit for bit, its features
+    added left to right, made a feature at a time with at most 2 arrays
+    alive and no (row, candidate, feature) array. Each row then puts
     itself at (inf, its index), in place of its own entry or else of the
     last, which then lies behind k_eff rows at distance 0.
     """

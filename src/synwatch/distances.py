@@ -13,56 +13,29 @@ _BLOCK_BYTES = 2 ** 20
 
 
 def _sq_columns(A, Bt) -> np.ndarray:
-    """Squared distance of every row of A to every row of B = Bt.T, |A| x |B|.
-
-    Up to 128 features, bit for bit np.square(A[:, None] - B[None]).sum(axis=2),
-    without its |A| x |B| x d array: each feature's squares are one
-    np.subtract.outer squared in place, added in the order np.add.reduce
-    sums d contiguous values (Higham 1993's pairwise summation, as numpy
-    unrolls it): fewer than 8 left to right; else as 8 strided partial sums,
-    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    rest left to right. numpy first halves a sum of more than 128 values,
-    which no caller has: counts are 1 feature, frames 12 and sigma frames 13.
-    Each sum is finished before the next starts, so at most _SQ_ARRAYS
-    |A| x |B| arrays are alive at once, besides Bt. A feature's inner loop
-    runs over its row of Bt, faster when that row is contiguous (a copy, not
-    a view of B's strided column) and B long (_copies_columns).
+    """Squared distance of every row of A to every row of B = Bt.T, |A| x |B|:
+    each feature's squares, one np.subtract.outer squared in place, added to
+    the sum left to right (no features sum to zeros). No |A| x |B| x d array
+    is made, and at most _SQ_ARRAYS |A| x |B| arrays are alive at once,
+    besides Bt. A feature's inner loop runs over its row of Bt, faster when
+    that row is contiguous (a copy, not a view of B's strided column) and B
+    long (_copies_columns).
     """
-    d = A.shape[1]
-
     def square(f):
         diff = np.subtract.outer(A[:, f], Bt[f])
         return np.square(diff, out=diff)
 
-    if d < 8:  # numpy adds to 0.0, which changes no square's bits; no features sum to 0
-        acc = square(0) if d else np.zeros((len(A), Bt.shape[1]))
-        for f in range(1, d):
-            acc += square(f)
-        return acc
-    end = d - d % 8
-
-    def partial(j):  # r_j: features j, j + 8, ... before end
-        acc = square(j)
-        for f in range(j + 8, end, 8):
-            acc += square(f)
-        return acc
-
-    def combine(j, width):  # r_j .. r_(j + width - 1), paired as numpy pairs them
-        if width == 1:
-            return partial(j)
-        acc = combine(j, width // 2)
-        acc += combine(j + width // 2, width // 2)
-        return acc
-
-    acc = combine(0, 8)
-    for f in range(end, d):
+    if not A.shape[1]:
+        return np.zeros((len(A), Bt.shape[1]))
+    acc = square(0)
+    for f in range(1, A.shape[1]):
         acc += square(f)
     return acc
 
 
 # the |A| x |B| arrays _sq_columns holds at once at any d, its result among
-# them: four sums, finished or in progress, and one feature's squares
-_SQ_ARRAYS = 5
+# them: the sum and one feature's squares
+_SQ_ARRAYS = 2
 
 
 def _copies_columns(A, B) -> bool:

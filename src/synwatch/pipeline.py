@@ -485,6 +485,10 @@ def write_report(report: EvalReport, path) -> None:
             fh.write(f"{key}={value}\n")
 
 
+# the keys and section names of a report, as write_report writes them
+_REPORT_NAME = "[A-Za-z0-9_]+"
+
+
 def read_report(path) -> dict:
     """Parse a report file into a flat dict, keys of a [name] section prefixed name."""
     out, line_of, section = {}, {}, ""
@@ -492,13 +496,14 @@ def read_report(path) -> dict:
         if not line.strip():
             continue
         if line.startswith("["):
-            if re.fullmatch(r"\[\w+\]", line) is None:
+            if re.fullmatch(rf"\[{_REPORT_NAME}\]", line) is None:
                 raise ParseError(line_no, f"expected a [name] section line, got {line!r}")
             section = line[1:-1] + "."
             continue
-        if "=" not in line:
-            raise ParseError(line_no, f"expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
+        key, equals, value = line.partition("=")
+        if not equals or re.fullmatch(_REPORT_NAME, key) is None:
+            raise ParseError(line_no, f"expected key=value, a key of {_REPORT_NAME}, "
+                                      f"got {line!r}")
         if section + key in out:
             raise ParseError(line_no, f"key {key!r} repeats line {line_of[section + key]}")
         out[section + key], line_of[section + key] = value, line_no

@@ -81,8 +81,9 @@ class GridSpec(FrozenRecord):
 
 
 def rbf_matrix(A, B, gamma: float) -> np.ndarray:
-    """exp(-gamma * d2) of the squared distances d2 of rows A and B, filled
-    into one buffer a block of rows (_distance_blocks) at a time. An entry
+    """exp(-gamma * d2) of the squared distances d2 of rows A and B, their
+    features added left to right, filled into one buffer a block of rows
+    (_distance_blocks) at a time. An entry
     depends on its two rows alone, and fl(a - b) = -fl(b - a), so
     rbf_matrix(X, X, gamma) is exactly symmetric, and its diagonal is
     exp(-0.0) = 1."""

@@ -69,6 +69,9 @@ class IntervalSeries(Record):
             raise ContractViolation("counts must be non-negative")
         if len(labels) and (labels.min() < 0 or labels.max() > 1):
             raise ContractViolation("labels must be 0 or 1")
+        past = _times_past_int64(len(counts), interval_seconds, origin_s)
+        if past:
+            raise ContractViolation(past)
         self._set(counts=counts, labels=labels, interval_seconds=interval_seconds,
                   origin_s=origin_s)
 
@@ -78,6 +81,15 @@ class IntervalSeries(Record):
     def times_s(self) -> np.ndarray:
         """Start time in seconds of every interval."""
         return self.origin_s + np.arange(len(self.counts)) * self.interval_seconds
+
+
+def _times_past_int64(n: int, interval_seconds: int, origin_s: int) -> str:
+    """Why n intervals of interval_seconds from origin_s have times past int64,
+    up to the end of the last one, or "" when they fit."""
+    if int(origin_s) + n * int(interval_seconds) <= np.iinfo(np.int64).max:
+        return ""
+    return (f"origin_s={origin_s} plus {n} rows of interval_seconds={interval_seconds} "
+            f"passes the int64 limit")
 
 
 class SynthesisConfig(FrozenRecord):
@@ -300,12 +312,16 @@ def read_series(path) -> IntervalSeries:
     with open(path, "rb") as fh:
         data = fh.read()
     series = _read_canonical(data)
-    if series is None:
-        series = _read_series_lines(data)
-    if series.origin_s + len(series) * series.interval_seconds > np.iinfo(np.int64).max:
-        raise ParseError(1, f"origin_s={series.origin_s} plus {len(series)} rows of "
-                            f"interval_seconds={series.interval_seconds} passes the int64 limit")
-    return series
+    return _read_series_lines(data) if series is None else series
+
+
+def _parsed_series(counts, labels, interval_seconds: int, origin_s: int) -> IntervalSeries:
+    """The series a reader parsed; times past int64 are a ParseError at its
+    header, line 1."""
+    past = _times_past_int64(len(counts), interval_seconds, origin_s)
+    if past:
+        raise ParseError(1, past)
+    return IntervalSeries(counts, labels, interval_seconds=interval_seconds, origin_s=origin_s)
 
 
 def _series_header(line: str) -> tuple:
@@ -357,7 +373,7 @@ def _read_canonical(data: bytes) -> Optional[IntervalSeries]:
         count, label = fields
         counts[row:row + len(count)], labels[row:row + len(label)] = count, label
         row, start = row + len(count), stop
-    return IntervalSeries(counts, labels, interval_seconds=interval_seconds, origin_s=origin_s)
+    return _parsed_series(counts, labels, interval_seconds, origin_s)
 
 
 def _canonical_rows(body: np.ndarray, first: int) -> Optional[tuple]:
@@ -409,5 +425,5 @@ def _read_series_lines(data: bytes) -> IntervalSeries:
         counts.append(int64(count, line_no, "count"))
         labels.append(label == "1")
     del lines  # freed first, so the arrays and their checks do not add to peak memory
-    return IntervalSeries(np.array(counts, dtype=np.int64), np.array(labels, dtype=np.int64),
-                          interval_seconds=interval_seconds, origin_s=origin_s)
+    return _parsed_series(np.array(counts, dtype=np.int64), np.array(labels, dtype=np.int64),
+                          interval_seconds, origin_s)

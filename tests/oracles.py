@@ -138,8 +138,8 @@ def exhaustive_wcss_1d(values) -> float:
 
 
 def rbf_matrix_reference(A, B, gamma: float) -> np.ndarray:
-    """The RBF kernel in one expression, on the squared distances summed over
-    one (row, row, feature) array (sq_distances_reference)."""
+    """The RBF kernel in one expression, on the squared distances of one
+    (row, row, feature) array added left to right (sq_distances_reference)."""
     return np.exp(-gamma * sq_distances_reference(as_matrix(A), as_matrix(B)))
 
 
@@ -223,7 +223,8 @@ def svr_kkt_violations(model, X, y) -> float:
 
 
 def smote_balance_dense(train: DataSet, k: int, seed: int) -> DataSet:
-    """SMOTE from the full n_min x n_min minority distance matrix."""
+    """SMOTE from the full n_min x n_min minority distance matrix, its
+    squared distances added left to right (sq_distances_reference)."""
     y = np.asarray(train.y)
     counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}
     if counts[0] == counts[1]:
@@ -235,7 +236,7 @@ def smote_balance_dense(train: DataSet, k: int, seed: int) -> DataSet:
     k_eff = min(k, n_min - 1)
     min_idx = np.flatnonzero(y == minority)
     Xm = train.X[min_idx]
-    d2 = ((Xm[:, None, :] - Xm[None, :, :]) ** 2).sum(axis=2)
+    d2 = sq_distances_reference(Xm, Xm)
     np.fill_diagonal(d2, np.inf)
     neighbours = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
     rng = np.random.default_rng(seed)
@@ -526,8 +527,13 @@ def _distinct_row_init(X, k, rng):
 
 
 def sq_distances_reference(X, centroids) -> np.ndarray:
-    """Squared distance of every row to every centroid, rows x centroids."""
-    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    """Squared distance of every row to every centroid, rows x centroids: the
+    squares of one (row, centroid, feature) array added left to right, as a
+    running sum along the features (no features sum to zeros)."""
+    sq = (X[:, None, :] - centroids[None, :, :]) ** 2
+    if not sq.shape[2]:
+        return np.zeros(sq.shape[:2])
+    return np.cumsum(sq, axis=2)[..., -1]
 
 
 def nearest_reference(X, centroids) -> tuple[np.ndarray, np.ndarray]:

@@ -14,13 +14,14 @@ from oracles import (_distinct_row_init, exhaustive_wcss_1d, kmeans_fit_referenc
                      lgr_fit_reference, mlp_central_differences, mlp_gradcheck_worst,
                      mlp_loss_grads_plain, mlp_loss_grads_reference, nearest_reference,
                      sq_distances_reference)
-from synwatch import classifiers, distances
+from synwatch import classifiers, distances, pipeline
 from synwatch.classifiers import (L2, LGR_STEP, TOLERANCE, KMeansModel, LgrModel, MlpModel,
                                   TrainConfig, elbow_curve, kmeans_assign, kmeans_fit,
                                   lgr_fit, lgr_predict, map_clusters_to_labels, mlp_fit,
                                   mlp_loss_grads, mlp_predict)
 from synwatch.errors import ConfigError, ContractViolation, TrainingError
 from synwatch.scaling import Scaler, as_matrix
+from synwatch.traffic import SynthesisConfig, generate_baseline, inject_attacks
 
 
 def _identity_scaler(d):
@@ -1124,9 +1125,9 @@ def test_kmeans_fit_peak_does_not_grow_with_k():
     assert peaks[6] <= peaks[2] + distances._BLOCK_BYTES
 
 
-# numpy's pairwise summation up to 128 values: left to right below 8 features (none
-# at d = 0), else 8 strided partial sums
-@pytest.mark.parametrize("d", [*range(0, 18), 24, 127, 128])
+# the kernel adds its features' squares left to right, as the reference's running sum
+# does, at every width (none at d = 0)
+@pytest.mark.parametrize("d", [*range(0, 18), 24, *range(127, 131), 136, 256, 257, 300])
 def test_sq_distances_matches_the_3d_sum_bit_for_bit(d):
     rng = np.random.default_rng(d)
     counts = rng.poisson(1.0, size=(40, d)).astype(np.float64)
@@ -1147,19 +1148,29 @@ def test_sq_distances_matches_the_3d_sum_bit_for_bit(d):
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
-# past 128 values numpy first halves the sum and the kernel does not: integer squares
-# sum exactly in any order, and other sums differ only by rounding
-@pytest.mark.parametrize("d", [129, 300])
-def test_sq_distances_past_128_features_differ_only_by_rounding(d):
-    rng = np.random.default_rng(d)
-    counts = rng.poisson(1.0, size=(40, d)).astype(np.float64)
-    reals = rng.normal(size=(40, d))
-    for A, B in [(counts[:13], counts), (counts, counts[:3])]:
-        got, want = distances._sq_columns(A, B.T), sq_distances_reference(A, B)
+# What the commands rank by distance: packet counts (1 feature), standardized forecast
+# rows (2), frames (12 counts) and sigma frames (12 counts, then sigma). Below 8 features
+# numpy's pairwise sum is left to right too; at these rates frames' squares are integers
+# whose sums stay below 2**53, exact in any order; and sigma's square is added last in
+# both orders. So adding left to right moves no bit of these distances: the order change
+# reaches only inputs of 8 or more features whose sums of squares round, such as frames
+# of counts that differ by more than about 3e7 (rate 1e12 or 1e17).
+@pytest.mark.parametrize("rate", [50.0, 1e6])
+@pytest.mark.parametrize("rows", ["per_interval", "forecast", "frames", "frames_sigma"])
+def test_sq_distances_of_command_inputs_are_numpys_pairwise_sum_bit_for_bit(rate, rows):
+    cfg = SynthesisConfig(n_intervals=1200, baseline_rate=rate, attack_fraction=0.2,
+                          attack_multiplier=10.0, burst_length=6, seed=7)
+    series = inject_attacks(generate_baseline(cfg), cfg)
+    if rows == "forecast":
+        X = pipeline._rows(series, "krr").X
+        X = Scaler.fit(X).transform(X)
+    else:
+        X = pipeline.build_detection_dataset(series, rows).X
+    assert X.shape[1] == {"per_interval": 1, "forecast": 2, "frames": 12, "frames_sigma": 13}[rows]
+    for A, B in [(X, X), (X, X[:6])]:  # SMOTE's search and KRR's kernel; K-Means' centroids
+        got = distances._sq_columns(A, B.T)
+        want = np.square(A[:, None] - B[None]).sum(axis=2)
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
-    for A, B in [(reals[:9], reals), (reals, reals[:3])]:
-        np.testing.assert_allclose(distances._sq_columns(A, B.T),
-                                   sq_distances_reference(A, B), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("d", [1, 8, 13, 16, 128, 129, 300])

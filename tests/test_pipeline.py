@@ -189,7 +189,7 @@ def _smote_case(name):
                                   "k_above_minority"])
 @pytest.mark.parametrize("block_rows", [None, 1, 7])
 @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in accumulate:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 def test_smote_matches_dense_oracle(monkeypatch, name, block_rows):
     data = _smote_case(name)
@@ -225,7 +225,7 @@ def _smote_inputs(draw):
 @given(data=_smote_inputs(), k=st.integers(1, 7), seed=st.integers(0, 3),
        block_bytes=st.sampled_from([1, 8, 200, 32 * 2 ** 20]))
 @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in accumulate:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 def test_smote_matches_dense_oracle_on_random_inputs(data, k, seed, block_bytes):
     with pytest.MonkeyPatch.context() as mp:
@@ -259,10 +259,10 @@ def _frame_smote_inputs(draw):
 @given(data=_frame_smote_inputs(), k=st.integers(1, 7), seed=st.integers(0, 3),
        block_bytes=st.sampled_from([1, 8 * 2 ** 10, 32 * 2 ** 20]))
 @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in accumulate:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
 def test_smote_matches_dense_oracle_on_random_frames(data, k, seed, block_bytes):
-    # the frame widths: the kernel's 8 partial sums, and _smallest's selection
+    # the frame widths, 12 and 13 features, summed left to right, and _smallest's selection
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distances, "_BLOCK_BYTES", block_bytes)
         got = smote_balance(data, k, seed)
@@ -658,8 +658,17 @@ _REPORT = (b"model_kind=svr\ntp=12\ntn=100\nfp=0\nfn=3\naccuracy_pct=97.391\n"
     (b"tp=1\n[]\n", 2, "expected a [name] section line"),
     (b"tp=1\n[con]fig]\n", 2, "expected a [name] section line"),
     (b"tp=1\n[config] \n", 2, "expected a [name] section line"),
+    # what write_report never writes: an empty key, a key outside [A-Za-z0-9_]+, a
+    # non-ASCII section name
+    (b"tp=1\n=5\n", 2, "expected key=value, a key of [A-Za-z0-9_]+, got '=5'"),
+    (b"tp=1\n[config]\nse ed=2\n", 3, "expected key=value, a key of [A-Za-z0-9_]+"),
+    (b"tp=1\nf\xc3\xa91=0.5\n", 2, "expected key=value, a key of [A-Za-z0-9_]+"),
+    (b"tp=1\nseed\n", 2, "expected key=value, a key of [A-Za-z0-9_]+, got 'seed'"),
+    ("tp=1\n[caf\u00e9]\nseed=2\n".encode(), 2, "expected a [name] section line"),
+    ("tp=1\n[\u0663]\nseed=2\n".encode(), 2, "expected a [name] section line"),
 ], ids=["top_level_key", "config_key", "config_twice", "open_bracket", "empty_name",
-        "inner_bracket", "trailing_space"])
+        "inner_bracket", "trailing_space", "empty_key", "key_with_space", "non_ascii_key",
+        "no_equals", "non_ascii_section", "arabic_digit_section"])
 def test_report_refuses_a_repeated_key_or_a_bad_section_at_its_line(tmp_path, text, line_no,
                                                                       message):
     path = tmp_path / "r.txt"

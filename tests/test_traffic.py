@@ -169,10 +169,34 @@ def test_a_series_refuses_a_non_int_interval_or_origin_by_value(tmp_path):
             IntervalSeries(counts, counts % 2, **{field: value})
     with pytest.raises(ContractViolation, match="^interval_seconds must be >= 1$"):
         IntervalSeries(counts, counts % 2, interval_seconds=0)
-    IntervalSeries(counts, counts % 2, origin_s=np.int64(2 ** 63 - 1))  # int64's bounds pass
+    # the largest origin two 10 s intervals allow passes: they end at int64's maximum
+    IntervalSeries(counts, counts % 2, origin_s=np.int64(2 ** 63 - 1 - 2 * 10))
     path = tmp_path / "lowest.csv"
     write_series(IntervalSeries(counts, counts % 2, interval_seconds=1, origin_s=-2 ** 63), path)
     assert read_series(path).origin_s == -2 ** 63
+
+
+def test_a_series_refuses_times_past_int64_by_the_bound_read_series_applies(tmp_path):
+    # unrefused, IntervalSeries(np.arange(5), zeros, interval_seconds=2 ** 62).times_s()
+    # wraps to [0, 4.6e18, -9.2e18, -4.6e18, 0], and a forecast takes those times as rows
+    counts, zeros = np.arange(5), np.zeros(5, dtype=np.int64)
+    last = 2 ** 63 - 1 - 5 * 10  # five rows of 10 s end exactly at the int64 limit
+    assert IntervalSeries(counts, zeros, origin_s=last).times_s()[-1] == last + 40
+    assert len(IntervalSeries([], [], origin_s=2 ** 63 - 1)) == 0
+    for interval_seconds, origin_s in [(2 ** 62, 0), (10, last + 1), (10, np.int64(last + 1)),
+                                       (np.int64(2 ** 61), np.int64(2 ** 62))]:
+        message = (f"origin_s={origin_s} plus 5 rows of interval_seconds={interval_seconds} "
+                   f"passes the int64 limit")
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            IntervalSeries(counts, zeros, interval_seconds=interval_seconds, origin_s=origin_s)
+        # a file of those rows is refused at its header with the same words
+        path = tmp_path / "s.csv"
+        path.write_text(f"interval_seconds={interval_seconds},origin_s={origin_s}\n"
+                        + "".join(f"{i},{i},0\n" for i in range(5)))
+        with pytest.raises(ParseError, match=f"^line 1: {message}$"):
+            read_series(path)
+    with pytest.raises(ContractViolation, match="passes the int64 limit"):
+        IntervalSeries(counts, zeros, origin_s=last).replace(interval_seconds=11)
 
 
 @pytest.mark.parametrize("interval, error", [("5", ConfigError), (None, ConfigError),
@@ -392,13 +416,14 @@ def test_series_times_beyond_int64_are_refused_at_the_header(tmp_path, newline):
     for origin_s in (last, last + 1):
         path.write_bytes(f"interval_seconds=10,origin_s={origin_s}\n0,5,0\n1,7,1\n"
                          .encode().replace(b"\n", newline))
-        assert (_read_canonical(path.read_bytes()) is None) == (newline == b"\r\n")
         if origin_s == last:
+            assert (_read_canonical(path.read_bytes()) is None) == (newline == b"\r\n")
             assert read_series(path).origin_s == last
             continue
-        with pytest.raises(ParseError, match=f"line 1: origin_s={origin_s} plus 2 rows of "
-                                             "interval_seconds=10 passes the int64 limit"):
-            read_series(path)
+        for read in (read_series, _line_loop):  # either path refuses it at its header
+            with pytest.raises(ParseError, match=f"line 1: origin_s={origin_s} plus 2 rows of "
+                                                 "interval_seconds=10 passes the int64 limit"):
+                read(path)
 
 
 _SERIES = b"interval_seconds=10,origin_s=-20\n0,5,0\n1,57,1\n\n2,0,1\n3,12,0\n"
